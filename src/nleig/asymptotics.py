@@ -8,7 +8,7 @@ The limit curve z(t) for exponent alpha > -1 solves, for t <= 1,
     w = z^(1-alpha),  R = sqrt(z^(2-2 alpha) - t^(2+2 alpha)),
 
 with z = 1/t beyond the turning point t = 1.  The equation is solved
-directly in log form by safeguarded Newton inside the radicand-feasible
+directly in log form by bisection inside the radicand-feasible
 bracket; alpha = 1 and alpha = 3 are removable degeneracies handled by
 their closed limits.
 """
@@ -29,8 +29,11 @@ __all__ = [
     "origin_behavior", "growth_law", "forbidden_region_z",
     "walk_coefficients", "walk_coefficients_dp", "envelope",
     "rgamma_asymptote", "rgamma_asymptote_log", "rgamma_forbidden_epsilon",
-    "rgamma_limit_curve",
+    "rgamma_limit_curve", "WALK_P_MAX",
 ]
+
+# largest p_max the walk-coefficient tables accept
+WALK_P_MAX = 60
 
 
 @dataclass(frozen=True)
@@ -222,8 +225,8 @@ def forbidden_region_z(problem, t):
 def walk_coefficients(p_max):
     """Exact moment-resummation coefficients alpha_{1,2p+1} = -C_p/2^(2p+1)
     (C_p the Catalan numbers), as Fractions."""
-    if not (0 <= p_max <= 60):
-        raise ValueError("walk_coefficients: need 0 <= p_max <= 60")
+    if not (0 <= p_max <= WALK_P_MAX):
+        raise ValueError(f"walk_coefficients: need 0 <= p_max <= {WALK_P_MAX}")
     vals = []
     for p in range(p_max + 1):
         cp = math.comb(2 * p, p) // (p + 1)
@@ -235,8 +238,8 @@ def walk_coefficients_dp(p_max):
     """Independent oracle: expand A_{2,0} through the difference equation
     A_{n,k} = -1/2 A_{n-1,k+1} - 1/2 A_{n+1,k+1} with absorption at n = 1
     (a +-1 walk that freezes on reaching 1); exact rational arithmetic."""
-    if not (0 <= p_max <= 60):
-        raise ValueError("walk_coefficients_dp: need 0 <= p_max <= 60")
+    if not (0 <= p_max <= WALK_P_MAX):
+        raise ValueError(f"walk_coefficients_dp: need 0 <= p_max <= {WALK_P_MAX}")
     depth = 2 * p_max + 1
     absorbed = {}               # path length -> accumulated weight at n = 1
     walkers = {2: Fraction(1)}  # position -> weight among unabsorbed walkers

@@ -1,8 +1,13 @@
 """Atomic file writes and the append-only eigenvalue cache.
 
-The cache is a JSON-lines file keyed by (model spec, n, tol); corrupt lines
-are skipped with a warning, later entries win, and appends go through the
-OS append mode so a crash can at worst truncate the final line.
+The cache is a JSON-lines file keyed by (model spec, n, tol, method, the
+effective integrator settings, schema version).  An instance parses the file
+once, on its first lookup, and serves later lookups from memory; each new
+instance sees the file as it is on disk when it first reads it.  Lines of
+another schema version (records written before the version field existed
+carry none) are never served; corrupt lines are skipped with a warning;
+later entries win; appends go through the OS append mode so a crash can at
+worst truncate the final line.
 """
 
 import json
@@ -10,7 +15,11 @@ import os
 import tempfile
 import warnings
 
-__all__ = ["atomic_write_text", "EigenCache"]
+__all__ = ["atomic_write_text", "EigenCache", "SCHEMA"]
+
+# Version of the record layout and key; records of any other version are
+# recomputed rather than served.
+SCHEMA = 2
 
 
 def atomic_write_text(path, text):
@@ -33,16 +42,44 @@ def atomic_write_text(path, text):
 
 
 class EigenCache:
-    """Append-only JSONL store of eigenvalue results."""
+    """Append-only JSONL store of eigenvalue results.
+
+    Records carry their own key fields: ``model``, ``n``, ``tol``,
+    ``method``, ``integrator`` (the effective ``IntegratorConfig`` as
+    ``settings_text`` writes it) and ``schema``; ``stamp`` adds the last
+    two.
+    """
 
     def __init__(self, path):
         self.path = os.fspath(path)
+        self._entries = None
 
     @staticmethod
-    def key(model_spec, n, tol):
-        return f"{model_spec}|{n}|{tol:.17g}"
+    def settings_text(cfg):
+        """The fields of IntegratorConfig cfg as one line of text, exact to
+        the last bit ("abs_tol=1e-14 h_init=0.0 ...").  One string per
+        record keeps records and artifacts small."""
+        return " ".join(f"{k}={float(v)!r}"
+                        for k, v in sorted(vars(cfg).items()))
+
+    @staticmethod
+    def stamp(rec, settings):
+        """rec with the settings_text settings and the schema version."""
+        return {**rec, "integrator": settings, "schema": SCHEMA}
+
+    @staticmethod
+    def key(model_spec, n, tol, method, integrator):
+        """Lookup key; integrator is the settings_text of the effective
+        IntegratorConfig."""
+        return (model_spec, n, tol, method, integrator)
+
+    @classmethod
+    def _record_key(cls, rec):
+        return cls.key(rec["model"], rec["n"], rec["tol"], rec["method"],
+                       rec["integrator"])
 
     def load(self):
+        """Parse the file into {key: record}, skipping other schemas."""
         entries = {}
         if not os.path.exists(self.path):
             return entries
@@ -53,18 +90,31 @@ class EigenCache:
                     continue
                 try:
                     rec = json.loads(line)
-                    entries[self.key(rec["model"], rec["n"], rec["tol"])] = rec
-                except (ValueError, KeyError):
+                    if not isinstance(rec, dict):
+                        raise ValueError("not a record")
+                    if rec.get("schema") != SCHEMA:
+                        continue
+                    entries[self._record_key(rec)] = rec
+                except (ValueError, KeyError, TypeError, AttributeError):
                     warnings.warn(f"{self.path}:{i}: skipping corrupt cache "
                                   "line", RuntimeWarning)
         return entries
 
-    def get(self, model_spec, n, tol):
-        return self.load().get(self.key(model_spec, n, tol))
+    def get(self, model_spec, n, tol, method, settings):
+        """The record stored under exactly this key (settings is the
+        settings_text of the effective IntegratorConfig), or None."""
+        if self._entries is None:
+            self._entries = self.load()
+        return self._entries.get(self.key(model_spec, n, tol, method,
+                                          settings))
 
     def put(self, rec):
+        """Append a stamped record to the file and to the loaded entries."""
+        key = self._record_key(rec)
         d = os.path.dirname(os.path.abspath(self.path))
         if d:
             os.makedirs(d, exist_ok=True)
         with open(self.path, "a") as fh:
             fh.write(json.dumps(rec, sort_keys=True) + "\n")
+        if self._entries is not None:
+            self._entries[key] = rec

@@ -65,13 +65,29 @@ class RunConfig:
         return self.values.get(key, default)
 
 
+def _number(rc, key, default=None, kind=float):
+    """Flag or config value key converted by kind; ConfigError if it does
+    not convert.  A missing key gives default (unconverted)."""
+    v = rc.get(key)
+    if v is None:
+        return default
+    try:
+        return kind(v)
+    except ValueError:
+        what = "an integer" if kind is int else "a number"
+        raise ConfigError(f"{key}: expected {what}, got {v!r}") from None
+
+
 def _parse_n_range(text):
     text = str(text)
-    if ".." in text:
-        a, b = text.split("..", 1)
-        lo, hi = int(a), int(b)
-    else:
-        lo = hi = int(text)
+    try:
+        if ".." in text:
+            a, b = text.split("..", 1)
+            lo, hi = int(a), int(b)
+        else:
+            lo = hi = int(text)
+    except ValueError:
+        raise ConfigError(f"bad index range {text!r}") from None
     if lo < 1 or hi < lo:
         raise ConfigError(f"bad index range {text!r}")
     return range(lo, hi + 1)
@@ -80,18 +96,29 @@ def _parse_n_range(text):
 def _integrator_cfg(rc):
     kw = {}
     for k in ("rel_tol", "abs_tol", "h_init", "h_min", "h_max", "x_max"):
-        v = rc.get(k)
+        v = _number(rc, k)
         if v is not None:
-            kw[k] = float(v)
+            kw[k] = v
     try:
         return IntegratorConfig(**kw) if kw else None
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
 
-def _cache_path(rc):
-    if rc.get("no_cache"):
+def _tol(rc, method):
+    """The --tol value, checked as find_eigen would check it."""
+    tol = _number(rc, "tol")
+    if tol is None:
         return None
+    if not (math.isfinite(tol) and tol > 0.0):
+        raise ConfigError(f"tol must be a positive number, got {tol!r}")
+    if method == "bisection" and tol < spectrum.MIN_BISECTION_TOL:
+        raise ConfigError(f"tol {tol!r} below {spectrum.MIN_BISECTION_TOL:g} "
+                          "is not resolvable by bisection in binary64")
+    return tol
+
+
+def _cache_path(rc):
     return rc.get("cache") or os.environ.get("NLEIG_CACHE") or ".nleig-cache.jsonl"
 
 
@@ -101,32 +128,29 @@ def _out_dir(rc):
     return d
 
 
-def _spectrum_rows(records):
-    lines = ["n,E,residual,method,maxima"]
-    for r in records:
-        mx = r.get("maxima")
-        lines.append(f"{r['n']},{r['E']:.16e},{r['residual']:.16e},"
-                     f"{r['method']},{mx if mx is not None else ''}")
-    return "\n".join(lines) + "\n"
-
-
 def cmd_spectrum(rc):
     model = make_model(rc.get("model", ""))
     ns = _parse_n_range(rc.get("n", "1..1"))
-    tol = float(rc.get("tol")) if rc.get("tol") else spectrum.default_tol(model)
-    cfg = _integrator_cfg(rc)
     method = rc.get("method", "bisection")
+    if method not in ("bisection", "backward"):
+        raise ConfigError(f"method must be bisection or backward, "
+                          f"got {method!r}")
+    tol = _tol(rc, method) or spectrum.default_tol(model)
+    cfg = _integrator_cfg(rc)
     out = _out_dir(rc)
     cache_path = _cache_path(rc)
-    cache = EigenCache(cache_path) if cache_path else None
-    compare = bool(rc.get("no_cache")) and os.path.exists(
-        rc.get("cache") or os.environ.get("NLEIG_CACHE") or ".nleig-cache.jsonl")
+    no_cache = rc.get("no_cache")
+    cache = None if no_cache else EigenCache(cache_path)
+    # --no-cache recomputes every index and compares with any cached value
+    old_cache = (EigenCache(cache_path)
+                 if no_cache and os.path.exists(cache_path) else None)
+    settings = EigenCache.settings_text(spectrum._ode_cfg(tol, cfg))
     records = []
     errors = []
     mismatches = 0
     to_compute = []
     for n in ns:
-        hit = cache.get(model.spec, n, tol) if cache else None
+        hit = cache.get(model.spec, n, tol, method, settings) if cache else None
         if hit is not None:
             print(f"cache hit: {model.spec} n={n} tol={tol:g}", file=sys.stderr)
             records.append(hit)
@@ -137,22 +161,22 @@ def cmd_spectrum(rc):
             model, to_compute, tol=tol, cfg=cfg, method=method)
         errors.extend(errs)
         for res in results:
-            rec = res.to_record()
+            # stamped with the settings it was computed under (an escalated
+            # xibar index carries its tighter tol)
+            rec = EigenCache.stamp(res.to_record(), EigenCache.settings_text(
+                spectrum._ode_cfg(res.tol, cfg)))
             records.append(rec)
             if cache:
                 cache.put(rec)
-            if compare:
-                old = EigenCache(rc.get("cache")
-                                 or os.environ.get("NLEIG_CACHE")
-                                 or ".nleig-cache.jsonl").get(model.spec,
-                                                              res.n, tol)
+            if old_cache:
+                old = old_cache.get(model.spec, res.n, tol, method, settings)
                 if old is not None and abs(old["E"] - res.E) > tol * abs(res.E):
                     mismatches += 1
                     print(f"cache mismatch at n={res.n}: cached {old['E']!r} "
                           f"vs recomputed {res.E!r}", file=sys.stderr)
     records.sort(key=lambda r: r["n"])
     base = os.path.join(out, f"spectrum_{model.spec.replace(':', '_')}")
-    atomic_write_text(base + ".csv", _spectrum_rows(records))
+    atomic_write_text(base + ".csv", spectrum.spectrum_csv_text(records))
     atomic_write_text(base + ".json",
                       json.dumps(records, indent=2, sort_keys=True) + "\n")
     for e in errors:
@@ -206,7 +230,7 @@ def cmd_separatrix(rc):
     coords = rc.get("coords", "scaled")
     if coords not in ("raw", "scaled"):
         raise ConfigError(f"coords must be raw or scaled, got {coords!r}")
-    tol = float(rc.get("tol")) if rc.get("tol") else None
+    tol = _tol(rc, "backward")
     cfg = _integrator_cfg(rc)
     out = _out_dir(rc)
     status = 0
@@ -240,11 +264,14 @@ def cmd_separatrix(rc):
 
 
 def cmd_limit_curve(rc):
-    alpha = float(rc.get("alpha", "nan"))
+    alpha = _number(rc, "alpha", math.nan)
     if not (alpha > -1.0):
         raise ConfigError("limit-curve requires alpha > -1")
-    points = int(rc.get("points", 400))
-    t_max = float(rc.get("t_max", 3.0))
+    points = _number(rc, "points", 400, int)
+    t_max = _number(rc, "t_max", 3.0)
+    if points < 1 or not (0.0 <= t_max < math.inf):
+        raise ConfigError("limit-curve requires points >= 1 and a finite "
+                          "t_max >= 0")
     grid = np.linspace(0.0, t_max, points)
     # always sample the turning point exactly
     if not np.any(np.isclose(grid, 1.0)):
@@ -263,7 +290,10 @@ def cmd_limit_curve(rc):
 
 
 def cmd_walk_coeffs(rc):
-    p_max = int(rc.get("p_max", 10))
+    p_max = _number(rc, "p_max", 10, int)
+    if not (0 <= p_max <= asymptotics.WALK_P_MAX):
+        raise ConfigError(f"p_max must lie in 0..{asymptotics.WALK_P_MAX}, "
+                          f"got {p_max}")
     wc = asymptotics.walk_coefficients(p_max)
     out = _out_dir(rc)
     path = os.path.join(out, f"walk_coeffs_p{p_max}.csv")
@@ -428,7 +458,7 @@ _SUITES = {
     "walk": lambda rc: verify_walk(),
     "limits": lambda rc: verify_limits(),
     "growth": lambda rc: verify_growth(rc.get("model", "cos"),
-                                       int(rc.get("n_max", 100)),
+                                       _number(rc, "n_max", 100, int),
                                        rc.get("method", "backward")),
     "rgamma": lambda rc: verify_rgamma(),
     "envelope": lambda rc: verify_envelope(),

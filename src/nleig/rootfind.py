@@ -78,29 +78,3 @@ def newton_safeguarded(f, fprime, x0, lo, hi, xtol=1e-14, rtol=4e-16,
     if ftol > 0.0 and abs(fx) > ftol:
         raise RootError(f"newton did not reach |f|<={ftol:g} (got {fx:g})")
     return x
-
-
-def expand_bracket(f, lo, hi, factor=1.6, max_expand=40, lo_min=None):
-    """Grow [lo, hi] geometrically until f changes sign across it.
-
-    Expansion alternates between pushing hi up and lo down (lo never drops
-    below lo_min).  Returns the sign-changing bracket (lo, hi).
-    """
-    flo = f(lo)
-    fhi = f(hi)
-    for _ in range(max_expand):
-        if (flo > 0.0) != (fhi > 0.0) or flo == 0.0 or fhi == 0.0:
-            return lo, hi
-        width = hi - lo
-        new_lo = lo - width * (factor - 1.0)
-        if lo_min is not None:
-            new_lo = max(new_lo, lo_min)
-        new_hi = hi + width * (factor - 1.0)
-        if new_lo != lo:
-            lo = new_lo
-            flo = f(lo)
-            if (flo > 0.0) != (fhi > 0.0):
-                return lo, hi
-        hi = new_hi
-        fhi = f(hi)
-    raise RootError("bracket expansion cap reached without a sign change")

@@ -22,8 +22,8 @@ from .ode import Engine, IntegratorConfig, count_maxima
 
 __all__ = [
     "EigenResult", "classify", "find_eigen", "refine_backward",
-    "spectrum_scan", "default_tol", "spectrum_to_csv", "spectrum_to_json",
-    "BracketError",
+    "spectrum_scan", "default_tol", "spectrum_csv_text", "spectrum_to_csv",
+    "spectrum_to_json", "BracketError", "MIN_BISECTION_TOL",
 ]
 
 _DEFAULT_TOL = {"cosine": 1e-10, "bessel": 1e-10, "airy": 1e-10,
@@ -32,6 +32,9 @@ _DEFAULT_TOL = {"cosine": 1e-10, "bessel": 1e-10, "airy": 1e-10,
 _WIDEN = 1.6
 _WIDEN_CAP = 40
 _EXTENSIONS = 7
+
+# finest relative tolerance find_eigen accepts
+MIN_BISECTION_TOL = 1e-12
 
 
 class BracketError(RuntimeError):
@@ -187,8 +190,9 @@ def find_eigen(model, n, tol=None, cfg=None, seed=None, lo_bound=None,
     n = int(n)
     if tol is None:
         tol = default_tol(model)
-    if tol < 1e-12:
-        raise ValueError("tol below 1e-12 is not resolvable in binary64 here")
+    if tol < MIN_BISECTION_TOL:
+        raise ValueError(f"tol below {MIN_BISECTION_TOL:g} is not resolvable "
+                         "in binary64 here")
     sh = _Shooter(model, n, _ode_cfg(tol, cfg))
     pred = seed if seed is not None else None
     if pred is None:
@@ -202,7 +206,6 @@ def find_eigen(model, n, tol=None, cfg=None, seed=None, lo_bound=None,
     if floor is not None:
         lo = max(lo, floor * (1.0 + 2.0 * tol))
         hi = max(hi, floor * (1.0 + 4.0 * tol))
-    evid = {}
     cache = {}
 
     def above(v):
@@ -213,19 +216,16 @@ def find_eigen(model, n, tol=None, cfg=None, seed=None, lo_bound=None,
 
     widened = 0
     while True:
-        up, cls_lo, sig_lo = above(lo)
-        if not up:
+        if not above(lo)[0]:
             break
         if floor is not None and lo <= floor * (1.0 + 2.0 * tol):
             # hyperfine neighbor: the jump sits inside the margin sliver
             # just above the previous eigenvalue
-            up_f, cls_f, sig_f = above(floor)
-            if up_f:
+            if above(floor)[0]:
                 raise BracketError(
                     f"class >= {n} already at the lower bound {floor!r}",
                     at_lower_bound=True)
-            hi, cls_hi, sig_hi = lo, cls_lo, sig_lo
-            lo, cls_lo, sig_lo = floor, cls_f, sig_f
+            hi, lo = lo, floor
             break
         lo /= _WIDEN
         if floor is not None:
@@ -234,28 +234,29 @@ def find_eigen(model, n, tol=None, cfg=None, seed=None, lo_bound=None,
         if widened > _WIDEN_CAP:
             raise BracketError(f"no class-{n - 1} floor found for n={n}")
     while True:
-        up, cls_hi, sig_hi = above(hi)
-        if up:
+        if above(hi)[0]:
             break
         hi *= _WIDEN
         widened += 1
         if widened > _WIDEN_CAP:
             raise BracketError(f"no class-{n} ceiling found for n={n}")
-    evid["lo_class"], evid["lo_signal"] = cls_lo, sig_lo
-    evid["hi_class"], evid["hi_signal"] = cls_hi, sig_hi
-    evid["classifier"] = ("maxima-jump" if sig_hi == "maxima-jump"
-                          else "attractor-jump")
     for _ in range(300):
         if hi - lo <= tol * hi:
             break
         mid = 0.5 * (lo + hi)
         if mid <= lo or mid >= hi:
             break
-        up, _, _ = above(mid)
-        if up:
+        if above(mid)[0]:
             hi = mid
         else:
             lo = mid
+    # evidence of the final bracket, whose ends were both shot already
+    _, cls_lo, sig_lo = cache[lo]
+    _, cls_hi, sig_hi = cache[hi]
+    evid = {"lo_class": cls_lo, "lo_signal": sig_lo,
+            "hi_class": cls_hi, "hi_signal": sig_hi,
+            "classifier": ("maxima-jump" if sig_hi == "maxima-jump"
+                           else "attractor-jump")}
     maxima = None
     if count_maxima_at_lo:
         _, _, eng = sh.shoot(lo, record=True)
@@ -409,13 +410,21 @@ def spectrum_scan(model, n_range, tol=None, cfg=None, method="bisection"):
     return results, errors
 
 
-def spectrum_to_csv(results, path):
+def spectrum_csv_text(records):
+    """CSV text (n,E,residual,method,maxima) of eigenvalue records, the
+    dicts of EigenResult.to_record."""
     lines = ["n,E,residual,method,maxima"]
-    for r in results:
-        mx = r.maxima if r.maxima is not None else ""
-        lines.append(f"{r.n},{r.E:.16e},{r.residual:.16e},{r.method},{mx}")
+    for r in records:
+        mx = r.get("maxima")
+        lines.append(f"{r['n']},{r['E']:.16e},{r['residual']:.16e},"
+                     f"{r['method']},{mx if mx is not None else ''}")
+    return "\n".join(lines) + "\n"
+
+
+def spectrum_to_csv(results, path):
     from .cache import atomic_write_text
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    atomic_write_text(path,
+                      spectrum_csv_text([r.to_record() for r in results]))
     return path
 
 

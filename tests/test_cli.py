@@ -3,9 +3,11 @@ and exit codes."""
 
 import json
 import os
+import warnings
 
 import pytest
 
+from nleig.cache import EigenCache
 from nleig.cli import main
 
 
@@ -54,6 +56,66 @@ class TestSpectrumCommand:
 
     def test_bad_model_is_config_error(self, tmp_path):
         assert run(["spectrum", "--model", "nope", "--n", "1"], tmp_path) == 2
+
+    def test_cache_keyed_by_method_and_integrator(self, tmp_path, capsys):
+        base = ["spectrum", "--model", "cos", "--n", "1..2"]
+        assert run(base + ["--method", "backward"], tmp_path) == 0
+        capsys.readouterr()
+        assert run(base + ["--method", "bisection", "--rel-tol", "1e-12"],
+                   tmp_path) == 0
+        assert "cache hit" not in capsys.readouterr().err
+        rows = (tmp_path / "spectrum_cos.csv").read_text().splitlines()[1:]
+        assert [r.split(",")[3] for r in rows] == ["bisection", "bisection"]
+
+    def test_cache_file_read_once(self, tmp_path, capsys, monkeypatch):
+        args = ["spectrum", "--model", "cos", "--method", "backward"]
+        assert run(args + ["--n", "1..3"], tmp_path) == 0
+        capsys.readouterr()
+        loads = []
+        real_load = EigenCache.load
+
+        def counting_load(cache):
+            loads.append(cache.path)
+            return real_load(cache)
+
+        monkeypatch.setattr(EigenCache, "load", counting_load)
+        assert run(args + ["--n", "1..4"], tmp_path) == 0
+        assert capsys.readouterr().err.count("cache hit") == 3
+        assert len(loads) == 1
+        assert run(args + ["--n", "1..4", "--no-cache"], tmp_path) == 0
+        assert len(loads) == 2
+
+    def test_seed_format_cache_lines_recomputed(self, tmp_path, capsys):
+        args = ["spectrum", "--model", "cos", "--n", "1..2", "--tol", "1e-8"]
+        assert run(args, tmp_path) == 0
+        path = tmp_path / ".nleig-cache.jsonl"
+        old = [json.loads(line) for line in path.read_text().splitlines()]
+        for rec in old:
+            del rec["schema"], rec["integrator"]
+        path.write_text("".join(json.dumps(r) + "\n" for r in old))
+        capsys.readouterr()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert run(args, tmp_path) == 0
+        assert "cache hit" not in capsys.readouterr().err
+        assert len(path.read_text().splitlines()) == 4
+
+
+class TestExitCodes:
+    @pytest.mark.parametrize("argv", [
+        ["spectrum", "--model", "cos", "--tol", "abc"],
+        ["spectrum", "--model", "cos", "--tol", "1e-13"],
+        ["spectrum", "--model", "cos", "--rel-tol", "abc"],
+        ["walk-coeffs", "--p-max", "99"],
+        ["limit-curve", "--alpha", "abc"],
+        ["limit-curve", "--alpha", "0", "--points", "-5"],
+        ["limit-curve", "--alpha", "0", "--t-max", "-1"],
+    ])
+    def test_bad_value_is_config_error(self, tmp_path, capsys, argv):
+        assert run(argv, tmp_path) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and len(err.splitlines()) == 1
+        assert "Traceback" not in err
 
 
 class TestSeparatrixCommand:

@@ -59,6 +59,13 @@ class TestFindEigen:
         assert r.evidence["hi_class"] >= 2
         assert r.evidence["classifier"] in ("maxima-jump", "attractor-jump")
 
+    @pytest.mark.parametrize("spec,n", [("cos", 3), ("bessel:0", 2)])
+    def test_evidence_from_final_bracket(self, spec, n):
+        # the initial bracket of these indices starts below class n-1
+        ev = find_eigen(make_model(spec), n).evidence
+        assert ev["lo_class"] == n - 1
+        assert ev["hi_class"] == n
+
     def test_bracket_endpoint_classes(self):
         m = make_model("cos")
         r = find_eigen(m, 2, tol=1e-9)
