@@ -177,8 +177,7 @@ def cmd_spectrum(rc):
     records.sort(key=lambda r: r["n"])
     base = os.path.join(out, f"spectrum_{model.spec.replace(':', '_')}")
     atomic_write_text(base + ".csv", spectrum.spectrum_csv_text(records))
-    atomic_write_text(base + ".json",
-                      json.dumps(records, indent=2, sort_keys=True) + "\n")
+    atomic_write_text(base + ".json", spectrum.spectrum_json_text(records))
     for e in errors:
         print(f"n={e['n']}: {e['error']}", file=sys.stderr)
     return 1 if (errors or mismatches) else 0

@@ -1,10 +1,13 @@
 """Airy function Ai on the real line, -1e5 <= x <= 10.
 
-Maclaurin pair in the central band; on the oscillatory side the Bessel
-connection Ai(-u) = sqrt(u)/3 (J_{1/3} + J_{-1/3})(zeta) reuses the Bessel
-machinery (quadrature band included), and on the positive side a
-Gauss-Hermite quadrature of K_{1/3} bridges the gap until the exponential
-asymptotic series takes over.
+On -10 <= x <= 4 a Taylor table (``taylor.TaylorTable``, centres every 1/8)
+steps Ai through Ai'' = x Ai.  The routes that served this band before the
+table now seed its centres once each: the Maclaurin pair for c >= -7, and
+below -7 the Bessel connection Ai(-u) = sqrt(u)/3 (J_{1/3} + J_{-1/3})(zeta),
+Ai'(-u) = u/3 (J_{2/3} - J_{-2/3})(zeta), zeta = 2/3 u^(3/2), through the
+direct Bessel routes (quadrature band included).  The Bessel connection
+also serves x < -10, and on the positive side a Gauss-Hermite quadrature of
+K_{1/3} bridges the gap until the exponential asymptotic series takes over.
 """
 
 import math
@@ -12,7 +15,8 @@ import math
 import numpy as np
 
 from .gammafn import DomainError
-from .bessel import _j_any
+from .bessel import _j_direct
+from .taylor import TaylorTable, airy_coeffs
 
 __all__ = ["airy_ai"]
 
@@ -23,19 +27,28 @@ _herm_cache = {}
 
 
 def _maclaurin(x):
-    x3 = x * x * x
+    """(Ai(x), Ai'(x)) from the Maclaurin pair; seeds the table on [-7, 4]."""
+    x2 = x * x
+    x3 = x2 * x
     ft = 1.0
     fterms = [ft]
+    fpterms = []
     gt = x
     gterms = [gt]
+    gpterms = [1.0]
     for k in range(0, 60):
+        # derivative terms from the previous value terms: d/dx of the next
+        # f term is ft x^2/(3k+2), of the next g term gt x^2/(3k+3)
+        fpterms.append(ft * x2 / (3 * k + 2))
+        gpterms.append(gt * x2 / (3 * k + 3))
         ft *= x3 / ((3 * k + 2) * (3 * k + 3))
         gt *= x3 / ((3 * k + 3) * (3 * k + 4))
         fterms.append(ft)
         gterms.append(gt)
         if abs(ft) < 1e-20 and abs(gt) < 1e-20:
             break
-    return _AI0 * math.fsum(fterms) + _AIP0 * math.fsum(gterms)
+    return (_AI0 * math.fsum(fterms) + _AIP0 * math.fsum(gterms),
+            _AI0 * math.fsum(fpterms) + _AIP0 * math.fsum(gpterms))
 
 
 def _pos_asymptotic(x):
@@ -74,7 +87,25 @@ def _pos_quadrature(x):
 def _neg_bessel(x):
     u = -x
     zeta = (2.0 / 3.0) * u * math.sqrt(u)
-    return math.sqrt(u) / 3.0 * (_j_any(1.0 / 3.0, zeta) + _j_any(-1.0 / 3.0, zeta))
+    return math.sqrt(u) / 3.0 * (_j_direct(1.0 / 3.0, zeta)
+                                 + _j_direct(-1.0 / 3.0, zeta))
+
+
+def _neg_bessel_prime(x):
+    """Ai'(-u) = (u/3) (J_{2/3} - J_{-2/3})(zeta)."""
+    u = -x
+    zeta = (2.0 / 3.0) * u * math.sqrt(u)
+    return u / 3.0 * (_j_direct(2.0 / 3.0, zeta) - _j_direct(-2.0 / 3.0, zeta))
+
+
+def _seed(c):
+    if c >= -7.0:
+        return _maclaurin(c)
+    return _neg_bessel(c), _neg_bessel_prime(c)
+
+
+# empty until the first argument lands in a cell
+_table = TaylorTable(-10.0, _seed, airy_coeffs)
 
 
 def airy_ai(x):
@@ -85,6 +116,6 @@ def airy_ai(x):
         return _pos_asymptotic(x)
     if x > 4.0:
         return _pos_quadrature(x)
-    if x >= -7.0:
-        return _maclaurin(x)
+    if x >= -10.0:
+        return _table(x)
     return _neg_bessel(x)

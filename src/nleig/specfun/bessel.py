@@ -1,6 +1,11 @@
 """Bessel functions of the first kind, real order 0 <= nu <= 50, x >= 0.
 
-Three evaluation regimes:
+On max(1, nu/4) <= x < the Hankel switch of each order, a per-order Taylor
+table (``taylor.TaylorTable``, centres every 1/8) steps J_nu through
+Bessel's equation; it also serves the negative orders nu > -1 that the
+Airy connection formulas use.  Three direct regimes (``_j_direct``) serve
+every other argument and seed the table's centres once each, with
+J_nu' = (nu/c) J_nu - J_{nu+1}:
 
 * ascending power series (compensated with math.fsum) at small x,
 * a direct quadrature of the Bessel integral representation in the
@@ -19,6 +24,7 @@ import math
 import numpy as np
 
 from .gammafn import DomainError, sinpi
+from .taylor import TaylorTable, bessel_coeffs
 
 __all__ = ["bessel_j", "bessel_j_prime", "bessel_j_zero"]
 
@@ -148,8 +154,9 @@ def _j_quadrature(nu, x):
     return main
 
 
-def _j_any(nu, x):
-    """J_nu(x) for nu > -1 (internal; the public wrapper restricts nu)."""
+def _j_direct(nu, x):
+    """J_nu(x) for nu > -1 by the series, Hankel or quadrature route; seeds
+    the Taylor tables and serves every argument outside them."""
     if x == 0.0:
         if nu == 0.0:
             return 1.0
@@ -162,6 +169,32 @@ def _j_any(nu, x):
     if _hankel_ok(nu, x):
         return _j_hankel(nu, x)
     return _j_quadrature(nu, x)
+
+
+_j_tables = {}
+
+
+def _j_table(nu):
+    """The Taylor table of J_nu, created on first use.  Its centres start at
+    max(1, nu/4): Bessel's equation is singular at x = 0, and below nu/4 the
+    growth rate nu/x of J_nu outruns the table's expansion length."""
+    tab = _j_tables.get(nu)
+    if tab is None:
+        def seed(c):
+            j = _j_direct(nu, c)
+            return j, (nu / c) * j - _j_direct(nu + 1.0, c)
+        tab = _j_tables[nu] = TaylorTable(max(1.0, 0.25 * nu), seed,
+                                          bessel_coeffs(nu))
+    return tab
+
+
+def _j_any(nu, x):
+    """J_nu(x) for nu > -1 (internal; the public wrapper restricts nu)."""
+    if x >= 1.0 and x >= 0.25 * nu:
+        if _hankel_ok(nu, x):
+            return _j_hankel(nu, x)
+        return _j_table(nu)(x)
+    return _j_direct(nu, x)
 
 
 def bessel_j(nu, x):

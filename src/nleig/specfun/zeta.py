@@ -11,6 +11,11 @@ t = 1000, where the Riemann-Siegel branch takes over.  The rescaled xi function
 is assembled in the explicitly real form -(1/2) pi^(-1/4) (2 pi)^(-1/2)
 t^(1/4) e^(pi t/4 + Re ln Gamma(1/4 + it/2)) Z(t), which neither decays nor
 overflows at large t.
+
+xi_bar has no Taylor table (it satisfies no short linear ODE); instead each
+call computes ln Gamma(1/4 + it/2) once for both theta and the scale, the
+Euler-Maclaurin sum takes ln n and n^(-1/2) from arrays kept across calls,
+and its tail takes every power of the cut N from one complex N^(-s).
 """
 
 import cmath
@@ -61,21 +66,42 @@ def _theta_and_lngamma_re(t):
     return lg.imag - 0.5 * t * math.log(math.pi), lg.real
 
 
+# ln n and n^(-1/2) for n = 1, 2, ...: every Euler-Maclaurin sum takes a
+# prefix of these, and they grow (by doubling) only when a larger cut needs it
+_em_terms = [np.zeros(0), np.zeros(0)]
+
+
+def _em_prefix(count):
+    """Views of ln n and n^(-1/2) for n = 1..count."""
+    ln_n, inv_sqrt_n = _em_terms
+    if len(ln_n) < count:
+        n = np.arange(1, max(count, 2 * len(ln_n)) + 1)
+        ln_n, inv_sqrt_n = np.log(n), n ** (-0.5)
+        _em_terms[:] = ln_n, inv_sqrt_n
+    return ln_n[:count], inv_sqrt_n[:count]
+
+
 def zeta_half_line(t):
     """zeta(1/2 + it) by Euler-Maclaurin (intended for 0 <= t <= ~1000)."""
     s = 0.5 + 1j * t
     n_cut = max(16, int(1.3 * abs(t)) + 8)
-    n = np.arange(1, n_cut)
-    ln_n = np.log(n)
-    main = complex(np.sum(n ** (-0.5) * np.exp(-1j * t * ln_n)))
-    acc = main + n_cut ** (1.0 - s) / (s - 1.0) + 0.5 * n_cut ** (-s)
+    ln_n, inv_sqrt_n = _em_prefix(n_cut - 1)
+    phase = t * ln_n
+    main = complex(float(np.dot(inv_sqrt_n, np.cos(phase))),
+                   -float(np.dot(inv_sqrt_n, np.sin(phase))))
+    # every power of the cut in the tail is N^(-s) times an integer power of N
+    p = cmath.exp(-s * math.log(n_cut))
+    acc = main + n_cut * p / (s - 1.0) + 0.5 * p
     # Bernoulli tail: T_1 = s N^{-s-1} B_2/2!, ratio recurrence beyond
-    term = _EM_BERN[0] * s * n_cut ** (-s - 1.0)
+    pk = p / n_cut
+    inv_n2 = 1.0 / (n_cut * n_cut)
+    term = _EM_BERN[0] * s * pk
     acc += term
     num = s
     for k in range(1, len(_EM_BERN)):
         num *= (s + 2 * k - 1) * (s + 2 * k)
-        term = _EM_BERN[k] * num * n_cut ** (-s - 2.0 * k - 1.0)
+        pk *= inv_n2
+        term = _EM_BERN[k] * num * pk
         acc += term
         if abs(term) < 1e-16 * abs(acc):
             break
@@ -98,6 +124,23 @@ def _psi_rs_d3(p):
             - 2.0 * _psi_rs(p + h) + _psi_rs(p + 2 * h)) / (2.0 * h ** 3)
 
 
+def _hardy_z(t, theta):
+    """Z(t) and the residual of riemann_siegel_z, given theta(t)."""
+    if t <= _EM_MAX_T:
+        zv = zeta_half_line(t) * cmath.exp(1j * theta)
+        denom = max(abs(zv), 1e-300)
+        return zv.real, abs(zv.imag) / denom
+    a = math.sqrt(t / (2.0 * math.pi))
+    n_cut = int(a)
+    p = a - n_cut
+    n = np.arange(1, n_cut + 1)
+    main = 2.0 * float(np.sum(np.cos(theta - t * np.log(n)) / np.sqrt(n)))
+    c0 = _psi_rs(p)
+    c1 = -_psi_rs_d3(p) / (96.0 * math.pi ** 2)
+    corr = (-1.0) ** (n_cut + 1) * a ** (-0.5) * (c0 + c1 / a)
+    return main + corr, 0.0
+
+
 def riemann_siegel_z(t):
     """Hardy Z(t): real, with Z(t) = e^{i theta(t)} zeta(1/2+it).
 
@@ -108,19 +151,11 @@ def riemann_siegel_z(t):
     if t < 0.0:
         raise DomainError(f"riemann_siegel_z: need t >= 0, got {t!r}")
     theta, _ = _theta_and_lngamma_re(t)
-    if t <= _EM_MAX_T:
-        zv = zeta_half_line(t) * cmath.exp(1j * theta)
-        denom = max(abs(zv), 1e-300)
-        return zv.real, theta, abs(zv.imag) / denom
-    a = math.sqrt(t / (2.0 * math.pi))
-    n_cut = int(a)
-    p = a - n_cut
-    n = np.arange(1, n_cut + 1)
-    main = 2.0 * float(np.sum(np.cos(theta - t * np.log(n)) / np.sqrt(n)))
-    c0 = _psi_rs(p)
-    c1 = -_psi_rs_d3(p) / (96.0 * math.pi ** 2)
-    corr = (-1.0) ** (n_cut + 1) * a ** (-0.5) * (c0 + c1 / a)
-    return main + corr, theta, 0.0
+    z, resid = _hardy_z(t, theta)
+    return z, theta, resid
+
+
+_XI_PREFACTOR = 0.5 / math.sqrt(2.0 * math.pi) * math.pi ** -0.25
 
 
 def xi_bar(t):
@@ -141,8 +176,8 @@ def xi_bar(t):
                       RuntimeWarning, stacklevel=2)
     if t == 0.0:
         return 0.0
-    z, _, _ = riemann_siegel_z(t)
-    _, lg_re = _theta_and_lngamma_re(t)
+    # one ln Gamma(1/4 + it/2) gives both theta and the scale
+    theta, lg_re = _theta_and_lngamma_re(t)
+    z, _ = _hardy_z(t, theta)
     scale = math.exp(0.25 * math.pi * t + lg_re)
-    return (0.5 / math.sqrt(2.0 * math.pi) * math.pi ** -0.25
-            * t ** 0.25 * scale * z)
+    return _XI_PREFACTOR * t ** 0.25 * scale * z

@@ -23,7 +23,7 @@ from .ode import Engine, IntegratorConfig, count_maxima
 __all__ = [
     "EigenResult", "classify", "find_eigen", "refine_backward",
     "spectrum_scan", "default_tol", "spectrum_csv_text", "spectrum_to_csv",
-    "spectrum_to_json", "BracketError", "MIN_BISECTION_TOL",
+    "spectrum_to_json", "spectrum_json_text", "BracketError", "MIN_BISECTION_TOL",
 ]
 
 _DEFAULT_TOL = {"cosine": 1e-10, "bessel": 1e-10, "airy": 1e-10,
@@ -428,8 +428,18 @@ def spectrum_to_csv(results, path):
     return path
 
 
+def spectrum_json_text(records):
+    """JSON text of eigenvalue records: an array with one key-sorted record
+    per line.  Each record goes through json.dumps without ``indent``, so
+    the C encoder writes it."""
+    if not records:
+        return "[]\n"
+    body = ",\n".join(json.dumps(r, sort_keys=True) for r in records)
+    return f"[\n{body}\n]\n"
+
+
 def spectrum_to_json(results, path):
-    payload = [r.to_record() for r in results]
     from .cache import atomic_write_text
-    atomic_write_text(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    atomic_write_text(path,
+                      spectrum_json_text([r.to_record() for r in results]))
     return path

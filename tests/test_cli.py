@@ -35,10 +35,12 @@ class TestSpectrumCommand:
         args = ["spectrum", "--model", "cos", "--n", "1..3", "--tol", "1e-8"]
         assert run(args, tmp_path) == 0
         first = (tmp_path / "spectrum_cos.csv").read_bytes()
+        first_json = (tmp_path / "spectrum_cos.json").read_bytes()
         cache = (tmp_path / ".nleig-cache.jsonl").read_text()
         assert len(cache.strip().splitlines()) == 3
         assert run(args, tmp_path) == 0
         assert (tmp_path / "spectrum_cos.csv").read_bytes() == first
+        assert (tmp_path / "spectrum_cos.json").read_bytes() == first_json
 
     def test_env_cache_override(self, tmp_path, monkeypatch):
         monkeypatch.setenv("NLEIG_CACHE", str(tmp_path / "custom.jsonl"))

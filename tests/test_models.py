@@ -98,7 +98,8 @@ class TestScaling:
         assert y == pytest.approx(math.sqrt(1.5))
 
     @given(st.floats(1e-6, 1e3), st.floats(1e-9, 1e4),
-           st.sampled_from(["cos", "bessel:0", "bessel:2.5", "airy"]),
+           st.sampled_from(["cos", "bessel:0", "bessel:2.5", "airy",
+                            "rgamma"]),
            st.integers(1, 50))
     @settings(max_examples=300, deadline=None)
     def test_round_trip(self, x, y, spec, n):
@@ -107,6 +108,7 @@ class TestScaling:
         x2, y2 = pr.from_scaled(t, z)
         assert abs(x2 - x) <= 1e-14 * abs(x)
         assert abs(y2 - y) <= 1e-14 * abs(y)
+        assert abs(pr.u_of(t, z) - x * y) <= 1e-14 * (x * y)
 
     def test_rgamma_round_trip(self):
         pr = ScaledProblem(make_model("rgamma"), 10)

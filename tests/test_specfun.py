@@ -133,6 +133,65 @@ class TestAiry:
             airy_ai(-2e5)
 
 
+# points on both sides of the cell edges around each anchor (edges sit
+# 1/16 from a centre) plus the anchor itself
+EDGE = 1.0 / 16.0
+
+
+def _around(a):
+    return (a, a - EDGE - 1e-9, a - EDGE + 1e-9, a + EDGE - 1e-9,
+            a + EDGE + 1e-9)
+
+
+def _ai_ok(got, x, ref):
+    # the tolerance formula of TestAiry.test_against_mpmath
+    amp = 1.0 / (math.sqrt(math.pi) * max(abs(x), 1.0) ** 0.25)
+    if abs(ref) > 1e-2 * amp:
+        return abs(got / ref - 1.0) <= 1e-10
+    return abs(got - ref) <= 1e-12 + 1e-10 * amp
+
+
+def _j_ok(got, x, ref):
+    # the tolerance formula of TestBessel.test_against_mpmath
+    amp = math.sqrt(2.0 / (math.pi * max(x, 1.0)))
+    tol = 2e-10 if abs(ref) < 0.01 * amp else 1e-10
+    return abs(got - ref) <= tol * max(abs(ref), 1e-3 * amp)
+
+
+TABLE_ORDERS = (0.0, 1.0 / 3.0, -1.0 / 3.0, 2.0 / 3.0, -2.0 / 3.0, 2.7)
+
+
+class TestTaylorTables:
+    @pytest.mark.parametrize("anchor", [-10.0, -7.0, 0.0, 4.0])
+    def test_airy_table_against_mpmath(self, anchor):
+        for x in _around(anchor):
+            ref = float(mp.airyai(mp.mpf(x)))
+            assert _ai_ok(airy_ai(x), x, ref), x
+
+    @pytest.mark.parametrize("nu", TABLE_ORDERS)
+    def test_bessel_table_against_mpmath(self, nu):
+        from nleig.specfun.bessel import _hankel_ok, _j_any
+        switch = 16.0  # first Hankel argument for every order listed
+        assert _hankel_ok(nu, switch) and not _hankel_ok(nu, switch - 1e-9)
+        for anchor in (1.0, 12.0, switch):
+            for x in _around(anchor):
+                ref = float(mp.besselj(mp.mpf(nu), mp.mpf(x)))
+                assert _j_ok(_j_any(nu, x), x, ref), (nu, x)
+
+    @given(st.floats(-10.0, 4.0))
+    @settings(max_examples=60, deadline=None)
+    def test_airy_table_matches_seed_route(self, x):
+        from nleig.specfun.airy import _maclaurin, _neg_bessel
+        seed = _maclaurin(x)[0] if x >= -7.0 else _neg_bessel(x)
+        assert _ai_ok(airy_ai(x), x, seed)
+
+    @given(st.sampled_from(TABLE_ORDERS), st.floats(1.0, 16.0))
+    @settings(max_examples=60, deadline=None)
+    def test_bessel_table_matches_seed_route(self, nu, x):
+        from nleig.specfun.bessel import _j_any, _j_direct
+        assert _j_ok(_j_any(nu, x), x, _j_direct(nu, x))
+
+
 class TestGammaFamily:
     def test_log_gamma_exact_zeros(self):
         assert log_gamma(1.0) == 0.0

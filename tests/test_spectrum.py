@@ -6,6 +6,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from nleig.models import make_model
 from nleig.ode import IntegratorConfig
@@ -101,6 +102,25 @@ class TestCrossMethod:
         rb = refine_backward(m, 1)
         rf = find_eigen(m, 1, tol=1e-8)
         assert abs(rb.E - rf.E) / rf.E <= 1e-6
+
+
+class TestBackwardProperties:
+    @given(st.sampled_from(["cos", "bessel:0"]), st.integers(1, 40),
+           st.integers(2, 4))
+    @settings(max_examples=6, deadline=None)
+    def test_spectrum_strictly_increasing(self, spec, start, count):
+        res, errs = spectrum_scan(make_model(spec),
+                                  range(start, start + count),
+                                  method="backward")
+        assert not errs
+        es = [r.E for r in res]
+        assert len(es) == count
+        assert all(b > a for a, b in zip(es, es[1:]))
+
+    @given(st.sampled_from(["cos", "bessel:0", "airy"]), st.integers(1, 60))
+    @settings(max_examples=8, deadline=None)
+    def test_separatrix_maxima_equal_index(self, spec, n):
+        assert refine_backward(make_model(spec), n).maxima == n
 
 
 class TestSpectrumScan:
