@@ -2,6 +2,9 @@
 walk coefficients, verification suites, SVG rendering, and a persistent
 eigenvalue cache.
 
+A separatrix is the curve refine_backward recorded, converted by ode.Frame;
+scaled_deviation_stats and three_sig are shared with the acceptance tests.
+
 Exit codes: 0 success, 1 computation failure (partial artifacts are still
 written), 2 configuration error.
 """
@@ -17,8 +20,8 @@ import numpy as np
 
 from . import asymptotics, spectrum, svgplot
 from .cache import EigenCache, atomic_write_text
-from .models import ScaledProblem, make_model, zero_table, eval_F_prime
-from .ode import IntegratorConfig, Engine, _raw_rhs, curve_to_csv, count_maxima
+from .models import check_raw, make_model
+from .ode import Frame, IntegratorConfig, curve_to_csv, count_maxima
 from .specfun import DomainError
 from . import specfun
 
@@ -183,44 +186,20 @@ def cmd_spectrum(rc):
     return 1 if (errors or mismatches) else 0
 
 
+def _check_coords(model, n, coords):
+    """The coordinate refusals of separatrix index n, before any run."""
+    if coords == "scaled" and model.kind == "xibar":
+        raise DomainError("xibar has no scaled coordinates")
+    if coords == "raw":
+        check_raw(model, n)
+
+
 def separatrix_curve(model, n, coords, tol=None, cfg=None):
     """Backward-refined separatrix as (EigenResult, SolutionCurve) in the
-    requested coordinates."""
+    requested coordinates: the curve refine_backward recorded, converted."""
+    _check_coords(model, n, coords)
     res = spectrum.refine_backward(model, n, cfg=cfg, tol=tol)
-    cfg = spectrum._ode_cfg(tol or spectrum.default_tol(model), cfg)
-    s = zero_table(model).nth_unstable(n)
-    fp = eval_F_prime(model, s.u)
-    if model.kind == "rgamma":
-        problem = ScaledProblem(model, n)
-        t0 = 3.0
-        ln_x2fp = (2.0 * math.log(t0) + math.log(problem.lam)
-                   - problem.ln_xi + math.log(fp))
-        corr = math.exp(-ln_x2fp) if ln_x2fp < 700.0 else 0.0
-        eng = Engine(problem.make_rhs(), t0, (1.0 - corr) / t0, cfg,
-                     direction=-1, record=True)
-        eng.run(0.0)
-        curve = eng.curve("scaled", {"model": model.spec, "n": n})
-        if coords == "raw":
-            if n > 5:
-                raise DomainError("raw-coordinate rgamma curves are refused "
-                                  "for n > 5 (binary64 exhaustion)")
-            curve.grid = curve.grid * problem.x_scale
-            curve.values = curve.values * problem.y_scale
-            curve.coords = "raw"
-        return res, curve
-    x0 = res.evidence["x0"]
-    u0 = s.u - s.u / (x0 * x0 * fp)
-    eng = Engine(_raw_rhs(model), x0, u0 / x0, cfg, direction=-1, record=True)
-    eng.run(0.0)
-    curve = eng.curve("raw", {"model": model.spec, "n": n})
-    if coords == "scaled":
-        if model.kind == "xibar":
-            raise DomainError("xibar has no scaled coordinates")
-        problem = ScaledProblem(model, n)
-        curve.grid = curve.grid / problem.x_scale
-        curve.values = curve.values / problem.y_scale
-        curve.coords = "scaled"
-    return res, curve
+    return res, Frame(model, n).convert(res.curve, coords)
 
 
 def cmd_separatrix(rc):
@@ -229,6 +208,7 @@ def cmd_separatrix(rc):
     coords = rc.get("coords", "scaled")
     if coords not in ("raw", "scaled"):
         raise ConfigError(f"coords must be raw or scaled, got {coords!r}")
+    _check_coords(model, ns[-1], coords)
     tol = _tol(rc, "backward")
     cfg = _integrator_cfg(rc)
     out = _out_dir(rc)
@@ -329,7 +309,7 @@ def _record(check_id, reference, predicted, measured, tolerance):
             "tolerance": tolerance, "status": "pass" if ok else "fail"}
 
 
-def _three_sig(value, quoted):
+def three_sig(value, quoted):
     """Agreement to three significant digits with a quoted figure."""
     scale = 10.0 ** math.floor(math.log10(abs(quoted)))
     return abs(value - quoted) <= 0.005 * scale * 1.001
@@ -399,51 +379,38 @@ def verify_growth(model_spec="cos", n_max=100, method="backward"):
 
 def verify_rgamma():
     rg = make_model("rgamma")
-    recs = []
-    e10 = spectrum.find_eigen(rg, 10, tol=1e-8).E
-    e20 = spectrum.find_eigen(rg, 20, tol=1e-8).E
-    recs.append({"check": "rgamma-E10", "reference": "published value 5.50e8",
-                 "predicted": 5.50e8, "measured": e10, "tolerance": "3 sig. digits",
-                 "status": "pass" if _three_sig(e10, 5.50e8) else "fail"})
-    recs.append({"check": "rgamma-E20", "reference": "published value 2.86e23",
-                 "predicted": 2.86e23, "measured": e20, "tolerance": "3 sig. digits",
-                 "status": "pass" if _three_sig(e20, 2.86e23) else "fail"})
-    a10 = asymptotics.rgamma_asymptote(10)
-    a20 = asymptotics.rgamma_asymptote(20)
-    recs.append({"check": "rgamma-asymptote-10",
-                 "reference": "published value 4.98e8",
-                 "predicted": 4.98e8, "measured": a10, "tolerance": "3 sig. digits",
-                 "status": "pass" if _three_sig(a10, 4.98e8) else "fail"})
-    recs.append({"check": "rgamma-asymptote-20",
-                 "reference": "published value 2.68e23",
-                 "predicted": 2.68e23, "measured": a20, "tolerance": "3 sig. digits",
-                 "status": "pass" if _three_sig(a20, 2.68e23) else "fail"})
-    return recs
+    eig = lambda n: spectrum.find_eigen(rg, n, tol=1e-8).E
+    asym = asymptotics.rgamma_asymptote
+    checks = [("rgamma-E10", eig(10), "5.50e8"),
+              ("rgamma-E20", eig(20), "2.86e23"),
+              ("rgamma-asymptote-10", asym(10), "4.98e8"),
+              ("rgamma-asymptote-20", asym(20), "2.68e23")]
+    return [{"check": check, "reference": f"published value {quoted}",
+             "predicted": float(quoted), "measured": value,
+             "tolerance": "3 sig. digits",
+             "status": "pass" if three_sig(value, float(quoted)) else "fail"}
+            for check, value, quoted in checks]
 
 
-def _scaled_deviation(n, rel=1e-9):
-    model = make_model("bessel:0")
-    _, curve = separatrix_curve(model, n, "scaled",
-                                cfg=IntegratorConfig(rel_tol=rel,
-                                                     abs_tol=rel * 1e-2),
-                                tol=1e-8)
-    t = curve.grid
-    z = curve.values
-    mask = (t >= 0.1) & (t <= 0.9)
-    idx = np.nonzero(mask)[0][::5]
-    zinf = np.array([asymptotics.limit_curve_value(-0.5, float(tt))
-                     for tt in t[idx]])
-    sup = float(np.max(np.abs(z[idx] - zinf)))
-    w = np.nonzero((t >= 0.45) & (t <= 0.55))[0]
-    zi = np.array([asymptotics.limit_curve_value(-0.5, float(tt))
-                   for tt in t[w]])
-    amp = float(np.max(np.abs(z[w] - zi)))
-    return sup, amp
+def scaled_deviation_stats(n):
+    """(sup, amp) of the scaled bessel:0 separatrix n against the limit
+    curve z_inf (alpha = -1/2): sup |z - z_inf| over every fifth sample on
+    0.1 <= t <= 0.9, and the largest |z - z_inf| on 0.45 <= t <= 0.55."""
+    cfg = IntegratorConfig(rel_tol=1e-9, abs_tol=1e-12)
+    _, curve = separatrix_curve(make_model("bessel:0"), n, "scaled",
+                                tol=1e-8, cfg=cfg)
+    t, z = curve.grid, curve.values
+
+    def deviation(idx):
+        zinf = [asymptotics.limit_curve_value(-0.5, float(tt)) for tt in t[idx]]
+        return float(np.max(np.abs(z[idx] - np.array(zinf))))
+    return (deviation(np.nonzero((t >= 0.1) & (t <= 0.9))[0][::5]),
+            deviation(np.nonzero((t >= 0.45) & (t <= 0.55))[0]))
 
 
 def verify_envelope():
-    sup1, amp1 = _scaled_deviation(1000)
-    sup2, amp2 = _scaled_deviation(2000)
+    sup1, amp1 = scaled_deviation_stats(1000)
+    sup2, amp2 = scaled_deviation_stats(2000)
     recs = [_record("envelope-sup-n2000",
                     "scaled eigensolution approaches the limit curve",
                     0.0, sup2, 5e-3),

@@ -18,7 +18,7 @@ from .specfun import (DomainError, sinpi, cospi, bessel_j, bessel_j_prime,
 __all__ = [
     "AsymptoticForm", "GeneratingFunction", "ScaledProblem", "ClassifiedZero",
     "make_model", "eval_F", "eval_F_prime", "unstable_zeros", "ZeroTable",
-    "zero_table", "rgamma_lambda_scaling",
+    "zero_table", "rgamma_lambda_scaling", "raw_rhs", "check_raw",
 ]
 
 
@@ -425,9 +425,29 @@ class ScaledProblem:
         return rhs
 
     def make_raw_rhs(self):
-        """dy/dx = F(xy) with the model's own domain guards."""
-        model = self.model
-        if model.kind == "rgamma" and self.n > 5:
-            raise DomainError("raw-coordinate rgamma integration refused for "
-                              "n > 5; use scaled coordinates")
-        return lambda x, y: eval_F(model, x * y)
+        """raw_rhs of the model, refused where check_raw refuses it."""
+        check_raw(self.model, self.n)
+        return raw_rhs(self.model)
+
+
+def raw_rhs(model):
+    """dy/dx = F(xy) as a tight closure.  Stage probes may undershoot
+    xy = 0 by a hair, so bessel, xibar and airy clamp the argument."""
+    kind = model.kind
+    if kind == "bessel":
+        from .specfun.bessel import _j_any
+        nu = model.nu
+        return lambda x, y: _j_any(nu, max(x * y, 0.0))
+    if kind == "xibar":
+        return lambda x, y: xi_bar(max(x * y, 0.0))
+    if kind == "airy":
+        return lambda x, y: airy_ai(-max(x * y, -5.0))
+    return lambda x, y: eval_F(model, x * y)
+
+
+def check_raw(model, n):
+    """DomainError for a raw-coordinate reciprocal-gamma run of index
+    n > 5: its right-hand side needs Gamma values beyond binary64."""
+    if model.kind == "rgamma" and n > 5:
+        raise DomainError("raw-coordinate rgamma integration refused for "
+                          "n > 5; use scaled coordinates")

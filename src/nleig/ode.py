@@ -9,18 +9,25 @@ of F with x^2 |F| well above u, the u/x drift can no longer carry it over
 the next unstable zero, so the run is committed and can stop early.  A run
 left ambiguous at its horizon (still hugging a separatrix) can be continued
 farther by calling run() again.
+
+Every run starts from a Frame, the one place that picks raw (x, y) or
+scaled (t, z) coordinates.
 """
 
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .models import GeneratingFunction, ScaledProblem, eval_F, zero_table
+from .models import (GeneratingFunction, ScaledProblem, eval_F, raw_rhs,
+                     zero_table)
+from .specfun import DomainError
 
 __all__ = [
     "IntegratorConfig", "SolutionCurve", "PrecisionExhausted", "StepUnderflow",
-    "Engine", "integrate", "count_maxima", "attractor_limit", "curve_to_csv",
+    "Frame", "Engine", "integrate", "count_maxima", "attractor_limit",
+    "curve_to_csv",
 ]
 
 
@@ -82,6 +89,7 @@ _E1, _E3, _E4, _E5, _E6, _E7 = (71.0 / 57600.0, -71.0 / 16695.0, 71.0 / 1920.0,
                                 -17253.0 / 339200.0, 22.0 / 525.0, -1.0 / 40.0)
 
 _COMMIT_MARGIN = 20.0
+_Y_FLOOR = 1e-280   # y at or below it, still falling: the run has collapsed
 
 
 def _hermite(s, h, y0, y1, f0, f1):
@@ -98,19 +106,112 @@ def _hermite_deriv(s, h, y0, y1, f0, f1):
             + h * ((3 * s2 - 4 * s + 1) * f0 + (3 * s2 - 2 * s) * f1))
 
 
-class Engine:
-    """Single-use integration state machine (one trajectory, one direction)."""
+class Frame:
+    """Problem set-up of a run.  A model with an index runs in the scaled
+    coordinates (t, z) of its ScaledProblem; xibar, which has none, and a
+    model without an index run in raw coordinates (x, y).
 
-    def __init__(self, rhs, x0, y0, cfg, *, direction=1, record=True,
-                 u_of=None, zeros=None, F_of_u=None, x_factor=1.0,
-                 settle_x_min=None, stop_when_settled=True, max_minima=None,
-                 event_tol_scale=None, y_floor=1e-280, nonneg=True):
-        self.rhs = rhs
+    x_factor and y_factor are the raw units per frame unit (1 in raw
+    coordinates); u_of(x, y) is the product xy of raw coordinates.
+    """
+
+    def __init__(self, model, n=None):
+        scaled = n is not None and model.kind != "xibar"
+        self._bind(model, n, ScaledProblem(model, n) if scaled else None)
+
+    @classmethod
+    def of(cls, obj):
+        """Frame of a GeneratingFunction (raw coordinates) or of a
+        ScaledProblem (that problem's coordinates, any lambda override
+        included)."""
+        if isinstance(obj, GeneratingFunction):
+            return cls(obj)
+        if not isinstance(obj, ScaledProblem):
+            raise TypeError(f"cannot integrate object of type {type(obj)!r}")
+        frame = cls.__new__(cls)
+        frame._bind(obj.model, obj.n, obj)
+        return frame
+
+    def _bind(self, model, n, problem):
+        self.model = model
+        self.n = n
+        self.problem = problem
+        self.zeros = zero_table(model)
+        if problem is None:
+            self.coords = "raw"
+            self.rhs = raw_rhs(model)
+            self.u_of = lambda x, y: x * y
+            self.x_factor = self.y_factor = 1.0
+            self.settle_x_min = 1e-2
+        else:
+            self.coords = "scaled"
+            self.rhs = problem.make_rhs()
+            self.u_of = problem.u_of
+            self.x_factor = problem.x_scale
+            self.y_factor = problem.y_scale
+            self.settle_x_min = 1.3
+
+    def horizon(self, y0, cfg):
+        """First horizon of a forward run from the origin at y0: cfg.x_max
+        when set; otherwise t = 3, three times the turning point t = 1, in
+        scaled coordinates, and three times the expected turning point of
+        y0 in raw ones."""
+        if cfg.x_max > 0.0:
+            return cfg.x_max
+        if self.problem is not None:
+            return 3.0
+        m = self.model
+        if m.asym is not None:
+            a, al, b, be = m.asym.a, m.asym.alpha, m.asym.b, m.asym.beta
+            g = (1.0 + al) / (2.0 * be)
+            lam = b * max(y0 / math.sqrt(a), 1e-6) ** (1.0 / g)
+            x_turn = (lam / b) ** (1.0 / be - g) / math.sqrt(a)
+            return 3.0 * max(x_turn, 1.0)
+        if m.kind == "xibar":
+            u1 = self.zeros.zero(2).u  # first unstable zero
+            return 3.0 * max(u1, 10.0) / (0.6 * max(y0, 1e-3))
+        # raw rgamma (n <= 5 use only)
+        return 3.0 * max(2.0, 2.0 * y0)
+
+    def scale_E(self, v):
+        """Initial value in this frame -> physical E."""
+        return v * self.y_factor
+
+    def unscale_E(self, E):
+        return E / self.y_factor
+
+    def convert(self, curve, coords):
+        """curve in coords ("raw" or "scaled"): abscissae, ordinates and
+        events all rescaled.  A curve already in coords comes back as is."""
+        if curve.coords == coords:
+            return curve
+        if self.problem is None:
+            raise DomainError(f"{self.model.spec} has no scaled coordinates")
+        op = operator.mul if coords == "raw" else operator.truediv
+        fx = lambda v: op(v, self.x_factor)
+        fy = lambda v: op(v, self.y_factor)
+        return SolutionCurve(
+            coords, fx(curve.grid), fy(curve.values),
+            [fx(v) for v in curve.maxima],
+            [fy(v) for v in curve.maxima_values],
+            [fx(v) for v in curve.minima],
+            [fy(v) for v in curve.minima_values],
+            curve.terminal_u, curve.status, dict(curve.meta))
+
+
+class Engine:
+    """Single-use integration state machine (one trajectory, one direction)
+    of a Frame.  Forward runs watch the frame's settle detector."""
+
+    def __init__(self, frame, x0, y0, cfg, *, direction=1, record=True,
+                 stop_when_settled=True, max_minima=None):
+        self.frame = frame
+        self.rhs = frame.rhs
         self.cfg = cfg
         self.sgn = 1.0 if direction in (1, "forward") else -1.0
         self.x = float(x0)
         self.y = float(y0)
-        self.f = rhs(self.x, self.y)
+        self.f = self.rhs(self.x, self.y)
         self.h = 0.0
         self.err_prev = 1.0
         self.record = record
@@ -120,16 +221,10 @@ class Engine:
         self.maxima_values = []
         self.minima = []
         self.minima_values = []
-        self.u_of = u_of
-        self.zeros = zeros
-        self.F_of_u = F_of_u
-        self.x_factor = x_factor
-        self.settle_x_min = settle_x_min
+        self.settle_x_min = frame.settle_x_min if self.sgn > 0 else None
         self.stop_when_settled = stop_when_settled
         self.max_minima = max_minima
-        self.event_tol_scale = event_tol_scale
-        self.y_floor = y_floor
-        self.nonneg = nonneg
+        self.event_tol_scale = None     # set by the first run()
         self.status = None
         self.terminal_u = None
         self.attractor = None
@@ -226,7 +321,7 @@ class Engine:
                 self.nsteps += 1
                 stop = self._after_step(x, y, f, x1, y1, k7, hs)
                 x, y, f = x1, y1, k7
-                if self.nonneg and y < 0.0:
+                if y < 0.0:
                     y = 0.0
                     f = rhs(x, y)
                     self.nfev += 1
@@ -248,7 +343,7 @@ class Engine:
     def _basin_f_mid(self, z_star, s_next):
         v = self._fmid_cache.get(z_star)
         if v is None:
-            v = abs(self.F_of_u(0.5 * (z_star + s_next)))
+            v = abs(eval_F(self.frame.model, 0.5 * (z_star + s_next)))
             self._fmid_cache[z_star] = v
         return v
 
@@ -270,21 +365,22 @@ class Engine:
                 if (self.max_minima is not None
                         and len(self.minima) >= self.max_minima):
                     return "max_minima"
-        if y1 <= self.y_floor and f1 <= 0.0:
+        if y1 <= _Y_FLOOR and f1 <= 0.0:
             self.terminal_u = 0.0
             self.attractor = 0.0
             return "floor"
-        if (self.settle_x_min is not None and self.u_of is not None
+        if (self.settle_x_min is not None
                 and self.attractor is None
                 and abs(x1) >= self.settle_x_min
                 and abs(x1) >= 1.25 * self._ck_x):
             self._ck_x = abs(x1)
-            u = self.u_of(x1, y1)
-            basin = self.zeros.stable_basin(u)
+            frame = self.frame
+            u = frame.u_of(x1, y1)
+            basin = frame.zeros.stable_basin(u)
             if basin is not None:
                 z_star, s_next, halfgap = basin
                 if abs(u - z_star) <= 0.8 * halfgap:
-                    xr = abs(x1) * self.x_factor
+                    xr = abs(x1) * frame.x_factor
                     f_mid = self._basin_f_mid(z_star, s_next)
                     if xr * xr * f_mid >= _COMMIT_MARGIN * max(u, 0.05):
                         self.terminal_u = u
@@ -321,7 +417,7 @@ class Engine:
         s = 0.5 * (a + b)
         return x0 + s * hs, _hermite(s, hs, y0, y1, f0, f1)
 
-    def curve(self, coords, meta=None):
+    def curve(self, meta=None):
         if self.record:
             grid = np.asarray(self.xs, dtype=float)
             vals = np.asarray(self.ys, dtype=float)
@@ -339,24 +435,10 @@ class Engine:
             maxima_v = maxima_v[::-1]
             minima = minima[::-1]
             minima_v = minima_v[::-1]
-        return SolutionCurve(coords, grid, np.maximum(vals, 0.0), maxima,
-                             maxima_v, minima, minima_v, self.terminal_u,
-                             self.status or "reached_end", meta or {})
-
-
-def _raw_rhs(model):
-    kind = model.kind
-    if kind == "bessel":
-        from .specfun.bessel import _j_any
-        nu = model.nu
-        return lambda x, y: _j_any(nu, max(x * y, 0.0))
-    if kind == "xibar":
-        from .specfun import xi_bar
-        return lambda x, y: xi_bar(max(x * y, 0.0))
-    if kind == "airy":
-        from .specfun import airy_ai
-        return lambda x, y: airy_ai(-max(x * y, -5.0))
-    return lambda x, y: eval_F(model, x * y)
+        return SolutionCurve(self.frame.coords, grid, np.maximum(vals, 0.0),
+                             maxima, maxima_v, minima, minima_v,
+                             self.terminal_u, self.status or "reached_end",
+                             meta or {})
 
 
 def integrate(obj, initial, cfg, direction="forward", record=True, meta=None,
@@ -364,11 +446,11 @@ def integrate(obj, initial, cfg, direction="forward", record=True, meta=None,
     """Integrate a model (raw coordinates) or a scaled problem.
 
     initial is (x0, y0); backward runs require x0 > 0 and integrate down to
-    the origin.  Returns a SolutionCurve with maxima located to an abscissa
-    accuracy of 1e-10 times the horizon.  With stop_when_settled the run
-    ends as soon as x*y has committed to a stable zero of F; otherwise the
-    attractor is recorded in terminal_u and integration continues to the
-    horizon.
+    the origin, forward runs go to Frame.horizon.  Returns a SolutionCurve
+    with maxima located to an abscissa accuracy of 1e-10 times the horizon.
+    With stop_when_settled the run ends as soon as x*y has committed to a
+    stable zero of F; otherwise the attractor is recorded in terminal_u and
+    integration continues to the horizon.
     """
     x0, y0 = float(initial[0]), float(initial[1])
     if y0 < 0.0:
@@ -376,45 +458,20 @@ def integrate(obj, initial, cfg, direction="forward", record=True, meta=None,
     forward = direction in (1, "forward")
     if not forward and x0 <= 0.0:
         raise ValueError("backward integration requires x0 > 0")
-    if isinstance(obj, ScaledProblem):
-        rhs = obj.make_rhs()
-        coords = "scaled"
-        u_of = obj.u_of
-        model = obj.model
-        settle_x_min = 1.3
-        x_factor = obj.x_scale
-        n = obj.n
-        default_end = 3.0
-    elif isinstance(obj, GeneratingFunction):
-        rhs = _raw_rhs(obj)
-        coords = "raw"
-        u_of = lambda x, y: x * y
-        model = obj
-        settle_x_min = 1e-2
-        x_factor = 1.0
-        n = None
-        default_end = 0.0
-    else:
-        raise TypeError(f"cannot integrate object of type {type(obj)!r}")
-    if forward:
-        x_end = cfg.x_max if cfg.x_max > 0.0 else default_end
-        if x_end <= x0:
-            raise ValueError("x_max must exceed the initial abscissa")
-    else:
-        x_end = 0.0
-    eng = Engine(rhs, x0, y0, cfg, direction=1 if forward else -1,
-                 record=record, u_of=u_of, zeros=zero_table(model),
-                 F_of_u=lambda u: eval_F(model, u), x_factor=x_factor,
-                 settle_x_min=settle_x_min if forward else None,
-                 stop_when_settled=stop_when_settled)
+    frame = Frame.of(obj)
+    x_end = frame.horizon(y0, cfg) if forward else 0.0
+    if forward and x_end <= x0:
+        raise ValueError("the horizon must exceed the initial abscissa")
+    eng = Engine(frame, x0, y0, cfg, direction=1 if forward else -1,
+                 record=record, stop_when_settled=stop_when_settled)
     eng.run(x_end)
-    md = {"model": model.spec, "n": n, "x0": x0, "y0": y0,
+    md = {"model": frame.model.spec, "n": frame.n, "x0": x0, "y0": y0,
           "rel_tol": cfg.rel_tol, "abs_tol": cfg.abs_tol, "horizon": x_end,
           "direction": "forward" if forward else "backward",
           "nfev": eng.nfev}
     if meta:
         md.update(meta)
-    return eng.curve(coords, md)
+    return eng.curve(md)
 
 
 def count_maxima(curve):

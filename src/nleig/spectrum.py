@@ -10,15 +10,16 @@ deviation grows like exp(F' x^2 / 2), so doublings resolve fast).
 find_eigen brackets the class jump around the growth-law prediction and
 bisects; refine_backward instead seeds the large-x expansion of u = xy at
 the n-th unstable zero and integrates backward to read E off at the origin.
+That one backward run records the separatrix, returned as EigenResult.curve.
 """
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .rootfind import RootError
-from .models import ScaledProblem, eval_F, eval_F_prime, zero_table
-from .ode import Engine, IntegratorConfig, count_maxima
+from .models import ScaledProblem, eval_F_prime, zero_table
+from .ode import Engine, Frame, IntegratorConfig, SolutionCurve, count_maxima
 
 __all__ = [
     "EigenResult", "classify", "find_eigen", "refine_backward",
@@ -62,6 +63,9 @@ class EigenResult:
     tol: float
     z0: float | None = None     # scaled initial value (when a scaling exists)
     log10_E: float | None = None
+    # the recorded separatrix of a backward result; not part of the record
+    curve: SolutionCurve | None = field(default=None, repr=False,
+                                        compare=False)
 
     def to_record(self):
         rec = {"model": self.model, "n": self.n, "tol": self.tol,
@@ -83,57 +87,17 @@ def _ode_cfg(tol, cfg):
 
 
 class _Shooter:
-    """Classification context: scaled coordinates when the model has a
-    lambda parametrization for this index, raw coordinates otherwise."""
+    """Classification context: forward runs in one ode.Frame."""
 
     def __init__(self, model, n=None, cfg=None):
-        self.model = model
-        self.table = zero_table(model)
+        self.frame = Frame(model, n)
         self.cfg = cfg or IntegratorConfig()
-        self.F_of_u = lambda u: eval_F(model, u)
-        if model.kind != "xibar" and n is not None:
-            self.problem = ScaledProblem(model, n)
-            self.rhs = self.problem.make_rhs()
-            self.u_of = self.problem.u_of
-            self.x_factor = self.problem.x_scale
-            self.horizon0 = 3.0
-            self.settle_x_min = 1.3
-            self.scaled = True
-        else:
-            from .ode import _raw_rhs
-            self.problem = None
-            self.rhs = _raw_rhs(model)
-            self.u_of = lambda x, y: x * y
-            self.x_factor = 1.0
-            self.horizon0 = None     # per-candidate estimate
-            self.settle_x_min = 1e-2
-            self.scaled = False
-        self.n = n
-
-    def raw_horizon(self, y0):
-        """3x the expected turning point of a raw run started at y0."""
-        m = self.model
-        if m.asym is not None:
-            a, al, b, be = m.asym.a, m.asym.alpha, m.asym.b, m.asym.beta
-            g = (1.0 + al) / (2.0 * be)
-            lam = b * max(y0 / math.sqrt(a), 1e-6) ** (1.0 / g)
-            x_turn = (lam / b) ** (1.0 / be - g) / math.sqrt(a)
-            return 3.0 * max(x_turn, 1.0)
-        if m.kind == "xibar":
-            u1 = self.table.zero(2).u  # first unstable zero
-            return 3.0 * max(u1, 10.0) / (0.6 * max(y0, 1e-3))
-        # raw rgamma (n <= 5 use only)
-        return 3.0 * max(2.0, 2.0 * y0)
 
     def shoot(self, y0, stop_at=None, record=False):
         """Integrate from the origin; returns (class, signal, engine)."""
-        eng = Engine(self.rhs, 0.0, y0, self.cfg, record=record,
-                     u_of=self.u_of, zeros=self.table, F_of_u=self.F_of_u,
-                     x_factor=self.x_factor,
-                     settle_x_min=self.settle_x_min, max_minima=stop_at)
-        horizon = self.horizon0 if self.scaled else self.raw_horizon(y0)
-        if not self.scaled and self.cfg.x_max > 0.0:
-            horizon = self.cfg.x_max
+        eng = Engine(self.frame, 0.0, y0, self.cfg, record=record,
+                     max_minima=stop_at)
+        horizon = self.frame.horizon(y0, self.cfg)
         eng.run(horizon)
         ext = 0
         while eng.status == "reached_end" and ext < _EXTENSIONS:
@@ -143,15 +107,9 @@ class _Shooter:
         if eng.status == "max_minima":
             return len(eng.minima), "maxima-jump", eng
         if eng.status in ("settled", "floor"):
-            return self.table.unstable_below(eng.attractor), "attractor-jump", eng
+            cls = self.frame.zeros.unstable_below(eng.attractor)
+            return cls, "attractor-jump", eng
         return len(eng.minima), "unresolved", eng
-
-    def scale_E(self, v):
-        """Bisection variable -> physical E."""
-        return v * self.problem.y_scale if self.scaled else v
-
-    def unscale_E(self, E):
-        return E / self.problem.y_scale if self.scaled else E
 
 
 def classify(model, E, cfg=None, n_hint=None):
@@ -160,7 +118,7 @@ def classify(model, E, cfg=None, n_hint=None):
     if not (E > 0.0):
         raise ValueError("classify: need E > 0")
     sh = _Shooter(model, n_hint, cfg or IntegratorConfig())
-    v = sh.unscale_E(E)
+    v = sh.frame.unscale_E(E)
     cls, _, _ = sh.shoot(v)
     return cls
 
@@ -194,14 +152,11 @@ def find_eigen(model, n, tol=None, cfg=None, seed=None, lo_bound=None,
         raise ValueError(f"tol below {MIN_BISECTION_TOL:g} is not resolvable "
                          "in binary64 here")
     sh = _Shooter(model, n, _ode_cfg(tol, cfg))
-    pred = seed if seed is not None else None
-    if pred is None:
-        pred = _predict(model, n)
-    elif sh.scaled:
-        pred = sh.unscale_E(pred)
+    frame = sh.frame
+    pred = _predict(model, n) if seed is None else frame.unscale_E(seed)
     floor = None
     if lo_bound is not None:
-        floor = sh.unscale_E(lo_bound)
+        floor = frame.unscale_E(lo_bound)
     lo, hi = 0.5 * pred, 1.5 * pred
     if floor is not None:
         lo = max(lo, floor * (1.0 + 2.0 * tol))
@@ -260,15 +215,14 @@ def find_eigen(model, n, tol=None, cfg=None, seed=None, lo_bound=None,
     maxima = None
     if count_maxima_at_lo:
         _, _, eng = sh.shoot(lo, record=True)
-        curve = eng.curve("scaled" if sh.scaled else "raw")
-        maxima = count_maxima(curve)
-    E = sh.scale_E(hi)
+        maxima = count_maxima(eng.curve())
+    E = frame.scale_E(hi)
     log10 = None
     z0 = None
-    if sh.scaled:
+    if frame.problem is not None:
         z0 = hi
-        log10 = (math.log10(sh.problem.y_scale) + math.log10(hi))
-    return EigenResult(n=n, E=E, bracket=(sh.scale_E(lo), E),
+        log10 = (math.log10(frame.y_factor) + math.log10(hi))
+    return EigenResult(n=n, E=E, bracket=(frame.scale_E(lo), E),
                        method="bisection", evidence=evid,
                        residual=(hi - lo) / hi, maxima=maxima,
                        model=model.spec, tol=tol, z0=z0, log10_E=log10)
@@ -277,74 +231,69 @@ def find_eigen(model, n, tol=None, cfg=None, seed=None, lo_bound=None,
 def refine_backward(model, n, x0=None, cfg=None, tol=None):
     """Eigenvalue read off at the origin of a backward-integrated
     separatrix, seeded on the n-th unstable zero s via the large-x
-    expansion u(x0) = s - s/(x0^2 F'(s))."""
+    expansion u(x0) = s - s/(x0^2 F'(s)).
+
+    rgamma runs in scaled coordinates from t0 = 3, every other model in
+    raw ones.  The result carries the recorded separatrix as .curve, in
+    those coordinates.
+    """
     if n < 1 or n != int(n):
         raise ValueError(f"refine_backward: need integer n >= 1, got {n!r}")
     n = int(n)
     if tol is None:
         tol = default_tol(model)
     cfg = _ode_cfg(tol, cfg)
-    s = zero_table(model).nth_unstable(n)
+    table = zero_table(model)
+    s = table.nth_unstable(n)
     fp = eval_F_prime(model, s.u)
     if not (fp > 0.0):
         raise RuntimeError(f"F'({s.u}) <= 0: not a separatrix asymptote")
     if model.kind == "rgamma":
-        problem = ScaledProblem(model, n)
-        t0 = 3.0
-        # x0^2 F'(s) in raw units, via logs to dodge the huge factors
-        ln_x2fp = (2.0 * math.log(t0) + math.log(problem.lam)
-                   - problem.ln_xi + math.log(fp))
+        frame = Frame(model, n)
+        pr = frame.problem
+        x0 = 3.0
+        # x0^2 F'(s) in raw units, via logs to dodge the huge factors; with
+        # s = lambda, z(x0) = u(x0)/(lambda x0) is (1 - corr)/x0
+        ln_x2fp = (2.0 * math.log(x0) + math.log(pr.lam) - pr.ln_xi
+                   + math.log(fp))
         corr = math.exp(-ln_x2fp) if ln_x2fp < 700.0 else 0.0
-        z0 = (1.0 - corr) / t0
-        eng = Engine(problem.make_rhs(), t0, z0, cfg, direction=-1,
-                     record=True)
-        eng.run(0.0)
-        z_origin = eng.y
-        E = z_origin * problem.y_scale if problem.y_scale < 1e300 else math.inf
-        curve = eng.curve("scaled")
-        mx = count_maxima(curve)
-        log10 = math.log10(problem.y_scale) + math.log10(max(z_origin, 1e-300))
-        est = 10.0 * cfg.rel_tol
-        return EigenResult(n=n, E=E, bracket=(E * (1.0 - est), E),
-                           method="backward",
-                           evidence={"classifier": "backward-seed",
-                                     "seed_zero": s.u, "x0": t0 * problem.x_scale},
-                           residual=est, maxima=mx, model=model.spec, tol=tol,
-                           z0=z_origin, log10_E=log10)
-    if model.kind == "xibar":
-        x_turn = s.u / 0.6  # crude: y near the turning point is O(1)
+        y0 = (1.0 - corr) / x0
     else:
-        x_turn = ScaledProblem(model, n).x_scale
-    if x0 is None:
-        # Start deep enough that (a) the first-correction seed
-        # u(x0) = s - s/(x0^2 F') is valid (correction well inside the
-        # basin) and (b) the backward contraction exp(-F'(x0^2-x_tp^2)/2)
-        # drives the residual seed error below machine precision.  This
-        # stays out of the stiff zone x F'(s) >> 1, where an explicit
-        # pair is stability-limited.
-        _, _, halfgap = zero_table(model).nearest(s.u)
-        du_cap = min(0.1 * halfgap, 0.02 * s.u)
-        x0 = math.sqrt(max(s.u / (fp * du_cap),
-                           x_turn * x_turn + 90.0 / fp,
-                           (1.3 * x_turn) ** 2))
-    u0 = s.u - s.u / (x0 * x0 * fp)
-    y0 = u0 / x0
-    rhs = lambda x, y: eval_F(model, x * y)
-    eng = Engine(rhs, x0, y0, cfg, direction=-1, record=True)
+        frame = Frame(model)
+        if x0 is None:
+            # Start deep enough that (a) the first-correction seed is valid
+            # (correction well inside the basin) and (b) the backward
+            # contraction exp(-F'(x0^2-x_tp^2)/2) drives the residual seed
+            # error below machine precision.  This stays out of the stiff
+            # zone x F'(s) >> 1, where an explicit pair is stability-limited.
+            x_turn = (s.u / 0.6 if model.kind == "xibar"  # y(x_turn) ~ 1
+                      else ScaledProblem(model, n).x_scale)
+            _, _, halfgap = table.nearest(s.u)
+            du_cap = min(0.1 * halfgap, 0.02 * s.u)
+            x0 = math.sqrt(max(s.u / (fp * du_cap),
+                               x_turn * x_turn + 90.0 / fp,
+                               (1.3 * x_turn) ** 2))
+        y0 = (s.u - s.u / (x0 * x0 * fp)) / x0
+    eng = Engine(frame, x0, y0, cfg, direction=-1, record=True)
     eng.run(0.0)
-    E = eng.y
-    if not (E > 0.0) or not math.isfinite(E):
-        raise RuntimeError(f"backward run blew up (E={E!r}); "
+    v = eng.y
+    if not (v > 0.0) or not math.isfinite(v):
+        raise RuntimeError(f"backward run blew up (y(0)={v!r}); "
                            "seed too far from the separatrix")
-    curve = eng.curve("raw")
-    mx = count_maxima(curve)
+    curve = eng.curve({"model": model.spec, "n": n})
+    y_factor = frame.y_factor
+    E = v * y_factor if y_factor < 1e300 else math.inf
     est = 10.0 * cfg.rel_tol
     return EigenResult(n=n, E=E, bracket=(E * (1.0 - est), E),
                        method="backward",
                        evidence={"classifier": "backward-seed",
-                                 "seed_zero": s.u, "x0": x0},
-                       residual=est, maxima=mx, model=model.spec, tol=tol,
-                       z0=None, log10_E=math.log10(E))
+                                 "seed_zero": s.u, "x0": x0 * frame.x_factor},
+                       residual=est, maxima=count_maxima(curve),
+                       model=model.spec, tol=tol,
+                       z0=v if frame.problem is not None else None,
+                       log10_E=(math.log10(y_factor)
+                                + math.log10(max(v, 1e-300))),
+                       curve=curve)
 
 
 def spectrum_scan(model, n_range, tol=None, cfg=None, method="bisection"):
@@ -354,7 +303,8 @@ def spectrum_scan(model, n_range, tol=None, cfg=None, method="bisection"):
     "backward" integrates each separatrix down from its seeded asymptote
     (much faster for large indices, cross-validated by the bisection path
     at small ones).  Failures are recorded per index without aborting; the
-    monotonicity of the successful results is verified.
+    monotonicity of the successful results is verified.  The results carry
+    no curves, so a long backward scan holds no recorded separatrices.
     Returns (results, errors).
     """
     ns = list(n_range)
@@ -399,6 +349,7 @@ def spectrum_scan(model, n_range, tol=None, cfg=None, method="bisection"):
                     res = find_eigen(model, n, tol=tight, cfg=cfg,
                                      seed=prev2.E * (1.0 + 100.0 * tight),
                                      lo_bound=prev2.E)
+            res.curve = None
             results.append(res)
             prev = res
         except (BracketError, RootError, RuntimeError, OverflowError) as exc:

@@ -14,16 +14,11 @@ import pytest
 from nleig.asymptotics import (growth_law, limit_curve_value, origin_value,
                                rgamma_asymptote, walk_coefficients,
                                walk_coefficients_dp)
-from nleig.cli import separatrix_curve
+from nleig.cli import scaled_deviation_stats, three_sig
 from nleig.models import ScaledProblem, make_model
 from nleig.ode import IntegratorConfig
 from nleig.spectrum import find_eigen, refine_backward, spectrum_scan
 from nleig.specfun import DomainError
-
-
-def three_sig(value, quoted):
-    scale = 10.0 ** math.floor(math.log10(abs(quoted)))
-    return abs(value - quoted) <= 0.005 * scale * 1.001
 
 
 def report(name, detail):
@@ -106,24 +101,9 @@ def test_criterion_4_limit_curve_identities():
            "origin values match 2^(10/21), 2^(1/3)")
 
 
-def _scaled_deviation_stats(n):
-    cfg = IntegratorConfig(rel_tol=1e-9, abs_tol=1e-12)
-    _, curve = separatrix_curve(make_model("bessel:0"), n, "scaled",
-                                tol=1e-8, cfg=cfg)
-    t = curve.grid
-    z = curve.values
-    sel = np.nonzero((t >= 0.1) & (t <= 0.9))[0][::5]
-    zinf = np.array([limit_curve_value(-0.5, float(tt)) for tt in t[sel]])
-    sup = float(np.max(np.abs(z[sel] - zinf)))
-    win = np.nonzero((t >= 0.45) & (t <= 0.55))[0]
-    zi = np.array([limit_curve_value(-0.5, float(tt)) for tt in t[win]])
-    amp = float(np.max(np.abs(z[win] - zi)))
-    return sup, amp
-
-
 def test_criterion_5_numerics_to_theory_convergence():
-    sup2000, amp2000 = _scaled_deviation_stats(2000)
-    sup1000, amp1000 = _scaled_deviation_stats(1000)
+    sup2000, amp2000 = scaled_deviation_stats(2000)
+    sup1000, amp1000 = scaled_deviation_stats(1000)
     assert sup2000 <= 5e-3, f"sup deviation {sup2000:.2e}"
     ratio = amp1000 / amp2000
     assert 1.7 <= ratio <= 2.3, f"envelope ratio {ratio:.3f}"

@@ -5,10 +5,14 @@ import json
 import os
 import warnings
 
+import numpy as np
 import pytest
 
+from nleig import ode, spectrum
 from nleig.cache import EigenCache
-from nleig.cli import main
+from nleig.cli import main, separatrix_curve
+from nleig.models import ScaledProblem, make_model
+from nleig.svgplot import read_curve_csv
 
 
 def run(args, cwd):
@@ -112,6 +116,8 @@ class TestExitCodes:
         ["limit-curve", "--alpha", "abc"],
         ["limit-curve", "--alpha", "0", "--points", "-5"],
         ["limit-curve", "--alpha", "0", "--t-max", "-1"],
+        ["separatrix", "--model", "xibar", "--coords", "scaled"],
+        ["separatrix", "--model", "rgamma", "--n", "6", "--coords", "raw"],
     ])
     def test_bad_value_is_config_error(self, tmp_path, capsys, argv):
         assert run(argv, tmp_path) == 2
@@ -145,6 +151,77 @@ class TestSeparatrixCommand:
         assert pairs
         for t, z in pairs[:: max(1, len(pairs) // 7)]:
             assert abs(z - 1.0 / t) < 0.02
+
+
+    def test_raw_csv(self, tmp_path):
+        rc = run(["separatrix", "--model", "cos", "--n", "3",
+                  "--coords", "raw"], tmp_path)
+        assert rc == 0
+        meta, cols, xs, ys = read_curve_csv(
+            tmp_path / "separatrix_cos_n3_raw.csv")
+        assert meta["coords"] == "raw" and cols == ["x", "y"]
+        curve = spectrum.refine_backward(make_model("cos"), 3).curve
+        assert xs == list(curve.grid) and ys == list(curve.values)
+
+    @pytest.mark.parametrize("spec,n_range,coords", [
+        ("rgamma", "4..6", "raw"), ("xibar", "1..2", "scaled")])
+    def test_refused_before_any_run(self, tmp_path, capsys, monkeypatch,
+                                    spec, n_range, coords):
+        calls = []
+        monkeypatch.setattr(spectrum, "refine_backward",
+                            lambda *a, **k: calls.append(a))
+        assert run(["separatrix", "--model", spec, "--n", n_range,
+                    "--coords", coords], tmp_path) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert calls == [] and not list(tmp_path.glob("*.csv"))
+
+
+class TestSeparatrixCurve:
+    def test_one_engine_per_curve(self, monkeypatch):
+        built = []
+        real_init = ode.Engine.__init__
+
+        def counting_init(eng, *args, **kw):
+            built.append(args)
+            real_init(eng, *args, **kw)
+
+        monkeypatch.setattr(ode.Engine, "__init__", counting_init)
+        for spec, n, coords in (("cos", 3, "scaled"), ("bessel:0", 2, "raw"),
+                                ("rgamma", 3, "raw")):
+            built.clear()
+            separatrix_curve(make_model(spec), n, coords)
+            assert len(built) == 1
+
+    @pytest.mark.parametrize("spec,n,coords", [
+        ("cos", 3, "raw"), ("bessel:0", 2, "raw"), ("airy", 2, "raw"),
+        ("xibar", 2, "raw"), ("rgamma", 3, "scaled")])
+    def test_curve_is_the_backward_run(self, spec, n, coords):
+        model = make_model(spec)
+        res, curve = separatrix_curve(model, n, coords)
+        rec = spectrum.refine_backward(model, n).curve
+        assert curve.coords == rec.coords == coords
+        assert np.array_equal(curve.grid, rec.grid)
+        assert np.array_equal(curve.values, rec.values)
+        assert (curve.maxima, curve.maxima_values, curve.minima,
+                curve.minima_values) == (rec.maxima, rec.maxima_values,
+                                         rec.minima, rec.minima_values)
+        assert res.E == spectrum.refine_backward(model, n).E
+
+    def test_events_follow_the_conversion(self):
+        model = make_model("bessel:0")
+        _, raw = separatrix_curve(model, 2, "raw")
+        _, scaled = separatrix_curve(model, 2, "scaled")
+        pr = ScaledProblem(model, 2)
+        assert scaled.maxima == [x / pr.x_scale for x in raw.maxima]
+        assert scaled.maxima_values == [y / pr.y_scale
+                                        for y in raw.maxima_values]
+        assert scaled.minima == [x / pr.x_scale for x in raw.minima]
+        assert scaled.minima_values == [y / pr.y_scale
+                                        for y in raw.minima_values]
+        assert scaled.maxima[0] == pytest.approx(0.9749 / pr.x_scale,
+                                                 rel=1e-4)
+        # every event of the scaled curve lies on its own samples' scale
+        assert max(scaled.maxima_values) <= 1.01 * max(scaled.values)
 
 
 class TestLimitCurveCommand:

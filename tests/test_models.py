@@ -11,6 +11,7 @@ from scipy.integrate import solve_ivp
 from nleig.models import (AsymptoticForm, ScaledProblem, eval_F, eval_F_prime,
                           make_model, unstable_zeros, zero_table,
                           rgamma_lambda_scaling)
+from nleig.ode import Frame, SolutionCurve
 from nleig.specfun import DomainError
 
 
@@ -109,6 +110,21 @@ class TestScaling:
         assert abs(x2 - x) <= 1e-14 * abs(x)
         assert abs(y2 - y) <= 1e-14 * abs(y)
         assert abs(pr.u_of(t, z) - x * y) <= 1e-14 * (x * y)
+        # a curve through the point, events included, converts the same way
+        frame = Frame(make_model(spec), n)
+        raw = SolutionCurve("raw", np.array([x]), np.array([y]), [x], [y],
+                            [x], [y], None, "reached_end")
+        sc = frame.convert(raw, "scaled")
+        assert sc.coords == "scaled"
+        assert [sc.grid[0], sc.maxima[0], sc.minima[0]] == [t, t, t]
+        assert [sc.values[0], sc.maxima_values[0], sc.minima_values[0]] == \
+            [z, z, z]
+        back = frame.convert(sc, "raw")
+        for got in (back.grid[0], back.maxima[0], back.minima[0]):
+            assert abs(got - x) <= 1e-14 * abs(x)
+        for got in (back.values[0], back.maxima_values[0],
+                    back.minima_values[0]):
+            assert abs(got - y) <= 1e-14 * abs(y)
 
     def test_rgamma_round_trip(self):
         pr = ScaledProblem(make_model("rgamma"), 10)

@@ -8,8 +8,9 @@ import numpy as np
 import pytest
 
 from nleig.models import ScaledProblem, make_model
-from nleig.ode import (IntegratorConfig, PrecisionExhausted, attractor_limit,
-                       count_maxima, curve_to_csv, integrate)
+from nleig.ode import (Frame, IntegratorConfig, PrecisionExhausted,
+                       attractor_limit, count_maxima, curve_to_csv, integrate)
+from nleig.specfun import DomainError
 from nleig.svgplot import read_curve_csv
 
 # frozen from solve_ivp at rtol 1e-12 / atol 1e-14 (dense output)
@@ -164,6 +165,35 @@ class TestGuards:
     def test_values_nonnegative(self):
         c = integrate(make_model("rgamma"), (0.0, 0.7), cfg_with(12.0))
         assert np.all(c.values >= 0.0)
+
+
+class TestFrame:
+    def test_coordinates_chosen_once(self):
+        assert Frame(make_model("cos")).coords == "raw"
+        assert Frame(make_model("cos"), 3).coords == "scaled"
+        assert Frame(make_model("xibar"), 3).coords == "raw"
+        assert Frame(make_model("rgamma"), 2).coords == "scaled"
+
+    def test_of_keeps_the_problem(self):
+        pr = ScaledProblem.from_lambda(make_model("bessel:0"), 10.0)
+        frame = Frame.of(pr)
+        assert frame.problem is pr and frame.x_factor == pr.x_scale
+        assert frame.scale_E(2.0) == 2.0 * pr.y_scale
+        assert frame.unscale_E(frame.scale_E(2.0)) == pytest.approx(2.0)
+        with pytest.raises(TypeError):
+            Frame.of("cos")
+
+    def test_horizon(self):
+        cfg = IntegratorConfig()
+        assert Frame(make_model("cos"), 2).horizon(1.0, cfg) == 3.0
+        assert Frame(make_model("cos")).horizon(1.0, cfg) > 1.0
+        assert Frame(make_model("cos"), 2).horizon(1.0, cfg_with(7.0)) == 7.0
+
+    def test_raw_curve_of_xibar_has_no_scaled_form(self):
+        c = integrate(make_model("cos"), (0.0, 1.0), cfg_with(1.0))
+        with pytest.raises(DomainError):
+            Frame(make_model("xibar"), 2).convert(c, "scaled")
+        assert Frame(make_model("xibar"), 2).convert(c, "raw") is c
 
 
 class TestSerialization:

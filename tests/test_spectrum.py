@@ -1,6 +1,7 @@
 """Eigenvalue machinery: classifier behavior, bisection/backward agreement,
 spectrum sweeps, and serialization."""
 
+import dataclasses
 import json
 import math
 
@@ -102,6 +103,35 @@ class TestCrossMethod:
         rb = refine_backward(m, 1)
         rf = find_eigen(m, 1, tol=1e-8)
         assert abs(rb.E - rf.E) / rf.E <= 1e-6
+
+
+class TestBackwardCurve:
+    RECORD_KEYS = {"model", "n", "tol", "E", "lo", "hi", "method",
+                   "evidence", "residual", "maxima", "log10_E"}
+
+    def test_curve_attached_outside_the_record(self):
+        r = refine_backward(make_model("cos"), 3)
+        assert r.curve.coords == "raw"
+        assert r.curve.meta == {"model": "cos", "n": 3}
+        assert r.maxima == 3
+        assert set(r.to_record()) == self.RECORD_KEYS
+        rg = refine_backward(make_model("rgamma"), 3)
+        assert rg.curve.coords == "scaled"
+        assert set(rg.to_record()) == self.RECORD_KEYS | {"z0"}
+        assert "curve" not in repr(r)
+
+    def test_equality_ignores_the_curve(self):
+        m = make_model("bessel:0")
+        a, b = refine_backward(m, 2), refine_backward(m, 2)
+        assert a.curve is not b.curve
+        assert a == b
+        assert a == dataclasses.replace(a, curve=None)
+        assert a != dataclasses.replace(a, E=a.E * 2.0)
+
+    def test_scan_results_carry_no_curve(self):
+        res, _ = spectrum_scan(make_model("cos"), range(1, 3),
+                               method="backward")
+        assert [r.curve for r in res] == [None, None]
 
 
 class TestBackwardProperties:
