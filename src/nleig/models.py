@@ -403,15 +403,18 @@ class ScaledProblem:
             nu = model.nu
             def rhs(t, z):
                 # stage probes may undershoot y = 0 by a hair: clamp
-                return pref * _j_any(nu, max(c_u * t * z, 0.0))
+                u = c_u * t * z
+                return pref * _j_any(nu, 0.0 if u < 0.0 else u)
         elif model.kind == "airy":
             def rhs(t, z):
-                return pref * airy_ai(-max(c_u * t * z, -5.0))
+                u = c_u * t * z
+                return pref * airy_ai(5.0 if u < -5.0 else -u)
         elif model.kind == "rgamma":
             lam = self.lam
             ln_xi = self.ln_xi
             def rhs(t, z):
-                sign, lm = recip_gamma_log(max(lam * t * z, -1.0))
+                u = lam * t * z
+                sign, lm = recip_gamma_log(-1.0 if u < -1.0 else u)
                 if sign == 0:
                     return 0.0
                 e = lm - ln_xi
@@ -431,18 +434,34 @@ class ScaledProblem:
 
 
 def raw_rhs(model):
-    """dy/dx = F(xy) as a tight closure.  Stage probes may undershoot
-    xy = 0 by a hair, so bessel, xibar and airy clamp the argument."""
+    """dy/dx = F(xy) as one closure per model kind, with no dispatch per
+    call.  Stage probes may undershoot xy = 0 by a hair, so every argument
+    is clamped into the domain of F: at 0 for bessel and xibar, -5 for airy
+    and -1 for rgamma.  A clamp leaves NaN and -0.0 as they are."""
     kind = model.kind
+    if kind == "cosine":
+        return lambda x, y: cospi(x * y)
     if kind == "bessel":
         from .specfun.bessel import _j_any
         nu = model.nu
-        return lambda x, y: _j_any(nu, max(x * y, 0.0))
-    if kind == "xibar":
-        return lambda x, y: xi_bar(max(x * y, 0.0))
-    if kind == "airy":
-        return lambda x, y: airy_ai(-max(x * y, -5.0))
-    return lambda x, y: eval_F(model, x * y)
+        def rhs(x, y):
+            u = x * y
+            return _j_any(nu, 0.0 if u < 0.0 else u)
+    elif kind == "xibar":
+        def rhs(x, y):
+            u = x * y
+            return xi_bar(0.0 if u < 0.0 else u)
+    elif kind == "airy":
+        def rhs(x, y):
+            u = x * y
+            return airy_ai(5.0 if u < -5.0 else -u)
+    elif kind == "rgamma":
+        def rhs(x, y):
+            u = x * y
+            return recip_gamma(-1.0 if u < -1.0 else u)
+    else:
+        raise DomainError(f"unknown model kind {kind!r}")
+    return rhs
 
 
 def check_raw(model, n):

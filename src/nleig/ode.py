@@ -12,6 +12,17 @@ farther by calling run() again.
 
 Every run starts from a Frame, the one place that picks raw (x, y) or
 scaled (t, z) coordinates.
+
+Engine.run holds the per-step path in one loop over locals: the step
+size, the counters nfev / nsteps / err_prev (written back to the engine
+by a finally, so an exception keeps them), the bound append methods of a
+recording run and the next settle checkpoint.  A step is the seven DP5
+stages, the error norm, the inline accept/reject and step-size update
+(conditional expressions, no min/max calls), and on acceptance three
+inline tests: a derivative sign change, the y floor, and |x| past the
+settle checkpoint.  Only when one of them fires does the loop call out:
+_event locates and records the extremum and applies the max_minima stop,
+_settle runs the basin-commitment check and sets the next checkpoint.
 """
 
 import math
@@ -221,14 +232,16 @@ class Engine:
         self.maxima_values = []
         self.minima = []
         self.minima_values = []
-        self.settle_x_min = frame.settle_x_min if self.sgn > 0 else None
+        # |x| of the next settle check: forward runs only, none once the
+        # attractor is known
+        self._settle_next = (frame.settle_x_min if self.sgn > 0
+                             else math.inf)
         self.stop_when_settled = stop_when_settled
         self.max_minima = max_minima
         self.event_tol_scale = None     # set by the first run()
         self.status = None
         self.terminal_u = None
         self.attractor = None
-        self._ck_x = 0.0
         self._fmid_cache = {}
         self.nfev = 1
         self.nsteps = 0
@@ -271,123 +284,150 @@ class Engine:
         rhs = self.rhs
         x, y, f = self.x, self.y, self.f
         h = self.h
-        rtol, atol = cfg.rel_tol, cfg.abs_tol
+        rtol, atol, h_min = cfg.rel_tol, cfg.abs_tol, cfg.h_min
+        inf = math.inf
+        y_floor = _Y_FLOOR
+        settle_next = self._settle_next
+        record = self.record
+        xs_append = self.xs.append if record else None
+        ys_append = self.ys.append if record else None
+        nfev, nsteps, err_prev = self.nfev, self.nsteps, self.err_prev
         overflow_note = None
-        while sgn * (x_end - x) > 1e-30:
-            h = min(h, h_max, abs(x_end - x))
-            if h < cfg.h_min:
-                if abs(x_end - x) < 4.0 * cfg.h_min:
-                    break  # close enough to the horizon
-                self.x, self.y, self.f = x, y, f
-                if overflow_note is not None:
-                    raise PrecisionExhausted(
-                        f"precision exhausted at x={x!r}: right-hand side "
-                        f"overflows binary64 however small the step "
-                        f"({overflow_note})")
-                raise StepUnderflow(f"step underflow (h={h!r}) at x={x!r}")
-            hs = sgn * h
-            try:
-                k1 = f
-                k2 = rhs(x + _C2 * hs, y + hs * (_A21 * k1))
-                k3 = rhs(x + _C3 * hs, y + hs * (_A31 * k1 + _A32 * k2))
-                k4 = rhs(x + _C4 * hs, y + hs * (_A41 * k1 + _A42 * k2
-                                                 + _A43 * k3))
-                k5 = rhs(x + _C5 * hs, y + hs * (_A51 * k1 + _A52 * k2
-                                                 + _A53 * k3 + _A54 * k4))
-                k6 = rhs(x + hs, y + hs * (_A61 * k1 + _A62 * k2 + _A63 * k3
-                                           + _A64 * k4 + _A65 * k5))
-                y1 = y + hs * (_A71 * k1 + _A73 * k3 + _A74 * k4 + _A75 * k5
-                               + _A76 * k6)
-                x1 = x + hs
-                k7 = rhs(x1, y1)
-            except OverflowError as exc:
-                # a trial step probed past the representable range: treat
-                # it like any too-rough step and retry smaller
-                self.nfev += 6
-                overflow_note = str(exc)
-                h *= 0.2
-                continue
-            self.nfev += 6
-            err_est = hs * (_E1 * k1 + _E3 * k3 + _E4 * k4 + _E5 * k5
-                            + _E6 * k6 + _E7 * k7)
-            sc = atol + rtol * max(abs(y), abs(y1))
-            err = abs(err_est) / sc
-            if not (err < math.inf) or not math.isfinite(y1):
-                overflow_note = "non-finite step values"
-                h *= 0.2
-                continue
-            if err <= 1.0:
+        stop = None
+        rest = sgn * (x_end - x)    # |x_end - x| while the loop runs
+        try:
+            while rest > 1e-30:
+                if h > h_max:
+                    h = h_max
+                if h > rest:
+                    h = rest
+                if h < h_min:
+                    if rest < 4.0 * h_min:
+                        break  # close enough to the horizon
+                    self.x, self.y, self.f = x, y, f
+                    if overflow_note is not None:
+                        raise PrecisionExhausted(
+                            f"precision exhausted at x={x!r}: right-hand "
+                            f"side overflows binary64 however small the "
+                            f"step ({overflow_note})")
+                    raise StepUnderflow(f"step underflow (h={h!r}) at x={x!r}")
+                hs = sgn * h
+                try:
+                    k1 = f
+                    k2 = rhs(x + _C2 * hs, y + hs * (_A21 * k1))
+                    k3 = rhs(x + _C3 * hs, y + hs * (_A31 * k1 + _A32 * k2))
+                    k4 = rhs(x + _C4 * hs, y + hs * (_A41 * k1 + _A42 * k2
+                                                     + _A43 * k3))
+                    k5 = rhs(x + _C5 * hs, y + hs * (_A51 * k1 + _A52 * k2
+                                                     + _A53 * k3 + _A54 * k4))
+                    k6 = rhs(x + hs, y + hs * (_A61 * k1 + _A62 * k2
+                                               + _A63 * k3 + _A64 * k4
+                                               + _A65 * k5))
+                    y1 = y + hs * (_A71 * k1 + _A73 * k3 + _A74 * k4
+                                   + _A75 * k5 + _A76 * k6)
+                    x1 = x + hs
+                    k7 = rhs(x1, y1)
+                except OverflowError as exc:
+                    # a trial step probed past the representable range:
+                    # treat it like any too-rough step and retry smaller
+                    nfev += 6
+                    overflow_note = str(exc)
+                    h *= 0.2
+                    continue
+                nfev += 6
+                err_est = hs * (_E1 * k1 + _E3 * k3 + _E4 * k4 + _E5 * k5
+                                + _E6 * k6 + _E7 * k7)
+                ay = y if y >= 0.0 else -y
+                ay1 = y1 if y1 >= 0.0 else -y1
+                err = ((err_est if err_est >= 0.0 else -err_est)
+                       / (atol + rtol * (ay1 if ay1 > ay else ay)))
+                if not (err < inf and -inf < y1 < inf):
+                    overflow_note = "non-finite step values"
+                    h *= 0.2
+                    continue
+                if err > 1.0:
+                    fac = 0.9 * err ** -0.2
+                    h *= fac if fac > 0.2 else 0.2
+                    continue
                 overflow_note = None
-                self.nsteps += 1
-                stop = self._after_step(x, y, f, x1, y1, k7, hs)
+                nsteps += 1
+                if record:
+                    xs_append(x1)
+                    ys_append(y1)
+                # y' changes sign across the step and is nonzero at its
+                # smaller-x end
+                if ((f > 0.0) != (k7 > 0.0)
+                        and (k7 if hs < 0.0 else f) != 0.0):
+                    stop = self._event(x, y, f, x1, y1, k7, hs)
+                if stop is None:
+                    if y1 <= y_floor and k7 <= 0.0:
+                        self.terminal_u = self.attractor = 0.0
+                        self._settle_next = inf
+                        stop = "floor"
+                    elif x1 >= settle_next or -x1 >= settle_next:
+                        stop = self._settle(x1, y1)
+                        settle_next = self._settle_next
                 x, y, f = x1, y1, k7
                 if y < 0.0:
                     y = 0.0
                     f = rhs(x, y)
-                    self.nfev += 1
-                err = max(err, 1e-10)
-                fac = 0.95 * err ** -0.17 * self.err_prev ** 0.04
-                h *= min(6.0, max(0.2, fac))
-                self.err_prev = err
-                if stop:
+                    nfev += 1
+                if err < 1e-10:
+                    err = 1e-10
+                fac = 0.95 * err ** -0.17 * err_prev ** 0.04
+                h *= (fac if fac < 6.0 else 6.0) if fac > 0.2 else 0.2
+                err_prev = err
+                if stop is not None:
                     self.status = stop
                     break
-            else:
-                h *= max(0.2, 0.9 * err ** -0.2)
+                rest = sgn * (x_end - x)
+        finally:
+            self.nfev, self.nsteps, self.err_prev = nfev, nsteps, err_prev
         self.x, self.y, self.f = x, y, f
         self.h = h
         if self.status is None:
             self.status = "reached_end"
         return self
 
-    def _basin_f_mid(self, z_star, s_next):
-        v = self._fmid_cache.get(z_star)
-        if v is None:
-            v = abs(eval_F(self.frame.model, 0.5 * (z_star + s_next)))
-            self._fmid_cache[z_star] = v
-        return v
-
-    def _after_step(self, x0, y0, f0, x1, y1, f1, hs):
-        """Record samples/events; returns a stop reason or None."""
-        if self.record:
-            self.xs.append(x1)
-            self.ys.append(y1)
-        backward = hs < 0.0
-        f_small, f_large = (f1, f0) if backward else (f0, f1)
-        if f_small != 0.0 and (f_small > 0.0) != (f_large > 0.0):
-            xe, ye = self._refine_event(x0, y0, f0, x1, y1, f1, hs)
-            if f_small > 0.0:
-                self.maxima.append(xe)
-                self.maxima_values.append(ye)
-            else:
-                self.minima.append(xe)
-                self.minima_values.append(ye)
-                if (self.max_minima is not None
-                        and len(self.minima) >= self.max_minima):
-                    return "max_minima"
-        if y1 <= _Y_FLOOR and f1 <= 0.0:
-            self.terminal_u = 0.0
-            self.attractor = 0.0
-            return "floor"
-        if (self.settle_x_min is not None
-                and self.attractor is None
-                and abs(x1) >= self.settle_x_min
-                and abs(x1) >= 1.25 * self._ck_x):
-            self._ck_x = abs(x1)
-            frame = self.frame
-            u = frame.u_of(x1, y1)
-            basin = frame.zeros.stable_basin(u)
-            if basin is not None:
-                z_star, s_next, halfgap = basin
-                if abs(u - z_star) <= 0.8 * halfgap:
-                    xr = abs(x1) * frame.x_factor
-                    f_mid = self._basin_f_mid(z_star, s_next)
-                    if xr * xr * f_mid >= _COMMIT_MARGIN * max(u, 0.05):
-                        self.terminal_u = u
-                        self.attractor = z_star
-                        if self.stop_when_settled:
-                            return "settled"
+    def _event(self, x0, y0, f0, x1, y1, f1, hs):
+        """Locate and record the derivative sign change inside the step (a
+        maximum when y' is positive at the step's smaller-x end); returns
+        "max_minima" once the minima reach max_minima."""
+        xe, ye = self._refine_event(x0, y0, f0, x1, y1, f1, hs)
+        if (f1 if hs < 0.0 else f0) > 0.0:
+            self.maxima.append(xe)
+            self.maxima_values.append(ye)
+            return None
+        self.minima.append(xe)
+        self.minima_values.append(ye)
+        if self.max_minima is not None and len(self.minima) >= self.max_minima:
+            return "max_minima"
         return None
+
+    def _settle(self, x1, y1):
+        """Settle check, due once |x1| reaches _settle_next: commits the run
+        to the stable zero whose basin u = xy sits deep in; returns
+        "settled" when the run should stop there."""
+        self._settle_next = 1.25 * abs(x1)
+        frame = self.frame
+        u = frame.u_of(x1, y1)
+        basin = frame.zeros.stable_basin(u)
+        if basin is None:
+            return None
+        z_star, s_next, halfgap = basin
+        if abs(u - z_star) > 0.8 * halfgap:
+            return None
+        xr = abs(x1) * frame.x_factor
+        f_mid = self._fmid_cache.get(z_star)
+        if f_mid is None:
+            f_mid = abs(eval_F(frame.model, 0.5 * (z_star + s_next)))
+            self._fmid_cache[z_star] = f_mid
+        if xr * xr * f_mid < _COMMIT_MARGIN * max(u, 0.05):
+            return None
+        self.terminal_u = u
+        self.attractor = z_star
+        self._settle_next = math.inf
+        return "settled" if self.stop_when_settled else None
 
     def _refine_event(self, x0, y0, f0, x1, y1, f1, hs):
         # bisect the derivative sign change on the dense output; recording

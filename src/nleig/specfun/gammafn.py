@@ -28,34 +28,39 @@ class PoleError(ValueError):
     """Argument too close to a pole."""
 
 
+_floor, _cos, _sin, _PI = math.floor, math.cos, math.sin, math.pi
+
+
 def sinpi(x):
     """sin(pi*x), exact at integers and accurate near them."""
-    if not math.isfinite(x):
-        raise DomainError(f"sinpi: non-finite argument {x!r}")
-    n = math.floor(x)
+    try:
+        n = _floor(x)
+    except (ValueError, OverflowError):     # NaN, +-inf
+        raise DomainError(f"sinpi: non-finite argument {x!r}") from None
     r = x - n
     if r == 0.0:
         return 0.0
     if r <= 0.5:
-        s = math.sin(math.pi * r)
+        s = _sin(_PI * r)
     else:
-        s = math.sin(math.pi * (1.0 - r))
-    return s if (int(n) % 2 == 0) else -s
+        s = _sin(_PI * (1.0 - r))
+    return -s if n & 1 else s
 
 
 def cospi(x):
     """cos(pi*x), exact at half-integers and accurate near them."""
-    if not math.isfinite(x):
-        raise DomainError(f"cospi: non-finite argument {x!r}")
-    n = math.floor(x)
+    try:
+        n = _floor(x)
+    except (ValueError, OverflowError):     # NaN, +-inf
+        raise DomainError(f"cospi: non-finite argument {x!r}") from None
     r = x - n
     if r < 0.25:
-        c = math.cos(math.pi * r)
+        c = _cos(_PI * r)
     elif r <= 0.75:
-        c = math.sin(math.pi * (0.5 - r))
+        c = _sin(_PI * (0.5 - r))
     else:
-        c = -math.cos(math.pi * (1.0 - r))
-    return c if (int(n) % 2 == 0) else -c
+        c = -_cos(_PI * (1.0 - r))
+    return -c if n & 1 else c
 
 
 def log_gamma(x):

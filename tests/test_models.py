@@ -5,11 +5,11 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy.integrate import solve_ivp
 
 from nleig.models import (AsymptoticForm, ScaledProblem, eval_F, eval_F_prime,
-                          make_model, unstable_zeros, zero_table,
+                          make_model, raw_rhs, unstable_zeros, zero_table,
                           rgamma_lambda_scaling)
 from nleig.ode import Frame, SolutionCurve
 from nleig.specfun import DomainError
@@ -174,6 +174,63 @@ class TestScaledRhs:
         for t, z in ((0.4, 1.0), (0.9, 1.05)):
             direct = recip_gamma(pr.lam * t * z) / xi
             assert pr.scaled_rhs(t, z) == pytest.approx(direct, rel=1e-12)
+
+
+# lower end of the domain of F that the right-hand sides clamp xy to, and
+# an upper end of xy inside each model's working range (rgamma: raw
+# coordinates, n <= 5)
+RHS_CLAMP = {"cos": None, "bessel:0": 0.0, "bessel:2.5": 0.0, "airy": -5.0,
+             "xibar": 0.0, "rgamma": -1.0}
+RHS_U_MAX = {"cos": 1e4, "bessel:0": 1e3, "bessel:2.5": 1e3, "airy": 1e3,
+             "xibar": 60.0, "rgamma": 12.0}
+
+
+def _clamped(spec, u):
+    lo = RHS_CLAMP[spec]
+    return lo if lo is not None and u < lo else u
+
+
+def _outcome(fn, *args):
+    """The value's bits, or the type of the error raised: recip_gamma
+    raises a math-domain ValueError for u just below 0, where sinpi(u)
+    rounds to -0.0, and both sides must then fail alike."""
+    try:
+        return fn(*args).hex()
+    except (ValueError, ArithmeticError) as exc:
+        return type(exc).__name__
+
+
+class TestRhsClosures:
+    """The per-kind right-hand-side closures are eval_F at the clamped
+    argument, bit for bit."""
+
+    @given(st.sampled_from(sorted(RHS_CLAMP)), st.floats(0.0, 1.0),
+           st.floats(-1.0, 1.0))
+    @example("bessel:0", 0.0, -1.0)    # xy = -0.0 passes the clamp as is
+    @example("airy", 1.0, -1.0)        # xy = -316, clamped to -5
+    @example("rgamma", 1.0, -0.5)      # xy = -17.3, clamped to -1
+    @settings(max_examples=300, deadline=None)
+    def test_raw(self, spec, a, b):
+        # x in [0, sqrt(u_max)], y down to -10 below the origin: stage
+        # probes undershoot y = 0, and the clamps must catch xy < lo
+        m = make_model(spec)
+        x = a * math.sqrt(RHS_U_MAX[spec])
+        y = b * (math.sqrt(RHS_U_MAX[spec]) if b > 0.0 else 10.0)
+        want = _outcome(eval_F, m, _clamped(spec, x * y))
+        assert _outcome(raw_rhs(m), x, y) == want
+
+    @given(st.sampled_from(["cos", "bessel:0", "bessel:2.5", "airy"]),
+           st.integers(1, 40), st.floats(0.0, 3.0), st.floats(-0.5, 1.5))
+    @example("bessel:0", 3, 0.0, -1.0)
+    @settings(max_examples=200, deadline=None)
+    def test_scaled(self, spec, n, t, z):
+        m = make_model(spec)
+        pr = ScaledProblem(m, n)
+        pref = pr.x_scale / pr.y_scale
+        c_u = pr.x_scale * pr.y_scale
+        want = _outcome(lambda u: pref * eval_F(m, u),
+                        _clamped(spec, c_u * t * z))
+        assert _outcome(pr.make_rhs(), t, z) == want
 
 
 class TestZeros:

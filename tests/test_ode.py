@@ -1,14 +1,16 @@
 """Integrator behavior: reference-solution agreement, event detection,
 settle/floor handling, tolerance consistency, and CSV serialization."""
 
+import hashlib
 import math
 import os
 
 import numpy as np
 import pytest
 
+from nleig import spectrum
 from nleig.models import ScaledProblem, make_model
-from nleig.ode import (Frame, IntegratorConfig, PrecisionExhausted,
+from nleig.ode import (Engine, Frame, IntegratorConfig, PrecisionExhausted,
                        attractor_limit, count_maxima, curve_to_csv, integrate)
 from nleig.specfun import DomainError
 from nleig.svgplot import read_curve_csv
@@ -194,6 +196,88 @@ class TestFrame:
         with pytest.raises(DomainError):
             Frame(make_model("xibar"), 2).convert(c, "scaled")
         assert Frame(make_model("xibar"), 2).convert(c, "raw") is c
+
+
+def _step_record(eng):
+    """(nsteps, nfev, status, y, #maxima, #minima, digest of every event
+    abscissa and value); floats as hex, so a one-ulp change shows."""
+    lists = (eng.maxima, eng.maxima_values, eng.minima, eng.minima_values)
+    text = ";".join(",".join(v.hex() for v in lst) for lst in lists)
+    return (eng.nsteps, eng.nfev, eng.status, eng.y.hex(), len(eng.maxima),
+            len(eng.minima), hashlib.sha256(text.encode()).hexdigest()[:16])
+
+
+class TestStepSequence:
+    """Step counts, evaluation counts, end values and events of whole runs,
+    pinned bit for bit: the step loop may be restructured, its arithmetic
+    may not change."""
+
+    @pytest.mark.parametrize("spec, n, expected", [
+        ("cos", 40, (5732, 36014, "reached_end", "0x1.678fa94c63773p+3",
+                     40, 39, "06164f5267749954")),
+        ("rgamma", 8, (1153, 6986, "reached_end", "0x1.1f4a37e5ad10fp+0",
+                       4, 3, "1ea82aba94c7ed8a")),
+    ])
+    def test_backward(self, monkeypatch, spec, n, expected):
+        engines = []
+
+        class Recorded(Engine):
+            def __init__(self, *args, **kw):
+                super().__init__(*args, **kw)
+                engines.append(self)
+        monkeypatch.setattr(spectrum, "Engine", Recorded)
+        spectrum.refine_backward(make_model(spec), n)
+        assert len(engines) == 1
+        assert _step_record(engines[0]) == expected
+
+    @pytest.mark.parametrize("spec, n, y0, stop_at, expected", [
+        ("bessel:0", 2, 1.12, None, (925, 5624, "settled",
+                                     "0x1.9f98fe73fb631p-3", 3, 2,
+                                     "8e017fd2fc8a10c2")),
+        ("airy", 2, 1.09, None, (950, 5792, "settled",
+                                 "0x1.df5c56de856ccp-3", 3, 2,
+                                 "54b1bb2ddb45bc62")),
+        ("cos", 3, 1.2, 2, (71, 488, "max_minima", "0x1.111d0aecdadbap+0",
+                            2, 2, "f788c8f55c654166")),
+        ("xibar", None, 6.0, None, (1391, 8600, "settled",
+                                    "0x1.2eade884815dep+0", 3, 3,
+                                    "e84f5b406a60939b")),
+        ("xibar", None, 2.0, None, (200, 1737, "floor", "0x0.0p+0", 0, 0,
+                                    "5db28fe0609c11c3")),
+    ])
+    def test_forward_shot(self, spec, n, y0, stop_at, expected):
+        shooter = spectrum._Shooter(make_model(spec), n, IntegratorConfig())
+        _, _, eng = shooter.shoot(y0, stop_at)
+        assert _step_record(eng) == expected
+
+    def test_step_growth_cap(self):
+        # from a tiny first step the step size grows by the cap, 6x, per
+        # accepted step, a branch of the controller the runs above miss
+        eng = Engine(Frame(make_model("cos")), 0.0, 1.0,
+                     IntegratorConfig(h_init=1e-9), record=True)
+        eng.run(2.0)
+        assert eng.xs[2] == 7.000000000000001e-09
+        assert _step_record(eng) == (110, 685, "reached_end",
+                                     "0x1.21cfd34161b54p-2", 1, 0,
+                                     "b3d6e4ed7ec65049")
+
+    def test_counters_survive_an_exception(self):
+        frame = Frame(make_model("cos"))
+        rhs = frame.rhs
+        calls = [0]
+
+        def failing(x, y):
+            calls[0] += 1
+            if calls[0] > 400:
+                raise ArithmeticError("injected")
+            return rhs(x, y)
+        frame.rhs = failing
+        eng = Engine(frame, 0.0, 1.0, IntegratorConfig(), record=True)
+        with pytest.raises(ArithmeticError):
+            eng.run(10.0)
+        assert eng.nsteps > 0
+        assert len(eng.xs) - 1 == eng.nsteps
+        assert 6 * eng.nsteps < eng.nfev < calls[0]
 
 
 class TestSerialization:

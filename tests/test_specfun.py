@@ -350,6 +350,20 @@ class TestAccuracyType:
             Accuracy(1e-12, 1e-5)
 
 
+class TestSinCosPi:
+    def test_exact_zeros(self):
+        for k in range(-50, 51):
+            assert cospi(k + 0.5) == 0.0
+            assert sinpi(float(k)) == 0.0
+
+    @pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf])
+    def test_non_finite(self, x):
+        for fn in (cospi, sinpi):
+            with pytest.raises(DomainError) as info:
+                fn(x)
+            assert type(info.value) is DomainError
+
+
 @given(st.floats(-40.0, 40.0))
 @settings(max_examples=200, deadline=None)
 def test_sinpi_cospi_reduction(x):

@@ -45,6 +45,13 @@ class TestClassify:
         with pytest.raises(ValueError):
             classify(make_model("cos"), 0.0)
 
+    def test_rgamma_raw_frame(self):
+        # without n_hint the shot runs in raw coordinates, where trial
+        # stages probe xy far below -1; the clamp at -1 keeps them inside
+        # the domain of 1/Gamma(-u), and the class is the scaled frame's
+        m = make_model("rgamma")
+        assert classify(m, 1e4) == classify(m, 1e4, n_hint=6) == 6
+
 
 class TestFindEigen:
     def test_cosine_first(self):
