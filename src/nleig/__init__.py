@@ -11,10 +11,8 @@ __version__ = "0.1.0"
 
 from . import specfun
 from .models import (AsymptoticForm, GeneratingFunction, ScaledProblem,
-                     ClassifiedZero, make_model, eval_F, eval_F_prime,
-                     unstable_zeros)
-from .ode import IntegratorConfig, SolutionCurve, integrate, count_maxima, \
-    attractor_limit
+                     ClassifiedZero, make_model, eval_F, eval_F_prime)
+from .ode import IntegratorConfig, SolutionCurve, integrate, count_maxima
 from .spectrum import EigenResult, classify, find_eigen, refine_backward, \
     spectrum_scan
 from .asymptotics import (LimitCurve, GrowthLaw, WalkCoefficients,
@@ -27,9 +25,8 @@ from .asymptotics import (LimitCurve, GrowthLaw, WalkCoefficients,
 __all__ = [
     "specfun", "__version__",
     "AsymptoticForm", "GeneratingFunction", "ScaledProblem", "ClassifiedZero",
-    "make_model", "eval_F", "eval_F_prime", "unstable_zeros",
+    "make_model", "eval_F", "eval_F_prime",
     "IntegratorConfig", "SolutionCurve", "integrate", "count_maxima",
-    "attractor_limit",
     "EigenResult", "classify", "find_eigen", "refine_backward", "spectrum_scan",
     "LimitCurve", "GrowthLaw", "WalkCoefficients", "RGammaScaling",
     "limit_curve", "origin_behavior", "growth_law", "forbidden_region_z",

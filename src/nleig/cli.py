@@ -1,9 +1,10 @@
 """Command-line surface: spectrum scans, separatrix export, limit curves,
-walk coefficients, verification suites, SVG rendering, and a persistent
+walk coefficients, verification reports, SVG rendering, and a persistent
 eigenvalue cache.
 
-A separatrix is the curve refine_backward recorded, converted by ode.Frame;
-scaled_deviation_stats and three_sig are shared with the acceptance tests.
+A separatrix is spectrum.separatrix_curve, the curve refine_backward
+recorded; `verify` reports the records of the nleig.verify suites, which
+the acceptance tests assert on.
 
 Exit codes: 0 success, 1 computation failure (partial artifacts are still
 written), 2 configuration error.
@@ -18,22 +19,18 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import asymptotics, spectrum, svgplot
+from . import asymptotics, specfun, spectrum, svgplot, verify
 from .cache import EigenCache, atomic_write_text
-from .models import check_raw, make_model
-from .ode import Frame, IntegratorConfig, curve_to_csv, count_maxima
+from .models import make_model
+from .ode import IntegratorConfig, curve_to_csv, count_maxima
 from .specfun import DomainError
-from . import specfun
+from .spectrum import ConfigError, _check_coords, separatrix_curve
 
 _CONFIG_KEYS = {
     "model", "n", "tol", "rel_tol", "abs_tol", "h_init", "h_min", "h_max",
     "x_max", "out", "cache", "coords", "svg", "alpha", "p_max", "points",
     "t_max", "method", "suite", "n_max", "no_cache",
 }
-
-
-class ConfigError(ValueError):
-    pass
 
 
 @dataclass
@@ -186,22 +183,6 @@ def cmd_spectrum(rc):
     return 1 if (errors or mismatches) else 0
 
 
-def _check_coords(model, n, coords):
-    """The coordinate refusals of separatrix index n, before any run."""
-    if coords == "scaled" and model.kind == "xibar":
-        raise DomainError("xibar has no scaled coordinates")
-    if coords == "raw":
-        check_raw(model, n)
-
-
-def separatrix_curve(model, n, coords, tol=None, cfg=None):
-    """Backward-refined separatrix as (EigenResult, SolutionCurve) in the
-    requested coordinates: the curve refine_backward recorded, converted."""
-    _check_coords(model, n, coords)
-    res = spectrum.refine_backward(model, n, cfg=cfg, tol=tol)
-    return res, Frame(model, n).convert(res.curve, coords)
-
-
 def cmd_separatrix(rc):
     model = make_model(rc.get("model", ""))
     ns = _parse_n_range(rc.get("n", "1"))
@@ -299,149 +280,18 @@ def cmd_specfun_selftest():
     return 1 if failures else 0
 
 
-# --- verification suites -------------------------------------------------
-
-def _record(check_id, reference, predicted, measured, tolerance):
-    ok = (abs(measured - predicted) <= tolerance) if \
-        isinstance(predicted, float) else bool(measured == predicted)
-    return {"check": check_id, "reference": reference,
-            "predicted": predicted, "measured": measured,
-            "tolerance": tolerance, "status": "pass" if ok else "fail"}
-
-
-def three_sig(value, quoted):
-    """Agreement to three significant digits with a quoted figure."""
-    scale = 10.0 ** math.floor(math.log10(abs(quoted)))
-    return abs(value - quoted) <= 0.005 * scale * 1.001
-
-
-def verify_walk():
-    closed = asymptotics.walk_coefficients(60)
-    dp = asymptotics.walk_coefficients_dp(60)
-    recs = [{"check": "walk-closed-form-vs-dp",
-             "reference": "absorbing-walk resummation: -C_p/2^(2p+1)",
-             "predicted": "exact equality p<=60",
-             "measured": "equal" if closed.values == dp.values else "differs",
-             "tolerance": 0,
-             "status": "pass" if closed.values == dp.values else "fail"}]
-    return recs
-
-
-def verify_limits():
-    recs = []
-    for alpha in (-0.9, -0.5, 0.0, 1.0, 5.0):
-        z1 = asymptotics.limit_curve_value(alpha, 1.0)
-        recs.append(_record(f"limit-z(1)-alpha={alpha:g}",
-                            "turning-point matching z(1) = 1",
-                            1.0, z1, 1e-12))
-    z0b = asymptotics.limit_curve_value(-0.5, 0.0)
-    recs.append(_record("limit-z(0)-alpha=-0.5", "closed form 2^(10/21)",
-                        2.0 ** (10.0 / 21.0), z0b, 1e-12))
-    z0c = asymptotics.limit_curve_value(0.0, 0.0)
-    recs.append(_record("limit-z(0)-alpha=0", "closed form 2^(1/3)",
-                        2.0 ** (1.0 / 3.0), z0c, 1e-12))
-    worst = 0.0
-    for i in range(200):
-        t = (i + 0.5) / 200.0
-        z = asymptotics.limit_curve_value(-0.5, t)
-        lhs = ((4.0 * math.sqrt(z ** 3) - 3.0 * math.sqrt(z ** 3 - t)) ** 4
-               * (math.sqrt(z ** 3) + math.sqrt(z ** 3 - t)) ** 3)
-        worst = max(worst, abs(lhs - 256.0) / 256.0)
-    recs.append(_record("limit-bessel-identity-200pts",
-                        "product identity equal to 2^8 at alpha=-1/2",
-                        0.0, worst, 1e-10))
-    return recs
-
-
-def verify_growth(model_spec="cos", n_max=100, method="backward"):
-    model = make_model(model_spec)
-    gl = asymptotics.growth_law(model)
-    results, errs = spectrum.spectrum_scan(
-        model, range(1, n_max + 1), tol=1e-8, method=method)
-    if errs:
-        return [{"check": "growth-spectrum", "reference": "spectrum scan",
-                 "predicted": "no errors", "measured": str(errs),
-                 "tolerance": 0, "status": "fail"}]
-    ns = np.array([r.n for r in results], dtype=float)
-    es = np.array([r.E for r in results])
-    lo = max(20, n_max // 5)
-    mask = ns >= lo
-    slope, _ = np.polyfit(np.log(ns[mask]), np.log(es[mask]), 1)
-    recs = [_record(f"growth-exponent-{model_spec}",
-                    "log-log slope of E_n equals gamma",
-                    gl.gamma_exp, float(slope), 0.01)]
-    ratio = es[-1] / (gl.A * ns[-1] ** gl.gamma_exp)
-    recs.append(_record(f"growth-amplitude-{model_spec}-n{n_max}",
-                        f"E_n / (A n^gamma) -> 1 with A = {gl.A:.6f}",
-                        1.0, float(ratio), 0.02))
-    return recs
-
-
-def verify_rgamma():
-    rg = make_model("rgamma")
-    eig = lambda n: spectrum.find_eigen(rg, n, tol=1e-8).E
-    asym = asymptotics.rgamma_asymptote
-    checks = [("rgamma-E10", eig(10), "5.50e8"),
-              ("rgamma-E20", eig(20), "2.86e23"),
-              ("rgamma-asymptote-10", asym(10), "4.98e8"),
-              ("rgamma-asymptote-20", asym(20), "2.68e23")]
-    return [{"check": check, "reference": f"published value {quoted}",
-             "predicted": float(quoted), "measured": value,
-             "tolerance": "3 sig. digits",
-             "status": "pass" if three_sig(value, float(quoted)) else "fail"}
-            for check, value, quoted in checks]
-
-
-def scaled_deviation_stats(n):
-    """(sup, amp) of the scaled bessel:0 separatrix n against the limit
-    curve z_inf (alpha = -1/2): sup |z - z_inf| over every fifth sample on
-    0.1 <= t <= 0.9, and the largest |z - z_inf| on 0.45 <= t <= 0.55."""
-    cfg = IntegratorConfig(rel_tol=1e-9, abs_tol=1e-12)
-    _, curve = separatrix_curve(make_model("bessel:0"), n, "scaled",
-                                tol=1e-8, cfg=cfg)
-    t, z = curve.grid, curve.values
-
-    def deviation(idx):
-        zinf = [asymptotics.limit_curve_value(-0.5, float(tt)) for tt in t[idx]]
-        return float(np.max(np.abs(z[idx] - np.array(zinf))))
-    return (deviation(np.nonzero((t >= 0.1) & (t <= 0.9))[0][::5]),
-            deviation(np.nonzero((t >= 0.45) & (t <= 0.55))[0]))
-
-
-def verify_envelope():
-    sup1, amp1 = scaled_deviation_stats(1000)
-    sup2, amp2 = scaled_deviation_stats(2000)
-    recs = [_record("envelope-sup-n2000",
-                    "scaled eigensolution approaches the limit curve",
-                    0.0, sup2, 5e-3),
-            _record("envelope-ratio-1000-2000",
-                    "oscillation amplitude scales like 1/lambda",
-                    2.0, amp1 / amp2, 0.3)]
-    return recs
-
-
-_SUITES = {
-    "walk": lambda rc: verify_walk(),
-    "limits": lambda rc: verify_limits(),
-    "growth": lambda rc: verify_growth(rc.get("model", "cos"),
-                                       _number(rc, "n_max", 100, int),
-                                       rc.get("method", "backward")),
-    "rgamma": lambda rc: verify_rgamma(),
-    "envelope": lambda rc: verify_envelope(),
-}
-
-
 def cmd_verify(rc, suite):
-    if suite == "all":
-        names = ["walk", "limits", "growth", "rgamma", "envelope"]
-    elif suite in _SUITES:
-        names = [suite]
-    else:
+    if suite != "all" and suite not in verify.SUITES:
         raise ConfigError(f"unknown suite {suite!r}; pick from "
-                          f"{sorted(_SUITES) + ['all']}")
+                          f"{sorted(verify.SUITES) + ['all']}")
     records = []
-    for name in names:
-        records.extend(_SUITES[name](rc))
+    for name in verify.SUITES if suite == "all" else [suite]:
+        if name == "growth":
+            records.extend(verify.growth(rc.get("model", "cos"),
+                                         _number(rc, "n_max", 100, int),
+                                         rc.get("method", "backward")))
+        else:
+            records.extend(verify.SUITES[name]())
     out = _out_dir(rc)
     path = os.path.join(out, f"verify_{suite}.json")
     atomic_write_text(path, json.dumps(records, indent=2, sort_keys=True,

@@ -17,7 +17,7 @@ from .specfun import (DomainError, sinpi, cospi, bessel_j, bessel_j_prime,
 
 __all__ = [
     "AsymptoticForm", "GeneratingFunction", "ScaledProblem", "ClassifiedZero",
-    "make_model", "eval_F", "eval_F_prime", "unstable_zeros", "ZeroTable",
+    "make_model", "eval_F", "eval_F_prime", "ZeroTable",
     "zero_table", "rgamma_lambda_scaling", "raw_rhs", "check_raw",
 ]
 
@@ -285,21 +285,6 @@ def _xibar_zero(k):
     return zs[k - 1]
 
 
-def unstable_zeros(model, count):
-    """First `count` unstable zeros of F in increasing order."""
-    if count < 1:
-        raise DomainError(f"unstable_zeros: need count >= 1, got {count!r}")
-    table = zero_table(model)
-    out = []
-    k = 1
-    while len(out) < count:
-        z = table.zero(k)
-        if z.kind == "unstable":
-            out.append(z)
-        k += 1
-    return out
-
-
 def rgamma_lambda_scaling(n):
     """(lambda, r_lambda, ln_xi) for the reciprocal-gamma problem.
 
@@ -383,12 +368,6 @@ class ScaledProblem:
         """xy expressed in scaled variables."""
         return (self.x_scale * self.y_scale) * t * z
 
-    def scaled_rhs(self, t, z):
-        rhs = getattr(self, "_rhs", None)
-        if rhs is None:
-            rhs = self._rhs = self.make_rhs()
-        return rhs(t, z)
-
     def make_rhs(self):
         """dz/dt as a tight closure (the exact right-hand side, not the
         asymptotic form)."""
@@ -426,11 +405,6 @@ class ScaledProblem:
         else:
             raise DomainError(f"no scaled rhs for model {model.kind!r}")
         return rhs
-
-    def make_raw_rhs(self):
-        """raw_rhs of the model, refused where check_raw refuses it."""
-        check_raw(self.model, self.n)
-        return raw_rhs(self.model)
 
 
 def raw_rhs(model):

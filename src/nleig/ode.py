@@ -6,9 +6,11 @@ derivative sign changes: + to - events are the maxima the eigenvalue
 classifier counts, - to + events are the completed oscillations.  The
 engine also watches u = x*y: once u sits inside the basin of a stable zero
 of F with x^2 |F| well above u, the u/x drift can no longer carry it over
-the next unstable zero, so the run is committed and can stop early.  A run
-left ambiguous at its horizon (still hugging a separatrix) can be continued
-farther by calling run() again.
+the next unstable zero, so the run is committed and can stop early.  That
+check, Engine._settle, is the one attractor path: the zero of F nearest to
+the curve's terminal_u names the attractor.  A run left ambiguous at its
+horizon (still hugging a separatrix) can be continued farther by calling
+run() again.
 
 Every run starts from a Frame, the one place that picks raw (x, y) or
 scaled (t, z) coordinates.
@@ -37,8 +39,7 @@ from .specfun import DomainError
 
 __all__ = [
     "IntegratorConfig", "SolutionCurve", "PrecisionExhausted", "StepUnderflow",
-    "Frame", "Engine", "integrate", "count_maxima", "attractor_limit",
-    "curve_to_csv",
+    "Frame", "Engine", "integrate", "count_maxima", "curve_to_csv",
 ]
 
 
@@ -517,9 +518,11 @@ def integrate(obj, initial, cfg, direction="forward", record=True, meta=None,
 def count_maxima(curve):
     """Strict local maxima with prominence above 1e-12 * max(values).
 
-    A strictly decreasing start counts as a boundary maximum (the
-    reciprocal-gamma separatrices open with F < 0, so their first maximum
-    sits at the origin itself)."""
+    A maximum's prominence is measured against the nearest minimum on
+    each side (the curve's ends where there is none); one pass from the
+    right and one from the left find them.  A strictly decreasing start
+    counts as a boundary maximum (the reciprocal-gamma separatrices open
+    with F < 0, so their first maximum sits at the origin itself)."""
     if len(curve.values) == 0:
         return 0
     vmax = float(np.max(curve.values))
@@ -527,49 +530,28 @@ def count_maxima(curve):
     events = sorted(
         [(x, v, "max") for x, v in zip(curve.maxima, curve.maxima_values)]
         + [(x, v, "min") for x, v in zip(curve.minima, curve.minima_values)])
+    right = float(curve.values[-1])
+    rights = []          # nearest minimum right of each maximum, last first
+    for _, v, kind in reversed(events):
+        if kind == "min":
+            right = v
+        else:
+            rights.append(right)
     count = 0
     v0 = float(curve.values[0])
-    first_base = next((ev[1] for ev in events if ev[2] == "min"),
-                      float(curve.values[-1]))
     starts_down = (len(curve.values) > 1
                    and float(curve.values[1]) < v0
                    and (not events or events[0][2] == "min"))
-    if starts_down and v0 - first_base > floor:
+    # right now holds the first minimum, or the last value if there is none
+    if starts_down and v0 - right > floor:
         count += 1
-    for i, (x, v, kind) in enumerate(events):
-        if kind != "max":
-            continue
-        left = next((ev[1] for ev in reversed(events[:i]) if ev[2] == "min"),
-                    v0)
-        right = next((ev[1] for ev in events[i + 1:] if ev[2] == "min"),
-                     float(curve.values[-1]))
-        if min(v - left, v - right) > floor:
+    left = v0
+    for _, v, kind in events:
+        if kind == "min":
+            left = v
+        elif min(v - left, v - rights.pop()) > floor:
             count += 1
     return count
-
-
-def attractor_limit(curve, model):
-    """Stable zero of F nearest to the terminal x*y, or None if the tail
-    has not settled (x*y still varying or nearest zero too far)."""
-    grid = curve.grid
-    vals = curve.values
-    if len(grid) < 8 or grid[-1] <= 0.0:
-        return None
-    if curve.coords == "scaled":
-        raise ValueError("attractor_limit expects a raw-coordinate curve")
-    u = grid * vals
-    window = grid >= 0.1 * grid[-1]
-    u_win = u[window]
-    if len(u_win) < 2:
-        return None
-    u_end = float(u[-1])
-    if float(np.max(u_win) - np.min(u_win)) >= 1e-4 * max(1.0, abs(u_end)):
-        return None
-    tab = zero_table(model)
-    z, kind, halfgap = tab.nearest(u_end)
-    if kind != "stable" or abs(u_end - z) >= halfgap:
-        return None
-    return z
 
 
 def curve_to_csv(curve, path):

@@ -10,7 +10,9 @@ deviation grows like exp(F' x^2 / 2), so doublings resolve fast).
 find_eigen brackets the class jump around the growth-law prediction and
 bisects; refine_backward instead seeds the large-x expansion of u = xy at
 the n-th unstable zero and integrates backward to read E off at the origin.
-That one backward run records the separatrix, returned as EigenResult.curve.
+That one backward run records the separatrix, returned as EigenResult.curve;
+separatrix_curve converts it to the requested coordinates, after refusing
+the coordinates a model cannot run in.
 """
 
 import json
@@ -18,13 +20,14 @@ import math
 from dataclasses import dataclass, field
 
 from .rootfind import RootError
-from .models import ScaledProblem, eval_F_prime, zero_table
+from .models import ScaledProblem, check_raw, eval_F_prime, zero_table
 from .ode import Engine, Frame, IntegratorConfig, SolutionCurve, count_maxima
+from .specfun import DomainError
 
 __all__ = [
     "EigenResult", "classify", "find_eigen", "refine_backward",
-    "spectrum_scan", "default_tol", "spectrum_csv_text", "spectrum_to_csv",
-    "spectrum_to_json", "spectrum_json_text", "BracketError", "MIN_BISECTION_TOL",
+    "separatrix_curve", "spectrum_scan", "default_tol", "spectrum_csv_text",
+    "spectrum_json_text", "BracketError", "ConfigError", "MIN_BISECTION_TOL",
 ]
 
 _DEFAULT_TOL = {"cosine": 1e-10, "bessel": 1e-10, "airy": 1e-10,
@@ -36,6 +39,10 @@ _EXTENSIONS = 7
 
 # finest relative tolerance find_eigen accepts
 MIN_BISECTION_TOL = 1e-12
+
+
+class ConfigError(ValueError):
+    """Settings that cannot run, refused before any integration."""
 
 
 class BracketError(RuntimeError):
@@ -296,6 +303,22 @@ def refine_backward(model, n, x0=None, cfg=None, tol=None):
                        curve=curve)
 
 
+def _check_coords(model, n, coords):
+    """The coordinate refusals of separatrix index n, before any run."""
+    if coords == "scaled" and model.kind == "xibar":
+        raise DomainError("xibar has no scaled coordinates")
+    if coords == "raw":
+        check_raw(model, n)
+
+
+def separatrix_curve(model, n, coords, tol=None, cfg=None):
+    """Backward-refined separatrix as (EigenResult, SolutionCurve) in the
+    requested coordinates: the curve refine_backward recorded, converted."""
+    _check_coords(model, n, coords)
+    res = refine_backward(model, n, cfg=cfg, tol=tol)
+    return res, Frame(model, n).convert(res.curve, coords)
+
+
 def spectrum_scan(model, n_range, tol=None, cfg=None, method="bisection"):
     """Eigenvalues for every index in n_range (increasing).
 
@@ -372,13 +395,6 @@ def spectrum_csv_text(records):
     return "\n".join(lines) + "\n"
 
 
-def spectrum_to_csv(results, path):
-    from .cache import atomic_write_text
-    atomic_write_text(path,
-                      spectrum_csv_text([r.to_record() for r in results]))
-    return path
-
-
 def spectrum_json_text(records):
     """JSON text of eigenvalue records: an array with one key-sorted record
     per line.  Each record goes through json.dumps without ``indent``, so
@@ -387,10 +403,3 @@ def spectrum_json_text(records):
         return "[]\n"
     body = ",\n".join(json.dumps(r, sort_keys=True) for r in records)
     return f"[\n{body}\n]\n"
-
-
-def spectrum_to_json(results, path):
-    from .cache import atomic_write_text
-    atomic_write_text(path,
-                      spectrum_json_text([r.to_record() for r in results]))
-    return path

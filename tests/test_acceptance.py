@@ -1,5 +1,8 @@
 """Acceptance criteria, one test per criterion, at their stated tolerances.
 
+Criteria 1, 2, 4, 5 and 6 assert on the records of the nleig.verify
+suites, the records `nleig verify` reports.
+
 Each test prints a PASS line with the measured numbers once its assertions
 hold (run with -s to see them); a failed criterion shows up as an ordinary
 pytest failure.  The heavy spectral sweeps sit here on purpose: minutes,
@@ -7,15 +10,14 @@ not hours, but far beyond unit-test budgets.
 """
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from nleig.asymptotics import (growth_law, limit_curve_value, origin_value,
-                               rgamma_asymptote, walk_coefficients,
-                               walk_coefficients_dp)
-from nleig.cli import scaled_deviation_stats, three_sig
-from nleig.models import ScaledProblem, make_model
+from nleig import verify
+from nleig.asymptotics import growth_law, walk_coefficients
+from nleig.models import check_raw, make_model
 from nleig.ode import IntegratorConfig
 from nleig.spectrum import find_eigen, refine_backward, spectrum_scan
 from nleig.specfun import DomainError
@@ -25,35 +27,31 @@ def report(name, detail):
     print(f"\nACCEPTANCE {name}: PASS  [{detail}]")
 
 
+def check_suite(name, records, checks, predicted, tolerances):
+    """The suite's records carry these check ids, predicted values and
+    tolerances, in order, and every check passes."""
+    assert [r["check"] for r in records] == checks
+    assert [r["predicted"] for r in records] == predicted
+    assert [r["tolerance"] for r in records] == tolerances
+    assert all(r["status"] == "pass" for r in records), records
+    report(name, "; ".join(f"{r['check']}={r['measured']}" for r in records))
+
+
 def test_criterion_1_reciprocal_gamma_spectrum():
-    rg = make_model("rgamma")
-    e10 = find_eigen(rg, 10, tol=1e-8).E
-    e20 = find_eigen(rg, 20, tol=1e-8).E
-    a10 = rgamma_asymptote(10)
-    a20 = rgamma_asymptote(20)
-    assert three_sig(e10, 5.50e8), f"E_10 = {e10:.4e}, quoted 5.50e8"
-    assert three_sig(e20, 2.86e23), f"E_20 = {e20:.4e}, quoted 2.86e23"
-    assert three_sig(a10, 4.98e8), f"asym_10 = {a10:.4e}, quoted 4.98e8"
-    assert three_sig(a20, 2.68e23), f"asym_20 = {a20:.4e}, quoted 2.68e23"
-    report("1 (reciprocal-gamma spectrum)",
-           f"E_10={e10:.4e} E_20={e20:.4e} asym={a10:.4e}/{a20:.4e}")
+    check_suite("1 (reciprocal-gamma spectrum)", verify.rgamma(),
+                ["rgamma-E10", "rgamma-E20", "rgamma-asymptote-10",
+                 "rgamma-asymptote-20"],
+                [5.50e8, 2.86e23, 4.98e8, 2.68e23], ["3 sig. digits"] * 4)
 
 
 def test_criterion_2_cosine_growth_law():
-    cos = make_model("cos")
+    assert growth_law(make_model("cos")).A == pytest.approx(
+        2.0 ** (5.0 / 6.0), rel=1e-14)
     cfg = IntegratorConfig(rel_tol=1e-9, abs_tol=1e-12)
-    results, errors = spectrum_scan(cos, range(1, 101), tol=2e-8, cfg=cfg)
-    assert not errors, errors
-    ns = np.array([r.n for r in results], dtype=float)
-    es = np.array([r.E for r in results])
-    mask = ns >= 20
-    slope, _ = np.polyfit(np.log(ns[mask]), np.log(es[mask]), 1)
-    a_const = 2.0 ** (5.0 / 6.0)
-    ratio = es[-1] / (a_const * math.sqrt(100.0))
-    assert abs(slope - 0.5) <= 0.010, f"fitted exponent {slope:.4f}"
-    assert 0.98 <= ratio <= 1.02, f"E_100 ratio {ratio:.4f}"
-    report("2 (cosine growth law)",
-           f"exponent={slope:.4f} E_100/(2^(5/6) sqrt(100))={ratio:.5f}")
+    check_suite("2 (cosine growth law)",
+                verify.growth("cos", 100, "bisection", tol=2e-8, cfg=cfg),
+                ["growth-exponent-cos", "growth-amplitude-cos-n100"],
+                [0.5, 1.0], [0.01, 0.02])
 
 
 def _fit_quarter_power(ns, es):
@@ -84,45 +82,27 @@ def test_criterion_3_bessel_growth_constant():
 
 
 def test_criterion_4_limit_curve_identities():
-    for alpha in (-0.9, -0.5, 0.0, 1.0, 5.0):
-        assert abs(limit_curve_value(alpha, 1.0) - 1.0) <= 1e-12
-    worst = 0.0
-    for i in range(200):
-        t = (i + 0.5) / 200.0
-        z = limit_curve_value(-0.5, t)
-        lhs = ((4.0 * z ** 1.5 - 3.0 * math.sqrt(z ** 3 - t)) ** 4
-               * (z ** 1.5 + math.sqrt(z ** 3 - t)) ** 3)
-        worst = max(worst, abs(lhs - 256.0) / 256.0)
-    assert worst <= 1e-10
-    assert abs(limit_curve_value(-0.5, 0.0) - 2.0 ** (10.0 / 21.0)) <= 1e-12
-    assert abs(limit_curve_value(0.0, 0.0) - 2.0 ** (1.0 / 3.0)) <= 1e-12
-    report("4 (limit-curve identities)",
-           f"z(1)=1 for 5 alphas; 2^8 identity residual {worst:.2e}; "
-           "origin values match 2^(10/21), 2^(1/3)")
+    check_suite(
+        "4 (limit-curve identities)", verify.limits(),
+        [f"limit-z(1)-alpha={a}" for a in ("-0.9", "-0.5", "0", "1", "5")]
+        + ["limit-z(0)-alpha=-0.5", "limit-z(0)-alpha=0",
+           "limit-bessel-identity-200pts"],
+        [1.0] * 5 + [2.0 ** (10.0 / 21.0), 2.0 ** (1.0 / 3.0), 0.0],
+        [1e-12] * 7 + [1e-10])
 
 
 def test_criterion_5_numerics_to_theory_convergence():
-    sup2000, amp2000 = scaled_deviation_stats(2000)
-    sup1000, amp1000 = scaled_deviation_stats(1000)
-    assert sup2000 <= 5e-3, f"sup deviation {sup2000:.2e}"
-    ratio = amp1000 / amp2000
-    assert 1.7 <= ratio <= 2.3, f"envelope ratio {ratio:.3f}"
-    report("5 (numerics -> theory convergence)",
-           f"sup|z - z_inf| at n=2000: {sup2000:.2e} (<= 5e-3); "
-           f"envelope ratio n=1000/n=2000 near t=0.5: {ratio:.3f}")
+    check_suite("5 (numerics -> theory convergence)", verify.envelope(),
+                ["envelope-sup-n2000", "envelope-ratio-1000-2000"],
+                [0.0, 2.0], [5e-3, 0.3])
 
 
 def test_criterion_6_walk_moment_oracle():
-    closed = walk_coefficients(60)
-    dp = walk_coefficients_dp(60)
-    assert closed.values == dp.values
     cps = [math.comb(2 * p, p) // (p + 1) for p in range(61)]
-    from fractions import Fraction
-    assert all(closed.values[p] == Fraction(-cps[p], 2 ** (2 * p + 1))
-               for p in range(61))
-    report("6 (walk-moment oracle)",
-           "closed form -C_p/2^(2p+1) equals the absorbing-walk dynamic "
-           "program exactly for p <= 60")
+    assert walk_coefficients(60).values == tuple(
+        Fraction(-cps[p], 2 ** (2 * p + 1)) for p in range(61))
+    check_suite("6 (walk-moment oracle)", verify.walk(),
+                ["walk-closed-form-vs-dp"], ["exact equality p<=60"], [0])
 
 
 def test_criterion_7_cross_method_agreement():
@@ -170,7 +150,7 @@ def test_criterion_9_scale_boundaries():
     assert r.z0 is not None and 0.9 < r.z0 < 1.3
     assert r.log10_E is not None and 140.0 < r.log10_E < 144.0
     with pytest.raises(DomainError):
-        ScaledProblem(rg, 80).make_raw_rhs()
+        check_raw(rg, 80)
     report("9 (scale boundaries)",
            f"rgamma n=80 scaled pass: z(0)={r.z0:.6f}, "
            f"log10(E_80)={r.log10_E:.3f}; raw-coordinate mode refused")

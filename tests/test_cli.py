@@ -8,7 +8,7 @@ import warnings
 import numpy as np
 import pytest
 
-from nleig import ode, spectrum
+from nleig import ode, spectrum, verify
 from nleig.cache import EigenCache
 from nleig.cli import main, separatrix_curve
 from nleig.models import ScaledProblem, make_model
@@ -118,6 +118,9 @@ class TestExitCodes:
         ["limit-curve", "--alpha", "0", "--t-max", "-1"],
         ["separatrix", "--model", "xibar", "--coords", "scaled"],
         ["separatrix", "--model", "rgamma", "--n", "6", "--coords", "raw"],
+        ["verify", "growth", "--n-max", "0"],
+        ["verify", "growth", "--n-max", "10"],
+        ["verify", "growth", "--model", "xibar"],
     ])
     def test_bad_value_is_config_error(self, tmp_path, capsys, argv):
         assert run(argv, tmp_path) == 2
@@ -274,6 +277,8 @@ class TestVerifyCommand:
 
     def test_limits_suite_passes(self, tmp_path):
         assert run(["verify", "limits"], tmp_path) == 0
+        report = json.loads((tmp_path / "verify_limits.json").read_text())
+        assert report == verify.limits()
 
     def test_unknown_suite(self, tmp_path):
         assert run(["verify", "nonsense"], tmp_path) == 2

@@ -9,7 +9,7 @@ from hypothesis import example, given, settings, strategies as st
 from scipy.integrate import solve_ivp
 
 from nleig.models import (AsymptoticForm, ScaledProblem, eval_F, eval_F_prime,
-                          make_model, raw_rhs, unstable_zeros, zero_table,
+                          make_model, raw_rhs, zero_table,
                           rgamma_lambda_scaling)
 from nleig.ode import Frame, SolutionCurve
 from nleig.specfun import DomainError
@@ -142,38 +142,40 @@ class TestScaling:
 class TestScaledRhs:
     def test_bessel_prefactor(self):
         # dz/dt at the origin is sqrt(pi lambda / 2) J_0(0)
-        pr = ScaledProblem.from_lambda(make_model("bessel:0"), 10.0)
-        assert pr.scaled_rhs(0.0, 1.0) == pytest.approx(math.sqrt(5.0 * math.pi),
-                                                        rel=1e-12)
+        rhs = ScaledProblem.from_lambda(make_model("bessel:0"), 10.0).make_rhs()
+        assert rhs(0.0, 1.0) == pytest.approx(math.sqrt(5.0 * math.pi),
+                                              rel=1e-12)
 
     def test_cosine_scaled_point(self):
         # at t = z = 1 and lambda = 3pi/2 the argument is xy = 3/2
-        pr = ScaledProblem(make_model("cos"), 1)
-        assert abs(pr.scaled_rhs(1.0, 1.0)) < 1e-12
+        rhs = ScaledProblem(make_model("cos"), 1).make_rhs()
+        assert abs(rhs(1.0, 1.0)) < 1e-12
 
     def test_cosine_prefactor_is_unity(self):
         # the exact scaled equation for cos is dz/dt = cos(lambda t z)
         pr = ScaledProblem(make_model("cos"), 3)
+        rhs = pr.make_rhs()
         for t, z in ((0.3, 1.1), (0.9, 0.8)):
-            assert pr.scaled_rhs(t, z) == pytest.approx(
-                math.cos(pr.lam * t * z), abs=1e-12)
+            assert rhs(t, z) == pytest.approx(math.cos(pr.lam * t * z),
+                                              abs=1e-12)
 
     def test_rgamma_zeros(self):
         pr = ScaledProblem(make_model("rgamma"), 2)
-        lam = pr.lam
+        rhs = pr.make_rhs()
         for k in range(4):
             t = 0.7
-            z = k / (lam * t)
-            assert pr.scaled_rhs(t, z) == 0.0
+            z = k / (pr.lam * t)
+            assert rhs(t, z) == 0.0
 
     def test_rgamma_matches_direct_form(self):
         # xi(lambda) dz/dt = 1/Gamma(-lambda t z), xi = -1/Gamma(r_lambda)
         from nleig.specfun import recip_gamma
         pr = ScaledProblem(make_model("rgamma"), 2)
+        rhs = pr.make_rhs()
         xi = math.exp(pr.ln_xi)
         for t, z in ((0.4, 1.0), (0.9, 1.05)):
             direct = recip_gamma(pr.lam * t * z) / xi
-            assert pr.scaled_rhs(t, z) == pytest.approx(direct, rel=1e-12)
+            assert rhs(t, z) == pytest.approx(direct, rel=1e-12)
 
 
 # lower end of the domain of F that the right-hand sides clamp xy to, and
@@ -235,26 +237,27 @@ class TestRhsClosures:
 
 class TestZeros:
     def test_cosine_unstable(self):
-        zs = unstable_zeros(make_model("cos"), 3)
+        tab = zero_table(make_model("cos"))
+        zs = [tab.nth_unstable(k) for k in (1, 2, 3)]
         assert [z.u for z in zs] == [1.5, 3.5, 5.5]
         assert all(z.kind == "unstable" for z in zs)
         assert [z.index for z in zs] == [1, 2, 3]
 
     def test_rgamma_unstable(self):
-        zs = unstable_zeros(make_model("rgamma"), 3)
-        assert [z.u for z in zs] == [1.0, 3.0, 5.0]
+        tab = zero_table(make_model("rgamma"))
+        assert [tab.nth_unstable(k).u for k in (1, 2, 3)] == [1.0, 3.0, 5.0]
 
     def test_bessel_unstable_is_second_zero(self):
-        z = unstable_zeros(make_model("bessel:0"), 1)[0]
+        z = zero_table(make_model("bessel:0")).nth_unstable(1)
         assert z.u == pytest.approx(5.520078110286311, abs=1e-9)
 
     def test_airy_unstable_is_second_ai_zero(self):
-        z = unstable_zeros(make_model("airy"), 1)[0]
+        z = zero_table(make_model("airy")).nth_unstable(1)
         assert z.u == pytest.approx(4.08794944413097, abs=1e-8)
 
     def test_xibar_first_unstable_is_first_zero(self):
         # xibar < 0 just above the origin, so the first ordinate repels
-        z = unstable_zeros(make_model("xibar"), 1)[0]
+        z = zero_table(make_model("xibar")).nth_unstable(1)
         assert z.u == pytest.approx(14.134725141734693, abs=1e-6)
 
     def test_derivative_sign_convention(self):

@@ -9,9 +9,9 @@ import numpy as np
 import pytest
 
 from nleig import spectrum
-from nleig.models import ScaledProblem, make_model
+from nleig.models import ScaledProblem, check_raw, make_model, zero_table
 from nleig.ode import (Engine, Frame, IntegratorConfig, PrecisionExhausted,
-                       attractor_limit, count_maxima, curve_to_csv, integrate)
+                       count_maxima, curve_to_csv, integrate)
 from nleig.specfun import DomainError
 from nleig.svgplot import read_curve_csv
 
@@ -98,6 +98,50 @@ class TestEvents:
             assert count_maxima(c) == 3
 
 
+def count_maxima_reference(curve):
+    """The quadratic count_maxima the linear one replaced, as reference."""
+    if len(curve.values) == 0:
+        return 0
+    vmax = float(np.max(curve.values))
+    floor = 1e-12 * vmax
+    events = sorted(
+        [(x, v, "max") for x, v in zip(curve.maxima, curve.maxima_values)]
+        + [(x, v, "min") for x, v in zip(curve.minima, curve.minima_values)])
+    count = 0
+    v0 = float(curve.values[0])
+    first_base = next((ev[1] for ev in events if ev[2] == "min"),
+                      float(curve.values[-1]))
+    starts_down = (len(curve.values) > 1
+                   and float(curve.values[1]) < v0
+                   and (not events or events[0][2] == "min"))
+    if starts_down and v0 - first_base > floor:
+        count += 1
+    for i, (x, v, kind) in enumerate(events):
+        if kind != "max":
+            continue
+        left = next((ev[1] for ev in reversed(events[:i]) if ev[2] == "min"),
+                    v0)
+        right = next((ev[1] for ev in events[i + 1:] if ev[2] == "min"),
+                     float(curve.values[-1]))
+        if min(v - left, v - right) > floor:
+            count += 1
+    return count
+
+
+class TestCountMaxima:
+    @pytest.mark.parametrize("spec,ns", [
+        ("cos", (1, 7, 40)), ("bessel:0", (1, 5, 60)), ("airy", (1, 4, 30)),
+        ("rgamma", (3, 5, 6, 8))])
+    def test_equals_reference_on_separatrices(self, spec, ns):
+        # steps wider than a bump lose maxima of rgamma n = 6 and 8; the
+        # linear count keeps those known counts
+        known = {("rgamma", 6): 5, ("rgamma", 8): 4}
+        for n in ns:
+            curve = spectrum.refine_backward(make_model(spec), n).curve
+            assert count_maxima(curve) == count_maxima_reference(curve) \
+                == known.get((spec, n), n)
+
+
 class TestSettleAndAttractor:
     def test_settles_inside_horizon(self):
         # basin commitment fires once x^2 |F| dominates u (t ~ 4.5 here)
@@ -111,26 +155,28 @@ class TestSettleAndAttractor:
         assert c2.status == "reached_end"
         assert c2.terminal_u is not None
 
+    @staticmethod
+    def attractor(spec, y0, x_max):
+        """The stable zero of F nearest the u = xy the run settled at."""
+        m = make_model(spec)
+        c = integrate(m, (0.0, y0), cfg_with(x_max, 1e-10))
+        z, kind, _ = zero_table(m).nearest(c.terminal_u)
+        return z if kind == "stable" else None
+
     def test_attractor_below_first_eigenvalue(self):
-        m = make_model("cos")
-        c = integrate(m, (0.0, 1.0), cfg_with(520.0, 1e-10))
-        assert attractor_limit(c, m) == pytest.approx(0.5)
+        assert self.attractor("cos", 1.0, 520.0) == pytest.approx(0.5)
 
     def test_attractor_above_first_eigenvalue(self):
-        m = make_model("cos")
-        c = integrate(m, (0.0, 1.61), cfg_with(820.0, 1e-10))
-        assert attractor_limit(c, m) == pytest.approx(2.5)
+        assert self.attractor("cos", 1.61, 820.0) == pytest.approx(2.5)
 
     def test_attractor_rgamma_between_first_two(self):
-        m = make_model("rgamma")
-        c = integrate(m, (0.0, 2.0), cfg_with(820.0, 1e-10))
-        assert attractor_limit(c, m) == pytest.approx(2.0)
+        assert self.attractor("rgamma", 2.0, 820.0) == pytest.approx(2.0)
 
     def test_not_settled_sentinel(self):
-        m = make_model("cos")
-        c = integrate(m, (0.0, 1.0), cfg_with(6.0, 1e-10))
-        # tail still varies too much over the last decade at x = 6
-        assert attractor_limit(c, m) is None
+        # at x = 2 the cos run from y0 = 1 has not committed to a basin
+        c = integrate(make_model("cos"), (0.0, 1.0), cfg_with(2.0, 1e-10))
+        assert c.status == "reached_end"
+        assert c.terminal_u is None
 
 
 class TestGuards:
@@ -152,10 +198,9 @@ class TestGuards:
                       direction="backward")
 
     def test_rgamma_raw_refused_for_large_n(self):
-        from nleig.specfun import DomainError
-        pr = ScaledProblem(make_model("rgamma"), 6)
+        check_raw(make_model("rgamma"), 5)
         with pytest.raises(DomainError):
-            pr.make_raw_rhs()
+            check_raw(make_model("rgamma"), 6)
 
     def test_grid_strictly_increasing(self):
         c = integrate(make_model("cos"), (0.0, 1.0), cfg_with(5.0))

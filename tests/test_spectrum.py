@@ -12,8 +12,8 @@ from hypothesis import given, settings, strategies as st
 from nleig.models import make_model
 from nleig.ode import IntegratorConfig
 from nleig.spectrum import (classify, default_tol, find_eigen,
-                            refine_backward, spectrum_scan, spectrum_to_csv,
-                            spectrum_to_json)
+                            refine_backward, spectrum_csv_text,
+                            spectrum_json_text, spectrum_scan)
 
 # E_1 for y' = cos(pi x y): confirmed by an independent reference
 # integration (the attractor of x*y jumps from 0.5 to 2.5 between
@@ -180,16 +180,13 @@ class TestSpectrumScan:
         with pytest.raises(ValueError):
             spectrum_scan(make_model("cos"), [3, 2])
 
-    def test_serialization(self, tmp_path):
+    def test_serialization(self):
         res, _ = spectrum_scan(make_model("cos"), range(1, 4), tol=1e-9)
-        csv = tmp_path / "spec.csv"
-        js = tmp_path / "spec.json"
-        spectrum_to_csv(res, csv)
-        spectrum_to_json(res, js)
-        lines = csv.read_text().strip().splitlines()
+        records = [r.to_record() for r in res]
+        lines = spectrum_csv_text(records).strip().splitlines()
         assert lines[0] == "n,E,residual,method,maxima"
         assert len(lines) == 4
-        payload = json.loads(js.read_text())
+        payload = json.loads(spectrum_json_text(records))
         assert [p["n"] for p in payload] == [1, 2, 3]
         assert payload[0]["E"] == res[0].E
         for key in ("model", "n", "tol", "E", "lo", "hi", "method",
