@@ -8,6 +8,12 @@ Ai'(-u) = u/3 (J_{2/3} - J_{-2/3})(zeta), zeta = 2/3 u^(3/2), through the
 direct Bessel routes (quadrature band included).  The Bessel connection
 also serves x < -10, and on the positive side a Gauss-Hermite quadrature of
 K_{1/3} bridges the gap until the exponential asymptotic series takes over.
+
+J_{1/3} and J_{-1/3} have the same mu = 4 nu^2 = 4/9, so for zeta at or
+above their Hankel edge (16) ``_neg_bessel`` computes one P/Q pair
+(``bessel._hankel_pq``) and forms both phases from it with the expressions
+of ``bessel._j_hankel``: the same floats as two Hankel calls, at half the
+sums.
 """
 
 import math
@@ -15,7 +21,7 @@ import math
 import numpy as np
 
 from .gammafn import DomainError
-from .bessel import _j_direct
+from .bessel import _PI4_HI, _PI4_LO, _hankel_pq, _j_direct, _order
 from .taylor import TaylorTable, airy_coeffs
 
 __all__ = ["airy_ai"]
@@ -84,9 +90,24 @@ def _pos_quadrature(x):
     return math.sqrt(x / 3.0) / math.pi * k13
 
 
+# J_{1/3} and J_{-1/3} share mu = 4/9, hence the Hankel edge and P/Q
+_EDGE13, _ROUNDS13, _C13 = _order(1.0 / 3.0)
+_CM13 = _order(-1.0 / 3.0)[2]
+
+
 def _neg_bessel(x):
+    """Ai(-u) = sqrt(u)/3 (J_{1/3} + J_{-1/3})(zeta); on the Hankel band
+    one P/Q pair serves both orders, with the phases of ``_j_hankel``."""
     u = -x
     zeta = (2.0 / 3.0) * u * math.sqrt(u)
+    if zeta >= _EDGE13:
+        p, q = _hankel_pq(_ROUNDS13, zeta)
+        s = math.sqrt(2.0 / (math.pi * zeta))
+        chi = (zeta - _C13 * _PI4_HI) - _C13 * _PI4_LO
+        j13 = s * (math.cos(chi) * p - math.sin(chi) * q)
+        chi = (zeta - _CM13 * _PI4_HI) - _CM13 * _PI4_LO
+        jm13 = s * (math.cos(chi) * p - math.sin(chi) * q)
+        return math.sqrt(u) / 3.0 * (j13 + jm13)
     return math.sqrt(u) / 3.0 * (_j_direct(1.0 / 3.0, zeta)
                                  + _j_direct(-1.0 / 3.0, zeta))
 

@@ -17,6 +17,16 @@ J_nu' = (nu/c) J_nu - J_{nu+1}:
 The series/asymptotic switch sits at x = max(12, 2 nu) as long as series
 cancellation stays harmless; for larger orders the quadrature band widens
 because the Hankel sums only settle once x is a decent multiple of nu^2.
+
+The Hankel band is the hot path of long separatrix runs, so each order
+keeps state built on first use (``_order``): its Hankel edge, the smallest
+binary64 x with ``_hankel_ok``, so one comparison routes as the predicate
+does; the P/Q coefficients (mu - (2k-1)^2) / k, k = 1..59, in rounds of
+four; and 2 nu + 1.  ``_hankel_pq`` is the one P/Q sum, unrolled by the
+sign pattern; ``_j_any`` calls it directly, ``_j_hankel`` serves
+``_j_direct``, and ``airy._neg_bessel`` shares one P/Q pair between
+J_{1/3} and J_{-1/3}.  tests/test_specfun.py checks these values bit for
+bit against a plain adaptive P/Q loop, one pass per order.
 """
 
 import math
@@ -30,6 +40,8 @@ __all__ = ["bessel_j", "bessel_j_prime", "bessel_j_zero"]
 
 _PI4_HI = 0.7853981633974483   # pi/4 rounded
 _PI4_LO = 3.061616997868383e-17  # pi/4 residual
+_INF = math.inf
+_sqrt, _cos, _sin, _PI = math.sqrt, math.cos, math.sin, math.pi
 
 _SERIES_MAX_TERMS = 600
 
@@ -65,36 +77,6 @@ def _series_cancellation(nu, x):
     return ln_max - ln_amp
 
 
-def _hankel_pq(mu, x):
-    """Adaptive P/Q sums of the large-x expansion; returns (P, Q, err)."""
-    inv8x = 1.0 / (8.0 * x)
-    p = 1.0
-    q = 0.0
-    a = 1.0
-    best = math.inf
-    k = 1
-    while k < 60:
-        a *= (mu - (2.0 * k - 1.0) ** 2) / k * inv8x
-        m = k % 4
-        if m == 1:
-            q += a
-        elif m == 2:
-            p -= a
-        elif m == 3:
-            q -= a
-        else:
-            p += a
-        t = abs(a)
-        if t < best:
-            best = t
-        if t < 1e-17:
-            break
-        if t > 4.0 * best and k > 4:
-            break  # divergent tail reached
-        k += 1
-    return p, q, best
-
-
 def _hankel_ok(nu, x):
     mu = 4.0 * nu * nu
     if x < 16.0:
@@ -104,13 +86,105 @@ def _hankel_ok(nu, x):
     return mu / (8.0 * x) < 2.5 and 2.0 * x - mu / (8.0 * x) > 29.0
 
 
+def _hankel_edge(nu):
+    """The smallest binary64 x with _hankel_ok(nu, x).  The predicate is
+    false below 16 and monotone above (both tests move one way with x, and
+    rounding keeps that), so bisection on (lo false, hi true) ends on two
+    adjacent floats."""
+    lo, hi = 8.0, 16.0
+    while not _hankel_ok(nu, hi):
+        lo, hi = hi, 2.0 * hi
+    while True:
+        mid = 0.5 * (lo + hi)
+        if mid <= lo or mid >= hi:
+            return hi
+        if _hankel_ok(nu, mid):
+            hi = mid
+        else:
+            lo = mid
+
+
+_orders = {}
+
+
+def _order(nu):
+    """Per-order Hankel state (edge, rounds, 2 nu + 1), built on first use.
+    The edge is ``_hankel_edge(nu)``.  The rounds hold the P/Q coefficients
+    (mu - (2k-1)^2) / k, mu = 4 nu^2, k = 1..59, four to a round, each with
+    the flag k > 4 that arms the divergence test; the last round has three
+    and None."""
+    o = _orders.get(nu)
+    if o is None:
+        mu = 4.0 * nu * nu
+        coef = [(mu - (2.0 * k - 1.0) ** 2) / k for k in range(1, 60)]
+        coef.append(None)
+        rounds = tuple((*coef[j:j + 4], j > 0) for j in range(0, 60, 4))
+        o = _orders[nu] = (_hankel_edge(nu), rounds, 2.0 * nu + 1.0)
+    return o
+
+
+def _hankel_pq(rounds, x):
+    """P and Q of the large-x expansion (DLMF 10.17.3) from an order's
+    rounds; the one P/Q implementation.  Term k is
+    a_k = a_{k-1} coef_k / (8x), added to Q, P, Q, P with the signs
+    +, -, -, + of k mod 4 = 1, 2, 3, 0.
+    The sum stops after the first term below 1e-17, at the first term
+    (k > 4) above four times the smallest so far (the divergent tail), or
+    after 59 terms.  A term below 1e-17 is also the smallest so far, so
+    each term needs at most two comparisons."""
+    r = 1.0 / (8.0 * x)
+    p = 1.0
+    q = 0.0
+    a = 1.0
+    best = _INF
+    for c1, c2, c3, c4, late in rounds:
+        a *= c1 * r
+        q += a
+        t = a if a >= 0.0 else -a
+        if t < best:
+            if t < 1e-17:
+                return p, q
+            best = t
+        elif t > 4.0 * best and late:
+            return p, q
+        a *= c2 * r
+        p -= a
+        t = a if a >= 0.0 else -a
+        if t < best:
+            if t < 1e-17:
+                return p, q
+            best = t
+        elif t > 4.0 * best and late:
+            return p, q
+        a *= c3 * r
+        q -= a
+        t = a if a >= 0.0 else -a
+        if t < best:
+            if t < 1e-17:
+                return p, q
+            best = t
+        elif t > 4.0 * best and late:
+            return p, q
+        if c4 is None:
+            return p, q             # 59 terms
+        a *= c4 * r
+        p += a
+        t = a if a >= 0.0 else -a
+        if t < best:
+            if t < 1e-17:
+                return p, q
+            best = t
+        elif t > 4.0 * best and late:
+            return p, q
+
+
 def _j_hankel(nu, x):
-    mu = 4.0 * nu * nu
-    p, q, _ = _hankel_pq(mu, x)
-    c = 2.0 * nu + 1.0
+    """J_nu(x) by the large-x expansion, for x at or above the order's
+    Hankel edge; ``_j_any`` and ``airy._neg_bessel`` repeat the phase."""
+    _, rounds, c = _order(nu)
+    p, q = _hankel_pq(rounds, x)
     chi = (x - c * _PI4_HI) - c * _PI4_LO
-    return math.sqrt(2.0 / (math.pi * x)) * (
-        math.cos(chi) * p - math.sin(chi) * q)
+    return _sqrt(2.0 / (_PI * x)) * (_cos(chi) * p - _sin(chi) * q)
 
 
 _leg_cache = {}
@@ -190,9 +264,16 @@ def _j_table(nu):
 
 def _j_any(nu, x):
     """J_nu(x) for nu > -1 (internal; the public wrapper restricts nu)."""
+    try:
+        edge, rounds, c = _orders[nu]
+    except KeyError:
+        edge, rounds, c = _order(nu)
+    # the edge is at least max(16, nu^2/5), so at least max(1, nu/4)
+    if x >= edge:
+        p, q = _hankel_pq(rounds, x)
+        chi = (x - c * _PI4_HI) - c * _PI4_LO
+        return _sqrt(2.0 / (_PI * x)) * (_cos(chi) * p - _sin(chi) * q)
     if x >= 1.0 and x >= 0.25 * nu:
-        if _hankel_ok(nu, x):
-            return _j_hankel(nu, x)
         return _j_table(nu)(x)
     return _j_direct(nu, x)
 

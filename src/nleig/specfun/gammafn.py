@@ -168,6 +168,8 @@ def recip_gamma_log(u):
     """(sign, log magnitude) of 1/Gamma(-u) for u >= -1.
 
     sign is 0 (with -inf magnitude) exactly at nonnegative integers.
+    Raises DomainError below -1 and where sinpi(u) rounds to zero at a
+    non-integer u, which happens on [-2^-54, 0) (about -5.6e-17 to 0).
     """
     if not (u >= -1.0):
         raise DomainError(f"recip_gamma: need u >= -1, got {u!r}")
@@ -176,6 +178,9 @@ def recip_gamma_log(u):
     if u >= 0.0 and u == math.floor(u):
         return 0, -math.inf
     s = sinpi(u)
+    if s == 0.0:    # u in [-2^-54, 0): 1 + u rounds to 1
+        raise DomainError(
+            f"recip_gamma: sinpi(u) underflows to zero at non-integer u={u!r}")
     sign = -1 if s > 0.0 else 1
     return sign, math.log(abs(s) / math.pi) + math.lgamma(1.0 + u)
 

@@ -12,7 +12,7 @@ from nleig import spectrum
 from nleig.models import ScaledProblem, check_raw, make_model, zero_table
 from nleig.ode import (Engine, Frame, IntegratorConfig, PrecisionExhausted,
                        count_maxima, curve_to_csv, integrate)
-from nleig.specfun import DomainError
+from nleig.specfun import DomainError, airy, bessel
 from nleig.svgplot import read_curve_csv
 
 # frozen from solve_ivp at rtol 1e-12 / atol 1e-14 (dense output)
@@ -252,6 +252,15 @@ def _step_record(eng):
             len(eng.minima), hashlib.sha256(text.encode()).hexdigest()[:16])
 
 
+# whether F(u) takes the Hankel route: J_0 at or above its edge; Ai(-u)
+# for u > 10 by the Bessel pair, whose P/Q serve zeta >= the J_{1/3} edge
+ON_HANKEL_BAND = {
+    "bessel:0": lambda u: u >= bessel._order(0.0)[0],
+    "airy": lambda u: (u > 10.0 and
+                       (2.0 / 3.0) * u * math.sqrt(u) >= airy._EDGE13),
+}
+
+
 class TestStepSequence:
     """Step counts, evaluation counts, end values and events of whole runs,
     pinned bit for bit: the step loop may be restructured, its arithmetic
@@ -262,6 +271,11 @@ class TestStepSequence:
                      40, 39, "06164f5267749954")),
         ("rgamma", 8, (1153, 6986, "reached_end", "0x1.1f4a37e5ad10fp+0",
                        4, 3, "1ea82aba94c7ed8a")),
+        # u = xy up to about 376 and 43: J_0 and Ai(-u) on the Hankel band
+        ("bessel:0", 60, (8163, 51524, "reached_end", "0x1.525f151e8efa3p+2",
+                          60, 59, "ba9f631e76a8fe2d")),
+        ("airy", 30, (5725, 35720, "reached_end", "0x1.ee3bba50dd2acp+1",
+                      30, 29, "2c0c07bd3fe697d0")),
     ])
     def test_backward(self, monkeypatch, spec, n, expected):
         engines = []
@@ -274,6 +288,11 @@ class TestStepSequence:
         spectrum.refine_backward(make_model(spec), n)
         assert len(engines) == 1
         assert _step_record(engines[0]) == expected
+        on_band = ON_HANKEL_BAND.get(spec)
+        if on_band is not None:
+            eng = engines[0]
+            us = list(map(eng.frame.u_of, eng.xs, eng.ys))
+            assert sum(map(on_band, us)) > len(us) // 2
 
     @pytest.mark.parametrize("spec, n, y0, stop_at, expected", [
         ("bessel:0", 2, 1.12, None, (925, 5624, "settled",

@@ -192,6 +192,120 @@ class TestTaylorTables:
         assert _j_ok(_j_any(nu, x), x, _j_direct(nu, x))
 
 
+# The Hankel band as it was before the per-order state: the adaptive P/Q
+# loop, J_nu by one P/Q pass per call, and Ai(-u) by two such calls.  The
+# band's implementation must return the same floats, bit for bit.
+
+def _hankel_pq_reference(mu, x):
+    inv8x = 1.0 / (8.0 * x)
+    p = 1.0
+    q = 0.0
+    a = 1.0
+    best = math.inf
+    k = 1
+    while k < 60:
+        a *= (mu - (2.0 * k - 1.0) ** 2) / k * inv8x
+        m = k % 4
+        if m == 1:
+            q += a
+        elif m == 2:
+            p -= a
+        elif m == 3:
+            q -= a
+        else:
+            p += a
+        t = abs(a)
+        if t < best:
+            best = t
+        if t < 1e-17:
+            break
+        if t > 4.0 * best and k > 4:
+            break  # divergent tail reached
+        k += 1
+    return p, q, best
+
+
+def _j_hankel_reference(nu, x):
+    from nleig.specfun.bessel import _PI4_HI, _PI4_LO
+    mu = 4.0 * nu * nu
+    p, q, _ = _hankel_pq_reference(mu, x)
+    c = 2.0 * nu + 1.0
+    chi = (x - c * _PI4_HI) - c * _PI4_LO
+    return math.sqrt(2.0 / (math.pi * x)) * (
+        math.cos(chi) * p - math.sin(chi) * q)
+
+
+def _j_any_reference(nu, x):
+    from nleig.specfun.bessel import _hankel_ok, _j_direct, _j_table
+    if x >= 1.0 and x >= 0.25 * nu:
+        if _hankel_ok(nu, x):
+            return _j_hankel_reference(nu, x)
+        return _j_table(nu)(x)
+    return _j_direct(nu, x)
+
+
+def _neg_bessel_reference(x):
+    """Ai(x) for x < -10, where zeta > 21 puts J_{+-1/3} on the Hankel band."""
+    u = -x
+    zeta = (2.0 / 3.0) * u * math.sqrt(u)
+    return math.sqrt(u) / 3.0 * (_j_hankel_reference(1.0 / 3.0, zeta)
+                                 + _j_hankel_reference(-1.0 / 3.0, zeta))
+
+
+HANKEL_ORDERS = (0.0, 1.0 / 3.0, -1.0 / 3.0, 2.0 / 3.0, -2.0 / 3.0, 1.0,
+                 4.0 / 3.0, 5.0 / 3.0, 2.5, 7.0, 20.0, 50.0, 51.0)
+
+
+class TestHankelBitIdentity:
+    @given(st.sampled_from(HANKEL_ORDERS),
+           st.floats(0.0, math.log(1.2e5)).map(math.exp))
+    @settings(max_examples=400, deadline=None)
+    def test_j_any(self, nu, x):
+        from nleig.specfun.bessel import _hankel_ok, _j_any, _j_hankel
+        assert _j_any(nu, x) == _j_any_reference(nu, x)
+        if _hankel_ok(nu, x):
+            assert _j_hankel(nu, x) == _j_hankel_reference(nu, x)
+
+    @given(st.floats(10.0, 1e5, exclude_min=True))
+    @settings(max_examples=300, deadline=None)
+    def test_airy_negative_axis(self, u):
+        from nleig.specfun.bessel import _hankel_ok
+        assert _hankel_ok(1.0 / 3.0, (2.0 / 3.0) * u * math.sqrt(u))
+        assert airy_ai(-u) == _neg_bessel_reference(-u)
+
+    @pytest.mark.parametrize("nu", HANKEL_ORDERS)
+    def test_edge_is_the_first_hankel_argument(self, nu):
+        from nleig.specfun.bessel import _hankel_ok, _j_any, _order
+        edge = _order(nu)[0]
+        below = math.nextafter(edge, 0.0)
+        assert _hankel_ok(nu, edge) and not _hankel_ok(nu, below)
+        # so the edge also clears the table's lower end max(1, nu/4)
+        assert edge >= 1.0 and edge >= 0.25 * nu
+        assert _j_any(nu, edge) == _j_hankel_reference(nu, edge)
+        assert _j_any(nu, below) == _j_any_reference(nu, below)
+
+    @pytest.mark.parametrize("nu, x, stop", [
+        (0.0, 16.0, "diverge"), (7.0, 17.6, "diverge"),
+        (14.0, 20.77, "diverge"), (0.0, 1.0, "diverge"),
+        (50.0, 100.0, "diverge"),
+        (0.0, 1e3, "tiny"), (0.5, 40.0, "tiny"),
+        (50.0, 500.00000000000006, "tiny"), (0.0, math.inf, "tiny"),
+        (1.0 / 3.0, math.nan, "cap"),
+    ])
+    def test_pq_stopping_rules(self, nu, x, stop):
+        # each of the three stops, on and off the band.  Off the band at
+        # nu = 50, x = 100 the terms grow from k = 1, which only the
+        # k > 4 guard lets through; a NaN argument passes every test and
+        # runs to the 59-term cap, which no real argument reached in a
+        # sweep of nu in [0, 200], x in [1, 1.5e5]
+        from nleig.specfun.bessel import _hankel_pq, _order
+        p, q, best = _hankel_pq_reference(4.0 * nu * nu, x)
+        got = _hankel_pq(_order(nu)[1], x)
+        assert [v.hex() for v in got] == [p.hex(), q.hex()]
+        assert stop == ("tiny" if best < 1e-17 else
+                        "cap" if math.isnan(p) else "diverge")
+
+
 class TestGammaFamily:
     def test_log_gamma_exact_zeros(self):
         assert log_gamma(1.0) == 0.0
@@ -231,6 +345,14 @@ class TestGammaFamily:
             recip_gamma(300.5)
         sign, lm = recip_gamma_log(300.5)
         assert sign in (-1, 1) and lm > 709.0
+
+    @pytest.mark.parametrize("u", [-1e-17, -1.87e-122])
+    def test_recip_gamma_sine_underflow(self, u):
+        # sinpi(u) rounds to -0.0 just below 0, which no log can take
+        assert sinpi(u) == 0.0
+        for fn in (recip_gamma, recip_gamma_log):
+            with pytest.raises(DomainError, match="sinpi"):
+                fn(u)
 
     def test_digamma_values(self):
         assert abs(digamma(1.0) + EULER_GAMMA) < 1e-11
