@@ -14,6 +14,7 @@ from .rootfind import RootError, bisect
 from .specfun import (DomainError, sinpi, cospi, bessel_j, bessel_j_prime,
                       bessel_j_zero, airy_ai, recip_gamma, recip_gamma_log,
                       xi_bar, digamma, digamma_root, log_gamma)
+from .specfun.zeta import _xi_bar_direct
 
 __all__ = [
     "AsymptoticForm", "GeneratingFunction", "ScaledProblem", "ClassifiedZero",
@@ -268,17 +269,18 @@ _xibar_zero_cache = []
 
 
 def _xibar_zero(k):
-    """k-th ordinate of a nontrivial zeta zero, by scanning xi_bar."""
+    """k-th ordinate of a nontrivial zeta zero, by scanning xi_bar's direct
+    route: the ordinates do not depend on xi_bar's table."""
     zs = _xibar_zero_cache
     x = zs[-1] + 0.05 if zs else 10.0
-    f0 = xi_bar(x)
+    f0 = _xi_bar_direct(x)
     while len(zs) < k:
         step = 0.35
         while True:
             x1 = x + step
-            f1 = xi_bar(x1)
+            f1 = _xi_bar_direct(x1)
             if (f0 > 0) != (f1 > 0):
-                zs.append(bisect(xi_bar, x, x1, xtol=1e-12))
+                zs.append(bisect(_xi_bar_direct, x, x1, xtol=1e-12))
                 x, f0 = x1, f1
                 break
             x, f0 = x1, f1

@@ -13,7 +13,12 @@ digamma         rel <= 1e-11
 lambert_w       round-trip w e^w = x to rel 1e-12 on both branches
 xi_bar          zeta to ~1e-10 over the supported band t <= 1000
                 (Euler-Maclaurin); ~1e-5 to 1e-4 in the warned zone
-                beyond (Riemann-Siegel, first two corrections)
+                beyond (Riemann-Siegel, first two corrections);
+                DomainError for finite t > 1e8.  xi_bar itself against
+                mpmath, max abs error over uniform samples: 5e-16 on
+                (0, 1e-3], 2.2e-14 on [0, 50], 8.6e-13 on [50, 1000]
+                (|xibar| <= 4.2); the direct route it is fitted to
+                reads 1.0e-15, 2.0e-14, 7.7e-13 on the same points
 ==============  =====================================================
 """
 

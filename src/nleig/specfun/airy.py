@@ -119,14 +119,14 @@ def _neg_bessel_prime(x):
     return u / 3.0 * (_j_direct(2.0 / 3.0, zeta) - _j_direct(-2.0 / 3.0, zeta))
 
 
-def _seed(c):
+def _coeffs_at(c):
     if c >= -7.0:
-        return _maclaurin(c)
-    return _neg_bessel(c), _neg_bessel_prime(c)
+        return airy_coeffs(c, *_maclaurin(c))
+    return airy_coeffs(c, _neg_bessel(c), _neg_bessel_prime(c))
 
 
 # empty until the first argument lands in a cell
-_table = TaylorTable(-10.0, _seed, airy_coeffs)
+_table = TaylorTable(-10.0, _coeffs_at)
 
 
 def airy_ai(x):

@@ -254,11 +254,12 @@ def _j_table(nu):
     growth rate nu/x of J_nu outruns the table's expansion length."""
     tab = _j_tables.get(nu)
     if tab is None:
-        def seed(c):
+        recurrence = bessel_coeffs(nu)
+
+        def coeffs_at(c):
             j = _j_direct(nu, c)
-            return j, (nu / c) * j - _j_direct(nu + 1.0, c)
-        tab = _j_tables[nu] = TaylorTable(max(1.0, 0.25 * nu), seed,
-                                          bessel_coeffs(nu))
+            return recurrence(c, j, (nu / c) * j - _j_direct(nu + 1.0, c))
+        tab = _j_tables[nu] = TaylorTable(max(1.0, 0.25 * nu), coeffs_at)
     return tab
 
 

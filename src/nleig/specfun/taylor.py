@@ -1,21 +1,39 @@
-"""Lazily filled Taylor tables for solutions of linear second-order ODEs.
+"""Lazily filled Taylor tables.
 
-A solution f of a linear second-order ODE is fixed by the pair
-(f(c), f'(c)) at any regular point c, and the ODE turns that pair into
-every Taylor coefficient at c by a short recurrence.  The table keeps one
-expansion per centre c = lo + k/8, computes a centre's seed pair once by an
-accurate (and slow) route the first time an argument lands in its cell,
+A table keeps one Taylor expansion per centre c = lo + k/8, computes a
+centre's coefficients once, the first time an argument lands in its cell,
 and afterwards evaluates f by Horner's rule in x - c with |x - c| <= 1/16.
+A cell's coefficients come from one of two places:
+
+* a recurrence (``airy_coeffs``, ``bessel_coeffs``).  A solution f of a
+  linear second-order ODE is fixed by the pair (f(c), f'(c)) at any regular
+  point c, and the ODE turns that pair into every Taylor coefficient at c
+  by a short recurrence; the caller computes the pair by an accurate (and
+  slow) route.
+* a Chebyshev fit (``chebyshev_coeffs``), for a function with no short ODE.
+  f is sampled at the TERMS Chebyshev points of the cell, a DCT gives the
+  coefficients of its Chebyshev interpolant, and only then are those
+  turned into monomials in x - c.  (Composing the two steps into one
+  matrix loses about three digits: its entries reach ~3e3 and cancel on
+  the node values.)
+
 See Gil, Segura & Temme, Numerical Methods for Special Functions (SIAM
-2007), ch. 9.
+2007), ch. 3 and 9, and Trefethen, Approximation Theory and Approximation
+Practice, ch. 4 and 8.
 """
 
-__all__ = ["TaylorTable", "airy_coeffs", "bessel_coeffs"]
+import math
 
-# Centre spacing and expansion length.  For the tables in use the local
+import numpy as np
+
+__all__ = ["TaylorTable", "airy_coeffs", "bessel_coeffs", "chebyshev_coeffs"]
+
+# Centre spacing and expansion length.  For the recurrence tables the local
 # frequency (or growth rate) f'/f stays below ~4, so the first dropped term
-# is below (4/16)^TERMS / TERMS! < 1e-19 of the function's scale and the
-# seeds' rounding dominates the error.
+# is below (4/16)^TERMS / TERMS! < 1e-19 of the function's scale.  The
+# fitted function of zeta.py is analytic in a strip of half-width 1/2, so
+# its interpolants on cells of radius 1/16 converge like 16^-TERMS ~ 1e-17.
+# Either way the rounding of the seeds (or of the samples) dominates.
 STEP = 0.125
 TERMS = 14
 
@@ -23,18 +41,19 @@ TERMS = 14
 class TaylorTable:
     """f(x) for x >= lo from Taylor expansions at centres lo + k*STEP.
 
-    ``seed(c)`` returns (f(c), f'(c)); ``coeffs(c, a0, a1)`` returns the
-    TERMS Taylor coefficients at c.  Nothing is computed until a cell is
-    first used; the callers keep x inside their band, so only the cells of
-    that band are ever filled.
+    ``coeffs_at(c)`` returns the TERMS Taylor coefficients of f at c, in
+    ascending order.  Nothing is computed until a cell is first used; the
+    callers keep x inside their band, so only the cells of that band are
+    ever filled.  No centre lies beyond ``hi``: x == hi on the upper edge of
+    the last cell is served by that cell.
     """
 
-    __slots__ = ("lo", "_seed", "_coeffs", "_cells")
+    __slots__ = ("lo", "hi", "_coeffs_at", "_cells")
 
-    def __init__(self, lo, seed, coeffs):
+    def __init__(self, lo, coeffs_at, hi=math.inf):
         self.lo = lo
-        self._seed = seed
-        self._coeffs = coeffs
+        self.hi = hi
+        self._coeffs_at = coeffs_at
         self._cells = {}
 
     def __call__(self, x):
@@ -52,9 +71,11 @@ class TaylorTable:
 
     def _fill(self, k):
         c = self.lo + k * STEP
-        a0, a1 = self._seed(c)
-        # Horner order: highest coefficient first
-        cell = (c, tuple(reversed(self._coeffs(c, a0, a1))))
+        if c > self.hi:
+            cell = self._cells.get(k - 1) or self._fill(k - 1)
+        else:
+            # Horner order: highest coefficient first
+            cell = (c, tuple(reversed(self._coeffs_at(c))))
         self._cells[k] = cell
         return cell
 
@@ -87,3 +108,44 @@ def bessel_coeffs(nu):
             a.append(-s / (c2 * (k + 1) * (k + 2)))
         return a
     return coeffs
+
+
+# Chebyshev points of the first kind, s_j = cos(theta_j), theta_j =
+# pi (j + 1/2) / TERMS: all inside (-1, 1), so a fit never samples f on a
+# cell edge
+_THETA = [math.pi * (j + 0.5) / TERMS for j in range(TERMS)]
+# the DCT: b_k = (2/TERMS) sum_j f(s_j) T_k(s_j), T_k(s_j) = cos(k theta_j),
+# with b_0 halved
+_DCT = np.array([[(1.0 if k else 0.5) * (2.0 / TERMS) * math.cos(k * th)
+                  for th in _THETA] for k in range(TERMS)])
+
+
+def _chebyshev_monomials():
+    """Entry (m, k): the coefficient of (x - c)^m in T_k((x - c) / h),
+    h = STEP/2, from T_{k+1}(s) = 2 s T_k(s) - T_{k-1}(s)."""
+    cols = [[1] + [0] * (TERMS - 1), [0, 1] + [0] * (TERMS - 2)]
+    while len(cols) < TERMS:
+        prev, prev2 = cols[-1], cols[-2]
+        cols.append([2 * (prev[m - 1] if m else 0) - prev2[m]
+                     for m in range(TERMS)])
+    # s^m = (x - c)^m / h^m, and 1/h = 16 makes the scaling exact
+    return np.array([[float(col[m]) * (2.0 / STEP) ** m for col in cols]
+                     for m in range(TERMS)])
+
+
+_T_TO_D = _chebyshev_monomials()
+
+
+def chebyshev_coeffs(f):
+    """``coeffs_at`` for f from its Chebyshev interpolant on each cell.
+
+    Both products are row sums of elementwise products (numpy's pairwise
+    sum, not BLAS), so a cell's coefficients are the same floats on every
+    run."""
+    offsets = [0.5 * STEP * math.cos(th) for th in _THETA]
+
+    def coeffs_at(c):
+        fs = np.array([f(c + d) for d in offsets])
+        b = (_DCT * fs).sum(axis=1)
+        return (_T_TO_D * b).sum(axis=1).tolist()
+    return coeffs_at

@@ -3,6 +3,7 @@ oracles (series root-finds, closed forms, high-precision references) plus
 the documented invariants."""
 
 import math
+import warnings
 
 import mpmath as mp
 import numpy as np
@@ -461,6 +462,66 @@ class TestXiBar:
     def test_degradation_warning(self):
         with pytest.warns(RuntimeWarning):
             xi_bar(1500.0)
+
+
+def _xi_bar_mpmath(t):
+    """(1/2) (2 pi)^(-1/2) pi^(-1/4) t^(1/4) e^(pi t/4 + Re ln Gamma(1/4 +
+    it/2)) Z(t), at the module's 30 digits."""
+    t = mp.mpf(t)
+    lg = mp.loggamma(mp.mpf(1) / 4 + 0.5j * t)
+    return float(mp.mpf(1) / 2 / mp.sqrt(2 * mp.pi) * mp.pi ** mp.mpf(-0.25)
+                 * t ** mp.mpf(0.25) * mp.exp(mp.pi * t / 4 + mp.re(lg))
+                 * mp.siegelz(t))
+
+
+class TestXiBarTable:
+    """xi_bar on (0, 1000] is t^(1/4) times a Chebyshev-fitted Taylor table
+    of xibar / t^(1/4); it must be as accurate as the direct route."""
+
+    @pytest.mark.parametrize("c", [1 / 16, 14.0625, 500.0625, 999.9375])
+    def test_cell_edges_against_mpmath(self, c):
+        # the edges are the farthest points from a cell's centre
+        ts = [c + e + d for e in (-1 / 16, 1 / 16) for d in (-1e-9, 1e-9)]
+        for t in (t for t in ts if 0.0 < t <= 1000.0):
+            tol = 5e-14 if t <= 50.0 else 1e-12
+            assert abs(xi_bar(t) - _xi_bar_mpmath(t)) <= tol, t
+
+    def test_near_origin_against_mpmath(self):
+        # g is analytic at 0 and t^(1/4) is not: cell 0 must still hold
+        for t in (1e-300, 1e-12, 1e-9, 1e-6, 1e-4, 3.7e-4, 1e-3):
+            assert abs(xi_bar(t) - _xi_bar_mpmath(t)) <= 5e-14, t
+
+    def test_band_end_from_the_last_cell(self):
+        from nleig.specfun.zeta import _g_table
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            v = xi_bar(1000.0)
+        # int(8 t) names cell 8000, whose centre lies past the band
+        assert _g_table._cells[8000] is _g_table._cells[7999]
+        assert _g_table._cells[7999][0] == 999.9375
+        assert abs(v - _xi_bar_mpmath(1000.0)) <= 1e-12
+
+    @given(st.floats(0.0, 1000.0))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_direct_route(self, t):
+        from nleig.specfun.zeta import _xi_bar_direct
+        assert abs(xi_bar(t) - _xi_bar_direct(t)) <= 5e-12
+
+    @pytest.mark.parametrize("t", [1e9, 1e20, 1e300, math.nan])
+    def test_huge_or_nan_t_refused(self, t):
+        # past 1e8 the Riemann-Siegel main sum would need ~sqrt(t / 2 pi)
+        # terms at once
+        with pytest.raises(DomainError):
+            xi_bar(t)
+        with pytest.raises(DomainError):
+            riemann_siegel_z(t)
+
+    def test_infinity_is_an_overflow(self):
+        # ode.Engine retries a step that overflows, so +inf must stay one
+        with pytest.warns(RuntimeWarning), pytest.raises(OverflowError):
+            xi_bar(math.inf)
+        with pytest.raises(OverflowError):
+            riemann_siegel_z(math.inf)
 
 
 class TestAccuracyType:

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from nleig.models import make_model
+from nleig.models import make_model, zero_table
 from nleig.ode import IntegratorConfig
 from nleig.spectrum import (classify, default_tol, find_eigen,
                             refine_backward, spectrum_csv_text,
@@ -192,6 +192,54 @@ class TestSpectrumScan:
         for key in ("model", "n", "tol", "E", "lo", "hi", "method",
                     "evidence", "residual", "maxima"):
             assert key in payload[0]
+
+
+# spectrum_scan(xibar, [1, 2, 3, 4]) at the default tol: (n, E hex, maxima,
+# lo_class, hi_class), and the first 60 zeros of the xibar zero table
+XIBAR_SCAN_1_4 = [
+    (1, "0x1.466f0e3ff0834p+2", 1, 0, 1),
+    (2, "0x1.74a0ae3a52b91p+2", 2, 1, 2),
+    (3, "0x1.76a17c7cd34cep+2", 3, 2, 3),
+    (4, "0x1.bc740199692a8p+2", 4, 3, 4),
+]
+XIBAR_ZEROS_60 = """
+0x1.c44fab19b657ep+3 0x1.505a463c7bd9cp+4 0x1.902c78ff7a3fcp+4
+0x1.e6cc4ae896b42p+4 0x1.077b0191d8b01p+5 0x1.2cb07e2cae4bbp+5
+0x1.4759895a7b18fp+5 0x1.5a9dd898a7696p+5 0x1.800a8c8b91450p+5
+0x1.8e30cf15017bdp+5 0x1.a7c337e82b1f7p+5 0x1.c391ea50066a6p+5
+0x1.dac6bf018b987p+5 0x1.e6a77b7fc5b59p+5 0x1.04733ebf377b4p+6
+0x1.0c51b9d9f8374p+6 0x1.162f83ee1fe2cp+6 0x1.2044c4fb3e4c2p+6
+0x1.2ed19a7049728p+6 0x1.349450f47be02p+6 0x1.3d5978d659d58p+6
+0x1.4ba43ae0ecd0ep+6 0x1.52f1251267094p+6 0x1.5db37b302cc5ep+6
+0x1.633c87a5fe78ep+6 0x1.71f7b4713fe5ap+6 0x1.7a9af9eea1ea0p+6
+0x1.7f7b878a045d8p+6 0x1.8b532493bf102p+6 0x1.95457abbea76ep+6
+0x1.9ee6f371af702p+6 0x1.a5c9578dad858p+6 0x1.acaca86908d40p+6
+0x1.bc1e3e90bfeecp+6 0x1.bf7fa6a7c1508p+6 0x1.c947e7fddd75cp+6
+0x1.d0e81ee2d2eb0p+6 0x1.db29c2fbce6cap+6 0x1.e57b020c734f8p+6
+0x1.ebc98d9e4ad06p+6 0x1.f106fb716fae8p+6 0x1.fe11159434f44p+6
+0x1.03284beab9bcbp+7 0x1.062ce582d92e0p+7 0x1.0afed76921c18p+7
+0x1.0d83553f13b17p+7 0x1.143b69dd3a5d4p+7 0x1.1778f06138c41p+7
+0x1.1a3f5693ad171p+7 0x1.1e3943da8bda1p+7 0x1.240080c6c90d5p+7
+0x1.26d874b2f0597p+7 0x1.2c1b670751e12p+7 0x1.2dd9bb5da1e82p+7
+0x1.320ca4aacf070p+7 0x1.3839cf3f3c54cp+7 0x1.3b31f78e01d8dp+7
+0x1.3db331a64c79ep+7 0x1.4260bfe84e2e9p+7 0x1.460fb92e1c3b7p+7
+""".split()
+
+
+class TestXiBarPins:
+    """The xibar eigenvalues and zeros, pinned bit for bit: xi_bar's
+    evaluation may be restructured, its classifications may not move, and
+    the zero ordinates come from its direct route alone."""
+
+    def test_scan_1_to_4(self):
+        res, errs = spectrum_scan(make_model("xibar"), [1, 2, 3, 4])
+        assert not errs
+        assert [(r.n, r.E.hex(), r.maxima, r.evidence["lo_class"],
+                 r.evidence["hi_class"]) for r in res] == XIBAR_SCAN_1_4
+
+    def test_zero_table(self):
+        tab = zero_table(make_model("xibar"))
+        assert [tab.zero(k).u.hex() for k in range(1, 61)] == XIBAR_ZEROS_60
 
 
 class TestGrowthConstantEmpirical:
