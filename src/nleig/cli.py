@@ -11,6 +11,7 @@ written), 2 configuration error.
 """
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -306,7 +307,10 @@ def cmd_verify(rc, suite):
     return 0 if ok else 1
 
 
+@functools.cache
 def build_parser():
+    """The argparse tree, built once per process (argparse never changes
+    it while parsing)."""
     p = argparse.ArgumentParser(
         prog="nleig",
         description="Spectra of critical initial conditions of y'(x) = F(xy) "

@@ -8,6 +8,7 @@ the u = xy dynamics du/dx = u/x + x F(u) organizes itself around.
 """
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 
 from .rootfind import RootError, bisect
@@ -127,8 +128,8 @@ class ClassifiedZero:
 
 class ZeroTable:
     """Lazily extended ordered list of the positive zeros of F with their
-    stability classification; shared by the settle detector and the
-    eigenvalue classifier."""
+    stability classification; shared by the forward runs' commitment
+    check and the eigenvalue classifier."""
 
     def __init__(self, model):
         self.model = model
@@ -180,25 +181,14 @@ class ZeroTable:
         same = sum(1 for z in self._zeros[:k] if z[1] == kind)
         return ClassifiedZero(u, kind, same)
 
-    def _locate(self, u):
-        """Index of the zero nearest to u (table extended as needed)."""
+    def nearest(self, u):
+        """(zero, kind, halfgap) closest to u (table extended as needed)."""
         self.ensure_up_to(u)
         self.ensure_count(2)
         zs = self._zeros
-        lo, hi = 0, len(zs) - 1
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if zs[mid][0] < u:
-                lo = mid + 1
-            else:
-                hi = mid
+        lo = bisect_left(zs, (u,))
         cands = [i for i in (lo - 1, lo, lo + 1) if 0 <= i < len(zs)]
-        return min(cands, key=lambda j: abs(zs[j][0] - u))
-
-    def nearest(self, u):
-        """(zero, kind, halfgap) closest to u."""
-        zs = self._zeros
-        i = self._locate(u)
+        i = min(cands, key=lambda j: abs(zs[j][0] - u))
         gaps = []
         if i > 0:
             gaps.append(zs[i][0] - zs[i - 1][0])
@@ -207,20 +197,19 @@ class ZeroTable:
         halfgap = 0.5 * min(gaps) if gaps else 0.5
         return zs[i][0], zs[i][1], halfgap
 
-    def stable_basin(self, u):
-        """(stable zero, next unstable zero above, halfgap) when the zero
-        nearest to u is stable; None otherwise."""
-        i = self._locate(u)
+    def stable_below(self, u):
+        """The stable zero z* of F whose basin (z*, s) holds u, s being the
+        unstable zero just above it; 0.0 below a first zero that is
+        unstable (the basin of y -> 0); None when u sits on a zero or just
+        above an unstable one."""
+        self.ensure_up_to(u)
         zs = self._zeros
-        if zs[i][1] != "stable":
+        i = bisect_left(zs, (u,))       # zeros below u
+        if zs[i][0] == u:
             return None
-        self.ensure_count(i + 2)
-        z_star = zs[i][0]
-        s_next = zs[i + 1][0]
-        gaps = [s_next - z_star]
-        if i > 0:
-            gaps.append(z_star - zs[i - 1][0])
-        return z_star, s_next, 0.5 * min(gaps)
+        if i == 0:
+            return 0.0 if zs[0][1] == "unstable" else None
+        return zs[i - 1][0] if zs[i - 1][1] == "stable" else None
 
     def unstable_below(self, u):
         self.ensure_up_to(u)

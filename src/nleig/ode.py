@@ -3,14 +3,18 @@
 A scalar Dormand-Prince 5(4) pair with proportional-integral step control
 and first-same-as-last reuse.  Cubic Hermite dense output locates the
 derivative sign changes: + to - events are the maxima the eigenvalue
-classifier counts, - to + events are the completed oscillations.  The
-engine also watches u = x*y: once u sits inside the basin of a stable zero
-of F with x^2 |F| well above u, the u/x drift can no longer carry it over
-the next unstable zero, so the run is committed and can stop early.  That
-check, Engine._settle, is the one attractor path: the zero of F nearest to
-the curve's terminal_u names the attractor.  A run left ambiguous at its
-horizon (still hugging a separatrix) can be continued farther by calling
-run() again.
+classifier counts, - to + events are the completed oscillations.  Forward
+runs also watch u = x*y, and the first accepted step where u falls commits
+the run for good.  For x > 0, du/dx = (u + x^2 F(u))/x, so a falling u has
+F(u) < 0 and lies between a stable zero z* of F and the unstable zero s
+just above it.  There g_x(u) = u + x^2 F(u) only decreases as x grows, so
+the largest root of g_x below s never moves down: u cannot climb past it
+(du/dx = 0 there) and cannot fall below z* (g_x(z*) = z* > 0), so it never
+crosses s again and xy tends to z*.  That check, Engine._commit, is the
+one attractor path; below a first zero that is unstable (xibar) the basin
+is that of y -> 0, with attractor 0.  A run left uncommitted at its horizon
+(still hugging a separatrix) can be continued farther by calling run()
+again.
 
 Every run starts from a Frame, the one place that picks raw (x, y) or
 scaled (t, z) coordinates.
@@ -18,13 +22,15 @@ scaled (t, z) coordinates.
 Engine.run holds the per-step path in one loop over locals: the step
 size, the counters nfev / nsteps / err_prev (written back to the engine
 by a finally, so an exception keeps them), the bound append methods of a
-recording run and the next settle checkpoint.  A step is the seven DP5
-stages, the error norm, the inline accept/reject and step-size update
+recording run and whether the run still watches u.  A step is the seven
+DP5 stages, the error norm, the inline accept/reject and step-size update
 (conditional expressions, no min/max calls), and on acceptance three
-inline tests: a derivative sign change, the y floor, and |x| past the
-settle checkpoint.  Only when one of them fires does the loop call out:
-_event locates and records the extremum and applies the max_minima stop,
-_settle runs the basin-commitment check and sets the next checkpoint.
+inline tests: a derivative sign change, the y floor, and, while a forward
+run is uncommitted, a falling u (x1 k7 + y1 < 0, the sign of du/dx in raw
+and in scaled coordinates alike, where du/dt = c (z + t z')).  Only when
+one of them fires does the loop call out: _event locates and records the
+extremum and applies the max_minima stop, _commit looks up the stable
+zero below u.
 """
 
 import math
@@ -33,8 +39,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .models import (GeneratingFunction, ScaledProblem, eval_F, raw_rhs,
-                     zero_table)
+from .models import GeneratingFunction, ScaledProblem, raw_rhs, zero_table
 from .specfun import DomainError
 
 __all__ = [
@@ -80,7 +85,8 @@ class SolutionCurve:
     maxima_values: list
     minima: list
     minima_values: list
-    terminal_u: float | None        # lim x*y estimate, None = not settled
+    terminal_u: float | None        # lim x*y: the committed stable zero
+    #                                  (0 for y -> 0), None = not committed
     status: str                      # reached_end | settled | floor | max_minima
     meta: dict = field(default_factory=dict)
 
@@ -100,7 +106,6 @@ _A71, _A73, _A74, _A75, _A76 = (35.0 / 384.0, 500.0 / 1113.0, 125.0 / 192.0,
 _E1, _E3, _E4, _E5, _E6, _E7 = (71.0 / 57600.0, -71.0 / 16695.0, 71.0 / 1920.0,
                                 -17253.0 / 339200.0, 22.0 / 525.0, -1.0 / 40.0)
 
-_COMMIT_MARGIN = 20.0
 _Y_FLOOR = 1e-280   # y at or below it, still falling: the run has collapsed
 
 
@@ -154,14 +159,12 @@ class Frame:
             self.rhs = raw_rhs(model)
             self.u_of = lambda x, y: x * y
             self.x_factor = self.y_factor = 1.0
-            self.settle_x_min = 1e-2
         else:
             self.coords = "scaled"
             self.rhs = problem.make_rhs()
             self.u_of = problem.u_of
             self.x_factor = problem.x_scale
             self.y_factor = problem.y_scale
-            self.settle_x_min = 1.3
 
     def horizon(self, y0, cfg):
         """First horizon of a forward run from the origin at y0: cfg.x_max
@@ -213,7 +216,7 @@ class Frame:
 
 class Engine:
     """Single-use integration state machine (one trajectory, one direction)
-    of a Frame.  Forward runs watch the frame's settle detector."""
+    of a Frame.  Forward runs watch u = xy for the step where it falls."""
 
     def __init__(self, frame, x0, y0, cfg, *, direction=1, record=True,
                  stop_when_settled=True, max_minima=None):
@@ -233,17 +236,12 @@ class Engine:
         self.maxima_values = []
         self.minima = []
         self.minima_values = []
-        # |x| of the next settle check: forward runs only, none once the
-        # attractor is known
-        self._settle_next = (frame.settle_x_min if self.sgn > 0
-                             else math.inf)
         self.stop_when_settled = stop_when_settled
         self.max_minima = max_minima
         self.event_tol_scale = None     # set by the first run()
         self.status = None
         self.terminal_u = None
         self.attractor = None
-        self._fmid_cache = {}
         self.nfev = 1
         self.nsteps = 0
 
@@ -288,7 +286,7 @@ class Engine:
         rtol, atol, h_min = cfg.rel_tol, cfg.abs_tol, cfg.h_min
         inf = math.inf
         y_floor = _Y_FLOOR
-        settle_next = self._settle_next
+        watch = sgn > 0.0 and self.attractor is None
         record = self.record
         xs_append = self.xs.append if record else None
         ys_append = self.ys.append if record else None
@@ -359,15 +357,16 @@ class Engine:
                 # smaller-x end
                 if ((f > 0.0) != (k7 > 0.0)
                         and (k7 if hs < 0.0 else f) != 0.0):
+                    self.nfev = nfev
                     stop = self._event(x, y, f, x1, y1, k7, hs)
+                    nfev = self.nfev
                 if stop is None:
                     if y1 <= y_floor and k7 <= 0.0:
                         self.terminal_u = self.attractor = 0.0
-                        self._settle_next = inf
                         stop = "floor"
-                    elif x1 >= settle_next or -x1 >= settle_next:
-                        stop = self._settle(x1, y1)
-                        settle_next = self._settle_next
+                    elif watch and x1 * k7 + y1 < 0.0:
+                        stop = self._commit(x1, y1)
+                        watch = self.attractor is None
                 x, y, f = x1, y1, k7
                 if y < 0.0:
                     y = 0.0
@@ -405,49 +404,40 @@ class Engine:
             return "max_minima"
         return None
 
-    def _settle(self, x1, y1):
-        """Settle check, due once |x1| reaches _settle_next: commits the run
-        to the stable zero whose basin u = xy sits deep in; returns
-        "settled" when the run should stop there."""
-        self._settle_next = 1.25 * abs(x1)
-        frame = self.frame
-        u = frame.u_of(x1, y1)
-        basin = frame.zeros.stable_basin(u)
-        if basin is None:
+    def _commit(self, x1, y1):
+        """u = xy falls at (x1, y1): commits the run to the stable zero
+        below u, the exact limit of xy; returns "settled" when the run
+        should stop there.  Where rounding puts u on a zero, or past the
+        one that bounds its basin, the run stays uncommitted and the next
+        step checks again."""
+        z_star = self.frame.zeros.stable_below(self.frame.u_of(x1, y1))
+        if z_star is None:
             return None
-        z_star, s_next, halfgap = basin
-        if abs(u - z_star) > 0.8 * halfgap:
-            return None
-        xr = abs(x1) * frame.x_factor
-        f_mid = self._fmid_cache.get(z_star)
-        if f_mid is None:
-            f_mid = abs(eval_F(frame.model, 0.5 * (z_star + s_next)))
-            self._fmid_cache[z_star] = f_mid
-        if xr * xr * f_mid < _COMMIT_MARGIN * max(u, 0.05):
-            return None
-        self.terminal_u = u
-        self.attractor = z_star
-        self._settle_next = math.inf
+        self.terminal_u = self.attractor = z_star
         return "settled" if self.stop_when_settled else None
 
     def _refine_event(self, x0, y0, f0, x1, y1, f1, hs):
         # bisect the derivative sign change on the dense output; recording
         # runs bisect the true right-hand side along the Hermite model, so
-        # the located (x, y) pair satisfies F(x y) = 0 to the tolerance
+        # the located (x, y) pair satisfies F(x y) = 0 to the tolerance, and
+        # count those calls in nfev (f0 is already the one at the start)
         tol = 1e-10 * self.event_tol_scale
         use_rhs = self.record
         a, b = 0.0, 1.0
-        da = self.rhs(x0, y0) if use_rhs else _hermite_deriv(0.0, hs, y0, y1,
-                                                             f0, f1)
+        da = f0 if use_rhs else _hermite_deriv(0.0, hs, y0, y1, f0, f1)
         if da == 0.0:
             da = f0
+        calls = 0
         for _ in range(80):
             if abs(b - a) * abs(hs) <= tol:
                 break
             m = 0.5 * (a + b)
             ym = _hermite(m, hs, y0, y1, f0, f1)
-            dm = (self.rhs(x0 + m * hs, ym) if use_rhs
-                  else _hermite_deriv(m, hs, y0, y1, f0, f1))
+            if use_rhs:
+                dm = self.rhs(x0 + m * hs, ym)
+                calls += 1
+            else:
+                dm = _hermite_deriv(m, hs, y0, y1, f0, f1)
             if dm == 0.0:
                 a = b = m
                 break
@@ -455,6 +445,7 @@ class Engine:
                 a, da = m, dm
             else:
                 b = m
+        self.nfev += calls
         s = 0.5 * (a + b)
         return x0 + s * hs, _hermite(s, hs, y0, y1, f0, f1)
 

@@ -98,7 +98,12 @@ def _em_prefix(count):
 
 
 def zeta_half_line(t):
-    """zeta(1/2 + it) by Euler-Maclaurin (intended for 0 <= t <= ~1000)."""
+    """zeta(1/2 + it) by Euler-Maclaurin (intended for 0 <= t <= ~1000).
+    Non-finite t and |t| > 1e8 are refused with DomainError, before the
+    ~1.3 |t| terms of the sum are asked for."""
+    if not (abs(t) <= _RS_MAX_T):
+        raise DomainError(f"zeta_half_line: need finite |t| <= {_RS_MAX_T!r}, "
+                          f"got {t!r}")
     s = 0.5 + 1j * t
     n_cut = max(16, int(1.3 * abs(t)) + 8)
     ln_n, inv_sqrt_n = _em_prefix(n_cut - 1)

@@ -296,12 +296,23 @@ class TestZeros:
                     assert abs(u_end - z.u) < 0.15
 
     def test_stable_basin(self):
-        tab = zero_table(make_model("cos"))
-        basin = tab.stable_basin(0.6)
-        assert basin is not None
-        z_star, s_next, halfgap = basin
-        assert z_star == 0.5 and s_next == 1.5 and halfgap == 0.5
-        assert tab.stable_basin(1.4) is None  # nearest zero is unstable
+        # stable_below(u): the stable zero z* whose basin (z*, s) holds u
+        cos = zero_table(make_model("cos"))
+        assert cos.stable_below(0.6) == cos.stable_below(1.4) == 0.5
+        assert cos.stable_below(2.7) == 2.5
+        assert cos.stable_below(1.6) is None    # just above an unstable zero
+        assert cos.stable_below(0.3) is None    # below a stable first zero
+        assert cos.stable_below(1.5) is None    # on a zero
+        assert cos.stable_below(0.5) is None
+        # xibar's first zero is unstable: below it lies the basin of y -> 0
+        xib = zero_table(make_model("xibar"))
+        assert xib.stable_below(0.5 * xib.zero(1).u) == 0.0
+        z2 = xib.zero(2).u
+        assert xib.stable_below(z2 + 0.01) == z2
+        # rgamma's first zero, F(0) = 0, is stable
+        rg = zero_table(make_model("rgamma"))
+        assert rg.stable_below(0.5) == 0.0
+        assert rg.stable_below(1.5) is None
 
     def test_unstable_below(self):
         tab = zero_table(make_model("cos"))

@@ -1,5 +1,5 @@
 """Integrator behavior: reference-solution agreement, event detection,
-settle/floor handling, tolerance consistency, and CSV serialization."""
+commitment/floor handling, tolerance consistency, and CSV serialization."""
 
 import hashlib
 import math
@@ -7,6 +7,7 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from nleig import spectrum
 from nleig.models import ScaledProblem, check_raw, make_model, zero_table
@@ -144,7 +145,7 @@ class TestCountMaxima:
 
 class TestSettleAndAttractor:
     def test_settles_inside_horizon(self):
-        # basin commitment fires once x^2 |F| dominates u (t ~ 4.5 here)
+        # the run commits where u = xy first falls (t ~ 1.04 here)
         pr = ScaledProblem(make_model("bessel:0"), 4)
         c = integrate(pr, (0.0, 1.1), cfg_with(6.0, 1e-10),
                       stop_when_settled=True)
@@ -173,10 +174,38 @@ class TestSettleAndAttractor:
         assert self.attractor("rgamma", 2.0, 820.0) == pytest.approx(2.0)
 
     def test_not_settled_sentinel(self):
-        # at x = 2 the cos run from y0 = 1 has not committed to a basin
-        c = integrate(make_model("cos"), (0.0, 1.0), cfg_with(2.0, 1e-10))
+        # u = xy of the cos run from y0 = 1 first falls at x ~ 0.990: up to
+        # x = 0.9 it has not committed to a basin
+        c = integrate(make_model("cos"), (0.0, 1.0), cfg_with(0.9, 1e-10))
         assert c.status == "reached_end"
         assert c.terminal_u is None
+
+
+class TestCommitmentProperty:
+    """A forward run commits at the first accepted step where u = xy falls,
+    to the stable zero below u.  The rule is exact, so a run carried on far
+    past its commitment ends in the committed basin."""
+
+    @given(st.sampled_from(["cos", "bessel:0", "airy", "rgamma"]),
+           st.integers(1, 4), st.floats(0.1, 2.0))
+    @settings(max_examples=40, deadline=None)
+    def test_commitment_is_never_wrong(self, spec, n, z0):
+        # z0 in [0.1, 2] spans the classes 0 up to several above n - 1
+        pr = ScaledProblem(make_model(spec), n)
+        c = integrate(pr, (0.0, z0), cfg_with(12.0, 1e-9), record=False,
+                      stop_when_settled=False)
+        z_star = c.terminal_u
+        assert z_star is not None
+        tab = zero_table(pr.model)
+        k = 1
+        while tab.zero(k).u < z_star:
+            k += 1
+        z, s = tab.zero(k), tab.zero(k + 1)
+        assert (z.u, z.kind, s.kind) == (z_star, "stable", "unstable")
+        # the basin (z*, s); rgamma's y -> 0 reaches its zero z* = 0
+        u_end = pr.u_of(float(c.grid[-1]), float(c.values[-1]))
+        assert z_star <= u_end < s.u
+        assert u_end > z_star or z_star == 0.0
 
 
 class TestGuards:
@@ -267,14 +296,14 @@ class TestStepSequence:
     may not change."""
 
     @pytest.mark.parametrize("spec, n, expected", [
-        ("cos", 40, (5732, 36014, "reached_end", "0x1.678fa94c63773p+3",
+        ("cos", 40, (5732, 37663, "reached_end", "0x1.678fa94c63773p+3",
                      40, 39, "06164f5267749954")),
-        ("rgamma", 8, (1153, 6986, "reached_end", "0x1.1f4a37e5ad10fp+0",
+        ("rgamma", 8, (1153, 7169, "reached_end", "0x1.1f4a37e5ad10fp+0",
                        4, 3, "1ea82aba94c7ed8a")),
         # u = xy up to about 376 and 43: J_0 and Ai(-u) on the Hankel band
-        ("bessel:0", 60, (8163, 51524, "reached_end", "0x1.525f151e8efa3p+2",
+        ("bessel:0", 60, (8163, 53921, "reached_end", "0x1.525f151e8efa3p+2",
                           60, 59, "ba9f631e76a8fe2d")),
-        ("airy", 30, (5725, 35720, "reached_end", "0x1.ee3bba50dd2acp+1",
+        ("airy", 30, (5725, 36947, "reached_end", "0x1.ee3bba50dd2acp+1",
                       30, 29, "2c0c07bd3fe697d0")),
     ])
     def test_backward(self, monkeypatch, spec, n, expected):
@@ -295,19 +324,21 @@ class TestStepSequence:
             assert sum(map(on_band, us)) > len(us) // 2
 
     @pytest.mark.parametrize("spec, n, y0, stop_at, expected", [
-        ("bessel:0", 2, 1.12, None, (925, 5624, "settled",
-                                     "0x1.9f98fe73fb631p-3", 3, 2,
+        ("bessel:0", 2, 1.12, None, (195, 1238, "settled",
+                                     "0x1.a801531b943d5p-1", 3, 2,
                                      "8e017fd2fc8a10c2")),
-        ("airy", 2, 1.09, None, (950, 5792, "settled",
-                                 "0x1.df5c56de856ccp-3", 3, 2,
+        ("airy", 2, 1.09, None, (192, 1232, "settled",
+                                 "0x1.aea317d6d62bdp-1", 3, 2,
                                  "54b1bb2ddb45bc62")),
         ("cos", 3, 1.2, 2, (71, 488, "max_minima", "0x1.111d0aecdadbap+0",
                             2, 2, "f788c8f55c654166")),
-        # y and the digest follow xi_bar's table; the counts do not move
-        ("xibar", None, 6.0, None, (1391, 8600, "settled",
-                                    "0x1.2eade8872d0b2p+0", 3, 3,
+        # y and the digest follow xi_bar's table
+        ("xibar", None, 6.0, None, (258, 1796, "settled",
+                                    "0x1.23c2e674148e6p+2", 3, 3,
                                     "af91b98ea62c011b")),
-        ("xibar", None, 2.0, None, (200, 1737, "floor", "0x0.0p+0", 0, 0,
+        # u falls below the first, unstable, zero: the basin of y -> 0
+        ("xibar", None, 2.0, None, (70, 482, "settled",
+                                    "0x1.db8369be505f3p-1", 0, 0,
                                     "5db28fe0609c11c3")),
     ])
     def test_forward_shot(self, spec, n, y0, stop_at, expected):
@@ -317,14 +348,35 @@ class TestStepSequence:
 
     def test_step_growth_cap(self):
         # from a tiny first step the step size grows by the cap, 6x, per
-        # accepted step, a branch of the controller the runs above miss
+        # accepted step, a branch of the controller the runs above miss;
+        # the run goes on past its commitment at x ~ 0.99
         eng = Engine(Frame(make_model("cos")), 0.0, 1.0,
-                     IntegratorConfig(h_init=1e-9), record=True)
+                     IntegratorConfig(h_init=1e-9), record=True,
+                     stop_when_settled=False)
         eng.run(2.0)
         assert eng.xs[2] == 7.000000000000001e-09
-        assert _step_record(eng) == (110, 685, "reached_end",
+        assert _step_record(eng) == (110, 712, "reached_end",
                                      "0x1.21cfd34161b54p-2", 1, 0,
                                      "b3d6e4ed7ec65049")
+
+    @pytest.mark.parametrize("x0, y0, x_end", [(0.0, 2.0, 6.0),
+                                               (4.0, 1.0, 0.0)])
+    def test_nfev_counts_every_call(self, x0, y0, x_end):
+        # a recording run also calls the right-hand side to refine events
+        frame = Frame(make_model("cos"))
+        rhs = frame.rhs
+        calls = [0]
+
+        def counted(x, y):
+            calls[0] += 1
+            return rhs(x, y)
+        frame.rhs = counted
+        eng = Engine(frame, x0, y0, IntegratorConfig(),
+                     direction=1 if x_end > x0 else -1, record=True,
+                     stop_when_settled=False)
+        eng.run(x_end)
+        assert eng.maxima and eng.minima
+        assert eng.nfev == calls[0]
 
     def test_counters_survive_an_exception(self):
         frame = Frame(make_model("cos"))
@@ -337,7 +389,8 @@ class TestStepSequence:
                 raise ArithmeticError("injected")
             return rhs(x, y)
         frame.rhs = failing
-        eng = Engine(frame, 0.0, 1.0, IntegratorConfig(), record=True)
+        eng = Engine(frame, 0.0, 1.0, IntegratorConfig(), record=True,
+                     stop_when_settled=False)
         with pytest.raises(ArithmeticError):
             eng.run(10.0)
         assert eng.nsteps > 0

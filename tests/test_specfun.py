@@ -448,6 +448,12 @@ class TestXiBar:
             ref = complex(mp.zeta(mp.mpc(0.5, t)))
             assert abs(got - ref) < 1e-9
 
+    @pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf, 1e20])
+    def test_zeta_refuses_nonfinite_or_huge_t(self, t):
+        # refused before the sum asks for its ~1.3 |t| terms
+        with pytest.raises(DomainError):
+            zeta_half_line(t)
+
     def test_riemann_siegel_branch(self):
         # only used beyond the supported band; accuracy ~1e-5 to 1e-4
         for t in (1013.0, 1500.0, 2000.0):

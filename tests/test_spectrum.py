@@ -242,6 +242,53 @@ class TestXiBarPins:
         assert [tab.zero(k).u.hex() for k in range(1, 61)] == XIBAR_ZEROS_60
 
 
+# spectrum_scan(model, [n]) at the default tol: (spec, n, E hex, lo hex,
+# maxima, signal of the class-n end: "M" maxima-jump, "A" attractor-jump)
+BISECTION_PINS = [
+    ("cos", 1, "0x1.9a42383cca8a9p+0", "0x1.9a42383c3ee0ap+0", 1, "M"),
+    ("cos", 2, "0x1.31b5b839da42ap+1", "0x1.31b5b8398ed54p+1", 2, "M"),
+    ("cos", 3, "0x1.7d03ee45ac49fp+1", "0x1.7d03ee4522c5cp+1", 3, "M"),
+    ("cos", 4, "0x1.bbd8666d2710ap+1", "0x1.bbd8666c6da37p+1", 4, "M"),
+    ("cos", 5, "0x1.f2e0c13e93b5fp+1", "0x1.f2e0c13e1f0cap+1", 5, "M"),
+    ("cos", 6, "0x1.1238eb9293a14p+2", "0x1.1238eb9246638p+2", 6, "M"),
+    ("cos", 7, "0x1.28f3fdec138a0p+2", "0x1.28f3fdebb9251p+2", 7, "M"),
+    ("cos", 8, "0x1.3e11b1e56b169p+2", "0x1.3e11b1e5038abp+2", 8, "M"),
+    ("bessel:0", 1, "0x1.5cee036412dd0p+0", "0x1.5cee0363bcc21p+0", 1, "M"),
+    ("bessel:0", 2, "0x1.d9abf6d31e21fp+0", "0x1.d9abf6d28b038p+0", 2, "M"),
+    ("airy", 1, "0x1.420ee104f21c4p+0", "0x1.420ee104abeacp+0", 1, "M"),
+    ("airy", 2, "0x1.ad1a82d663608p+0", "0x1.ad1a82d5fe61ap+0", 2, "M"),
+    ("rgamma", 1, "0x1.adc0601ea9a54p-1", "0x1.adc05fde134a6p-1", 1, "M"),
+    ("rgamma", 2, "0x1.35de90bf65ba0p+1", "0x1.35de90a1fdb50p+1", 2, "M"),
+    ("rgamma", 3, "0x1.8020c8d3f6966p+3", "0x1.8020c8ad07e11p+3", 3, "M"),
+    ("rgamma", 4, "0x1.51fa70b2d94cap+6", "0x1.51fa708f75e7cp+6", 4, "M"),
+    ("rgamma", 5, "0x1.7edc64598bc54p+9", "0x1.7edc64308ea14p+9", 5, "M"),
+    ("rgamma", 6, "0x1.0928c00a9a9a1p+13", "0x1.0928bfedbe6c8p+13", 5, "A"),
+    ("rgamma", 7, "0x1.b21fefb179685p+16", "0x1.b21fef819d3dbp+16", 5, "A"),
+    ("rgamma", 8, "0x1.9a0a183b2126fp+20", "0x1.9a0a180d74fb0p+20", 4, "A"),
+    ("rgamma", 9, "0x1.b6df0da2962c3p+24", "0x1.b6df0d71494afp+24", 4, "A"),
+    ("rgamma", 10, "0x1.0672c5d421115p+29", "0x1.0672c5b66fb56p+29", 4, "A"),
+]
+
+
+class TestBisectionPins:
+    """Every bisection eigenvalue of the bisect-small benchmark workload,
+    pinned bit for bit with its final bracket and evidence: the forward
+    shots may stop earlier, the classes they report may not move."""
+
+    @pytest.mark.parametrize("spec, n, e_hex, lo_hex, maxima, signal",
+                             BISECTION_PINS)
+    def test_record(self, spec, n, e_hex, lo_hex, maxima, signal):
+        res, errs = spectrum_scan(make_model(spec), [n])
+        assert not errs
+        r = res[0]
+        hi_signal = {"M": "maxima-jump", "A": "attractor-jump"}[signal]
+        assert (r.E.hex(), r.bracket[0].hex(), r.maxima) == (e_hex, lo_hex,
+                                                             maxima)
+        assert r.evidence == {"lo_class": n - 1, "lo_signal": "attractor-jump",
+                              "hi_class": n, "hi_signal": hi_signal,
+                              "classifier": hi_signal}
+
+
 class TestGrowthConstantEmpirical:
     def test_airy_constant_from_spectrum(self):
         # the closed-form amplitude for airy evaluates to ~1.72331; two
