@@ -57,8 +57,8 @@ class EigenCache:
     @staticmethod
     def settings_text(cfg):
         """The fields of IntegratorConfig cfg as one line of text, exact to
-        the last bit ("abs_tol=1e-14 h_init=0.0 ...").  One string per
-        record keeps records and artifacts small."""
+        the last bit ("abs_tol=1e-14 rel_tol=1e-12 x_max=0.0").  One string
+        per record keeps records and artifacts small."""
         return " ".join(f"{k}={float(v)!r}"
                         for k, v in sorted(vars(cfg).items()))
 

@@ -23,14 +23,14 @@ import numpy as np
 from . import asymptotics, specfun, spectrum, svgplot, verify
 from .cache import EigenCache, atomic_write_text
 from .models import make_model
-from .ode import IntegratorConfig, curve_to_csv, count_maxima
+from .ode import IntegratorConfig, curve_csv_text, curve_to_csv, count_maxima
 from .specfun import DomainError
 from .spectrum import ConfigError, _check_coords, separatrix_curve
 
 _CONFIG_KEYS = {
-    "model", "n", "tol", "rel_tol", "abs_tol", "h_init", "h_min", "h_max",
-    "x_max", "out", "cache", "coords", "svg", "alpha", "p_max", "points",
-    "t_max", "method", "suite", "n_max", "no_cache",
+    "model", "n", "tol", "rel_tol", "abs_tol", "x_max", "out", "cache",
+    "coords", "svg", "alpha", "p_max", "points", "t_max", "method", "suite",
+    "n_max", "no_cache",
 }
 
 
@@ -96,7 +96,7 @@ def _parse_n_range(text):
 
 def _integrator_cfg(rc):
     kw = {}
-    for k in ("rel_tol", "abs_tol", "h_init", "h_min", "h_max", "x_max"):
+    for k in ("rel_tol", "abs_tol", "x_max"):
         v = _number(rc, k)
         if v is not None:
             kw[k] = v
@@ -240,10 +240,8 @@ def cmd_limit_curve(rc):
     lc = asymptotics.limit_curve(alpha, grid)
     out = _out_dir(rc)
     path = os.path.join(out, f"limit_alpha{alpha:g}.csv")
-    lines = [f"# model=limit(alpha={alpha:g}), n=-, coords=limit", "t,z"]
-    for t, z in zip(lc.grid, lc.z):
-        lines.append(f"{t:.16e},{z:.16e}")
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    atomic_write_text(path, curve_csv_text(f"limit(alpha={alpha:g})", None,
+                                           "limit", "t,z", lc.grid, lc.z))
     print(f"z(0)={lc.origin_value:.12g} -> {path}")
     if rc.get("svg"):
         svgplot.render_csv(path, path[:-4] + ".svg")

@@ -127,48 +127,49 @@ class ClassifiedZero:
 
 
 class ZeroTable:
-    """Lazily extended ordered list of the positive zeros of F with their
-    stability classification; shared by the forward runs' commitment
-    check and the eigenvalue classifier."""
+    """Lazily extended ordered list of the positive zeros of F; shared by
+    the forward runs' commitment check and the eigenvalue classifier.
+
+    The zeros are simple, so stable (F' < 0) and unstable (F' > 0) zeros
+    alternate and only their ordinates are kept: the first zero is
+    unstable for xibar, which is negative just above 0 (Hardy Z sign), and
+    stable for every other model (rgamma's first zero is u = 0)."""
 
     def __init__(self, model):
         self.model = model
-        self._zeros = []       # ordered (u, kind)
+        self._zeros = []       # ordered ordinates
+        self._first_unstable = model.kind == "xibar"
 
     def _append_next(self):
         m = self.model
         k = len(self._zeros) + 1
         if m.kind == "cosine":
             u = k - 0.5
-            kind = "stable" if k % 2 == 1 else "unstable"
         elif m.kind == "rgamma":
-            # zero of 1/Gamma(-u) at u = k-1 (u = 0 counts: F' (0) = -1)
-            u = float(k - 1)
-            kind = "stable" if (k - 1) % 2 == 0 else "unstable"
+            u = float(k - 1)   # zero of 1/Gamma(-u) at u = k-1
         elif m.kind == "bessel":
             u = bessel_j_zero(m.nu, k)
-            kind = "stable" if k % 2 == 1 else "unstable"
         elif m.kind == "airy":
             u = _airy_neg_zero(k)
-            kind = "stable" if k % 2 == 1 else "unstable"
         elif m.kind == "xibar":
-            # xibar is negative just above 0 (Hardy Z sign), so its first
-            # zero crossing is - to +: odd-numbered ordinates are unstable
             u = _xibar_zero(k)
-            kind = "unstable" if k % 2 == 1 else "stable"
         else:
             raise DomainError(f"unknown model kind {m.kind!r}")
-        self._zeros.append((u, kind))
+        self._zeros.append(u)
+
+    def _stable(self, i):
+        """Whether the zero at 0-based position i is stable."""
+        return (i % 2 == 0) != self._first_unstable
 
     def ensure_up_to(self, u):
         # keep at least one full gap of headroom above u
-        while not self._zeros or self._zeros[-1][0] < u + self._headroom():
+        while not self._zeros or self._zeros[-1] < u + self._headroom():
             self._append_next()
 
     def _headroom(self):
         if len(self._zeros) < 2:
             return 2.0
-        return 1.5 * (self._zeros[-1][0] - self._zeros[-2][0])
+        return 1.5 * (self._zeros[-1] - self._zeros[-2])
 
     def ensure_count(self, n):
         while len(self._zeros) < n:
@@ -177,25 +178,24 @@ class ZeroTable:
     def zero(self, k):
         """k-th zero (1-based) as a ClassifiedZero."""
         self.ensure_count(k)
-        u, kind = self._zeros[k - 1]
-        same = sum(1 for z in self._zeros[:k] if z[1] == kind)
-        return ClassifiedZero(u, kind, same)
+        kind = "stable" if self._stable(k - 1) else "unstable"
+        return ClassifiedZero(self._zeros[k - 1], kind, (k + 1) // 2)
 
     def nearest(self, u):
         """(zero, kind, halfgap) closest to u (table extended as needed)."""
         self.ensure_up_to(u)
         self.ensure_count(2)
         zs = self._zeros
-        lo = bisect_left(zs, (u,))
+        lo = bisect_left(zs, u)
         cands = [i for i in (lo - 1, lo, lo + 1) if 0 <= i < len(zs)]
-        i = min(cands, key=lambda j: abs(zs[j][0] - u))
+        i = min(cands, key=lambda j: abs(zs[j] - u))
         gaps = []
         if i > 0:
-            gaps.append(zs[i][0] - zs[i - 1][0])
+            gaps.append(zs[i] - zs[i - 1])
         if i + 1 < len(zs):
-            gaps.append(zs[i + 1][0] - zs[i][0])
+            gaps.append(zs[i + 1] - zs[i])
         halfgap = 0.5 * min(gaps) if gaps else 0.5
-        return zs[i][0], zs[i][1], halfgap
+        return zs[i], "stable" if self._stable(i) else "unstable", halfgap
 
     def stable_below(self, u):
         """The stable zero z* of F whose basin (z*, s) holds u, s being the
@@ -204,27 +204,22 @@ class ZeroTable:
         above an unstable one."""
         self.ensure_up_to(u)
         zs = self._zeros
-        i = bisect_left(zs, (u,))       # zeros below u
-        if zs[i][0] == u:
+        i = bisect_left(zs, u)          # zeros below u
+        if zs[i] == u:
             return None
         if i == 0:
-            return 0.0 if zs[0][1] == "unstable" else None
-        return zs[i - 1][0] if zs[i - 1][1] == "stable" else None
+            return 0.0 if self._first_unstable else None
+        return zs[i - 1] if self._stable(i - 1) else None
 
     def unstable_below(self, u):
+        """Number of unstable zeros below u."""
         self.ensure_up_to(u)
-        return sum(1 for z, kind in self._zeros if kind == "unstable" and z < u)
+        i = bisect_left(self._zeros, u)
+        return (i + 1) // 2 if self._first_unstable else i // 2
 
     def nth_unstable(self, n):
         """n-th unstable zero as a ClassifiedZero."""
-        k = 0
-        seen = 0
-        while seen < n:
-            k += 1
-            self.ensure_count(k)
-            if self._zeros[k - 1][1] == "unstable":
-                seen += 1
-        return self.zero(k)
+        return self.zero(2 * n - 1 if self._first_unstable else 2 * n)
 
 
 _zero_tables = {}

@@ -1,9 +1,12 @@
 """Adaptive explicit integration of y'(x) = F(xy) and its scaled forms.
 
 A scalar Dormand-Prince 5(4) pair with proportional-integral step control
-and first-same-as-last reuse.  Cubic Hermite dense output locates the
-derivative sign changes: + to - events are the maxima the eigenvalue
-classifier counts, - to + events are the completed oscillations.  Forward
+and first-same-as-last reuse.  A sign change of the derivative across an
+accepted step is an event: + to - events are maxima, - to + events are the
+completed oscillations the eigenvalue classifier counts.  Only a recording
+run locates its events, by bisecting the right-hand side along the cubic
+Hermite dense output; a non-recording run records the end of the step in
+which the sign changed, since nothing reads more than its counts.  Forward
 runs also watch u = x*y, and the first accepted step where u falls commits
 the run for good.  For x > 0, du/dx = (u + x^2 F(u))/x, so a falling u has
 F(u) < 0 and lies between a stable zero z* of F and the unstable zero s
@@ -28,9 +31,9 @@ DP5 stages, the error norm, the inline accept/reject and step-size update
 inline tests: a derivative sign change, the y floor, and, while a forward
 run is uncommitted, a falling u (x1 k7 + y1 < 0, the sign of du/dx in raw
 and in scaled coordinates alike, where du/dt = c (z + t z')).  Only when
-one of them fires does the loop call out: _event locates and records the
-extremum and applies the max_minima stop, _commit looks up the stable
-zero below u.
+one of them fires does the loop call out: _event records the extremum
+(located on a recording run) and applies the max_minima stop, _commit
+looks up the stable zero below u.
 """
 
 import math
@@ -44,7 +47,8 @@ from .specfun import DomainError
 
 __all__ = [
     "IntegratorConfig", "SolutionCurve", "PrecisionExhausted", "StepUnderflow",
-    "Frame", "Engine", "integrate", "count_maxima", "curve_to_csv",
+    "Frame", "Engine", "integrate", "count_maxima", "curve_csv_text",
+    "curve_to_csv",
 ]
 
 
@@ -53,16 +57,16 @@ class PrecisionExhausted(RuntimeError):
 
 
 class StepUnderflow(RuntimeError):
-    """Step control pushed h below h_min (reported with the location)."""
+    """Step control pushed h below _H_MIN (reported with the location)."""
 
 
 @dataclass
 class IntegratorConfig:
+    """Error tolerances and forward horizon of a run.  The first step is
+    chosen automatically, steps are capped at a tenth of the span and
+    floored at _H_MIN."""
     rel_tol: float = 1e-10
     abs_tol: float = 1e-12
-    h_init: float = 0.0     # 0 -> automatic
-    h_min: float = 1e-14
-    h_max: float = 0.0      # 0 -> span/10
     x_max: float = 0.0      # 0 -> caller picks a model-dependent horizon
 
     def __post_init__(self):
@@ -70,14 +74,15 @@ class IntegratorConfig:
             raise ValueError(f"rel_tol {self.rel_tol!r} outside [1e-13, 1e-6]")
         if not (self.abs_tol > 0.0):
             raise ValueError("abs_tol must be positive")
-        if not (self.h_min > 0.0):
-            raise ValueError("h_min must be positive")
-        if self.x_max < 0.0 or self.h_max < 0.0 or self.h_init < 0.0:
-            raise ValueError("h_init, h_max, x_max must be nonnegative")
+        if self.x_max < 0.0:
+            raise ValueError("x_max must be nonnegative")
 
 
 @dataclass
 class SolutionCurve:
+    """A run's grid and events.  Only a recording run locates its maxima
+    and minima; a non-recording run keeps, for each, the end of the step
+    in which y' changed sign (and the grid holds its last point only)."""
     coords: str                      # "raw" or "scaled"
     grid: np.ndarray
     values: np.ndarray
@@ -107,6 +112,7 @@ _E1, _E3, _E4, _E5, _E6, _E7 = (71.0 / 57600.0, -71.0 / 16695.0, 71.0 / 1920.0,
                                 -17253.0 / 339200.0, 22.0 / 525.0, -1.0 / 40.0)
 
 _Y_FLOOR = 1e-280   # y at or below it, still falling: the run has collapsed
+_H_MIN = 1e-14      # smallest step before StepUnderflow
 
 
 def _hermite(s, h, y0, y1, f0, f1):
@@ -114,13 +120,6 @@ def _hermite(s, h, y0, y1, f0, f1):
     s3 = s2 * s
     return ((2 * s3 - 3 * s2 + 1) * y0 + (s3 - 2 * s2 + s) * h * f0
             + (-2 * s3 + 3 * s2) * y1 + (s3 - s2) * h * f1)
-
-
-def _hermite_deriv(s, h, y0, y1, f0, f1):
-    # dH/ds; same sign as dH/dx for h > 0
-    s2 = s * s
-    return ((6 * s2 - 6 * s) * (y0 - y1)
-            + h * ((3 * s2 - 4 * s + 1) * f0 + (3 * s2 - 2 * s) * f1))
 
 
 class Frame:
@@ -183,7 +182,7 @@ class Frame:
             x_turn = (lam / b) ** (1.0 / be - g) / math.sqrt(a)
             return 3.0 * max(x_turn, 1.0)
         if m.kind == "xibar":
-            u1 = self.zeros.zero(2).u  # first unstable zero
+            u1 = self.zeros.zero(2).u  # second zero, the first stable one
             return 3.0 * max(u1, 10.0) / (0.6 * max(y0, 1e-3))
         # raw rgamma (n <= 5 use only)
         return 3.0 * max(2.0, 2.0 * y0)
@@ -247,8 +246,6 @@ class Engine:
 
     def _initial_step(self, span):
         cfg = self.cfg
-        if cfg.h_init > 0.0:
-            return cfg.h_init
         sc = cfg.abs_tol + cfg.rel_tol * abs(self.y)
         d0 = abs(self.y) / sc
         d1 = abs(self.f) / sc
@@ -276,14 +273,14 @@ class Engine:
             return self
         if self.event_tol_scale is None:
             self.event_tol_scale = max(abs(x_end), abs(self.x), 1.0)
-        h_max = cfg.h_max if cfg.h_max > 0.0 else span / 10.0
+        h_max = span / 10.0
         if self.h <= 0.0:
             self.h = min(self._initial_step(span), h_max)
         self.status = None
         rhs = self.rhs
         x, y, f = self.x, self.y, self.f
         h = self.h
-        rtol, atol, h_min = cfg.rel_tol, cfg.abs_tol, cfg.h_min
+        rtol, atol, h_min = cfg.rel_tol, cfg.abs_tol, _H_MIN
         inf = math.inf
         y_floor = _Y_FLOOR
         watch = sgn > 0.0 and self.attractor is None
@@ -390,10 +387,14 @@ class Engine:
         return self
 
     def _event(self, x0, y0, f0, x1, y1, f1, hs):
-        """Locate and record the derivative sign change inside the step (a
-        maximum when y' is positive at the step's smaller-x end); returns
-        "max_minima" once the minima reach max_minima."""
-        xe, ye = self._refine_event(x0, y0, f0, x1, y1, f1, hs)
+        """Record the derivative sign change inside the step (a maximum when
+        y' is positive at the step's smaller-x end): located by a recording
+        run, the step's end (x1, y1) otherwise, where only the count is
+        read.  Returns "max_minima" once the minima reach max_minima."""
+        if self.record:
+            xe, ye = self._refine_event(x0, y0, f0, x1, y1, f1, hs)
+        else:
+            xe, ye = x1, y1
         if (f1 if hs < 0.0 else f0) > 0.0:
             self.maxima.append(xe)
             self.maxima_values.append(ye)
@@ -417,27 +418,20 @@ class Engine:
         return "settled" if self.stop_when_settled else None
 
     def _refine_event(self, x0, y0, f0, x1, y1, f1, hs):
-        # bisect the derivative sign change on the dense output; recording
-        # runs bisect the true right-hand side along the Hermite model, so
+        # bisect the true right-hand side along the Hermite dense output, so
         # the located (x, y) pair satisfies F(x y) = 0 to the tolerance, and
         # count those calls in nfev (f0 is already the one at the start)
         tol = 1e-10 * self.event_tol_scale
-        use_rhs = self.record
+        rhs = self.rhs
         a, b = 0.0, 1.0
-        da = f0 if use_rhs else _hermite_deriv(0.0, hs, y0, y1, f0, f1)
-        if da == 0.0:
-            da = f0
+        da = f0
         calls = 0
         for _ in range(80):
             if abs(b - a) * abs(hs) <= tol:
                 break
             m = 0.5 * (a + b)
-            ym = _hermite(m, hs, y0, y1, f0, f1)
-            if use_rhs:
-                dm = self.rhs(x0 + m * hs, ym)
-                calls += 1
-            else:
-                dm = _hermite_deriv(m, hs, y0, y1, f0, f1)
+            dm = rhs(x0 + m * hs, _hermite(m, hs, y0, y1, f0, f1))
+            calls += 1
             if dm == 0.0:
                 a = b = m
                 break
@@ -478,8 +472,10 @@ def integrate(obj, initial, cfg, direction="forward", record=True, meta=None,
     """Integrate a model (raw coordinates) or a scaled problem.
 
     initial is (x0, y0); backward runs require x0 > 0 and integrate down to
-    the origin, forward runs go to Frame.horizon.  Returns a SolutionCurve
-    with maxima located to an abscissa accuracy of 1e-10 times the horizon.
+    the origin, forward runs go to Frame.horizon.  Returns a SolutionCurve;
+    a recording run locates its maxima and minima to an abscissa accuracy
+    of 1e-10 times the horizon, a run with record=False only counts them
+    (each event carries the end of the step it fell in).
     With stop_when_settled the run ends as soon as x*y has committed to a
     stable zero of F; otherwise the attractor is recorded in terminal_u and
     integration continues to the horizon.
@@ -545,15 +541,20 @@ def count_maxima(curve):
     return count
 
 
+def curve_csv_text(model, n, coords, cols, xs, ys):
+    """Curve CSV text: a "# model=..., n=..., coords=..." comment header,
+    the column names cols and one 17-significant-digit row per point."""
+    lines = [f"# model={model}, n={n if n is not None else '-'}, "
+             f"coords={coords}", cols]
+    lines.extend(f"{x:.16e},{y:.16e}" for x, y in zip(xs, ys))
+    return "\n".join(lines) + "\n"
+
+
 def curve_to_csv(curve, path):
-    """CSV with a comment header and 17-significant-digit columns."""
-    cols = ("t,z" if curve.coords == "scaled" else "x,y")
-    n = curve.meta.get("n")
-    lines = [f"# model={curve.meta.get('model', '?')}, n={n if n is not None else '-'}, "
-             f"coords={curve.coords}", cols]
-    for x, y in zip(curve.grid, curve.values):
-        lines.append(f"{x:.16e},{y:.16e}")
-    data = "\n".join(lines) + "\n"
+    """Write curve to path as curve_csv_text."""
     from .cache import atomic_write_text
-    atomic_write_text(path, data)
+    atomic_write_text(path, curve_csv_text(
+        curve.meta.get("model", "?"), curve.meta.get("n"), curve.coords,
+        "t,z" if curve.coords == "scaled" else "x,y", curve.grid,
+        curve.values))
     return path

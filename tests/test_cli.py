@@ -1,6 +1,7 @@
 """Command-line surface: artifacts, caching, determinism, config parsing,
 and exit codes."""
 
+import hashlib
 import json
 import os
 import warnings
@@ -106,6 +107,27 @@ class TestSpectrumCommand:
         assert "cache hit" not in capsys.readouterr().err
         assert len(path.read_text().splitlines()) == 4
 
+    def test_six_field_settings_records_recomputed(self, tmp_path, capsys):
+        # records stamped while IntegratorConfig still carried h_init,
+        # h_min and h_max never match a key of the three-field settings
+        args = ["spectrum", "--model", "cos", "--n", "1..2", "--tol", "1e-8"]
+        assert run(args, tmp_path) == 0
+        path = tmp_path / ".nleig-cache.jsonl"
+        recs = [json.loads(line) for line in path.read_text().splitlines()]
+        old = []
+        for rec in recs:
+            fields = dict(f.split("=") for f in rec["integrator"].split())
+            assert sorted(fields) == ["abs_tol", "rel_tol", "x_max"]
+            fields.update(h_init="0.0", h_max="0.0", h_min="1e-14")
+            old.append(dict(rec, integrator=" ".join(
+                f"{k}={v}" for k, v in sorted(fields.items()))))
+        path.write_text("".join(json.dumps(r) + "\n" for r in old))
+        capsys.readouterr()
+        assert run(args, tmp_path) == 0
+        assert "cache hit" not in capsys.readouterr().err
+        new = [json.loads(line) for line in path.read_text().splitlines()]
+        assert new[2:] == recs
+
 
 class TestExitCodes:
     @pytest.mark.parametrize("argv", [
@@ -127,6 +149,15 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and len(err.splitlines()) == 1
         assert "Traceback" not in err
+
+    def test_removed_step_key_is_config_error(self, tmp_path, capsys):
+        # the step size is the integrator's own: h_max is no config key
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("model = cos\nn = 1\nh_max = 0.1\n")
+        assert run(["spectrum", "--config", str(cfg)], tmp_path) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and len(err.splitlines()) == 1
+        assert "'h_max'" in err and "Traceback" not in err
 
 
 class TestSeparatrixCommand:
@@ -241,6 +272,15 @@ class TestLimitCurveCommand:
 
     def test_alpha_required_in_range(self, tmp_path):
         assert run(["limit-curve", "--alpha", "-1.5"], tmp_path) == 2
+
+    def test_bytes_pinned(self, tmp_path):
+        # written through ode.curve_csv_text, the curve CSV writer; the
+        # bytes of the command's earlier inline format
+        assert run(["limit-curve", "--alpha", "0", "--points", "5"],
+                   tmp_path) == 0
+        body = (tmp_path / "limit_alpha0.csv").read_bytes()
+        assert hashlib.sha256(body).hexdigest() == (
+            "aad7afe7ae803be38d9cabaea2f4c292f68b29b0de5b109b07479abcc8418cc4")
 
 
 class TestWalkCommand:

@@ -4,6 +4,7 @@ commitment/floor handling, tolerance consistency, and CSV serialization."""
 import hashlib
 import math
 import os
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -208,14 +209,63 @@ class TestCommitmentProperty:
         assert u_end > z_star or z_star == 0.0
 
 
+class TestRecordingProperty:
+    """Only a recording run locates its events, and that does not steer
+    the run: a recorded shot takes the unrecorded one's steps to the same
+    end, attractor and event counts, and its nfev is larger by exactly the
+    right-hand-side calls of event refinement."""
+
+    @staticmethod
+    def shoot(model, n, y0, stop_at, record):
+        shooter = spectrum._Shooter(model, n, IntegratorConfig())
+        rhs = shooter.frame.rhs
+        calls = [0, 0, 0]   # right-hand-side calls, those of refinement,
+        #                     refinements
+
+        def counted(x, y):
+            calls[0] += 1
+            return rhs(x, y)
+        shooter.frame.rhs = counted
+
+        class Refining(Engine):
+            def _refine_event(self, *args):
+                before = calls[0]
+                calls[2] += 1
+                try:
+                    return super()._refine_event(*args)
+                finally:
+                    calls[1] += calls[0] - before
+        with mock.patch.object(spectrum, "Engine", Refining):
+            cls, signal, eng = shooter.shoot(y0, stop_at, record=record)
+        assert eng.nfev == calls[0]
+        return (cls, signal, eng.nsteps, eng.status, eng.y.hex(),
+                eng.attractor, len(eng.maxima), len(eng.minima)), \
+            eng.nfev, calls[1:]
+
+    @given(st.sampled_from(["cos", "bessel:0", "airy", "rgamma", "xibar"]),
+           st.integers(1, 4), st.floats(0.1, 2.0), st.booleans())
+    @settings(max_examples=40, deadline=None)
+    def test_recording_does_not_change_the_trajectory(self, spec, n, z0,
+                                                      stop):
+        # xibar runs raw from y0 = 4 z0 in [0.4, 8], classes 0 up to 3
+        model = make_model(spec)
+        if spec == "xibar":
+            n, z0 = None, 4.0 * z0
+        stop_at = (n or 2) if stop else None
+        plain, nfev, refined = self.shoot(model, n, z0, stop_at, False)
+        rec, rec_nfev, rec_refined = self.shoot(model, n, z0, stop_at, True)
+        assert rec == plain
+        assert refined == [0, 0]
+        assert rec_refined[1] == rec[6] + rec[7]    # one per event
+        assert rec_nfev - nfev == rec_refined[0]
+
+
 class TestGuards:
     def test_config_validation(self):
         with pytest.raises(ValueError):
             IntegratorConfig(rel_tol=1e-5)
         with pytest.raises(ValueError):
             IntegratorConfig(rel_tol=1e-14)
-        with pytest.raises(ValueError):
-            IntegratorConfig(h_min=0.0)
 
     def test_negative_initial_rejected(self):
         with pytest.raises(ValueError):
@@ -323,19 +373,21 @@ class TestStepSequence:
             us = list(map(eng.frame.u_of, eng.xs, eng.ys))
             assert sum(map(on_band, us)) > len(us) // 2
 
+    # unrecorded shots: each digest hashes the ends of the steps in which
+    # the events fell
     @pytest.mark.parametrize("spec, n, y0, stop_at, expected", [
         ("bessel:0", 2, 1.12, None, (195, 1238, "settled",
                                      "0x1.a801531b943d5p-1", 3, 2,
-                                     "8e017fd2fc8a10c2")),
+                                     "b5a2974572661ae6")),
         ("airy", 2, 1.09, None, (192, 1232, "settled",
                                  "0x1.aea317d6d62bdp-1", 3, 2,
-                                 "54b1bb2ddb45bc62")),
+                                 "9f3744b8b4698780")),
         ("cos", 3, 1.2, 2, (71, 488, "max_minima", "0x1.111d0aecdadbap+0",
-                            2, 2, "f788c8f55c654166")),
+                            2, 2, "d63fa56d11f352d8")),
         # y and the digest follow xi_bar's table
         ("xibar", None, 6.0, None, (258, 1796, "settled",
                                     "0x1.23c2e674148e6p+2", 3, 3,
-                                    "af91b98ea62c011b")),
+                                    "3b02d69eb174204c")),
         # u falls below the first, unstable, zero: the basin of y -> 0
         ("xibar", None, 2.0, None, (70, 482, "settled",
                                     "0x1.db8369be505f3p-1", 0, 0,
@@ -350,9 +402,9 @@ class TestStepSequence:
         # from a tiny first step the step size grows by the cap, 6x, per
         # accepted step, a branch of the controller the runs above miss;
         # the run goes on past its commitment at x ~ 0.99
-        eng = Engine(Frame(make_model("cos")), 0.0, 1.0,
-                     IntegratorConfig(h_init=1e-9), record=True,
-                     stop_when_settled=False)
+        eng = Engine(Frame(make_model("cos")), 0.0, 1.0, IntegratorConfig(),
+                     record=True, stop_when_settled=False)
+        eng.h = 1e-9
         eng.run(2.0)
         assert eng.xs[2] == 7.000000000000001e-09
         assert _step_record(eng) == (110, 712, "reached_end",
