@@ -81,19 +81,20 @@ class IntegratorConfig:
 @dataclass
 class SolutionCurve:
     """A run's grid and events.  Only a recording run locates its maxima
-    and minima; a non-recording run keeps, for each, the end of the step
-    in which y' changed sign (and the grid holds its last point only)."""
+    and minima; a non-recording run (recorded=False) keeps, for each, the
+    end of the step in which y' changed sign, and its last point only."""
     coords: str                      # "raw" or "scaled"
     grid: np.ndarray
     values: np.ndarray
-    maxima: list                     # abscissae of local maxima
-    maxima_values: list
-    minima: list
+    maxima: list                     # abscissae of maxima (or of step ends)
+    maxima_values: list              # y at those abscissae
+    minima: list                     # likewise for minima
     minima_values: list
     terminal_u: float | None        # lim x*y: the committed stable zero
     #                                  (0 for y -> 0), None = not committed
     status: str                      # reached_end | settled | floor | max_minima
     meta: dict = field(default_factory=dict)
+    recorded: bool = True            # False: events are step ends
 
 
 # Dormand-Prince 5(4) tableau
@@ -210,7 +211,7 @@ class Frame:
             [fy(v) for v in curve.maxima_values],
             [fx(v) for v in curve.minima],
             [fy(v) for v in curve.minima_values],
-            curve.terminal_u, curve.status, dict(curve.meta))
+            curve.terminal_u, curve.status, dict(curve.meta), curve.recorded)
 
 
 class Engine:
@@ -464,7 +465,7 @@ class Engine:
         return SolutionCurve(self.frame.coords, grid, np.maximum(vals, 0.0),
                              maxima, maxima_v, minima, minima_v,
                              self.terminal_u, self.status or "reached_end",
-                             meta or {})
+                             meta or {}, self.record)
 
 
 def integrate(obj, initial, cfg, direction="forward", record=True, meta=None,
@@ -509,7 +510,11 @@ def count_maxima(curve):
     each side (the curve's ends where there is none); one pass from the
     right and one from the left find them.  A strictly decreasing start
     counts as a boundary maximum (the reciprocal-gamma separatrices open
-    with F < 0, so their first maximum sits at the origin itself)."""
+    with F < 0, so their first maximum sits at the origin itself).  The
+    prominences need located extrema: a curve of a non-recording run is
+    refused with ValueError."""
+    if not curve.recorded:
+        raise ValueError("count_maxima needs the curve of a recording run")
     if len(curve.values) == 0:
         return 0
     vmax = float(np.max(curve.values))

@@ -93,6 +93,16 @@ class TestEvents:
         # boundary maximum at the origin still counts (strictly decreasing)
         assert count_maxima(c) == 1
 
+    def test_count_refuses_an_unrecorded_curve(self):
+        # an unrecorded run's events are step ends, not located extrema
+        pr = ScaledProblem(make_model("cos"), 2)
+        c = integrate(pr, (0.0, 0.9), cfg_with(6.0), record=False)
+        raw = Frame.of(pr).convert(c, "raw")
+        assert not c.recorded and not raw.recorded and len(raw.maxima) == 2
+        with pytest.raises(ValueError, match="recording run"):
+            count_maxima(raw)
+        assert count_maxima(integrate(pr, (0.0, 0.9), cfg_with(6.0))) == 2
+
     def test_maxima_invariant_under_refinement(self):
         for rel in (1e-9, 1e-11):
             c = integrate(make_model("bessel:0"), (0.0, 2.2),
