@@ -8,6 +8,11 @@ another schema version (records written before the version field existed
 carry none) are never served; corrupt lines are skipped with a warning;
 later entries win; appends go through the OS append mode so a crash can at
 worst truncate the final line.
+
+A record is serialized once, by record_line: the instance keeps each
+entry's line as read or appended, and the spectrum JSON artifact reuses
+those lines, so an artifact line and the cache line of the same record are
+the same bytes.
 """
 
 import json
@@ -15,7 +20,7 @@ import os
 import tempfile
 import warnings
 
-__all__ = ["atomic_write_text", "EigenCache", "SCHEMA"]
+__all__ = ["atomic_write_text", "record_line", "EigenCache", "SCHEMA"]
 
 # Version of the record layout and key; records of any other version are
 # recomputed rather than served.
@@ -39,6 +44,12 @@ def atomic_write_text(path, text):
             pass
         raise
     return path
+
+
+def record_line(rec):
+    """The one serialization of an eigenvalue record: key-sorted JSON on one
+    line, from json.dumps without ``indent`` (the C encoder)."""
+    return json.dumps(rec, sort_keys=True)
 
 
 class EigenCache:
@@ -79,7 +90,8 @@ class EigenCache:
                        rec["integrator"])
 
     def load(self):
-        """Parse the file into {key: record}, skipping other schemas."""
+        """Parse the file into {key: (record, line)}, skipping other
+        schemas; line is the record's text as read."""
         entries = {}
         if not os.path.exists(self.path):
             return entries
@@ -94,27 +106,38 @@ class EigenCache:
                         raise ValueError("not a record")
                     if rec.get("schema") != SCHEMA:
                         continue
-                    entries[self._record_key(rec)] = rec
+                    entries[self._record_key(rec)] = (rec, line)
                 except (ValueError, KeyError, TypeError, AttributeError):
                     warnings.warn(f"{self.path}:{i}: skipping corrupt cache "
                                   "line", RuntimeWarning)
         return entries
 
+    def _loaded(self):
+        if self._entries is None:
+            self._entries = self.load()
+        return self._entries
+
     def get(self, model_spec, n, tol, method, settings):
         """The record stored under exactly this key (settings is the
         settings_text of the effective IntegratorConfig), or None."""
-        if self._entries is None:
-            self._entries = self.load()
-        return self._entries.get(self.key(model_spec, n, tol, method,
-                                          settings))
+        entry = self._loaded().get(self.key(model_spec, n, tol, method,
+                                            settings))
+        return None if entry is None else entry[0]
+
+    def line(self, rec):
+        """The stored line of rec, a record that get returned."""
+        return self._loaded()[self._record_key(rec)][1]
 
     def put(self, rec):
-        """Append a stamped record to the file and to the loaded entries."""
+        """Append a stamped record to the file and to the loaded entries;
+        returns its line (record_line, without the newline)."""
         key = self._record_key(rec)
+        line = record_line(rec)
         d = os.path.dirname(os.path.abspath(self.path))
         if d:
             os.makedirs(d, exist_ok=True)
         with open(self.path, "a") as fh:
-            fh.write(json.dumps(rec, sort_keys=True) + "\n")
+            fh.write(line + "\n")
         if self._entries is not None:
-            self._entries[key] = rec
+            self._entries[key] = (rec, line)
+        return line

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import asymptotics, specfun, spectrum, svgplot, verify
-from .cache import EigenCache, atomic_write_text
+from .cache import EigenCache, atomic_write_text, record_line
 from .models import make_model
 from .ode import IntegratorConfig, curve_csv_text, curve_to_csv, count_maxima
 from .specfun import DomainError
@@ -146,7 +146,7 @@ def cmd_spectrum(rc):
     old_cache = (EigenCache(cache_path)
                  if no_cache and os.path.exists(cache_path) else None)
     settings = EigenCache.settings_text(spectrum._ode_cfg(tol, cfg))
-    records = []
+    entries = []        # (record, its JSON line)
     errors = []
     mismatches = 0
     to_compute = []
@@ -154,7 +154,7 @@ def cmd_spectrum(rc):
         hit = cache.get(model.spec, n, tol, method, settings) if cache else None
         if hit is not None:
             print(f"cache hit: {model.spec} n={n} tol={tol:g}", file=sys.stderr)
-            records.append(hit)
+            entries.append((hit, cache.line(hit)))
         else:
             to_compute.append(n)
     if to_compute:
@@ -166,19 +166,19 @@ def cmd_spectrum(rc):
             # xibar index carries its tighter tol)
             rec = EigenCache.stamp(res.to_record(), EigenCache.settings_text(
                 spectrum._ode_cfg(res.tol, cfg)))
-            records.append(rec)
-            if cache:
-                cache.put(rec)
+            entries.append((rec, cache.put(rec) if cache else record_line(rec)))
             if old_cache:
                 old = old_cache.get(model.spec, res.n, tol, method, settings)
                 if old is not None and abs(old["E"] - res.E) > tol * abs(res.E):
                     mismatches += 1
                     print(f"cache mismatch at n={res.n}: cached {old['E']!r} "
                           f"vs recomputed {res.E!r}", file=sys.stderr)
-    records.sort(key=lambda r: r["n"])
+    entries.sort(key=lambda e: e[0]["n"])
+    records = [rec for rec, _ in entries]
     base = os.path.join(out, f"spectrum_{model.spec.replace(':', '_')}")
     atomic_write_text(base + ".csv", spectrum.spectrum_csv_text(records))
-    atomic_write_text(base + ".json", spectrum.spectrum_json_text(records))
+    atomic_write_text(base + ".json", spectrum.spectrum_json_text(
+        records, [line for _, line in entries]))
     for e in errors:
         print(f"n={e['n']}: {e['error']}", file=sys.stderr)
     return 1 if (errors or mismatches) else 0

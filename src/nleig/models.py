@@ -21,6 +21,7 @@ __all__ = [
     "AsymptoticForm", "GeneratingFunction", "ScaledProblem", "ClassifiedZero",
     "make_model", "eval_F", "eval_F_prime", "ZeroTable",
     "zero_table", "rgamma_lambda_scaling", "raw_rhs", "check_raw",
+    "check_binary64", "RGAMMA_N_MAX",
 ]
 
 
@@ -400,7 +401,7 @@ def raw_rhs(model):
     and -1 for rgamma.  A clamp leaves NaN and -0.0 as they are."""
     kind = model.kind
     if kind == "cosine":
-        return lambda x, y: cospi(x * y)
+        return cospi    # cospi(x, y) = cos(pi x y), read at build time
     if kind == "bessel":
         from .specfun.bessel import _j_any
         nu = model.nu
@@ -422,6 +423,20 @@ def raw_rhs(model):
     else:
         raise DomainError(f"unknown model kind {kind!r}")
     return rhs
+
+
+# Largest reciprocal-gamma index whose eigenvalue is a binary64 number:
+# E_150 is about 10^306.6, E_151 about 10^309.
+RGAMMA_N_MAX = 150
+
+
+def check_binary64(model, n):
+    """DomainError for a reciprocal-gamma index n > RGAMMA_N_MAX, whose
+    eigenvalue exceeds the largest binary64 number."""
+    if model.kind == "rgamma" and n > RGAMMA_N_MAX:
+        raise DomainError(
+            f"rgamma n={n} refused: E_n exceeds binary64 (the largest double, "
+            f"~1.8e308) for n > {RGAMMA_N_MAX}")
 
 
 def check_raw(model, n):

@@ -38,15 +38,19 @@ def bisect(f, lo, hi, xtol=1e-14, rtol=4e-16, ftol=0.0, max_iter=200):
 
 
 def newton_safeguarded(f, fprime, x0, lo, hi, xtol=1e-14, rtol=4e-16,
-                       ftol=0.0, max_iter=100):
+                       ftol=0.0, max_iter=100, flo=None, fhi=None):
     """Newton iteration from x0, falling back to bisection on [lo, hi].
 
     The bracket must carry a sign change; it shrinks as iterates land inside
     it, so even a stalling Newton step cannot escape.  Returns the abscissa
-    once the step or the residual is below tolerance.
+    once the step or the residual is below tolerance.  flo and fhi, when
+    given, are f(lo) and f(hi), which a caller that scanned for the bracket
+    has at hand.  fprime(x) is always asked right after f(x).
     """
-    flo = f(lo)
-    fhi = f(hi)
+    if flo is None:
+        flo = f(lo)
+    if fhi is None:
+        fhi = f(hi)
     if flo == 0.0:
         return lo
     if fhi == 0.0:

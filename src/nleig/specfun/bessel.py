@@ -303,12 +303,28 @@ _zero_cache = {}
 
 
 def bessel_j_zero(nu, k):
-    """k-th positive zero of J_nu (k = 1, 2, ...), by scan plus Newton."""
+    """k-th positive zero of J_nu (k = 1, 2, ...), by scan plus Newton.
+
+    Newton asks for f(t) = J_nu(t) and then f'(t) = (nu/t) J_nu(t) -
+    J_{nu+1}(t) at the same t, so f keeps its last (t, J_nu(t)) for f' to
+    reuse, and the scan's values at the bracket ends are handed over."""
     if k < 1 or k != int(k):
         raise DomainError(f"bessel_j_zero: need integer k >= 1, got {k!r}")
     k = int(k)
     zeros = _zero_cache.setdefault(nu, [])
     from ..rootfind import newton_safeguarded
+    last = [math.nan, 0.0]      # the last t f was called at, and J_nu(t)
+
+    def f(t):
+        j = bessel_j(nu, t)
+        last[0], last[1] = t, j
+        return j
+
+    def fprime(t):
+        if t != last[0]:
+            return bessel_j_prime(nu, t)
+        return (nu / t) * last[1] - _j_any(nu + 1.0, t)
+
     while len(zeros) < k:
         if zeros:
             x = zeros[-1] + 0.5
@@ -322,8 +338,7 @@ def bessel_j_zero(nu, k):
             if (f0 > 0.0) != (f1 > 0.0) or f1 == 0.0:
                 break
             x, f0 = x1, f1
-        root = newton_safeguarded(lambda t: bessel_j(nu, t),
-                                  lambda t: bessel_j_prime(nu, t),
-                                  0.5 * (x + x1), x, x1, xtol=1e-15)
+        root = newton_safeguarded(f, fprime, 0.5 * (x + x1), x, x1,
+                                  xtol=1e-15, flo=f0, fhi=f1)
         zeros.append(root)
     return zeros[k - 1]

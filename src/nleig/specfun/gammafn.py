@@ -47,13 +47,17 @@ def sinpi(x):
     return -s if n & 1 else s
 
 
-def cospi(x):
-    """cos(pi*x), exact at half-integers and accurate near them."""
+def cospi(x, y=1.0):
+    """cos(pi*x*y), exact where u = x*y is a half-integer and accurate near
+    one.  x*1.0 is x for every float, so cospi(x) is cos(pi*x); the second
+    factor lets the raw cos model use cospi itself as its right-hand side
+    F(xy), one call per evaluation."""
+    u = x * y
     try:
-        n = _floor(x)
+        n = _floor(u)
     except (ValueError, OverflowError):     # NaN, +-inf
-        raise DomainError(f"cospi: non-finite argument {x!r}") from None
-    r = x - n
+        raise DomainError(f"cospi: non-finite argument {u!r}") from None
+    r = u - n
     if r < 0.25:
         c = _cos(_PI * r)
     elif r <= 0.75:

@@ -36,6 +36,7 @@ __all__ = ["TaylorTable", "airy_coeffs", "bessel_coeffs", "chebyshev_coeffs"]
 # Either way the rounding of the seeds (or of the samples) dominates.
 STEP = 0.125
 TERMS = 14
+assert TERMS == 14, "TaylorTable.__call__ unrolls exactly 14 terms"
 
 
 class TaylorTable:
@@ -64,10 +65,13 @@ class TaylorTable:
             cell = self._fill(k)
         c, a = cell
         d = x - c
-        s = 0.0
-        for ak in a:
-            s = s * d + ak
-        return s
+        # Horner's rule unrolled over the TERMS coefficients, highest first;
+        # the leading 0.0 * d keeps even the sign of a zero result as the
+        # loop s = s * d + ak from s = 0.0 would give it
+        a13, a12, a11, a10, a9, a8, a7, a6, a5, a4, a3, a2, a1, a0 = a
+        return ((((((((((((((0.0 * d + a13) * d + a12) * d + a11) * d + a10)
+                            * d + a9) * d + a8) * d + a7) * d + a6) * d + a5)
+                       * d + a4) * d + a3) * d + a2) * d + a1) * d + a0)
 
     def _fill(self, k):
         c = self.lo + k * STEP

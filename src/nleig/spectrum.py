@@ -15,14 +15,15 @@ separatrix_curve converts it to the requested coordinates, after refusing
 the coordinates a model cannot run in.
 """
 
-import json
 import math
 from dataclasses import dataclass, field
 
+from .cache import record_line
 from .rootfind import RootError
-from .models import ScaledProblem, check_raw, eval_F_prime, zero_table
+from .models import (ScaledProblem, check_binary64, check_raw, eval_F_prime,
+                     zero_table)
 from .ode import Engine, Frame, IntegratorConfig, SolutionCurve, count_maxima
-from .specfun import DomainError
+from .specfun import DomainError, log_gamma
 
 __all__ = [
     "EigenResult", "classify", "find_eigen", "refine_backward",
@@ -153,6 +154,7 @@ def find_eigen(model, n, tol=None, cfg=None, seed=None, lo_bound=None,
     if n < 1 or n != int(n):
         raise ValueError(f"find_eigen: need integer n >= 1, got {n!r}")
     n = int(n)
+    check_binary64(model, n)
     if tol is None:
         tol = default_tol(model)
     if tol < MIN_BISECTION_TOL:
@@ -247,22 +249,29 @@ def refine_backward(model, n, x0=None, cfg=None, tol=None):
     if n < 1 or n != int(n):
         raise ValueError(f"refine_backward: need integer n >= 1, got {n!r}")
     n = int(n)
+    check_binary64(model, n)
     if tol is None:
         tol = default_tol(model)
     cfg = _ode_cfg(tol, cfg)
     table = zero_table(model)
     s = table.nth_unstable(n)
-    fp = eval_F_prime(model, s.u)
+    try:
+        fp = eval_F_prime(model, s.u)
+    except OverflowError:
+        if model.kind != "rgamma":
+            raise
+        fp = math.inf   # Gamma(2n) past binary64 (n >= 86): logs only below
     if not (fp > 0.0):
         raise RuntimeError(f"F'({s.u}) <= 0: not a separatrix asymptote")
     if model.kind == "rgamma":
         frame = Frame(model, n)
         pr = frame.problem
         x0 = 3.0
-        # x0^2 F'(s) in raw units, via logs to dodge the huge factors; with
-        # s = lambda, z(x0) = u(x0)/(lambda x0) is (1 - corr)/x0
-        ln_x2fp = (2.0 * math.log(x0) + math.log(pr.lam) - pr.ln_xi
-                   + math.log(fp))
+        # x0^2 F'(s) in raw units, via logs to dodge the huge factors, with
+        # ln F'(s) = ln Gamma(s + 1) where F'(s) overflows; with s = lambda,
+        # z(x0) = u(x0)/(lambda x0) is (1 - corr)/x0
+        ln_fp = math.log(fp) if fp < math.inf else log_gamma(s.u + 1.0)
+        ln_x2fp = (2.0 * math.log(x0) + math.log(pr.lam) - pr.ln_xi + ln_fp)
         corr = math.exp(-ln_x2fp) if ln_x2fp < 700.0 else 0.0
         y0 = (1.0 - corr) / x0
     else:
@@ -289,7 +298,7 @@ def refine_backward(model, n, x0=None, cfg=None, tol=None):
                            "seed too far from the separatrix")
     curve = eng.curve({"model": model.spec, "n": n})
     y_factor = frame.y_factor
-    E = v * y_factor if y_factor < 1e300 else math.inf
+    E = v * y_factor
     est = 10.0 * cfg.rel_tol
     return EigenResult(n=n, E=E, bracket=(E * (1.0 - est), E),
                        method="backward",
@@ -304,7 +313,9 @@ def refine_backward(model, n, x0=None, cfg=None, tol=None):
 
 
 def _check_coords(model, n, coords):
-    """The coordinate refusals of separatrix index n, before any run."""
+    """The coordinate and binary64 refusals of separatrix index n, before
+    any run."""
+    check_binary64(model, n)
     if coords == "scaled" and model.kind == "xibar":
         raise DomainError("xibar has no scaled coordinates")
     if coords == "raw":
@@ -335,6 +346,7 @@ def spectrum_scan(model, n_range, tol=None, cfg=None, method="bisection"):
         raise ValueError("n_range must be nonempty and increasing")
     if method not in ("bisection", "backward"):
         raise ValueError(f"unknown spectrum method {method!r}")
+    check_binary64(model, ns[-1])
     if tol is None:
         tol = default_tol(model)
     results = []
@@ -395,11 +407,13 @@ def spectrum_csv_text(records):
     return "\n".join(lines) + "\n"
 
 
-def spectrum_json_text(records):
-    """JSON text of eigenvalue records: an array with one key-sorted record
-    per line.  Each record goes through json.dumps without ``indent``, so
-    the C encoder writes it."""
-    if not records:
+def spectrum_json_text(records, lines=None):
+    """JSON text of eigenvalue records: an array with one record per line,
+    each line the record's cache.record_line.  lines, when given, are those
+    lines already (as an EigenCache holds them), in the order of records."""
+    if lines is None:
+        lines = [record_line(r) for r in records]
+    if not lines:
         return "[]\n"
-    body = ",\n".join(json.dumps(r, sort_keys=True) for r in records)
+    body = ",\n".join(lines)
     return f"[\n{body}\n]\n"

@@ -47,6 +47,42 @@ class TestSpectrumCommand:
         assert (tmp_path / "spectrum_cos.csv").read_bytes() == first
         assert (tmp_path / "spectrum_cos.json").read_bytes() == first_json
 
+    # (model, --n, sha256 of the JSON artifact, sha256 of the cache file)
+    # after each backward run of a miss / partial-hit / all-hit sequence
+    MISS_HIT_BYTES = [
+        ("cos", "1..2",
+         "8d05ece2ca5725add29bff1705836632054ba68974d34a9afa337598a60805e0",
+         "a5d8e37184a12f6d379f9f77b7815122c08d973ba69d0871123605712eaefaa8"),
+        ("cos", "1..4",
+         "975f8103a9ddc32681f174adf0ad8e053464f528b70e8f1976241a5c5f6dcbeb",
+         "1953d17f86e0bd804b32566dbf419bba66c0c24cacb58e02a505ba78d0d68bee"),
+        ("cos", "2..3",
+         "6f882ff899e076cb2ea1f8477f996b2cda0d62fe7de1fb48783bf1819ca33cfb",
+         "1953d17f86e0bd804b32566dbf419bba66c0c24cacb58e02a505ba78d0d68bee"),
+        ("rgamma", "1..2",
+         "e1411512ff7b43a6eefacef393e58743e962a0f8b196bb0264a0def64c33a9a2",
+         "2848add251302a2201b4f86d3b6542eee88f01c07aff281a2d9fe29ab2a795d4"),
+        ("rgamma", "1..3",
+         "a2fe8358ed6998259522b9ffa165f495e0fd6244d495015bba055dff022880ef",
+         "fbb323c6ca40efc32829633b4275d6a5d6a063590256ebc990ed46bdb352c5fe"),
+    ]
+
+    def test_miss_hit_bytes_pinned(self, tmp_path):
+        """Artifact and cache bytes over cache misses and hits are pinned,
+        and every artifact line is the cache line of its record."""
+        def digest(name):
+            return hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+        for spec, ns, json_sha, cache_sha in self.MISS_HIT_BYTES:
+            assert run(["spectrum", "--model", spec, "--method", "backward",
+                        "--n", ns], tmp_path) == 0
+            assert (digest(f"spectrum_{spec}.json"),
+                    digest(".nleig-cache.jsonl")) == (json_sha, cache_sha)
+            cached = set((tmp_path / ".nleig-cache.jsonl").read_text()
+                         .splitlines())
+            body = (tmp_path / f"spectrum_{spec}.json").read_text()
+            lines = body.splitlines()[1:-1]
+            assert lines and all(line.rstrip(",") in cached for line in lines)
+
     def test_env_cache_override(self, tmp_path, monkeypatch):
         monkeypatch.setenv("NLEIG_CACHE", str(tmp_path / "custom.jsonl"))
         assert run(["spectrum", "--model", "cos", "--n", "1..2",

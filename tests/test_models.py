@@ -5,12 +5,14 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 from scipy.integrate import solve_ivp
 
 from nleig.models import (AsymptoticForm, ScaledProblem, eval_F, eval_F_prime,
                           make_model, raw_rhs, zero_table,
                           rgamma_lambda_scaling)
+from nleig.specfun import recip_gamma_log
+from nleig.specfun.bessel import _order
 from nleig.ode import Frame, SolutionCurve
 from nleig.specfun import DomainError
 
@@ -233,6 +235,57 @@ class TestRhsClosures:
         want = _outcome(lambda u: pref * eval_F(m, u),
                         _clamped(spec, c_u * t * z))
         assert _outcome(pr.make_rhs(), t, z) == want
+
+    @given(st.sampled_from(["bessel:0", "bessel:2.5", "bessel:50"]),
+           st.floats(0.0, 1e5), st.floats(0.25, 4.0))
+    @example("bessel:0", 0.0, 1.0)     # xy on the order's Hankel edge
+    @settings(max_examples=200, deadline=None)
+    def test_raw_hankel_band(self, spec, d, y):
+        # xy at or past the order's Hankel edge, where the backward runs of
+        # large indices spend their steps
+        m = make_model(spec)
+        x = (_order(m.nu)[0] + d) / y
+        assume(x * y >= _order(m.nu)[0])
+        assert _outcome(raw_rhs(m), x, y) == _outcome(eval_F, m, x * y)
+
+    @given(st.integers(1, 150), st.floats(0.0, 3.0), st.floats(-0.5, 1.5))
+    @example(3, 1.0, 1.0)      # u = lambda, a zero of F: exactly 0.0
+    @example(2, 1.0, -0.5)     # u below -1, clamped
+    @settings(max_examples=200, deadline=None)
+    def test_scaled_rgamma(self, n, t, z):
+        # z' = (1/Gamma(-u)) / xi, u = lambda t z, from the (sign, log)
+        # form so that no huge factor forms; 0.0 at the zeros of F
+        pr = ScaledProblem(make_model("rgamma"), n)
+
+        def want(u):
+            sign, lm = recip_gamma_log(_clamped("rgamma", u))
+            if sign == 0:
+                return 0.0
+            if lm - pr.ln_xi > 705.0:
+                raise OverflowError("precision exhausted")
+            return sign * math.exp(lm - pr.ln_xi)
+        assert _outcome(pr.make_rhs(), t, z) == _outcome(want, pr.lam * t * z)
+
+
+def _digest(values):
+    import hashlib
+    import struct
+    return hashlib.sha256(struct.pack(f"<{len(values)}d", *values)).hexdigest()
+
+
+class TestZeroTablePins:
+    """The zero tables the benchmarks build in set-up, as little-endian
+    doubles: the first 4010 zeros of J_0 and 808 of Ai(-u)."""
+
+    @pytest.mark.parametrize("spec,count,digest", [
+        ("bessel:0", 4010,
+         "96c2fe062bd964f327ab29c083be1801e7cb984fa62fbc3ab71f4f04d8bae50c"),
+        ("airy", 808,
+         "11ae74911c922634161bccffae4b40207182597be71ee488a0277c7105519cce"),
+    ])
+    def test_digest(self, spec, count, digest):
+        tab = zero_table(make_model(spec))
+        assert _digest([tab.zero(k).u for k in range(1, count + 1)]) == digest
 
 
 class TestZeros:

@@ -9,11 +9,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from nleig.models import make_model, zero_table
+from nleig.models import RGAMMA_N_MAX, make_model, zero_table
 from nleig.ode import IntegratorConfig
 from nleig.spectrum import (classify, default_tol, find_eigen,
                             refine_backward, spectrum_csv_text,
                             spectrum_json_text, spectrum_scan)
+from nleig.specfun import DomainError
 
 # E_1 for y' = cos(pi x y): confirmed by an independent reference
 # integration (the attractor of x*y jumps from 0.5 to 2.5 between
@@ -316,3 +317,25 @@ class TestRGammaReporting:
         r = refine_backward(make_model("rgamma"), 80, tol=1e-8)
         assert r.z0 is not None and 0.9 < r.z0 < 1.3
         assert r.log10_E is not None and 140.0 < r.log10_E < 144.0
+
+    @pytest.mark.parametrize("n", [86, 150, 159])
+    def test_backward_past_gamma_overflow(self, n):
+        # F'(2n - 1) = Gamma(2n) exceeds binary64 from n = 86 on; E_n
+        # itself fits up to RGAMMA_N_MAX = 150 and is refused past it
+        m = make_model("rgamma")
+        if n > RGAMMA_N_MAX:
+            with pytest.raises(DomainError, match="binary64"):
+                refine_backward(m, n)
+            return
+        prev, r = refine_backward(m, n - 1), refine_backward(m, n)
+        assert math.isfinite(r.E) and r.E > prev.E
+        assert r.log10_E == pytest.approx(math.log10(r.E), abs=1e-9)
+
+    @pytest.mark.parametrize("call", [
+        lambda m: refine_backward(m, 160),
+        lambda m: find_eigen(m, 151),
+        lambda m: spectrum_scan(m, [149, 150, 151], method="backward"),
+    ])
+    def test_refused_past_binary64(self, call):
+        with pytest.raises(DomainError, match=f"n > {RGAMMA_N_MAX}"):
+            call(make_model("rgamma"))
