@@ -21,7 +21,7 @@ import numpy as np
 
 from .models import rgamma_lambda_scaling
 from .rootfind import RootError, bisect
-from .specfun import lambert_w
+from .specfun import DomainError, lambert_w
 
 __all__ = [
     "LimitCurve", "GrowthLaw", "WalkCoefficients", "RGammaScaling",
@@ -122,11 +122,13 @@ def _curve_log_residual(alpha, t, z):
 
 
 def limit_curve_value(alpha, t):
-    """z(t) of the limit curve for alpha > -1 (piecewise 1/t past t = 1)."""
-    if alpha <= -1.0:
-        raise ValueError("limit_curve: need alpha > -1")
+    """z(t) of the limit curve for a finite alpha > -1 (piecewise 1/t past
+    t = 1)."""
+    if not (-1.0 < alpha < math.inf):
+        raise DomainError(f"limit_curve: need a finite alpha > -1, "
+                          f"got {alpha!r}")
     if t < 0.0:
-        raise ValueError("limit_curve: need t >= 0")
+        raise DomainError("limit_curve: need t >= 0")
     if t > 1.0:
         return 1.0 / t
     if abs(alpha - 1.0) < 1e-9:
@@ -226,7 +228,8 @@ def walk_coefficients(p_max):
     """Exact moment-resummation coefficients alpha_{1,2p+1} = -C_p/2^(2p+1)
     (C_p the Catalan numbers), as Fractions."""
     if not (0 <= p_max <= WALK_P_MAX):
-        raise ValueError(f"walk_coefficients: need 0 <= p_max <= {WALK_P_MAX}")
+        raise DomainError(f"walk_coefficients: need 0 <= p_max <= "
+                          f"{WALK_P_MAX}, got {p_max!r}")
     vals = []
     for p in range(p_max + 1):
         cp = math.comb(2 * p, p) // (p + 1)

@@ -6,6 +6,11 @@ A separatrix is spectrum.separatrix_curve, the curve refine_backward
 recorded; `verify` reports the records of the nleig.verify suites, which
 the acceptance tests assert on.
 
+Each setting is one entry of _KEYS, a flag and a config-file key, which
+_run_config converts once.  The library function that uses a value
+refuses a bad one; only what it cannot see (index ranges, points, t_max,
+suite names, missing files) is checked here.
+
 Exit codes: 0 success, 1 computation failure (partial artifacts are still
 written), 2 configuration error.
 """
@@ -16,7 +21,6 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -27,60 +31,93 @@ from .ode import IntegratorConfig, curve_csv_text, curve_to_csv, count_maxima
 from .specfun import DomainError
 from .spectrum import ConfigError, _check_coords, separatrix_curve
 
-_CONFIG_KEYS = {
-    "model", "n", "tol", "rel_tol", "abs_tol", "x_max", "out", "cache",
-    "coords", "svg", "alpha", "p_max", "points", "t_max", "method", "suite",
-    "n_max", "no_cache",
+
+def _switch(text):
+    """A switch value: "true" (what its flag stores) or "false"."""
+    if text not in ("true", "false"):
+        raise ValueError(text)
+    return text == "true"
+
+
+_EXPECTED = {int: "an integer", float: "a number", _switch: "true or false"}
+
+# every setting, key -> (conversion, help): the config-file key, and the
+# flag --key with dashes for underscores (a switch's flag takes no value)
+_KEYS = {
+    "out": (str, "output directory (default .)"),
+    "model": (str, "cos | bessel:NU | airy | rgamma | xibar"),
+    "n": (str, "index or range A..B"),
+    "tol": (float, "relative eigenvalue tolerance"),
+    "method": (str, "bisection | backward"),
+    "cache": (str, "cache path (or env NLEIG_CACHE)"),
+    "no_cache": (_switch, "recompute and compare against any cached values"),
+    "rel_tol": (float, "integrator relative tolerance"),
+    "abs_tol": (float, "integrator absolute tolerance"),
+    "x_max": (float, "first forward horizon (0: the model's own)"),
+    "coords": (str, "raw | scaled"),
+    "svg": (_switch, "also render the CSV as SVG"),
+    "alpha": (float, "limit-curve exponent, finite and > -1"),
+    "points": (int, "grid points on [0, t_max]"),
+    "t_max": (float, "end of the grid"),
+    "p_max": (int, "last coefficient index"),
+    "n_max": (int, "last index of the growth fit"),
 }
 
+# command -> (help, the keys it takes as flags besides --out); a config
+# file may hold any key of _KEYS
+_COMMANDS = {
+    "spectrum": ("compute eigenvalues over an index range",
+                 ("model", "n", "tol", "method", "cache", "no_cache",
+                  "rel_tol", "abs_tol", "x_max")),
+    "separatrix": ("export a backward-refined separatrix",
+                   ("model", "n", "coords", "svg", "tol")),
+    "limit-curve": ("export the limit curve for an alpha",
+                    ("alpha", "points", "t_max", "svg")),
+    "walk-coeffs": ("export walk-moment coefficients", ("p_max",)),
+    "verify": ("run a verification suite", ("model", "n_max", "method")),
+}
 
-@dataclass
-class RunConfig:
-    """Merged configuration: file values overridden by flags."""
-    values: dict = field(default_factory=dict)
-
-    @classmethod
-    def load(cls, path):
-        vals = {}
-        with open(path) as fh:
-            for i, line in enumerate(fh, 1):
-                line = line.split("#", 1)[0].strip()
-                if not line:
-                    continue
-                if "=" not in line:
-                    raise ConfigError(f"{path}:{i}: expected key=value")
-                k, v = (s.strip() for s in line.split("=", 1))
-                if k not in _CONFIG_KEYS:
-                    raise ConfigError(f"{path}:{i}: unknown key {k!r}")
-                vals[k] = v
-        return cls(vals)
-
-    def merge_flags(self, args, keys):
-        for k in keys:
-            v = getattr(args, k.replace("-", "_"), None)
-            if v is not None and v is not False:
-                self.values[k] = v
-        return self
-
-    def get(self, key, default=None):
-        return self.values.get(key, default)
+# failures of a computation, not of its settings: exit 1
+_COMPUTATION_ERRORS = (spectrum.BracketError, RuntimeError, OverflowError)
 
 
-def _number(rc, key, default=None, kind=float):
-    """Flag or config value key converted by kind; ConfigError if it does
-    not convert.  A missing key gives default (unconverted)."""
-    v = rc.get(key)
-    if v is None:
-        return default
-    try:
-        return kind(v)
-    except ValueError:
-        what = "an integer" if kind is int else "a number"
-        raise ConfigError(f"{key}: expected {what}, got {v!r}") from None
+def _read_config(path):
+    """key -> value text of a key = value file; unknown keys refused."""
+    vals = {}
+    with open(path) as fh:
+        for i, line in enumerate(fh, 1):
+            line = line.split("#", 1)[0].strip()
+            if not line:
+                continue
+            if "=" not in line:
+                raise ConfigError(f"{path}:{i}: expected key=value")
+            k, v = (s.strip() for s in line.split("=", 1))
+            if k not in _KEYS:
+                raise ConfigError(f"{path}:{i}: unknown key {k!r}")
+            vals[k] = v
+    return vals
+
+
+def _run_config(args):
+    """The settings of a run: the --config file's values overridden by the
+    flags given, each converted once by its key's conversion."""
+    texts = _read_config(args.config) if args.config else {}
+    for key in _KEYS:
+        v = getattr(args, key, None)
+        if v is not None:
+            texts[key] = v
+    rc = {}
+    for key, v in texts.items():
+        kind = _KEYS[key][0]
+        try:
+            rc[key] = kind(v)
+        except ValueError:
+            raise ConfigError(f"{key}: expected {_EXPECTED[kind]}, "
+                              f"got {v!r}") from None
+    return rc
 
 
 def _parse_n_range(text):
-    text = str(text)
     try:
         if ".." in text:
             a, b = text.split("..", 1)
@@ -95,28 +132,8 @@ def _parse_n_range(text):
 
 
 def _integrator_cfg(rc):
-    kw = {}
-    for k in ("rel_tol", "abs_tol", "x_max"):
-        v = _number(rc, k)
-        if v is not None:
-            kw[k] = v
-    try:
-        return IntegratorConfig(**kw) if kw else None
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-
-
-def _tol(rc, method):
-    """The --tol value, checked as find_eigen would check it."""
-    tol = _number(rc, "tol")
-    if tol is None:
-        return None
-    if not (math.isfinite(tol) and tol > 0.0):
-        raise ConfigError(f"tol must be a positive number, got {tol!r}")
-    if method == "bisection" and tol < spectrum.MIN_BISECTION_TOL:
-        raise ConfigError(f"tol {tol!r} below {spectrum.MIN_BISECTION_TOL:g} "
-                          "is not resolvable by bisection in binary64")
-    return tol
+    kw = {k: rc[k] for k in ("rel_tol", "abs_tol", "x_max") if k in rc}
+    return IntegratorConfig(**kw) if kw else None
 
 
 def _cache_path(rc):
@@ -133,12 +150,10 @@ def cmd_spectrum(rc):
     model = make_model(rc.get("model", ""))
     ns = _parse_n_range(rc.get("n", "1..1"))
     method = rc.get("method", "bisection")
-    if method not in ("bisection", "backward"):
-        raise ConfigError(f"method must be bisection or backward, "
-                          f"got {method!r}")
-    tol = _tol(rc, method) or spectrum.default_tol(model)
+    tol = rc.get("tol")
+    if tol is None:
+        tol = spectrum.default_tol(model)
     cfg = _integrator_cfg(rc)
-    out = _out_dir(rc)
     cache_path = _cache_path(rc)
     no_cache = rc.get("no_cache")
     cache = None if no_cache else EigenCache(cache_path)
@@ -175,7 +190,8 @@ def cmd_spectrum(rc):
                           f"vs recomputed {res.E!r}", file=sys.stderr)
     entries.sort(key=lambda e: e[0]["n"])
     records = [rec for rec, _ in entries]
-    base = os.path.join(out, f"spectrum_{model.spec.replace(':', '_')}")
+    base = os.path.join(_out_dir(rc),
+                        f"spectrum_{model.spec.replace(':', '_')}")
     atomic_write_text(base + ".csv", spectrum.spectrum_csv_text(records))
     atomic_write_text(base + ".json", spectrum.spectrum_json_text(
         records, [line for _, line in entries]))
@@ -188,17 +204,15 @@ def cmd_separatrix(rc):
     model = make_model(rc.get("model", ""))
     ns = _parse_n_range(rc.get("n", "1"))
     coords = rc.get("coords", "scaled")
-    if coords not in ("raw", "scaled"):
-        raise ConfigError(f"coords must be raw or scaled, got {coords!r}")
     _check_coords(model, ns[-1], coords)
-    tol = _tol(rc, "backward")
     cfg = _integrator_cfg(rc)
     out = _out_dir(rc)
     status = 0
     for n in ns:
         try:
-            res, curve = separatrix_curve(model, n, coords, tol=tol, cfg=cfg)
-        except Exception as exc:  # per-index report, keep going
+            res, curve = separatrix_curve(model, n, coords, tol=rc.get("tol"),
+                                          cfg=cfg)
+        except _COMPUTATION_ERRORS as exc:  # per-index report, keep going
             print(f"separatrix {model.spec} n={n}: {exc}", file=sys.stderr)
             status = 1
             continue
@@ -225,11 +239,9 @@ def cmd_separatrix(rc):
 
 
 def cmd_limit_curve(rc):
-    alpha = _number(rc, "alpha", math.nan)
-    if not (alpha > -1.0):
-        raise ConfigError("limit-curve requires alpha > -1")
-    points = _number(rc, "points", 400, int)
-    t_max = _number(rc, "t_max", 3.0)
+    alpha = rc.get("alpha", math.nan)   # limit_curve_value refuses NaN
+    points = rc.get("points", 400)
+    t_max = rc.get("t_max", 3.0)
     if points < 1 or not (0.0 <= t_max < math.inf):
         raise ConfigError("limit-curve requires points >= 1 and a finite "
                           "t_max >= 0")
@@ -249,10 +261,7 @@ def cmd_limit_curve(rc):
 
 
 def cmd_walk_coeffs(rc):
-    p_max = _number(rc, "p_max", 10, int)
-    if not (0 <= p_max <= asymptotics.WALK_P_MAX):
-        raise ConfigError(f"p_max must lie in 0..{asymptotics.WALK_P_MAX}, "
-                          f"got {p_max}")
+    p_max = rc.get("p_max", 10)
     wc = asymptotics.walk_coefficients(p_max)
     out = _out_dir(rc)
     path = os.path.join(out, f"walk_coeffs_p{p_max}.csv")
@@ -264,7 +273,7 @@ def cmd_walk_coeffs(rc):
     return 0
 
 
-def cmd_plot(rc, csv_path, out_path):
+def cmd_plot(csv_path, out_path):
     if not os.path.exists(csv_path):
         raise ConfigError(f"no such CSV: {csv_path}")
     out_path = out_path or (csv_path[:-4] if csv_path.endswith(".csv")
@@ -287,7 +296,7 @@ def cmd_verify(rc, suite):
     for name in verify.SUITES if suite == "all" else [suite]:
         if name == "growth":
             records.extend(verify.growth(rc.get("model", "cos"),
-                                         _number(rc, "n_max", 100, int),
+                                         rc.get("n_max", 100),
                                          rc.get("method", "backward")))
         else:
             records.extend(verify.SUITES[name]())
@@ -308,90 +317,51 @@ def cmd_verify(rc, suite):
 @functools.cache
 def build_parser():
     """The argparse tree, built once per process (argparse never changes
-    it while parsing)."""
+    it while parsing), with each command's flags from _COMMANDS."""
     p = argparse.ArgumentParser(
         prog="nleig",
         description="Spectra of critical initial conditions of y'(x) = F(xy) "
                     "and their large-index asymptotics.")
     sub = p.add_subparsers(dest="command", required=True)
-
-    def common(q):
+    for command, (what, keys) in _COMMANDS.items():
+        q = sub.add_parser(command, help=what)
+        if command == "verify":
+            q.add_argument("suite", help=" | ".join([*verify.SUITES, "all"]))
         q.add_argument("--config", help="key=value config file")
-        q.add_argument("--out", help="output directory (default .)")
-
-    q = sub.add_parser("spectrum", help="compute eigenvalues over an index range")
-    common(q)
-    q.add_argument("--model", help="cos | bessel:NU | airy | rgamma | xibar")
-    q.add_argument("--n", help="index or range A..B")
-    q.add_argument("--tol", help="relative bisection tolerance")
-    q.add_argument("--method", choices=["bisection", "backward"])
-    q.add_argument("--cache", help="cache path (or env NLEIG_CACHE)")
-    q.add_argument("--no-cache", action="store_true",
-                   help="recompute and compare against any cached values")
-    for k in ("rel_tol", "abs_tol", "x_max"):
-        q.add_argument(f"--{k.replace('_', '-')}", dest=k)
-
-    q = sub.add_parser("separatrix", help="export a backward-refined separatrix")
-    common(q)
-    q.add_argument("--model")
-    q.add_argument("--n")
-    q.add_argument("--coords", choices=["raw", "scaled"])
-    q.add_argument("--svg", action="store_true")
-    q.add_argument("--tol")
-
-    q = sub.add_parser("limit-curve", help="export the limit curve for an alpha")
-    common(q)
-    q.add_argument("--alpha")
-    q.add_argument("--points")
-    q.add_argument("--t-max", dest="t_max")
-    q.add_argument("--svg", action="store_true")
-
-    q = sub.add_parser("walk-coeffs", help="export walk-moment coefficients")
-    common(q)
-    q.add_argument("--p-max", dest="p_max")
-
-    q = sub.add_parser("verify", help="run a verification suite")
-    common(q)
-    q.add_argument("suite", help="walk | limits | growth | rgamma | envelope | all")
-    q.add_argument("--model")
-    q.add_argument("--n-max", dest="n_max")
-    q.add_argument("--method", choices=["bisection", "backward"])
+        for key in ("out", *keys):
+            kind, text = _KEYS[key]
+            flag = "--" + key.replace("_", "-")
+            if kind is _switch:
+                q.add_argument(flag, dest=key, help=text,
+                               action="store_const", const="true")
+            else:
+                q.add_argument(flag, dest=key, help=text)
 
     q = sub.add_parser("plot", help="render a produced CSV to SVG")
     q.add_argument("csv")
     q.add_argument("--out")
 
-    q = sub.add_parser("specfun-selftest", help=argparse.SUPPRESS)
+    sub.add_parser("specfun-selftest", help=argparse.SUPPRESS)
     return p
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        rc = RunConfig()
-        if getattr(args, "config", None):
-            rc = RunConfig.load(args.config)
-        rc.merge_flags(args, _CONFIG_KEYS)
-        if args.command == "spectrum":
-            return cmd_spectrum(rc)
-        if args.command == "separatrix":
-            return cmd_separatrix(rc)
-        if args.command == "limit-curve":
-            return cmd_limit_curve(rc)
-        if args.command == "walk-coeffs":
-            return cmd_walk_coeffs(rc)
-        if args.command == "verify":
-            return cmd_verify(rc, args.suite)
         if args.command == "plot":
-            return cmd_plot(rc, args.csv, args.out)
+            return cmd_plot(args.csv, args.out)
         if args.command == "specfun-selftest":
             return cmd_specfun_selftest()
-        raise ConfigError(f"unknown command {args.command!r}")
+        rc = _run_config(args)
+        if args.command == "verify":
+            return cmd_verify(rc, args.suite)
+        return {"spectrum": cmd_spectrum, "separatrix": cmd_separatrix,
+                "limit-curve": cmd_limit_curve,
+                "walk-coeffs": cmd_walk_coeffs}[args.command](rc)
     except (ConfigError, DomainError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (spectrum.BracketError, OverflowError, RuntimeError) as exc:
+    except _COMPUTATION_ERRORS as exc:
         print(f"computation failed: {exc}", file=sys.stderr)
         return 1
 

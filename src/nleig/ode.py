@@ -70,18 +70,22 @@ class StepUnderflow(RuntimeError):
 class IntegratorConfig:
     """Error tolerances and forward horizon of a run.  The first step is
     chosen automatically, steps are capped at a tenth of the span and
-    floored at _H_MIN."""
+    floored at _H_MIN.  A value it cannot run with (NaN and infinities
+    included) raises DomainError."""
     rel_tol: float = 1e-10
     abs_tol: float = 1e-12
     x_max: float = 0.0      # 0 -> caller picks a model-dependent horizon
 
     def __post_init__(self):
         if not (1e-13 <= self.rel_tol <= 1e-6):
-            raise ValueError(f"rel_tol {self.rel_tol!r} outside [1e-13, 1e-6]")
-        if not (self.abs_tol > 0.0):
-            raise ValueError("abs_tol must be positive")
-        if self.x_max < 0.0:
-            raise ValueError("x_max must be nonnegative")
+            raise DomainError(f"rel_tol {self.rel_tol!r} outside "
+                              "[1e-13, 1e-6]")
+        if not (0.0 < self.abs_tol < math.inf):
+            raise DomainError(f"abs_tol must be a positive number, "
+                              f"got {self.abs_tol!r}")
+        if not (0.0 <= self.x_max < math.inf):
+            raise DomainError(f"x_max must be a nonnegative number, "
+                              f"got {self.x_max!r}")
 
 
 @dataclass

@@ -58,6 +58,19 @@ def default_tol(model):
     return _DEFAULT_TOL[model.kind]
 
 
+def _checked_tol(model, tol, method):
+    """tol, or the model's default when None; refused unless finite and
+    positive and, for bisection, at least MIN_BISECTION_TOL."""
+    if tol is None:
+        return default_tol(model)
+    if not (math.isfinite(tol) and tol > 0.0):
+        raise ConfigError(f"tol must be a positive number, got {tol!r}")
+    if method == "bisection" and tol < MIN_BISECTION_TOL:
+        raise ConfigError(f"tol {tol!r} below {MIN_BISECTION_TOL:g} is not "
+                          "resolvable by bisection in binary64")
+    return tol
+
+
 @dataclass
 class EigenResult:
     n: int
@@ -155,11 +168,7 @@ def find_eigen(model, n, tol=None, cfg=None, seed=None, lo_bound=None,
         raise ValueError(f"find_eigen: need integer n >= 1, got {n!r}")
     n = int(n)
     check_binary64(model, n)
-    if tol is None:
-        tol = default_tol(model)
-    if tol < MIN_BISECTION_TOL:
-        raise ValueError(f"tol below {MIN_BISECTION_TOL:g} is not resolvable "
-                         "in binary64 here")
+    tol = _checked_tol(model, tol, "bisection")
     sh = _Shooter(model, n, _ode_cfg(tol, cfg))
     frame = sh.frame
     pred = _predict(model, n) if seed is None else frame.unscale_E(seed)
@@ -237,7 +246,7 @@ def find_eigen(model, n, tol=None, cfg=None, seed=None, lo_bound=None,
                        model=model.spec, tol=tol, z0=z0, log10_E=log10)
 
 
-def refine_backward(model, n, x0=None, cfg=None, tol=None):
+def refine_backward(model, n, cfg=None, tol=None):
     """Eigenvalue read off at the origin of a backward-integrated
     separatrix, seeded on the n-th unstable zero s via the large-x
     expansion u(x0) = s - s/(x0^2 F'(s)).
@@ -250,8 +259,7 @@ def refine_backward(model, n, x0=None, cfg=None, tol=None):
         raise ValueError(f"refine_backward: need integer n >= 1, got {n!r}")
     n = int(n)
     check_binary64(model, n)
-    if tol is None:
-        tol = default_tol(model)
+    tol = _checked_tol(model, tol, "backward")
     cfg = _ode_cfg(tol, cfg)
     table = zero_table(model)
     s = table.nth_unstable(n)
@@ -276,19 +284,18 @@ def refine_backward(model, n, x0=None, cfg=None, tol=None):
         y0 = (1.0 - corr) / x0
     else:
         frame = Frame(model)
-        if x0 is None:
-            # Start deep enough that (a) the first-correction seed is valid
-            # (correction well inside the basin) and (b) the backward
-            # contraction exp(-F'(x0^2-x_tp^2)/2) drives the residual seed
-            # error below machine precision.  This stays out of the stiff
-            # zone x F'(s) >> 1, where an explicit pair is stability-limited.
-            x_turn = (s.u / 0.6 if model.kind == "xibar"  # y(x_turn) ~ 1
-                      else ScaledProblem(model, n).x_scale)
-            _, _, halfgap = table.nearest(s.u)
-            du_cap = min(0.1 * halfgap, 0.02 * s.u)
-            x0 = math.sqrt(max(s.u / (fp * du_cap),
-                               x_turn * x_turn + 90.0 / fp,
-                               (1.3 * x_turn) ** 2))
+        # Start deep enough that (a) the first-correction seed is valid
+        # (correction well inside the basin) and (b) the backward
+        # contraction exp(-F'(x0^2-x_tp^2)/2) drives the residual seed
+        # error below machine precision.  This stays out of the stiff
+        # zone x F'(s) >> 1, where an explicit pair is stability-limited.
+        x_turn = (s.u / 0.6 if model.kind == "xibar"  # y(x_turn) ~ 1
+                  else ScaledProblem(model, n).x_scale)
+        _, _, halfgap = table.nearest(s.u)
+        du_cap = min(0.1 * halfgap, 0.02 * s.u)
+        x0 = math.sqrt(max(s.u / (fp * du_cap),
+                           x_turn * x_turn + 90.0 / fp,
+                           (1.3 * x_turn) ** 2))
         y0 = (s.u - s.u / (x0 * x0 * fp)) / x0
     eng = Engine(frame, x0, y0, cfg, direction=-1, record=True)
     eng.run(0.0)
@@ -315,6 +322,8 @@ def refine_backward(model, n, x0=None, cfg=None, tol=None):
 def _check_coords(model, n, coords):
     """The coordinate and binary64 refusals of separatrix index n, before
     any run."""
+    if coords not in ("raw", "scaled"):
+        raise ConfigError(f"coords must be raw or scaled, got {coords!r}")
     check_binary64(model, n)
     if coords == "scaled" and model.kind == "xibar":
         raise DomainError("xibar has no scaled coordinates")
@@ -339,16 +348,21 @@ def spectrum_scan(model, n_range, tol=None, cfg=None, method="bisection"):
     at small ones).  Failures are recorded per index without aborting; the
     monotonicity of the successful results is verified.  The results carry
     no curves, so a long backward scan holds no recorded separatrices.
-    Returns (results, errors).
+    A xibar bisection seeds each index from the one before it, so it scans
+    from n = 1 and returns the requested indices only.  Returns (results,
+    errors).
     """
     ns = list(n_range)
     if not ns or any(b <= a for a, b in zip(ns, ns[1:])):
         raise ValueError("n_range must be nonempty and increasing")
     if method not in ("bisection", "backward"):
-        raise ValueError(f"unknown spectrum method {method!r}")
+        raise ConfigError(f"method must be bisection or backward, "
+                          f"got {method!r}")
     check_binary64(model, ns[-1])
-    if tol is None:
-        tol = default_tol(model)
+    tol = _checked_tol(model, tol, method)
+    wanted = set(ns)
+    if model.kind == "xibar" and method == "bisection":
+        ns = range(1, ns[-1] + 1)
     results = []
     errors = []
     prev = None
@@ -393,7 +407,8 @@ def spectrum_scan(model, n_range, tol=None, cfg=None, method="bisection"):
         if not (b.E > a.E):
             errors.append({"n": b.n,
                            "error": f"monotonicity violated: E_{b.n} <= E_{a.n}"})
-    return results, errors
+    return ([r for r in results if r.n in wanted],
+            [e for e in errors if e["n"] in wanted])
 
 
 def spectrum_csv_text(records):

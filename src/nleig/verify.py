@@ -78,9 +78,6 @@ def growth(model_spec="cos", n_max=100, method="backward", tol=1e-8,
     model = make_model(model_spec)
     if model.asym is None:
         raise ConfigError(f"model {model_spec!r} has no growth law")
-    if method not in ("bisection", "backward"):
-        raise ConfigError(f"method must be bisection or backward, "
-                          f"got {method!r}")
     if n_max < 21:
         raise ConfigError(f"n_max must be at least 21, two points for the "
                           f"growth fit from n = 20, got {n_max}")

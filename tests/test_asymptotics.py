@@ -17,6 +17,7 @@ from nleig.asymptotics import (envelope, forbidden_region_z, growth_law,
                                walk_coefficients, walk_coefficients_dp,
                                RGammaScaling)
 from nleig.models import ScaledProblem, make_model
+from nleig.specfun import DomainError
 
 
 class TestLimitCurve:
@@ -91,6 +92,9 @@ class TestLimitCurve:
             limit_curve_value(-1.2, 0.5)
         with pytest.raises(ValueError):
             limit_curve_value(0.0, -0.1)
+        for alpha in (math.nan, math.inf, -math.inf):
+            with pytest.raises(DomainError, match="finite alpha"):
+                limit_curve_value(alpha, 0.5)
 
 
 class TestOriginBehavior:

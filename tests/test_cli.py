@@ -83,6 +83,18 @@ class TestSpectrumCommand:
             lines = body.splitlines()[1:-1]
             assert lines and all(line.rstrip(",") in cached for line in lines)
 
+    def test_xibar_rerun_over_its_cache(self, tmp_path):
+        # the rerun computes only the escalated n = 8, 9 (their records
+        # carry the tighter tol), from a scan that starts at n = 1
+        args = ["spectrum", "--model", "xibar", "--n", "1..10",
+                "--cache", "c.jsonl"]
+        assert run(args, tmp_path) == 0
+        first = [(tmp_path / f"spectrum_xibar.{ext}").read_bytes()
+                 for ext in ("csv", "json")]
+        assert run(args, tmp_path) == 0
+        assert [(tmp_path / f"spectrum_xibar.{ext}").read_bytes()
+                for ext in ("csv", "json")] == first
+
     def test_env_cache_override(self, tmp_path, monkeypatch):
         monkeypatch.setenv("NLEIG_CACHE", str(tmp_path / "custom.jsonl"))
         assert run(["spectrum", "--model", "cos", "--n", "1..2",
@@ -179,8 +191,20 @@ class TestExitCodes:
         ["verify", "growth", "--n-max", "0"],
         ["verify", "growth", "--n-max", "10"],
         ["verify", "growth", "--model", "xibar"],
+        ["spectrum", "--model", "cos", "--method", "foo"],
+        ["limit-curve", "--alpha", "inf"],
+        ["spectrum", "--model", "cos", "--abs-tol", "inf"],
+        ["spectrum", "--model", "cos", "--x-max", "nan"],
+        # the item after --config is the text of the file passed
+        ["limit-curve", "--alpha", "0", "--config", "svg = maybe"],
+        ["verify", "limits", "--config", "suite = walk"],
     ])
     def test_bad_value_is_config_error(self, tmp_path, capsys, argv):
+        if "--config" in argv:
+            i = argv.index("--config") + 1
+            cfg = tmp_path / "run.cfg"
+            cfg.write_text(argv[i] + "\n")
+            argv = argv[:i] + [str(cfg)] + argv[i + 1:]
         assert run(argv, tmp_path) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and len(err.splitlines()) == 1
@@ -374,6 +398,25 @@ class TestConfigFile:
         cfg.write_text("model = cos\nwibble = 3\n")
         assert run(["spectrum", "--config", str(cfg), "--n", "1"],
                    tmp_path) == 2
+
+    def test_switch_false_in_file(self, tmp_path):
+        # a switch in a file is on only for "true"
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("alpha = 0\npoints = 5\nsvg = false\n")
+        assert run(["limit-curve", "--config", str(cfg)], tmp_path) == 0
+        assert (tmp_path / "limit_alpha0.csv").exists()
+        assert not list(tmp_path.glob("*.svg"))
+        cfg.write_text("alpha = 0\npoints = 5\nsvg = true\n")
+        assert run(["limit-curve", "--config", str(cfg)], tmp_path) == 0
+        assert (tmp_path / "limit_alpha0.svg").exists()
+
+    def test_no_cache_false_keeps_the_cache(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("model = cos\nn = 1..2\nmethod = backward\n"
+                       "no_cache = false\n")
+        assert run(["spectrum", "--config", str(cfg)], tmp_path) == 0
+        cache = tmp_path / ".nleig-cache.jsonl"
+        assert len(cache.read_text().splitlines()) == 2
 
     def test_comments_and_blanks_ok(self, tmp_path):
         cfg = tmp_path / "run.cfg"

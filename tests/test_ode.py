@@ -277,6 +277,14 @@ class TestGuards:
         with pytest.raises(ValueError):
             IntegratorConfig(rel_tol=1e-14)
 
+    @pytest.mark.parametrize("kw", [
+        {"abs_tol": math.inf}, {"abs_tol": math.nan}, {"abs_tol": 0.0},
+        {"x_max": math.nan}, {"x_max": math.inf}, {"x_max": -1.0},
+        {"rel_tol": math.nan}])
+    def test_unusable_setting_is_domain_error(self, kw):
+        with pytest.raises(DomainError):
+            IntegratorConfig(**kw)
+
     def test_negative_initial_rejected(self):
         with pytest.raises(ValueError):
             integrate(make_model("cos"), (0.0, -1.0), TIGHT)

@@ -9,9 +9,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from nleig import ode
 from nleig.models import RGAMMA_N_MAX, make_model, zero_table
 from nleig.ode import IntegratorConfig
-from nleig.spectrum import (classify, default_tol, find_eigen,
+from nleig.spectrum import (ConfigError, classify, default_tol, find_eigen,
                             refine_backward, spectrum_csv_text,
                             spectrum_json_text, spectrum_scan)
 from nleig.specfun import DomainError
@@ -181,6 +182,16 @@ class TestSpectrumScan:
         with pytest.raises(ValueError):
             spectrum_scan(make_model("cos"), [3, 2])
 
+    @pytest.mark.parametrize("kw", [
+        {"tol": math.nan}, {"tol": math.inf}, {"tol": 0.0}, {"tol": 1e-13},
+        {"tol": -1e-8, "method": "backward"}, {"method": "foo"}])
+    def test_bad_settings_refused_before_any_engine(self, monkeypatch, kw):
+        def no_engine(*args, **kw):
+            raise AssertionError("an Engine was built")
+        monkeypatch.setattr(ode.Engine, "__init__", no_engine)
+        with pytest.raises(ConfigError):
+            spectrum_scan(make_model("cos"), [1, 2], **kw)
+
     def test_serialization(self):
         res, _ = spectrum_scan(make_model("cos"), range(1, 4), tol=1e-9)
         records = [r.to_record() for r in res]
@@ -237,6 +248,20 @@ class TestXiBarPins:
         assert not errs
         assert [(r.n, r.E.hex(), r.maxima, r.evidence["lo_class"],
                  r.evidence["hi_class"]) for r in res] == XIBAR_SCAN_1_4
+
+    def test_scan_from_a_later_index(self):
+        # each index is seeded from the one before it, so a scan from 7 or
+        # 8 is the tail of the scan from 1 (E_8, E_9 escalated there)
+        xb = make_model("xibar")
+        full, errs = spectrum_scan(xb, range(1, 11))
+        assert not errs
+
+        def key(res):
+            return [(r.n, r.E.hex(), r.tol) for r in res]
+        for start in (7, 8):
+            tail, errs = spectrum_scan(xb, range(start, 11))
+            assert not errs
+            assert key(tail) == key(full[start - 1:])
 
     def test_zero_table(self):
         tab = zero_table(make_model("xibar"))
