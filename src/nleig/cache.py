@@ -6,7 +6,8 @@ once, on its first lookup, and serves later lookups from memory; each new
 instance sees the file as it is on disk when it first reads it.  Lines of
 another schema version (records written before the version field existed
 carry none) are never served; corrupt lines are skipped with a warning;
-later entries win; appends go through the OS append mode so a crash can at
+later entries win; a record whose key already holds the same line is not
+appended again; appends go through the OS append mode so a crash can at
 worst truncate the final line.
 
 A record is serialized once, by record_line: the instance keeps each
@@ -129,15 +130,19 @@ class EigenCache:
         return self._loaded()[self._record_key(rec)][1]
 
     def put(self, rec):
-        """Append a stamped record to the file and to the loaded entries;
-        returns its line (record_line, without the newline)."""
+        """Append a stamped record to the file and to the loaded entries,
+        unless its key already holds the same line; returns its line
+        (record_line, without the newline)."""
         key = self._record_key(rec)
         line = record_line(rec)
+        entries = self._loaded()
+        held = entries.get(key)
+        if held is not None and held[1] == line:
+            return line
         d = os.path.dirname(os.path.abspath(self.path))
         if d:
             os.makedirs(d, exist_ok=True)
         with open(self.path, "a") as fh:
             fh.write(line + "\n")
-        if self._entries is not None:
-            self._entries[key] = (rec, line)
+        entries[key] = (rec, line)
         return line

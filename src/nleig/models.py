@@ -134,12 +134,14 @@ class ZeroTable:
     The zeros are simple, so stable (F' < 0) and unstable (F' > 0) zeros
     alternate and only their ordinates are kept: the first zero is
     unstable for xibar, which is negative just above 0 (Hardy Z sign), and
-    stable for every other model (rgamma's first zero is u = 0)."""
+    stable for every other model (rgamma's first zero is u = 0).  So F is
+    positive at a u that is no zero exactly when the number of zeros below
+    u is even, or odd where first_unstable holds."""
 
     def __init__(self, model):
         self.model = model
         self._zeros = []       # ordered ordinates
-        self._first_unstable = model.kind == "xibar"
+        self.first_unstable = model.kind == "xibar"
 
     def _append_next(self):
         m = self.model
@@ -160,12 +162,18 @@ class ZeroTable:
 
     def _stable(self, i):
         """Whether the zero at 0-based position i is stable."""
-        return (i % 2 == 0) != self._first_unstable
+        return (i % 2 == 0) != self.first_unstable
 
     def ensure_up_to(self, u):
         # keep at least one full gap of headroom above u
         while not self._zeros or self._zeros[-1] < u + self._headroom():
             self._append_next()
+
+    def ordinates(self, u):
+        """The ordered ordinates, extended to cover u.  The list is the
+        table's own: later extensions append to it in place."""
+        self.ensure_up_to(u)
+        return self._zeros
 
     def _headroom(self):
         if len(self._zeros) < 2:
@@ -209,18 +217,18 @@ class ZeroTable:
         if zs[i] == u:
             return None
         if i == 0:
-            return 0.0 if self._first_unstable else None
+            return 0.0 if self.first_unstable else None
         return zs[i - 1] if self._stable(i - 1) else None
 
     def unstable_below(self, u):
         """Number of unstable zeros below u."""
         self.ensure_up_to(u)
         i = bisect_left(self._zeros, u)
-        return (i + 1) // 2 if self._first_unstable else i // 2
+        return (i + 1) // 2 if self.first_unstable else i // 2
 
     def nth_unstable(self, n):
         """n-th unstable zero as a ClassifiedZero."""
-        return self.zero(2 * n - 1 if self._first_unstable else 2 * n)
+        return self.zero(2 * n - 1 if self.first_unstable else 2 * n)
 
 
 _zero_tables = {}
@@ -299,7 +307,9 @@ class ScaledProblem:
     x = (lambda/b)^(1/beta - gamma) t / sqrt(a) with
     gamma = (1+alpha)/(2 beta) and lambda = (2n - 1/2) pi - phi.
     Reciprocal gamma: x = sqrt(lambda/xi) t, y = sqrt(lambda xi) z with
-    lambda = 2n - 1.
+    lambda = 2n - 1.  u_scale is the factor of u = xy = u_scale t z as the
+    right-hand side forms it: x_scale y_scale, and lambda for rgamma (a
+    few ulp apart there).
     """
 
     def __init__(self, model, n, _lam_override=None):
@@ -325,6 +335,7 @@ class ScaledProblem:
                     f"rgamma scaling overflows binary64 at n={n}")
             self.x_scale = math.exp(ln_x)
             self.y_scale = math.exp(ln_y)
+            self.u_scale = lam
         else:
             asym = model.asym
             if _lam_override is not None:
@@ -339,6 +350,7 @@ class ScaledProblem:
             self.y_scale = sqrt_a * (lam / asym.b) ** self.gamma_exp
             self.x_scale = ((lam / asym.b) ** (1.0 / asym.beta - self.gamma_exp)
                             / sqrt_a)
+            self.u_scale = self.x_scale * self.y_scale
 
     @classmethod
     def from_lambda(cls, model, lam):
@@ -357,10 +369,10 @@ class ScaledProblem:
 
     def make_rhs(self):
         """dz/dt as a tight closure (the exact right-hand side, not the
-        asymptotic form)."""
+        asymptotic form) of u = u_scale * t * z."""
         model = self.model
         pref = self.x_scale / self.y_scale
-        c_u = self.x_scale * self.y_scale
+        c_u = self.u_scale
         if model.kind == "cosine":
             def rhs(t, z):
                 return pref * cospi(c_u * t * z)
@@ -376,10 +388,9 @@ class ScaledProblem:
                 u = c_u * t * z
                 return pref * airy_ai(5.0 if u < -5.0 else -u)
         elif model.kind == "rgamma":
-            lam = self.lam
             ln_xi = self.ln_xi
             def rhs(t, z):
-                u = lam * t * z
+                u = c_u * t * z
                 sign, lm = recip_gamma_log(-1.0 if u < -1.0 else u)
                 if sign == 0:
                     return 0.0

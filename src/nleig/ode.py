@@ -4,9 +4,11 @@ A scalar Dormand-Prince 5(4) pair with proportional-integral step control
 and first-same-as-last reuse.  A sign change of the derivative across an
 accepted step is an event: + to - events are maxima, - to + events are the
 completed oscillations the eigenvalue classifier counts.  Only a recording
-run locates its events, by bisecting the right-hand side along the cubic
-Hermite dense output; a non-recording run records the end of the step in
-which the sign changed, since nothing reads more than its counts.  Forward
+run locates its events, by bisecting along the cubic Hermite dense output
+for the zero of F that u = x*y crosses, with the sign of F at each midpoint
+read off the model's ZeroTable (the parity of the zeros below u), so no
+right-hand side is called; a non-recording run records the end of the step
+in which the sign changed, since nothing reads more than its counts.  Forward
 runs also watch u = x*y, and the first accepted step where u falls commits
 the run for good.  For x > 0, du/dx = (u + x^2 F(u))/x, so a falling u has
 F(u) < 0 and lies between a stable zero z* of F and the unstable zero s
@@ -36,14 +38,16 @@ one of them fires does the loop call out: _event records the extremum
 looks up the stable zero below u.  The DP5 tableau and error weights are
 written in the loop as literal fractions, which the compiler folds into
 constants, so a step loads no module global; _refine_event evaluates the
-cubic Hermite inline.  The raw cos right-hand side is specfun's cospi
-itself (cospi(x, y) = cos(pi x y)), one call per stage.  An accepted step
-of a raw cos backward run, its six cospi calls included, takes 3 to 5 us on
-a 2-core share of a shared Intel Xeon, as the machine's load varies.
+cubic Hermite inline, in Horner form for its probes.  The raw cos
+right-hand side is specfun's cospi itself (cospi(x, y) = cos(pi x y)), one
+call per stage.  An accepted step of a raw cos backward run, its six cospi
+calls included, takes 3 to 5 us on a 2-core share of a shared Intel Xeon,
+as the machine's load varies.
 """
 
 import math
 import operator
+from bisect import bisect_left
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -117,7 +121,8 @@ class Frame:
     model without an index run in raw coordinates (x, y).
 
     x_factor and y_factor are the raw units per frame unit (1 in raw
-    coordinates); u_of(x, y) is the product xy of raw coordinates.
+    coordinates); u_of(x, y) is the product xy of raw coordinates, and
+    u_scale * x * y is that product as the right-hand side forms it.
     """
 
     def __init__(self, model, n=None):
@@ -146,11 +151,12 @@ class Frame:
             self.coords = "raw"
             self.rhs = raw_rhs(model)
             self.u_of = lambda x, y: x * y
-            self.x_factor = self.y_factor = 1.0
+            self.x_factor = self.y_factor = self.u_scale = 1.0
         else:
             self.coords = "scaled"
             self.rhs = problem.make_rhs()
             self.u_of = problem.u_of
+            self.u_scale = problem.u_scale
             self.x_factor = problem.x_scale
             self.y_factor = problem.y_scale
 
@@ -419,34 +425,49 @@ class Engine:
         return "settled" if self.stop_when_settled else None
 
     def _refine_event(self, x0, y0, f0, x1, y1, f1, hs):
-        # bisect the true right-hand side along the cubic Hermite dense
-        # output, so the located (x, y) pair satisfies F(x y) = 0 to the
-        # tolerance, and count those calls in nfev (f0 is already the one
-        # at the start); the last midpoint's ordinate is the answer
+        # bisect along the cubic Hermite dense output for the zero of F that
+        # u = xy crosses, so the located (x, y) pair satisfies F(x y) = 0 to
+        # the tolerance; F's sign at a midpoint is the parity of the
+        # tabulated zeros below its u (formed as the right-hand side forms
+        # it), so no right-hand side is called.  A midpoint on a zero ends
+        # the search; the last midpoint's ordinate is the answer
+        frame = self.frame
+        table = frame.zeros
+        c = frame.u_scale
+        zs = table.ordinates(max(c * x0 * y0, c * x1 * y1))
+        # the midpoint moves a when the parity of its zero count is odd_a,
+        # the parity of the gaps where F has the sign of f0
+        odd_a = 0 if (f0 > 0.0) != table.first_unstable else 1
         tol = 1e-10 * self.event_tol_scale
         ahs = abs(hs)
-        rhs = self.rhs
+        # the cubic in Horner form, y0 + s (p1 + s (p2 + s p3)), for probes
+        p1 = hs * f0
+        dy = y1 - y0
+        p2 = 3.0 * dy - 2.0 * p1 - hs * f1
+        p3 = p1 + hs * f1 - 2.0 * dy
         a, b = 0.0, 1.0
-        da = f0
-        calls = 0
+        steps = 0
         while True:
             s = 0.5 * (a + b)
-            s2 = s * s
-            s3 = s2 * s
-            ys = ((2 * s3 - 3 * s2 + 1) * y0 + (s3 - 2 * s2 + s) * hs * f0
-                  + (-2 * s3 + 3 * s2) * y1 + (s3 - s2) * hs * f1)
-            if calls == 80 or (b - a) * ahs <= tol:
+            if steps == 80 or (b - a) * ahs <= tol:
                 break
-            ds = rhs(x0 + s * hs, ys)
-            calls += 1
-            if ds == 0.0:
+            u = c * (x0 + s * hs) * (y0 + s * (p1 + s * (p2 + s * p3)))
+            i = bisect_left(zs, u)
+            if i == len(zs):        # the probe passed the last zero
+                zs = table.ordinates(u)
+                i = bisect_left(zs, u)
+            if zs[i] == u:
                 break
-            if (ds > 0.0) == (da > 0.0):
-                a, da = s, ds
+            steps += 1
+            if (i & 1) == odd_a:
+                a = s
             else:
                 b = s
-        self.nfev += calls
-        return x0 + s * hs, ys
+        s2 = s * s
+        s3 = s2 * s
+        return x0 + s * hs, ((2 * s3 - 3 * s2 + 1) * y0
+                             + (s3 - 2 * s2 + s) * hs * f0
+                             + (-2 * s3 + 3 * s2) * y1 + (s3 - s2) * hs * f1)
 
     def curve(self, meta=None):
         if self.record:
@@ -479,8 +500,10 @@ def integrate(obj, initial, cfg, direction="forward", record=True, meta=None,
     initial is (x0, y0); backward runs require x0 > 0 and integrate down to
     the origin, forward runs go to Frame.horizon.  Returns a SolutionCurve;
     a recording run locates its maxima and minima to an abscissa accuracy
-    of 1e-10 times the horizon, a run with record=False only counts them
-    (each event carries the end of the step it fell in).
+    of 1e-10 times the horizon, from the zero table and with no
+    right-hand-side call, a run with record=False only counts them (each
+    event carries the end of the step it fell in).  meta["nfev"] counts
+    the run's right-hand-side calls.
     With stop_when_settled the run ends as soon as x*y has committed to a
     stable zero of F; otherwise the attractor is recorded in terminal_u and
     integration continues to the horizon.

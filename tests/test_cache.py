@@ -72,3 +72,16 @@ def test_older_schema_lines_are_not_served(tmp_path):
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         assert _get(EigenCache(path), key) is None
+
+
+def test_put_of_a_held_line_appends_nothing(tmp_path):
+    path = tmp_path / "cache.jsonl"
+    key = (1, 1e-8, "backward", 1e-9)
+    EigenCache(path).put(_record(key, 1))
+    cache = EigenCache(path)
+    line = path.read_text()
+    assert cache.put(_record(key, 1)) + "\n" == line
+    assert path.read_text() == line
+    cache.put(_record(key, 2))      # same key, another line: appended
+    assert path.read_text().count("\n") == 2
+    assert _get(EigenCache(path), key)["E"] == 2.0

@@ -84,16 +84,19 @@ class TestSpectrumCommand:
             assert lines and all(line.rstrip(",") in cached for line in lines)
 
     def test_xibar_rerun_over_its_cache(self, tmp_path):
-        # the rerun computes only the escalated n = 8, 9 (their records
-        # carry the tighter tol), from a scan that starts at n = 1
+        # a rerun computes only the escalated n = 8, 9 (their records carry
+        # the tighter tol), from a scan that starts at n = 1; their lines
+        # equal the stored ones, so the cache keeps its 10 lines
         args = ["spectrum", "--model", "xibar", "--n", "1..10",
                 "--cache", "c.jsonl"]
         assert run(args, tmp_path) == 0
         first = [(tmp_path / f"spectrum_xibar.{ext}").read_bytes()
                  for ext in ("csv", "json")]
-        assert run(args, tmp_path) == 0
-        assert [(tmp_path / f"spectrum_xibar.{ext}").read_bytes()
-                for ext in ("csv", "json")] == first
+        for _ in range(2):
+            assert run(args, tmp_path) == 0
+            assert [(tmp_path / f"spectrum_xibar.{ext}").read_bytes()
+                    for ext in ("csv", "json")] == first
+            assert len((tmp_path / "c.jsonl").read_text().splitlines()) == 10
 
     def test_env_cache_override(self, tmp_path, monkeypatch):
         monkeypatch.setenv("NLEIG_CACHE", str(tmp_path / "custom.jsonl"))

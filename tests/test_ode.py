@@ -11,7 +11,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from nleig import spectrum
-from nleig.models import ScaledProblem, check_raw, make_model, zero_table
+from nleig.models import (ScaledProblem, ZeroTable, check_raw, make_model,
+                          zero_table)
 from nleig.ode import (Engine, Frame, IntegratorConfig, PrecisionExhausted,
                        count_maxima, curve_to_csv, integrate)
 from nleig.specfun import DomainError, airy, bessel
@@ -222,8 +223,9 @@ class TestCommitmentProperty:
 class TestRecordingProperty:
     """Only a recording run locates its events, and that does not steer
     the run: a recorded shot takes the unrecorded one's steps to the same
-    end, attractor and event counts, and its nfev is larger by exactly the
-    right-hand-side calls of event refinement."""
+    end, attractor and event counts.  Event refinement reads the sign of F
+    off the zero table and calls no right-hand side, so both shots have the
+    same nfev."""
 
     @staticmethod
     def shoot(model, n, y0, stop_at, record):
@@ -266,8 +268,142 @@ class TestRecordingProperty:
         rec, rec_nfev, rec_refined = self.shoot(model, n, z0, stop_at, True)
         assert rec == plain
         assert refined == [0, 0]
-        assert rec_refined[1] == rec[6] + rec[7]    # one per event
-        assert rec_nfev - nfev == rec_refined[0]
+        assert rec_refined == [0, rec[6] + rec[7]]  # one per event, no call
+        assert rec_nfev == nfev
+
+
+def refine_event_reference(eng, x0, y0, f0, x1, y1, f1, hs):
+    """Event location by bisection on the sign of the right-hand side
+    itself along the cubic Hermite dense output, the rule the zero-table
+    parity replaced: same midpoints, same stops, same returned ordinate."""
+    tol = 1e-10 * eng.event_tol_scale
+    ahs = abs(hs)
+    a, b = 0.0, 1.0
+    da = f0
+    calls = 0
+    while True:
+        s = 0.5 * (a + b)
+        s2 = s * s
+        s3 = s2 * s
+        ys = ((2 * s3 - 3 * s2 + 1) * y0 + (s3 - 2 * s2 + s) * hs * f0
+              + (-2 * s3 + 3 * s2) * y1 + (s3 - s2) * hs * f1)
+        if calls == 80 or (b - a) * ahs <= tol:
+            break
+        ds = eng.rhs(x0 + s * hs, ys)
+        calls += 1
+        if ds == 0.0:
+            break
+        if (ds > 0.0) == (da > 0.0):
+            a, da = s, ds
+        else:
+            b = s
+    return x0 + s * hs, ys
+
+
+class TestEventLocation:
+    """Every event is located bit for bit where bisection on the sign of
+    the right-hand side (refine_event_reference) locates it."""
+
+    @staticmethod
+    def checked(monkeypatch, run):
+        """(events, mismatches) of the recording runs run() makes."""
+        seen = [0, []]
+
+        class Checked(Engine):
+            def _refine_event(self, *args):
+                got = super()._refine_event(*args)
+                ref = refine_event_reference(self, *args)
+                seen[0] += 1
+                if list(map(float.hex, got)) != list(map(float.hex, ref)):
+                    seen[1].append((args, got, ref))
+                return got
+        monkeypatch.setattr(spectrum, "Engine", Checked)
+        run()
+        return seen
+
+    @pytest.mark.parametrize("spec, ns", [
+        ("cos", range(1, 41)), ("rgamma", range(1, 151)),
+        ("bessel:0", range(1, 61)), ("bessel:2.5", range(1, 61)),
+        ("airy", range(1, 61)), ("xibar", range(1, 12))])
+    def test_backward_runs(self, monkeypatch, spec, ns):
+        model = make_model(spec)
+        events, bad = self.checked(monkeypatch, lambda: [
+            spectrum.refine_backward(model, n) for n in ns])
+        assert events >= len(ns) and bad == []
+
+    @pytest.mark.parametrize("spec, n, y0", [
+        ("cos", 3, 1.3), ("bessel:0", 3, 1.3), ("bessel:2.5", 3, 1.3),
+        ("airy", 3, 1.3), ("rgamma", 3, 1.3), ("xibar", None, 6.0)])
+    def test_recorded_forward_shot(self, monkeypatch, spec, n, y0):
+        shooter = spectrum._Shooter(make_model(spec), n, IntegratorConfig())
+        events, bad = self.checked(
+            monkeypatch, lambda: shooter.shoot(y0, record=True))
+        assert events >= 5 and bad == []
+
+    def test_criterion_5_separatrix(self, monkeypatch):
+        cfg = IntegratorConfig(rel_tol=1e-9, abs_tol=1e-12)
+        events, bad = self.checked(monkeypatch, lambda: (
+            spectrum.separatrix_curve(make_model("bessel:0"), 1000,
+                                      "scaled", tol=1e-8, cfg=cfg)))
+        assert events == 1999 and bad == []
+
+    @staticmethod
+    def engine(frame):
+        """A recording engine of frame, its right-hand-side calls counted
+        from here on."""
+        rhs = frame.rhs
+        calls = [0]
+
+        def counted(x, y):
+            calls[0] += 1
+            return rhs(x, y)
+        frame.rhs = counted
+        eng = Engine(frame, 0.0, 1.0, IntegratorConfig())
+        eng.event_tol_scale = 1.0
+        calls[0] = 0
+        return eng, calls
+
+    def test_midpoint_on_a_zero_stops(self):
+        # the first midpoint (x, y) = (0.5, 1.0) has u = 0.5, cos's first
+        # zero, exactly: both rules stop there
+        eng, calls = self.engine(Frame(make_model("cos")))
+        step = (0.0, 0.875, 0.5, 1.0, 0.875, -0.5, 1.0)
+        assert eng._refine_event(*step) == (0.5, 1.0)
+        assert calls[0] == 0
+        assert refine_event_reference(eng, *step) == (0.5, 1.0)
+        assert calls[0] == 1
+        # off the zero the bisection goes on to the tolerance
+        off = (0.0, 0.9, 0.5, 1.0, 0.9, -0.5, 1.0)
+        x, y = eng._refine_event(*off)
+        assert x != 0.5 and (x, y) == refine_event_reference(eng, *off)
+
+    def test_u_formed_as_the_right_hand_side_forms_it(self):
+        # scaled rgamma n = 4 forms u = lambda t z with lambda = 7, a few
+        # ulp from x_scale y_scale: at the first midpoint (t, z) =
+        # (1, 5/7), lambda t z is the zero 5 exactly and both rules stop
+        frame = Frame(make_model("rgamma"), 4)
+        assert frame.u_scale == 7.0 != frame.u_of(1.0, 1.0)
+        eng, calls = self.engine(frame)
+        z = 5.0 / 7.0
+        y = z - 2.0 ** -12         # the Hermite midpoint is y + 2^-12 = z
+        step = (0.5, y, 2.0 ** -10, 1.5, y, -(2.0 ** -10), 1.0)
+        assert eng._refine_event(*step) == (1.0, z)
+        assert calls[0] == 0
+        assert refine_event_reference(eng, *step) == (1.0, z)
+
+    def test_probe_past_the_table_extends_it(self):
+        # u is 0.1 and 0.2 at the step's ends, which a fresh table covers
+        # with the zeros 0.5, 1.5, 2.5; the Hermite overshoot puts the
+        # first midpoint at u = 1.5 * 2.1 = 3.15, past them
+        frame = Frame(make_model("cos"))
+        table = frame.zeros = ZeroTable(frame.model)
+        eng, calls = self.engine(frame)
+        step = (1.0, 0.1, 8.0, 2.0, 0.1, -8.0, 1.0)
+        got = eng._refine_event(*step)
+        assert calls[0] == 0
+        assert table.ordinates(0.0)[:6] == [0.5, 1.5, 2.5, 3.5, 4.5, 5.5]
+        assert got == refine_event_reference(eng, *step)
+        assert 1.0 < got[0] < 1.5
 
 
 class TestGuards:
@@ -364,14 +500,14 @@ class TestStepSequence:
     may not change."""
 
     @pytest.mark.parametrize("spec, n, expected", [
-        ("cos", 40, (5732, 37663, "reached_end", "0x1.678fa94c63773p+3",
+        ("cos", 40, (5732, 36014, "reached_end", "0x1.678fa94c63773p+3",
                      40, 39, "06164f5267749954")),
-        ("rgamma", 8, (1153, 7169, "reached_end", "0x1.1f4a37e5ad10fp+0",
+        ("rgamma", 8, (1153, 6986, "reached_end", "0x1.1f4a37e5ad10fp+0",
                        4, 3, "1ea82aba94c7ed8a")),
         # u = xy up to about 376 and 43: J_0 and Ai(-u) on the Hankel band
-        ("bessel:0", 60, (8163, 53921, "reached_end", "0x1.525f151e8efa3p+2",
+        ("bessel:0", 60, (8163, 51524, "reached_end", "0x1.525f151e8efa3p+2",
                           60, 59, "ba9f631e76a8fe2d")),
-        ("airy", 30, (5725, 36947, "reached_end", "0x1.ee3bba50dd2acp+1",
+        ("airy", 30, (5725, 35720, "reached_end", "0x1.ee3bba50dd2acp+1",
                       30, 29, "2c0c07bd3fe697d0")),
     ])
     def test_backward(self, monkeypatch, spec, n, expected):
@@ -425,14 +561,15 @@ class TestStepSequence:
         eng.h = 1e-9
         eng.run(2.0)
         assert eng.xs[2] == 7.000000000000001e-09
-        assert _step_record(eng) == (110, 712, "reached_end",
+        assert _step_record(eng) == (110, 685, "reached_end",
                                      "0x1.21cfd34161b54p-2", 1, 0,
                                      "b3d6e4ed7ec65049")
 
     @pytest.mark.parametrize("x0, y0, x_end", [(0.0, 2.0, 6.0),
                                                (4.0, 1.0, 0.0)])
     def test_nfev_counts_every_call(self, x0, y0, x_end):
-        # a recording run also calls the right-hand side to refine events
+        # nfev counts every right-hand-side call; a recording run's event
+        # refinement makes none
         frame = Frame(make_model("cos"))
         rhs = frame.rhs
         calls = [0]
