@@ -108,19 +108,6 @@ def origin_value(alpha):
     return math.exp(num / ((1.0 - alpha) * (3.0 - alpha)))
 
 
-def _curve_log_residual(alpha, t, z):
-    """log of the defining product; 0 at the limit curve."""
-    w = z ** (1.0 - alpha)
-    rad = z ** (2.0 - 2.0 * alpha) - t ** (2.0 + 2.0 * alpha)
-    if rad < 0.0:
-        rad = 0.0
-    r = math.sqrt(rad)
-    first = w + 0.5 * (alpha - 1.0) * r
-    if first <= 0.0:
-        return math.inf
-    return 2.0 * math.log(first) + (1.0 - alpha) * math.log(w + r)
-
-
 def limit_curve_value(alpha, t):
     """z(t) of the limit curve for a finite alpha > -1 (piecewise 1/t past
     t = 1)."""
@@ -152,7 +139,24 @@ def limit_curve_value(alpha, t):
         else:
             z_rad = math.exp(ln_zrad) if ln_zrad < 700.0 else math.inf
             lo, hi = 1.0 - 1e-12, min(z_rad, z0 * (1.0 + 1e-9))
-    f = lambda z: _curve_log_residual(alpha, t, z)
+    # the log of the defining product, 0 on the curve; its z-free parts
+    # are formed once here, not on each of the bisection's calls
+    a1 = 1.0 - alpha
+    a2 = 2.0 - 2.0 * alpha
+    half = 0.5 * (alpha - 1.0)
+    t_pow = t ** (2.0 + 2.0 * alpha)
+    sqrt, log, inf = math.sqrt, math.log, math.inf
+
+    def f(z):
+        w = z ** a1
+        rad = z ** a2 - t_pow
+        if rad < 0.0:
+            rad = 0.0
+        r = sqrt(rad)
+        first = w + half * r
+        if first <= 0.0:
+            return inf
+        return 2.0 * log(first) + a1 * log(w + r)
     flo, fhi = f(lo), f(hi)
     if flo == 0.0:
         return lo

@@ -389,6 +389,7 @@ class ScaledProblem:
                 return pref * airy_ai(5.0 if u < -5.0 else -u)
         elif model.kind == "rgamma":
             ln_xi = self.ln_xi
+            exp = math.exp
             def rhs(t, z):
                 u = c_u * t * z
                 sign, lm = recip_gamma_log(-1.0 if u < -1.0 else u)
@@ -399,7 +400,7 @@ class ScaledProblem:
                     raise OverflowError(
                         "precision exhausted: rgamma right-hand side "
                         f"overflows at t={t!r}")
-                return sign * math.exp(e)
+                return sign * exp(e)
         else:
             raise DomainError(f"no scaled rhs for model {model.kind!r}")
         return rhs

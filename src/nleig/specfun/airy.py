@@ -13,7 +13,9 @@ J_{1/3} and J_{-1/3} have the same mu = 4 nu^2 = 4/9, so for zeta at or
 above their Hankel edge (16) ``_neg_bessel`` computes one P/Q pair
 (``bessel._hankel_pq``) and forms both phases from it with the expressions
 of ``bessel._j_hankel``: the same floats as two Hankel calls, at half the
-sums.
+sums.  The two phase offsets (2 nu + 1) pi/4 are read once, at import, as
+the hi and lo parts that ``bessel._order`` stores for nu = 1/3 and -1/3,
+and sqrt(u) is taken once per call for both zeta and the prefactor.
 """
 
 import math
@@ -21,13 +23,15 @@ import math
 import numpy as np
 
 from .gammafn import DomainError
-from .bessel import _PI4_HI, _PI4_LO, _hankel_pq, _j_direct, _order
+from .bessel import _hankel_pq, _j_direct, _order
 from .taylor import TaylorTable, airy_coeffs
 
 __all__ = ["airy_ai"]
 
 _AI0 = 0.3550280538878172   # Ai(0)  = 3^(-2/3)/Gamma(2/3)
 _AIP0 = -0.2588194037928068  # Ai'(0) = -3^(-1/3)/Gamma(1/3)
+
+_sqrt, _cos, _sin, _PI = math.sqrt, math.cos, math.sin, math.pi
 
 _herm_cache = {}
 
@@ -90,26 +94,28 @@ def _pos_quadrature(x):
     return math.sqrt(x / 3.0) / math.pi * k13
 
 
-# J_{1/3} and J_{-1/3} share mu = 4/9, hence the Hankel edge and P/Q
-_EDGE13, _ROUNDS13, _C13 = _order(1.0 / 3.0)
-_CM13 = _order(-1.0 / 3.0)[2]
+# J_{1/3} and J_{-1/3} share mu = 4/9, hence the Hankel edge and P/Q; each
+# order keeps its own phase offset
+_EDGE13, _ROUNDS13, _PH13_HI, _PH13_LO = _order(1.0 / 3.0)
+_PHM13_HI, _PHM13_LO = _order(-1.0 / 3.0)[2:]
 
 
 def _neg_bessel(x):
     """Ai(-u) = sqrt(u)/3 (J_{1/3} + J_{-1/3})(zeta); on the Hankel band
     one P/Q pair serves both orders, with the phases of ``_j_hankel``."""
     u = -x
-    zeta = (2.0 / 3.0) * u * math.sqrt(u)
+    su = _sqrt(u)
+    zeta = (2.0 / 3.0) * u * su
     if zeta >= _EDGE13:
         p, q = _hankel_pq(_ROUNDS13, zeta)
-        s = math.sqrt(2.0 / (math.pi * zeta))
-        chi = (zeta - _C13 * _PI4_HI) - _C13 * _PI4_LO
-        j13 = s * (math.cos(chi) * p - math.sin(chi) * q)
-        chi = (zeta - _CM13 * _PI4_HI) - _CM13 * _PI4_LO
-        jm13 = s * (math.cos(chi) * p - math.sin(chi) * q)
-        return math.sqrt(u) / 3.0 * (j13 + jm13)
-    return math.sqrt(u) / 3.0 * (_j_direct(1.0 / 3.0, zeta)
-                                 + _j_direct(-1.0 / 3.0, zeta))
+        s = _sqrt(2.0 / (_PI * zeta))
+        chi = (zeta - _PH13_HI) - _PH13_LO
+        j13 = s * (_cos(chi) * p - _sin(chi) * q)
+        chi = (zeta - _PHM13_HI) - _PHM13_LO
+        jm13 = s * (_cos(chi) * p - _sin(chi) * q)
+        return su / 3.0 * (j13 + jm13)
+    return su / 3.0 * (_j_direct(1.0 / 3.0, zeta)
+                       + _j_direct(-1.0 / 3.0, zeta))
 
 
 def _neg_bessel_prime(x):
@@ -133,10 +139,10 @@ def airy_ai(x):
     """Ai(x) for -1e5 <= x <= 10."""
     if not (-1e5 <= x <= 10.0):
         raise DomainError(f"airy_ai: argument {x!r} outside [-1e5, 10]")
+    if x < -10.0:       # the long backward runs: first test
+        return _neg_bessel(x)
     if x > 9.0:
         return _pos_asymptotic(x)
     if x > 4.0:
         return _pos_quadrature(x)
-    if x >= -10.0:
-        return _table(x)
-    return _neg_bessel(x)
+    return _table(x)

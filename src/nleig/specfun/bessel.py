@@ -22,11 +22,15 @@ The Hankel band is the hot path of long separatrix runs, so each order
 keeps state built on first use (``_order``): its Hankel edge, the smallest
 binary64 x with ``_hankel_ok``, so one comparison routes as the predicate
 does; the P/Q coefficients (mu - (2k-1)^2) / k, k = 1..59, in rounds of
-four; and 2 nu + 1.  ``_hankel_pq`` is the one P/Q sum, unrolled by the
-sign pattern; ``_j_any`` calls it directly, ``_j_hankel`` serves
-``_j_direct``, and ``airy._neg_bessel`` shares one P/Q pair between
-J_{1/3} and J_{-1/3}.  tests/test_specfun.py checks these values bit for
-bit against a plain adaptive P/Q loop, one pass per order.
+four; and the phase offset c pi/4, c = 2 nu + 1, as its two products
+c * _PI4_HI and c * _PI4_LO, so that a call forms the reduced phase
+chi = (x - c _PI4_HI) - c _PI4_LO with two subtractions and no product.
+``_hankel_pq`` is the one P/Q sum, unrolled by the sign pattern;
+``_j_any`` calls it directly, ``_j_hankel`` serves ``_j_direct``, and
+``airy._neg_bessel`` shares one P/Q pair between J_{1/3} and J_{-1/3}.
+tests/test_specfun.py checks these values bit for bit against a plain
+adaptive P/Q loop, one pass per order, with the phase formed as
+(x - c _PI4_HI) - c _PI4_LO.
 """
 
 import math
@@ -108,18 +112,21 @@ _orders = {}
 
 
 def _order(nu):
-    """Per-order Hankel state (edge, rounds, 2 nu + 1), built on first use.
-    The edge is ``_hankel_edge(nu)``.  The rounds hold the P/Q coefficients
-    (mu - (2k-1)^2) / k, mu = 4 nu^2, k = 1..59, four to a round, each with
-    the flag k > 4 that arms the divergence test; the last round has three
-    and None."""
+    """Per-order Hankel state (edge, rounds, ph_hi, ph_lo), built on first
+    use.  The edge is ``_hankel_edge(nu)``.  The rounds hold the P/Q
+    coefficients (mu - (2k-1)^2) / k, mu = 4 nu^2, k = 1..59, four to a
+    round, each with the flag k > 4 that arms the divergence test; the last
+    round has three and None.  ph_hi and ph_lo are c * _PI4_HI and
+    c * _PI4_LO with c = 2 nu + 1: the phase offset c pi/4 in two parts,
+    taken off as chi = (x - ph_hi) - ph_lo."""
     o = _orders.get(nu)
     if o is None:
         mu = 4.0 * nu * nu
         coef = [(mu - (2.0 * k - 1.0) ** 2) / k for k in range(1, 60)]
         coef.append(None)
         rounds = tuple((*coef[j:j + 4], j > 0) for j in range(0, 60, 4))
-        o = _orders[nu] = (_hankel_edge(nu), rounds, 2.0 * nu + 1.0)
+        c = 2.0 * nu + 1.0
+        o = _orders[nu] = (_hankel_edge(nu), rounds, c * _PI4_HI, c * _PI4_LO)
     return o
 
 
@@ -181,9 +188,9 @@ def _hankel_pq(rounds, x):
 def _j_hankel(nu, x):
     """J_nu(x) by the large-x expansion, for x at or above the order's
     Hankel edge; ``_j_any`` and ``airy._neg_bessel`` repeat the phase."""
-    _, rounds, c = _order(nu)
+    _, rounds, ph_hi, ph_lo = _order(nu)
     p, q = _hankel_pq(rounds, x)
-    chi = (x - c * _PI4_HI) - c * _PI4_LO
+    chi = (x - ph_hi) - ph_lo
     return _sqrt(2.0 / (_PI * x)) * (_cos(chi) * p - _sin(chi) * q)
 
 
@@ -266,13 +273,13 @@ def _j_table(nu):
 def _j_any(nu, x):
     """J_nu(x) for nu > -1 (internal; the public wrapper restricts nu)."""
     try:
-        edge, rounds, c = _orders[nu]
+        edge, rounds, ph_hi, ph_lo = _orders[nu]
     except KeyError:
-        edge, rounds, c = _order(nu)
+        edge, rounds, ph_hi, ph_lo = _order(nu)
     # the edge is at least max(16, nu^2/5), so at least max(1, nu/4)
     if x >= edge:
         p, q = _hankel_pq(rounds, x)
-        chi = (x - c * _PI4_HI) - c * _PI4_LO
+        chi = (x - ph_hi) - ph_lo
         return _sqrt(2.0 / (_PI * x)) * (_cos(chi) * p - _sin(chi) * q)
     if x >= 1.0 and x >= 0.25 * nu:
         return _j_table(nu)(x)

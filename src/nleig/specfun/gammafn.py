@@ -4,7 +4,11 @@ negative-axis roots.
 Everything is binary64.  The reciprocal gamma is always evaluated through
 the reflection identity 1/Gamma(-u) = -sin(pi u) Gamma(1+u) / pi so that the
 huge Gamma(-u) values never appear; a (sign, log magnitude) variant covers
-arguments where the linear value overflows.
+arguments where the linear value overflows.  That variant is the hot path of
+scaled reciprocal-gamma runs, one call per right-hand-side evaluation, so it
+reduces u once (n = floor(u)) and takes the sign from the parity of n
+instead of calling ``sinpi``; the floats are those of the ``sinpi`` route,
+which tests/test_specfun.py keeps as a reference.
 """
 
 import math
@@ -29,6 +33,7 @@ class PoleError(ValueError):
 
 
 _floor, _cos, _sin, _PI = math.floor, math.cos, math.sin, math.pi
+_log, _lgamma, _NEG_INF = math.log, math.lgamma, -math.inf
 
 
 def sinpi(x):
@@ -172,21 +177,28 @@ def recip_gamma_log(u):
     """(sign, log magnitude) of 1/Gamma(-u) for u >= -1.
 
     sign is 0 (with -inf magnitude) exactly at nonnegative integers.
-    Raises DomainError below -1 and where sinpi(u) rounds to zero at a
-    non-integer u, which happens on [-2^-54, 0) (about -5.6e-17 to 0).
+    Raises DomainError below -1, for NaN, and where sin(pi u) rounds to
+    zero at a non-integer u, which happens on [-2^-54, 0) (about -5.6e-17
+    to 0); raises OverflowError at +inf, which Engine.run meets as an
+    overflowing step and retries smaller.
+
+    The reflection 1/Gamma(-u) = -sin(pi u) Gamma(1+u) / pi is taken in
+    logs, with ``sinpi``'s reduction inlined: n = floor(u), r = u - n,
+    |sin(pi u)| = sin(pi r) (sin(pi (1-r)) past r = 1/2), and the sign of
+    -sin(pi u) is that of (-1)^(n+1).
     """
     if not (u >= -1.0):
         raise DomainError(f"recip_gamma: need u >= -1, got {u!r}")
-    if u == -1.0:
-        return 1, 0.0  # 1/Gamma(1)
-    if u >= 0.0 and u == math.floor(u):
-        return 0, -math.inf
-    s = sinpi(u)
-    if s == 0.0:    # u in [-2^-54, 0): 1 + u rounds to 1
+    n = _floor(u)
+    r = u - n
+    if r == 0.0:
+        # u = -1: 1/Gamma(1); u = 0, 1, 2, ...: a pole of Gamma(-u)
+        return (1, 0.0) if n == -1 else (0, _NEG_INF)
+    s = _sin(_PI * r) if r <= 0.5 else _sin(_PI * (1.0 - r))
+    if s == 0.0:    # u in [-2^-54, 0): r = 1 + u rounds to 1
         raise DomainError(
             f"recip_gamma: sinpi(u) underflows to zero at non-integer u={u!r}")
-    sign = -1 if s > 0.0 else 1
-    return sign, math.log(abs(s) / math.pi) + math.lgamma(1.0 + u)
+    return (1 if n & 1 else -1), _log(s / _PI) + _lgamma(1.0 + u)
 
 
 def recip_gamma(u):

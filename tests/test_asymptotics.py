@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from nleig.asymptotics import (envelope, forbidden_region_z, growth_law,
                                limit_curve, limit_curve_value,
@@ -17,6 +17,7 @@ from nleig.asymptotics import (envelope, forbidden_region_z, growth_law,
                                walk_coefficients, walk_coefficients_dp,
                                RGammaScaling)
 from nleig.models import ScaledProblem, make_model
+from nleig.rootfind import RootError, bisect
 from nleig.specfun import DomainError
 
 
@@ -95,6 +96,88 @@ class TestLimitCurve:
         for alpha in (math.nan, math.inf, -math.inf):
             with pytest.raises(DomainError, match="finite alpha"):
                 limit_curve_value(alpha, 0.5)
+
+
+# limit_curve_value as it was before its residual's z-free parts were
+# hoisted: each residual call formed t^(2+2 alpha), 1-alpha, 2-2 alpha and
+# (alpha-1)/2 again.  The served values must be the same floats.
+
+def _curve_log_residual_reference(alpha, t, z):
+    w = z ** (1.0 - alpha)
+    rad = z ** (2.0 - 2.0 * alpha) - t ** (2.0 + 2.0 * alpha)
+    if rad < 0.0:
+        rad = 0.0
+    r = math.sqrt(rad)
+    first = w + 0.5 * (alpha - 1.0) * r
+    if first <= 0.0:
+        return math.inf
+    return 2.0 * math.log(first) + (1.0 - alpha) * math.log(w + r)
+
+
+def _limit_curve_value_reference(alpha, t):
+    if t > 1.0:
+        return 1.0 / t
+    if abs(alpha - 1.0) < 1e-9:
+        r = math.sqrt(max(0.0, 1.0 - t ** 4))
+        return math.exp(0.5 * (r - math.log1p(r)))
+    z0 = origin_value(alpha)
+    if t == 0.0:
+        if alpha < 1.0:
+            lo, hi = 1e-12, max(2.0 * z0, 2.0)
+        else:
+            lo, hi = 1.0 - 1e-12, 2.0 * z0
+    else:
+        ln_zrad = math.log(t) * (2.0 + 2.0 * alpha) / (2.0 - 2.0 * alpha)
+        if alpha < 1.0:
+            z_rad = math.exp(ln_zrad) if ln_zrad > -27.0 else 1e-12
+            lo, hi = z_rad, z0 * (1.0 + 1e-9)
+        else:
+            z_rad = math.exp(ln_zrad) if ln_zrad < 700.0 else math.inf
+            lo, hi = 1.0 - 1e-12, min(z_rad, z0 * (1.0 + 1e-9))
+    f = lambda z: _curve_log_residual_reference(alpha, t, z)
+    flo, fhi = f(lo), f(hi)
+    if flo == 0.0:
+        return lo
+    if fhi == 0.0:
+        return hi
+    if (flo > 0.0) == (fhi > 0.0) or not math.isfinite(flo) \
+            or not math.isfinite(fhi):
+        zs = np.linspace(lo, hi, 64)
+        vals = [f(z) for z in zs]
+        for i in range(len(zs) - 1):
+            if math.isfinite(vals[i]) and math.isfinite(vals[i + 1]) \
+                    and (vals[i] > 0.0) != (vals[i + 1] > 0.0):
+                lo, hi = zs[i], zs[i + 1]
+                break
+        else:
+            raise RootError(f"limit_curve: no bracket at alpha={alpha}, t={t}")
+    z = bisect(f, lo, hi, xtol=1e-16, rtol=1e-16, ftol=1e-13)
+    if abs(f(z)) > 1e-12:
+        raise RootError(f"limit_curve: residual {f(z):.2e} > 1e-12 at t={t}")
+    return z
+
+
+def _curve_outcome(fn, alpha, t):
+    try:
+        return float(fn(alpha, t)).hex()
+    except (ValueError, ArithmeticError) as exc:
+        return type(exc).__name__
+
+
+class TestLimitCurveBitIdentity:
+    @pytest.mark.parametrize("alpha", [-0.9, -0.5, 0.0, 0.5, 1.0 - 1e-10,
+                                       1.0 + 1e-10, 2.0, 3.0, 5.0])
+    @pytest.mark.parametrize("t", [0.0, 1e-3, 0.1, 0.45, 0.9, 1.0])
+    def test_grid(self, alpha, t):
+        assert (_curve_outcome(limit_curve_value, alpha, t)
+                == _curve_outcome(_limit_curve_value_reference, alpha, t))
+
+    @given(st.floats(-0.999, 6.0), st.floats(0.0, 1.0))
+    @example(-0.25, 0.5)
+    @settings(max_examples=150, deadline=None)
+    def test_any_point(self, alpha, t):
+        assert (_curve_outcome(limit_curve_value, alpha, t)
+                == _curve_outcome(_limit_curve_value_reference, alpha, t))
 
 
 class TestOriginBehavior:

@@ -15,6 +15,7 @@ from nleig.specfun import recip_gamma_log
 from nleig.specfun.bessel import _order
 from nleig.ode import Frame, SolutionCurve
 from nleig.specfun import DomainError
+from test_specfun import _recip_gamma_log_reference
 
 
 class TestModelCatalog:
@@ -223,18 +224,33 @@ class TestRhsClosures:
         want = _outcome(eval_F, m, _clamped(spec, x * y))
         assert _outcome(raw_rhs(m), x, y) == want
 
-    @given(st.sampled_from(["cos", "bessel:0", "bessel:2.5", "airy"]),
+    @given(st.sampled_from(["cos", "bessel:0", "bessel:2.5", "airy",
+                            "rgamma"]),
            st.integers(1, 40), st.floats(0.0, 3.0), st.floats(-0.5, 1.5))
     @example("bessel:0", 3, 0.0, -1.0)
-    @settings(max_examples=200, deadline=None)
+    @example("rgamma", 3, 1.0, 1.0)     # u = lambda, a zero of F
+    @example("rgamma", 40, 3.0, 1.5)    # past the 705 exponent guard
+    @settings(max_examples=250, deadline=None)
     def test_scaled(self, spec, n, t, z):
         m = make_model(spec)
         pr = ScaledProblem(m, n)
-        pref = pr.x_scale / pr.y_scale
-        c_u = pr.x_scale * pr.y_scale
-        want = _outcome(lambda u: pref * eval_F(m, u),
-                        _clamped(spec, c_u * t * z))
-        assert _outcome(pr.make_rhs(), t, z) == want
+        if spec == "rgamma":
+            # (1/Gamma(-u)) / xi at u = lambda t z, through the sinpi
+            # route that recip_gamma_log replaced
+            def want(u):
+                sign, lm = _recip_gamma_log_reference(u)
+                if sign == 0:
+                    return 0.0
+                if lm - pr.ln_xi > 705.0:
+                    raise OverflowError("precision exhausted")
+                return sign * math.exp(lm - pr.ln_xi)
+            c_u = pr.lam
+        else:
+            pref = pr.x_scale / pr.y_scale
+            want = lambda u: pref * eval_F(m, u)
+            c_u = pr.x_scale * pr.y_scale
+        assert (_outcome(pr.make_rhs(), t, z)
+                == _outcome(want, _clamped(spec, c_u * t * z)))
 
     @given(st.sampled_from(["bessel:0", "bessel:2.5", "bessel:50"]),
            st.floats(0.0, 1e5), st.floats(0.25, 4.0))
@@ -265,6 +281,52 @@ class TestRhsClosures:
                 raise OverflowError("precision exhausted")
             return sign * math.exp(lm - pr.ln_xi)
         assert _outcome(pr.make_rhs(), t, z) == _outcome(want, pr.lam * t * z)
+
+
+class TestOneSpecialFunctionCallPerEvaluation:
+    """Every right-hand side, raw and scaled, makes exactly one call per
+    evaluation to the special-function name that bench/tracer.py wraps, so
+    the traced right-hand-side count reconciles with Engine.nfev."""
+
+    @pytest.mark.parametrize("spec,n", [
+        ("cos", 3), ("cos", 40), ("bessel:0", 3), ("bessel:0", 40),
+        ("airy", 3), ("airy", 40), ("rgamma", 3), ("rgamma", 40),
+        ("xibar", None)])
+    def test_one_call(self, monkeypatch, spec, n):
+        from nleig import models
+        from nleig.specfun import bessel
+        calls = {}
+
+        def counted(key, fn):
+            def wrapper(*args):
+                calls[key] += 1
+                return fn(*args)
+            return wrapper
+        wrapped = [(models, name) for name in ("cospi", "recip_gamma_log",
+                                               "recip_gamma", "airy_ai",
+                                               "xi_bar")]
+        for mod, name in wrapped + [(bessel, "_j_any")]:
+            calls[name] = 0
+            monkeypatch.setattr(mod, name, counted(name, getattr(mod, name)))
+        m = make_model(spec)
+        frames = [Frame(m)] if n is None else [Frame(m), Frame(m, n)]
+        for frame in frames:
+            if frame.coords == "raw":
+                # x in [0, sqrt(u_max)], y below 0 too: the clamps
+                side = math.sqrt(RHS_U_MAX[spec])
+                points = [(a * side, b * side) for a in (0.0, 0.3, 1.0)
+                          for b in (-0.2, 0.0, 0.5, 1.0)]
+            else:
+                points = [(t, z) for t in (0.0, 0.4, 1.0, 2.5)
+                          for z in (-0.5, 0.0, 0.7, 1.5)]
+            for x, y in points:
+                for key in calls:
+                    calls[key] = 0
+                try:
+                    frame.rhs(x, y)
+                except (ValueError, ArithmeticError):
+                    pass    # an overflowing evaluation still makes its call
+                assert sum(calls.values()) == 1, (frame.coords, x, y, calls)
 
 
 def _digest(values):
