@@ -10,7 +10,7 @@ scaling and the random-walk moment coefficients behind them.
 __version__ = "0.1.0"
 
 from . import specfun
-from .models import (AsymptoticForm, GeneratingFunction, ScaledProblem,
+from .models import (AsymptoticForm, GeneratingFunction, Frame,
                      ClassifiedZero, make_model, eval_F, eval_F_prime)
 from .ode import IntegratorConfig, SolutionCurve, integrate, count_maxima
 from .spectrum import EigenResult, classify, find_eigen, refine_backward, \
@@ -24,7 +24,7 @@ from .asymptotics import (LimitCurve, GrowthLaw, WalkCoefficients,
 
 __all__ = [
     "specfun", "__version__",
-    "AsymptoticForm", "GeneratingFunction", "ScaledProblem", "ClassifiedZero",
+    "AsymptoticForm", "GeneratingFunction", "Frame", "ClassifiedZero",
     "make_model", "eval_F", "eval_F_prime",
     "IntegratorConfig", "SolutionCurve", "integrate", "count_maxima",
     "EigenResult", "classify", "find_eigen", "refine_backward", "spectrum_scan",

@@ -218,14 +218,16 @@ def growth_law(model):
     return GrowthLaw(gamma_exp=g, A=a_const)
 
 
-def forbidden_region_z(problem, t):
-    """Leading forbidden-region solution z = (1 - arcsin(1/t^2)/(beta lambda))/t."""
+def forbidden_region_z(frame, t):
+    """Leading forbidden-region solution z = (1 - arcsin(1/t^2)/(beta lambda))/t
+    in a scaled models.Frame whose model is algebraic, lambda = frame.lam."""
     if not (t > 1.0):
         raise ValueError("forbidden_region_z: need t > 1")
-    asym = problem.model.asym
-    if asym is None:
-        raise ValueError("forbidden_region_z: algebraic models only")
-    return (1.0 - math.asin(1.0 / (t * t)) / (asym.beta * problem.lam)) / t
+    if frame.gamma_exp is None:
+        raise ValueError("forbidden_region_z: needs the scaled frame of an "
+                         "algebraic model")
+    beta = frame.model.asym.beta
+    return (1.0 - math.asin(1.0 / (t * t)) / (beta * frame.lam)) / t
 
 
 def walk_coefficients(p_max):
@@ -265,17 +267,19 @@ def walk_coefficients_dp(p_max):
     return WalkCoefficients(p_max=p_max, values=vals)
 
 
-def envelope(problem, t):
+def envelope(frame, t):
     """Predicted oscillation half-width of z(t) about the limit curve:
-    t^(1+alpha-beta) z(t)^(alpha-beta) / (beta lambda)."""
-    asym = problem.model.asym
-    if asym is None:
-        raise ValueError("envelope: algebraic models only")
+    t^(1+alpha-beta) z(t)^(alpha-beta) / (beta lambda), in a scaled
+    models.Frame whose model is algebraic, lambda = frame.lam."""
+    if frame.gamma_exp is None:
+        raise ValueError("envelope: needs the scaled frame of an algebraic "
+                         "model")
+    asym = frame.model.asym
     if not (0.0 < t < 1.0):
         raise ValueError("envelope: need 0 < t < 1")
     z = limit_curve_value(asym.alpha, t)
     return (t ** (1.0 + asym.alpha - asym.beta)
-            * z ** (asym.alpha - asym.beta) / (asym.beta * problem.lam))
+            * z ** (asym.alpha - asym.beta) / (asym.beta * frame.lam))
 
 
 def rgamma_asymptote_log(n):

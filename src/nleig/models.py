@@ -2,14 +2,21 @@
 
 A model bundles pointwise evaluation of F, the asymptotic amplitude/phase
 parameters (a, alpha, b, beta, phi) when F oscillates algebraically, the
-eigen-index parametrization lambda, the (x, y) <-> (t, z) change of
-variables, and the stable/unstable classification of the zeros of F that
-the u = xy dynamics du/dx = u/x + x F(u) organizes itself around.
+eigen-index parametrization lambda, and the stable/unstable classification
+of the zeros of F that the u = xy dynamics du/dx = u/x + x F(u) organizes
+itself around.
+
+Frame is the one problem set-up of a run: raw (x, y) or the scaled (t, z)
+of an index, with the scales, u = u_scale t z and the right-hand side of
+those coordinates.  The right-hand sides are two closure families, raw_rhs
+and the scaled closures of Frame, which look their special function up in
+this module (or bessel._j_any) and make one call to it per evaluation.
 """
 
 import math
+import operator
 from bisect import bisect_left
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .rootfind import RootError, bisect
 from .specfun import (DomainError, sinpi, cospi, bessel_j, bessel_j_prime,
@@ -18,7 +25,7 @@ from .specfun import (DomainError, sinpi, cospi, bessel_j, bessel_j_prime,
 from .specfun.zeta import _xi_bar_direct
 
 __all__ = [
-    "AsymptoticForm", "GeneratingFunction", "ScaledProblem", "ClassifiedZero",
+    "AsymptoticForm", "GeneratingFunction", "Frame", "ClassifiedZero",
     "make_model", "eval_F", "eval_F_prime", "ZeroTable",
     "zero_table", "rgamma_lambda_scaling", "raw_rhs", "check_raw",
     "check_binary64", "RGAMMA_N_MAX",
@@ -190,22 +197,6 @@ class ZeroTable:
         kind = "stable" if self._stable(k - 1) else "unstable"
         return ClassifiedZero(self._zeros[k - 1], kind, (k + 1) // 2)
 
-    def nearest(self, u):
-        """(zero, kind, halfgap) closest to u (table extended as needed)."""
-        self.ensure_up_to(u)
-        self.ensure_count(2)
-        zs = self._zeros
-        lo = bisect_left(zs, u)
-        cands = [i for i in (lo - 1, lo, lo + 1) if 0 <= i < len(zs)]
-        i = min(cands, key=lambda j: abs(zs[j] - u))
-        gaps = []
-        if i > 0:
-            gaps.append(zs[i] - zs[i - 1])
-        if i + 1 < len(zs):
-            gaps.append(zs[i + 1] - zs[i])
-        halfgap = 0.5 * min(gaps) if gaps else 0.5
-        return zs[i], "stable" if self._stable(i) else "unstable", halfgap
-
     def stable_below(self, u):
         """The stable zero z* of F whose basin (z*, s) holds u, s being the
         unstable zero just above it; 0.0 below a first zero that is
@@ -300,74 +291,60 @@ def rgamma_lambda_scaling(n):
     return float(lam), r, ln_xi
 
 
-class ScaledProblem:
-    """The (x, y) -> (t, z) rescaling of one eigen index.
+class Frame:
+    """Problem set-up of a run: its coordinates, their scales and its
+    right-hand side.  A model with an index n runs in the scaled
+    coordinates (t, z) of that index; xibar, which has no scaling, and a
+    model without an index run in raw coordinates (x, y), where every scale
+    is 1.0 and lam, gamma_exp and ln_xi are None.
 
+    x = x_scale t, y = y_scale z, and u = xy = u_scale t z as the
+    right-hand side, the commitment check and event location all form it.
     Algebraic models: y = sqrt(a) (lambda/b)^gamma z and
     x = (lambda/b)^(1/beta - gamma) t / sqrt(a) with
-    gamma = (1+alpha)/(2 beta) and lambda = (2n - 1/2) pi - phi.
-    Reciprocal gamma: x = sqrt(lambda/xi) t, y = sqrt(lambda xi) z with
-    lambda = 2n - 1.  u_scale is the factor of u = xy = u_scale t z as the
-    right-hand side forms it: x_scale y_scale, and lambda for rgamma (a
-    few ulp apart there).
+    gamma = (1+alpha)/(2 beta), lambda = (2n - 1/2) pi - phi and
+    u_scale = x_scale y_scale.  Reciprocal gamma: x = sqrt(lambda/xi) t,
+    y = sqrt(lambda xi) z with lambda = 2n - 1 and u_scale = lambda, which
+    x_scale y_scale, a product of two rounded exponentials, misses by up
+    to 1.2e-13 relative (n <= RGAMMA_N_MAX).
     """
 
-    def __init__(self, model, n, _lam_override=None):
-        if model.kind == "xibar":
-            raise DomainError("xibar carries no asymptotic form; "
-                              "no scaled problem is available")
-        if n < 1 or n != int(n):
-            raise DomainError(f"ScaledProblem: need integer n >= 1, got {n!r}")
+    def __init__(self, model, n=None):
         self.model = model
-        self.n = int(n)
+        self.n = n
+        self.zeros = zero_table(model)
+        self.lam = self.gamma_exp = self.ln_xi = None
+        self.x_scale = self.y_scale = self.u_scale = 1.0
+        if n is None or model.kind == "xibar":
+            self.coords = "raw"
+            self.rhs = raw_rhs(model)
+            return
+        if n < 1 or n != int(n):
+            raise DomainError(f"Frame: need integer n >= 1, got {n!r}")
+        self.coords = "scaled"
         if model.kind == "rgamma":
-            if _lam_override is not None:
-                raise DomainError("lambda override not supported for rgamma")
-            lam, r, ln_xi = rgamma_lambda_scaling(self.n)
-            self.lam = lam
-            self.r_lambda = r
-            self.ln_xi = ln_xi
-            self.gamma_exp = None
+            lam, _, ln_xi = rgamma_lambda_scaling(int(n))
             ln_x = 0.5 * (math.log(lam) - ln_xi)
             ln_y = 0.5 * (math.log(lam) + ln_xi)
             if abs(ln_x) > 708.0 or abs(ln_y) > 708.0:
                 raise OverflowError(
                     f"rgamma scaling overflows binary64 at n={n}")
+            self.lam = self.u_scale = lam
+            self.ln_xi = ln_xi
             self.x_scale = math.exp(ln_x)
             self.y_scale = math.exp(ln_y)
-            self.u_scale = lam
         else:
             asym = model.asym
-            if _lam_override is not None:
-                lam = float(_lam_override)
-            else:
-                lam = (2.0 * self.n - 0.5) * math.pi - asym.phi
-            if lam <= 0.0:
-                raise DomainError(f"lambda = {lam!r} must be positive")
-            self.lam = lam
+            lam = self.lam = (2.0 * int(n) - 0.5) * math.pi - asym.phi
             self.gamma_exp = (1.0 + asym.alpha) / (2.0 * asym.beta)
             sqrt_a = math.sqrt(asym.a)
             self.y_scale = sqrt_a * (lam / asym.b) ** self.gamma_exp
             self.x_scale = ((lam / asym.b) ** (1.0 / asym.beta - self.gamma_exp)
                             / sqrt_a)
             self.u_scale = self.x_scale * self.y_scale
+        self.rhs = self._scaled_rhs()
 
-    @classmethod
-    def from_lambda(cls, model, lam):
-        """Scaled problem at an explicit lambda (for tests and limits)."""
-        return cls(model, 1, _lam_override=lam)
-
-    def to_scaled(self, x, y):
-        return x / self.x_scale, y / self.y_scale
-
-    def from_scaled(self, t, z):
-        return t * self.x_scale, z * self.y_scale
-
-    def u_of(self, t, z):
-        """xy expressed in scaled variables."""
-        return (self.x_scale * self.y_scale) * t * z
-
-    def make_rhs(self):
+    def _scaled_rhs(self):
         """dz/dt as a tight closure (the exact right-hand side, not the
         asymptotic form) of u = u_scale * t * z."""
         model = self.model
@@ -404,6 +381,46 @@ class ScaledProblem:
         else:
             raise DomainError(f"no scaled rhs for model {model.kind!r}")
         return rhs
+
+    def horizon(self, y0, cfg):
+        """First horizon of a forward run from the origin at y0: cfg.x_max
+        when set; otherwise t = 3, three times the turning point t = 1, in
+        scaled coordinates, and three times the expected turning point of
+        y0 in raw ones."""
+        if cfg.x_max > 0.0:
+            return cfg.x_max
+        if self.coords == "scaled":
+            return 3.0
+        m = self.model
+        if m.asym is not None:
+            a, al, b, be = m.asym.a, m.asym.alpha, m.asym.b, m.asym.beta
+            g = (1.0 + al) / (2.0 * be)
+            lam = b * max(y0 / math.sqrt(a), 1e-6) ** (1.0 / g)
+            x_turn = (lam / b) ** (1.0 / be - g) / math.sqrt(a)
+            return 3.0 * max(x_turn, 1.0)
+        if m.kind == "xibar":
+            u1 = self.zeros.zero(2).u  # second zero, the first stable one
+            return 3.0 * max(u1, 10.0) / (0.6 * max(y0, 1e-3))
+        # raw rgamma (n <= 5 use only)
+        return 3.0 * max(2.0, 2.0 * y0)
+
+    def convert(self, curve, coords):
+        """curve in coords ("raw" or "scaled"): abscissae, ordinates and
+        events all rescaled.  A curve already in coords comes back as is."""
+        if curve.coords == coords:
+            return curve
+        if self.coords == "raw":
+            raise DomainError(f"{self.model.spec} has no scaled coordinates")
+        op = operator.mul if coords == "raw" else operator.truediv
+        fx = lambda v: op(v, self.x_scale)
+        fy = lambda v: op(v, self.y_scale)
+        return replace(
+            curve, coords=coords, grid=fx(curve.grid),
+            values=fy(curve.values), maxima=[fx(v) for v in curve.maxima],
+            maxima_values=[fy(v) for v in curve.maxima_values],
+            minima=[fx(v) for v in curve.minima],
+            minima_values=[fy(v) for v in curve.minima_values],
+            meta=dict(curve.meta))
 
 
 def raw_rhs(model):

@@ -21,8 +21,9 @@ is that of y -> 0, with attractor 0.  A run left uncommitted at its horizon
 (still hugging a separatrix) can be continued farther by calling run()
 again.
 
-Every run starts from a Frame, the one place that picks raw (x, y) or
-scaled (t, z) coordinates.
+Every run starts from a models.Frame, the one place that picks raw (x, y)
+or scaled (t, z) coordinates; u is u_scale * x * y in either, so the
+commitment check, event location and the right-hand side form the same u.
 
 Engine.run holds the per-step path in one loop over locals: the step
 size, the counters nfev / nsteps / err_prev (written back to the engine
@@ -46,19 +47,17 @@ as the machine's load varies.
 """
 
 import math
-import operator
 from bisect import bisect_left
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .models import GeneratingFunction, ScaledProblem, raw_rhs, zero_table
+from .models import Frame
 from .specfun import DomainError
 
 __all__ = [
     "IntegratorConfig", "SolutionCurve", "PrecisionExhausted", "StepUnderflow",
-    "Frame", "Engine", "integrate", "count_maxima", "curve_csv_text",
-    "curve_to_csv",
+    "Engine", "integrate", "count_maxima", "curve_csv_text", "curve_to_csv",
 ]
 
 
@@ -115,99 +114,6 @@ _Y_FLOOR = 1e-280   # y at or below it, still falling: the run has collapsed
 _H_MIN = 1e-14      # smallest step before StepUnderflow
 
 
-class Frame:
-    """Problem set-up of a run.  A model with an index runs in the scaled
-    coordinates (t, z) of its ScaledProblem; xibar, which has none, and a
-    model without an index run in raw coordinates (x, y).
-
-    x_factor and y_factor are the raw units per frame unit (1 in raw
-    coordinates); u_of(x, y) is the product xy of raw coordinates, and
-    u_scale * x * y is that product as the right-hand side forms it.
-    """
-
-    def __init__(self, model, n=None):
-        scaled = n is not None and model.kind != "xibar"
-        self._bind(model, n, ScaledProblem(model, n) if scaled else None)
-
-    @classmethod
-    def of(cls, obj):
-        """Frame of a GeneratingFunction (raw coordinates) or of a
-        ScaledProblem (that problem's coordinates, any lambda override
-        included)."""
-        if isinstance(obj, GeneratingFunction):
-            return cls(obj)
-        if not isinstance(obj, ScaledProblem):
-            raise TypeError(f"cannot integrate object of type {type(obj)!r}")
-        frame = cls.__new__(cls)
-        frame._bind(obj.model, obj.n, obj)
-        return frame
-
-    def _bind(self, model, n, problem):
-        self.model = model
-        self.n = n
-        self.problem = problem
-        self.zeros = zero_table(model)
-        if problem is None:
-            self.coords = "raw"
-            self.rhs = raw_rhs(model)
-            self.u_of = lambda x, y: x * y
-            self.x_factor = self.y_factor = self.u_scale = 1.0
-        else:
-            self.coords = "scaled"
-            self.rhs = problem.make_rhs()
-            self.u_of = problem.u_of
-            self.u_scale = problem.u_scale
-            self.x_factor = problem.x_scale
-            self.y_factor = problem.y_scale
-
-    def horizon(self, y0, cfg):
-        """First horizon of a forward run from the origin at y0: cfg.x_max
-        when set; otherwise t = 3, three times the turning point t = 1, in
-        scaled coordinates, and three times the expected turning point of
-        y0 in raw ones."""
-        if cfg.x_max > 0.0:
-            return cfg.x_max
-        if self.problem is not None:
-            return 3.0
-        m = self.model
-        if m.asym is not None:
-            a, al, b, be = m.asym.a, m.asym.alpha, m.asym.b, m.asym.beta
-            g = (1.0 + al) / (2.0 * be)
-            lam = b * max(y0 / math.sqrt(a), 1e-6) ** (1.0 / g)
-            x_turn = (lam / b) ** (1.0 / be - g) / math.sqrt(a)
-            return 3.0 * max(x_turn, 1.0)
-        if m.kind == "xibar":
-            u1 = self.zeros.zero(2).u  # second zero, the first stable one
-            return 3.0 * max(u1, 10.0) / (0.6 * max(y0, 1e-3))
-        # raw rgamma (n <= 5 use only)
-        return 3.0 * max(2.0, 2.0 * y0)
-
-    def scale_E(self, v):
-        """Initial value in this frame -> physical E."""
-        return v * self.y_factor
-
-    def unscale_E(self, E):
-        return E / self.y_factor
-
-    def convert(self, curve, coords):
-        """curve in coords ("raw" or "scaled"): abscissae, ordinates and
-        events all rescaled.  A curve already in coords comes back as is."""
-        if curve.coords == coords:
-            return curve
-        if self.problem is None:
-            raise DomainError(f"{self.model.spec} has no scaled coordinates")
-        op = operator.mul if coords == "raw" else operator.truediv
-        fx = lambda v: op(v, self.x_factor)
-        fy = lambda v: op(v, self.y_factor)
-        return SolutionCurve(
-            coords, fx(curve.grid), fy(curve.values),
-            [fx(v) for v in curve.maxima],
-            [fy(v) for v in curve.maxima_values],
-            [fx(v) for v in curve.minima],
-            [fy(v) for v in curve.minima_values],
-            curve.terminal_u, curve.status, dict(curve.meta), curve.recorded)
-
-
 class Engine:
     """Single-use integration state machine (one trajectory, one direction)
     of a Frame.  Forward runs watch u = xy for the step where it falls."""
@@ -235,7 +141,6 @@ class Engine:
         self.event_tol_scale = None     # set by the first run()
         self.status = None
         self.terminal_u = None
-        self.attractor = None
         self.nfev = 1
         self.nsteps = 0
 
@@ -278,7 +183,7 @@ class Engine:
         rtol, atol, h_min = cfg.rel_tol, cfg.abs_tol, _H_MIN
         inf = math.inf
         y_floor = _Y_FLOOR
-        watch = sgn > 0.0 and self.attractor is None
+        watch = sgn > 0.0 and self.terminal_u is None
         record = self.record
         xs_append = self.xs.append if record else None
         ys_append = self.ys.append if record else None
@@ -366,11 +271,11 @@ class Engine:
                     nfev = self.nfev
                 if stop is None:
                     if y1 <= y_floor and k7 <= 0.0:
-                        self.terminal_u = self.attractor = 0.0
+                        self.terminal_u = 0.0
                         stop = "floor"
                     elif watch and x1 * k7 + y1 < 0.0:
                         stop = self._commit(x1, y1)
-                        watch = self.attractor is None
+                        watch = self.terminal_u is None
                 x, y, f = x1, y1, k7
                 if y < 0.0:
                     y = 0.0
@@ -418,10 +323,11 @@ class Engine:
         should stop there.  Where rounding puts u on a zero, or past the
         one that bounds its basin, the run stays uncommitted and the next
         step checks again."""
-        z_star = self.frame.zeros.stable_below(self.frame.u_of(x1, y1))
+        frame = self.frame
+        z_star = frame.zeros.stable_below(frame.u_scale * x1 * y1)
         if z_star is None:
             return None
-        self.terminal_u = self.attractor = z_star
+        self.terminal_u = z_star
         return "settled" if self.stop_when_settled else None
 
     def _refine_event(self, x0, y0, f0, x1, y1, f1, hs):
@@ -493,9 +399,10 @@ class Engine:
                              meta or {}, self.record)
 
 
-def integrate(obj, initial, cfg, direction="forward", record=True, meta=None,
-              stop_when_settled=False):
-    """Integrate a model (raw coordinates) or a scaled problem.
+def integrate(model, initial, cfg, direction="forward", record=True, meta=None,
+              stop_when_settled=False, n=None):
+    """Integrate y' = F(xy) in Frame(model, n): the scaled coordinates of
+    index n, or raw ones for xibar and without an index.
 
     initial is (x0, y0); backward runs require x0 > 0 and integrate down to
     the origin, forward runs go to Frame.horizon.  Returns a SolutionCurve;
@@ -514,7 +421,7 @@ def integrate(obj, initial, cfg, direction="forward", record=True, meta=None,
     forward = direction in (1, "forward")
     if not forward and x0 <= 0.0:
         raise ValueError("backward integration requires x0 > 0")
-    frame = Frame.of(obj)
+    frame = Frame(model, n)
     x_end = frame.horizon(y0, cfg) if forward else 0.0
     if forward and x_end <= x0:
         raise ValueError("the horizon must exceed the initial abscissa")

@@ -16,13 +16,14 @@ the coordinates a model cannot run in.
 """
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass, field
 
 from .cache import record_line
 from .rootfind import RootError
-from .models import (ScaledProblem, check_binary64, check_raw, eval_F_prime,
+from .models import (Frame, check_binary64, check_raw, eval_F_prime,
                      zero_table)
-from .ode import Engine, Frame, IntegratorConfig, SolutionCurve, count_maxima
+from .ode import Engine, IntegratorConfig, SolutionCurve, count_maxima
 from .specfun import DomainError, log_gamma
 
 __all__ = [
@@ -108,7 +109,7 @@ def _ode_cfg(tol, cfg):
 
 
 class _Shooter:
-    """Classification context: forward runs in one ode.Frame."""
+    """Classification context: forward runs in one Frame."""
 
     def __init__(self, model, n=None, cfg=None):
         self.frame = Frame(model, n)
@@ -128,7 +129,7 @@ class _Shooter:
         if eng.status == "max_minima":
             return len(eng.minima), "maxima-jump", eng
         if eng.status in ("settled", "floor"):
-            cls = self.frame.zeros.unstable_below(eng.attractor)
+            cls = self.frame.zeros.unstable_below(eng.terminal_u)
             return cls, "attractor-jump", eng
         return len(eng.minima), "unresolved", eng
 
@@ -139,7 +140,7 @@ def classify(model, E, cfg=None, n_hint=None):
     if not (E > 0.0):
         raise ValueError("classify: need E > 0")
     sh = _Shooter(model, n_hint, cfg or IntegratorConfig())
-    v = sh.frame.unscale_E(E)
+    v = E / sh.frame.y_scale
     cls, _, _ = sh.shoot(v)
     return cls
 
@@ -171,10 +172,10 @@ def find_eigen(model, n, tol=None, cfg=None, seed=None, lo_bound=None,
     tol = _checked_tol(model, tol, "bisection")
     sh = _Shooter(model, n, _ode_cfg(tol, cfg))
     frame = sh.frame
-    pred = _predict(model, n) if seed is None else frame.unscale_E(seed)
+    pred = _predict(model, n) if seed is None else seed / frame.y_scale
     floor = None
     if lo_bound is not None:
-        floor = frame.unscale_E(lo_bound)
+        floor = lo_bound / frame.y_scale
     lo, hi = 0.5 * pred, 1.5 * pred
     if floor is not None:
         lo = max(lo, floor * (1.0 + 2.0 * tol))
@@ -234,13 +235,13 @@ def find_eigen(model, n, tol=None, cfg=None, seed=None, lo_bound=None,
     if count_maxima_at_lo:
         _, _, eng = sh.shoot(lo, record=True)
         maxima = count_maxima(eng.curve())
-    E = frame.scale_E(hi)
+    E = hi * frame.y_scale
     log10 = None
     z0 = None
-    if frame.problem is not None:
+    if frame.coords == "scaled":
         z0 = hi
-        log10 = (math.log10(frame.y_factor) + math.log10(hi))
-    return EigenResult(n=n, E=E, bracket=(frame.scale_E(lo), E),
+        log10 = (math.log10(frame.y_scale) + math.log10(hi))
+    return EigenResult(n=n, E=E, bracket=(lo * frame.y_scale, E),
                        method="bisection", evidence=evid,
                        residual=(hi - lo) / hi, maxima=maxima,
                        model=model.spec, tol=tol, z0=z0, log10_E=log10)
@@ -273,13 +274,13 @@ def refine_backward(model, n, cfg=None, tol=None):
         raise RuntimeError(f"F'({s.u}) <= 0: not a separatrix asymptote")
     if model.kind == "rgamma":
         frame = Frame(model, n)
-        pr = frame.problem
         x0 = 3.0
         # x0^2 F'(s) in raw units, via logs to dodge the huge factors, with
         # ln F'(s) = ln Gamma(s + 1) where F'(s) overflows; with s = lambda,
         # z(x0) = u(x0)/(lambda x0) is (1 - corr)/x0
         ln_fp = math.log(fp) if fp < math.inf else log_gamma(s.u + 1.0)
-        ln_x2fp = (2.0 * math.log(x0) + math.log(pr.lam) - pr.ln_xi + ln_fp)
+        ln_x2fp = (2.0 * math.log(x0) + math.log(frame.lam) - frame.ln_xi
+                   + ln_fp)
         corr = math.exp(-ln_x2fp) if ln_x2fp < 700.0 else 0.0
         y0 = (1.0 - corr) / x0
     else:
@@ -290,8 +291,13 @@ def refine_backward(model, n, cfg=None, tol=None):
         # error below machine precision.  This stays out of the stiff
         # zone x F'(s) >> 1, where an explicit pair is stability-limited.
         x_turn = (s.u / 0.6 if model.kind == "xibar"  # y(x_turn) ~ 1
-                  else ScaledProblem(model, n).x_scale)
-        _, _, halfgap = table.nearest(s.u)
+                  else Frame(model, n).x_scale)
+        # half the narrower gap from s to its neighbouring zeros; xibar's
+        # first zero has only an upper neighbour
+        zs = table.ordinates(s.u)
+        i = bisect_left(zs, s.u)
+        below = s.u - zs[i - 1] if i else math.inf
+        halfgap = 0.5 * min(zs[i + 1] - s.u, below)
         du_cap = min(0.1 * halfgap, 0.02 * s.u)
         x0 = math.sqrt(max(s.u / (fp * du_cap),
                            x_turn * x_turn + 90.0 / fp,
@@ -304,17 +310,16 @@ def refine_backward(model, n, cfg=None, tol=None):
         raise RuntimeError(f"backward run blew up (y(0)={v!r}); "
                            "seed too far from the separatrix")
     curve = eng.curve({"model": model.spec, "n": n})
-    y_factor = frame.y_factor
-    E = v * y_factor
+    E = v * frame.y_scale
     est = 10.0 * cfg.rel_tol
     return EigenResult(n=n, E=E, bracket=(E * (1.0 - est), E),
                        method="backward",
                        evidence={"classifier": "backward-seed",
-                                 "seed_zero": s.u, "x0": x0 * frame.x_factor},
+                                 "seed_zero": s.u, "x0": x0 * frame.x_scale},
                        residual=est, maxima=count_maxima(curve),
                        model=model.spec, tol=tol,
-                       z0=v if frame.problem is not None else None,
-                       log10_E=(math.log10(y_factor)
+                       z0=v if frame.coords == "scaled" else None,
+                       log10_E=(math.log10(frame.y_scale)
                                 + math.log10(max(v, 1e-300))),
                        curve=curve)
 

@@ -16,7 +16,7 @@ from nleig.asymptotics import (envelope, forbidden_region_z, growth_law,
                                rgamma_forbidden_epsilon, rgamma_limit_curve,
                                walk_coefficients, walk_coefficients_dp,
                                RGammaScaling)
-from nleig.models import ScaledProblem, make_model
+from nleig.models import Frame, make_model
 from nleig.rootfind import RootError, bisect
 from nleig.specfun import DomainError
 
@@ -234,24 +234,26 @@ class TestGrowthLaw:
 
 class TestForbiddenRegion:
     def test_cosine_example(self):
-        pr = ScaledProblem(make_model("cos"), 1)
-        z = forbidden_region_z(pr, 2.0)
+        frame = Frame(make_model("cos"), 1)
+        z = forbidden_region_z(frame, 2.0)
         want = 0.5 * (1.0 - math.asin(0.25) / (1.5 * math.pi))
         assert z == pytest.approx(want, rel=1e-14)
 
     def test_large_t_limit(self):
-        pr = ScaledProblem(make_model("cos"), 1)
-        assert forbidden_region_z(pr, 1e8) == pytest.approx(1e-8, rel=1e-9)
+        frame = Frame(make_model("cos"), 1)
+        assert forbidden_region_z(frame, 1e8) == pytest.approx(1e-8, rel=1e-9)
 
     def test_large_lambda_limit(self):
-        pr = ScaledProblem(make_model("cos"), 4000)
+        frame = Frame(make_model("cos"), 4000)
         t = 1.7
-        assert forbidden_region_z(pr, t) == pytest.approx(1.0 / t, rel=1e-4)
+        assert forbidden_region_z(frame, t) == pytest.approx(1.0 / t, rel=1e-4)
 
     def test_domain(self):
-        pr = ScaledProblem(make_model("cos"), 1)
+        frame = Frame(make_model("cos"), 1)
         with pytest.raises(ValueError):
-            forbidden_region_z(pr, 1.0)
+            forbidden_region_z(frame, 1.0)
+        with pytest.raises(ValueError, match="scaled frame"):
+            forbidden_region_z(Frame(make_model("cos")), 2.0)
 
 
 class TestWalkCoefficients:
@@ -329,28 +331,35 @@ class TestRGamma:
 class TestEnvelope:
     def test_bessel_exponent_bookkeeping(self):
         # z_env = t^(-1/2) z^(-3/2) / lambda for alpha=-1/2, beta=1
-        pr = ScaledProblem(make_model("bessel:0"), 7)
+        frame = Frame(make_model("bessel:0"), 7)
         t = 0.37
         z = limit_curve_value(-0.5, t)
-        want = t ** -0.5 * z ** -1.5 / pr.lam
-        assert envelope(pr, t) == pytest.approx(want, rel=1e-12)
+        want = t ** -0.5 * z ** -1.5 / frame.lam
+        assert envelope(frame, t) == pytest.approx(want, rel=1e-12)
 
     def test_doubling_lambda_halves_envelope(self):
         m = make_model("bessel:0")
-        pr1 = ScaledProblem.from_lambda(m, 500.0)
-        pr2 = ScaledProblem.from_lambda(m, 1000.0)
-        assert envelope(pr1, 0.5) / envelope(pr2, 0.5) == pytest.approx(2.0)
+        # lambda = (2n - 1/4) pi: doubling n from 250 nearly doubles it
+        f1, f2 = Frame(m, 250), Frame(m, 500)
+        assert f2.lam / f1.lam == pytest.approx(2.0, rel=1e-3)
+        assert envelope(f1, 0.5) / envelope(f2, 0.5) == pytest.approx(
+            f2.lam / f1.lam, rel=1e-13)
 
     def test_envelope_magnitude_near_origin_scale(self):
         # at t ~ 1/lambda the envelope is O(lambda^(-1/2)) for bessel
         m = make_model("bessel:0")
-        lam = 2000.0
-        pr = ScaledProblem.from_lambda(m, lam)
+        frame = Frame(m, 318)     # lambda = 635.75 pi, about 1997
+        lam = frame.lam
         t = 1.0 / lam
-        val = envelope(pr, t)
+        val = envelope(frame, t)
         assert 0.05 <= val * math.sqrt(lam) <= 5.0
 
     def test_domain(self):
-        pr = ScaledProblem(make_model("bessel:0"), 1)
+        frame = Frame(make_model("bessel:0"), 1)
         with pytest.raises(ValueError):
-            envelope(pr, 1.5)
+            envelope(frame, 1.5)
+        # a raw frame, and rgamma's, carry no algebraic scaling
+        for other in (Frame(make_model("bessel:0")),
+                      Frame(make_model("rgamma"), 3)):
+            with pytest.raises(ValueError, match="scaled frame"):
+                envelope(other, 0.5)

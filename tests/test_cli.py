@@ -12,7 +12,7 @@ import pytest
 from nleig import ode, spectrum, verify
 from nleig.cache import EigenCache
 from nleig.cli import main, separatrix_curve
-from nleig.models import ScaledProblem, make_model
+from nleig.models import Frame, make_model
 from nleig.svgplot import read_curve_csv
 
 
@@ -308,14 +308,14 @@ class TestSeparatrixCurve:
         model = make_model("bessel:0")
         _, raw = separatrix_curve(model, 2, "raw")
         _, scaled = separatrix_curve(model, 2, "scaled")
-        pr = ScaledProblem(model, 2)
-        assert scaled.maxima == [x / pr.x_scale for x in raw.maxima]
-        assert scaled.maxima_values == [y / pr.y_scale
+        frame = Frame(model, 2)
+        assert scaled.maxima == [x / frame.x_scale for x in raw.maxima]
+        assert scaled.maxima_values == [y / frame.y_scale
                                         for y in raw.maxima_values]
-        assert scaled.minima == [x / pr.x_scale for x in raw.minima]
-        assert scaled.minima_values == [y / pr.y_scale
+        assert scaled.minima == [x / frame.x_scale for x in raw.minima]
+        assert scaled.minima_values == [y / frame.y_scale
                                         for y in raw.minima_values]
-        assert scaled.maxima[0] == pytest.approx(0.9749 / pr.x_scale,
+        assert scaled.maxima[0] == pytest.approx(0.9749 / frame.x_scale,
                                                  rel=1e-4)
         # every event of the scaled curve lies on its own samples' scale
         assert max(scaled.maxima_values) <= 1.01 * max(scaled.values)

@@ -11,9 +11,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from nleig import spectrum
-from nleig.models import (ScaledProblem, ZeroTable, check_raw, make_model,
+from nleig.models import (Frame, ZeroTable, check_raw, make_model,
                           zero_table)
-from nleig.ode import (Engine, Frame, IntegratorConfig, PrecisionExhausted,
+from nleig.ode import (Engine, IntegratorConfig, PrecisionExhausted,
                        count_maxima, curve_to_csv, integrate)
 from nleig.specfun import DomainError, airy, bessel
 from nleig.svgplot import read_curve_csv
@@ -65,11 +65,11 @@ class TestAgainstReference:
         # halving rel_tol moves the terminal value by < 10x the old rel_tol
         for spec, n in (("cos", 3), ("bessel:0", 5), ("bessel:1", 2),
                         ("airy", 2), ("rgamma", 4)):
-            pr = ScaledProblem(make_model(spec), n)
             ends = []
             for rt in (1e-9, 5e-10):
                 cfg = IntegratorConfig(rel_tol=rt, abs_tol=rt * 1e-3, x_max=2.0)
-                c = integrate(pr, (0.0, 0.9), cfg, record=False)
+                c = integrate(make_model(spec), (0.0, 0.9), cfg, record=False,
+                              n=n)
                 ends.append(float(c.values[-1]))
             assert abs(ends[0] - ends[1]) <= 10.0 * 1e-9 * max(abs(ends[1]), 0.05)
 
@@ -96,13 +96,13 @@ class TestEvents:
 
     def test_count_refuses_an_unrecorded_curve(self):
         # an unrecorded run's events are step ends, not located extrema
-        pr = ScaledProblem(make_model("cos"), 2)
-        c = integrate(pr, (0.0, 0.9), cfg_with(6.0), record=False)
-        raw = Frame.of(pr).convert(c, "raw")
+        m = make_model("cos")
+        c = integrate(m, (0.0, 0.9), cfg_with(6.0), record=False, n=2)
+        raw = Frame(m, 2).convert(c, "raw")
         assert not c.recorded and not raw.recorded and len(raw.maxima) == 2
         with pytest.raises(ValueError, match="recording run"):
             count_maxima(raw)
-        assert count_maxima(integrate(pr, (0.0, 0.9), cfg_with(6.0))) == 2
+        assert count_maxima(integrate(m, (0.0, 0.9), cfg_with(6.0), n=2)) == 2
 
     def test_maxima_invariant_under_refinement(self):
         for rel in (1e-9, 1e-11):
@@ -158,23 +158,23 @@ class TestCountMaxima:
 class TestSettleAndAttractor:
     def test_settles_inside_horizon(self):
         # the run commits where u = xy first falls (t ~ 1.04 here)
-        pr = ScaledProblem(make_model("bessel:0"), 4)
-        c = integrate(pr, (0.0, 1.1), cfg_with(6.0, 1e-10),
-                      stop_when_settled=True)
+        m = make_model("bessel:0")
+        c = integrate(m, (0.0, 1.1), cfg_with(6.0, 1e-10),
+                      stop_when_settled=True, n=4)
         assert c.status == "settled"
         assert c.terminal_u is not None
         # without the stop the attractor is still recorded
-        c2 = integrate(pr, (0.0, 1.1), cfg_with(6.0, 1e-10))
+        c2 = integrate(m, (0.0, 1.1), cfg_with(6.0, 1e-10), n=4)
         assert c2.status == "reached_end"
         assert c2.terminal_u is not None
 
     @staticmethod
     def attractor(spec, y0, x_max):
-        """The stable zero of F nearest the u = xy the run settled at."""
+        """The stable zero of F the run committed to, or None."""
         m = make_model(spec)
-        c = integrate(m, (0.0, y0), cfg_with(x_max, 1e-10))
-        z, kind, _ = zero_table(m).nearest(c.terminal_u)
-        return z if kind == "stable" else None
+        z = integrate(m, (0.0, y0), cfg_with(x_max, 1e-10)).terminal_u
+        # a stable zero z* is the one whose basin holds u just above it
+        return z if zero_table(m).stable_below(z + 1e-9) == z else None
 
     def test_attractor_below_first_eigenvalue(self):
         assert self.attractor("cos", 1.0, 520.0) == pytest.approx(0.5)
@@ -203,19 +203,19 @@ class TestCommitmentProperty:
     @settings(max_examples=40, deadline=None)
     def test_commitment_is_never_wrong(self, spec, n, z0):
         # z0 in [0.1, 2] spans the classes 0 up to several above n - 1
-        pr = ScaledProblem(make_model(spec), n)
-        c = integrate(pr, (0.0, z0), cfg_with(12.0, 1e-9), record=False,
-                      stop_when_settled=False)
+        frame = Frame(make_model(spec), n)
+        c = integrate(frame.model, (0.0, z0), cfg_with(12.0, 1e-9),
+                      record=False, stop_when_settled=False, n=n)
         z_star = c.terminal_u
         assert z_star is not None
-        tab = zero_table(pr.model)
+        tab = frame.zeros
         k = 1
         while tab.zero(k).u < z_star:
             k += 1
         z, s = tab.zero(k), tab.zero(k + 1)
         assert (z.u, z.kind, s.kind) == (z_star, "stable", "unstable")
         # the basin (z*, s); rgamma's y -> 0 reaches its zero z* = 0
-        u_end = pr.u_of(float(c.grid[-1]), float(c.values[-1]))
+        u_end = frame.u_scale * float(c.grid[-1]) * float(c.values[-1])
         assert z_star <= u_end < s.u
         assert u_end > z_star or z_star == 0.0
 
@@ -251,7 +251,7 @@ class TestRecordingProperty:
             cls, signal, eng = shooter.shoot(y0, stop_at, record=record)
         assert eng.nfev == calls[0]
         return (cls, signal, eng.nsteps, eng.status, eng.y.hex(),
-                eng.attractor, len(eng.maxima), len(eng.minima)), \
+                eng.terminal_u, len(eng.maxima), len(eng.minima)), \
             eng.nfev, calls[1:]
 
     @given(st.sampled_from(["cos", "bessel:0", "airy", "rgamma", "xibar"]),
@@ -382,7 +382,7 @@ class TestEventLocation:
         # ulp from x_scale y_scale: at the first midpoint (t, z) =
         # (1, 5/7), lambda t z is the zero 5 exactly and both rules stop
         frame = Frame(make_model("rgamma"), 4)
-        assert frame.u_scale == 7.0 != frame.u_of(1.0, 1.0)
+        assert frame.u_scale == 7.0 != frame.x_scale * frame.y_scale
         eng, calls = self.engine(frame)
         z = 5.0 / 7.0
         y = z - 2.0 ** -12         # the Hermite midpoint is y + 2^-12 = z
@@ -404,6 +404,34 @@ class TestEventLocation:
         assert table.ordinates(0.0)[:6] == [0.5, 1.5, 2.5, 3.5, 4.5, 5.5]
         assert got == refine_event_reference(eng, *step)
         assert 1.0 < got[0] < 1.5
+
+
+class TestCommitU:
+    """The commitment check forms u = u_scale * x * y, the u of event
+    location and of the right-hand side."""
+
+    def test_rgamma_u_on_a_zero(self):
+        # scaled rgamma n = 5 has lambda = 9 and x_scale y_scale a few ulp
+        # above it: at (t, z) = (1, 4/9) lambda t z is the stable zero 4
+        # exactly, x_scale y_scale t z lies just past it, in its basin
+        frame = Frame(make_model("rgamma"), 5)
+        z = 4.0 / 9.0
+        assert frame.u_scale * 1.0 * z == 4.0
+        assert frame.zeros.stable_below(
+            frame.x_scale * frame.y_scale * 1.0 * z) == 4.0
+        eng = Engine(frame, 0.0, 1.0, IntegratorConfig())
+        # u on a zero: the run stays uncommitted ...
+        assert eng._commit(1.0, z) is None and eng.terminal_u is None
+        # ... and an event bisection whose first midpoint is (1, 4/9)
+        # stops on it, as the right-hand side's sign rule does
+        eng.event_tol_scale = 1.0
+        y = z - 2.0 ** -12         # the Hermite midpoint is y + 2^-12 = z
+        step = (0.5, y, 2.0 ** -10, 1.5, y, -(2.0 ** -10), 1.0)
+        assert eng._refine_event(*step) == (1.0, z)
+        assert refine_event_reference(eng, *step) == (1.0, z)
+        # off the zero, in the basin (4, 5), the run commits to 4
+        assert eng._commit(1.0, 4.5 / 9.0) == "settled"
+        assert eng.terminal_u == 4.0
 
 
 class TestGuards:
@@ -454,14 +482,20 @@ class TestFrame:
         assert Frame(make_model("xibar"), 3).coords == "raw"
         assert Frame(make_model("rgamma"), 2).coords == "scaled"
 
-    def test_of_keeps_the_problem(self):
-        pr = ScaledProblem.from_lambda(make_model("bessel:0"), 10.0)
-        frame = Frame.of(pr)
-        assert frame.problem is pr and frame.x_factor == pr.x_scale
-        assert frame.scale_E(2.0) == 2.0 * pr.y_scale
-        assert frame.unscale_E(frame.scale_E(2.0)) == pytest.approx(2.0)
-        with pytest.raises(TypeError):
-            Frame.of("cos")
+    def test_scales_of_an_index(self):
+        m = make_model("bessel:0")
+        raw = Frame(m)
+        assert (raw.x_scale, raw.y_scale, raw.u_scale) == (1.0, 1.0, 1.0)
+        assert raw.lam is raw.gamma_exp is raw.ln_xi is None
+        # lambda = (2n - 1/2) pi - phi with phi = -pi/4; u = xy = u_scale t z
+        frame = Frame(m, 2)
+        assert frame.lam == pytest.approx(3.75 * math.pi, rel=1e-15)
+        assert frame.u_scale == frame.x_scale * frame.y_scale
+        assert frame.y_scale == pytest.approx(
+            math.sqrt(m.asym.a) * frame.lam ** 0.25, rel=1e-15)
+        for bad in (0, 1.5, -2):
+            with pytest.raises(DomainError):
+                Frame(m, bad)
 
     def test_horizon(self):
         cfg = IntegratorConfig()
@@ -524,7 +558,8 @@ class TestStepSequence:
         on_band = ON_HANKEL_BAND.get(spec)
         if on_band is not None:
             eng = engines[0]
-            us = list(map(eng.frame.u_of, eng.xs, eng.ys))
+            c = eng.frame.u_scale
+            us = [c * x * y for x, y in zip(eng.xs, eng.ys)]
             assert sum(map(on_band, us)) > len(us) // 2
 
     # unrecorded shots: each digest hashes the ends of the steps in which
@@ -607,8 +642,8 @@ class TestStepSequence:
 
 class TestSerialization:
     def test_csv_round_trip(self, tmp_path):
-        pr = ScaledProblem(make_model("bessel:0"), 2)
-        c = integrate(pr, (0.0, 1.0), cfg_with(0.0, 1e-10))
+        c = integrate(make_model("bessel:0"), (0.0, 1.0), cfg_with(0.0, 1e-10),
+                      n=2)
         path = tmp_path / "curve.csv"
         curve_to_csv(c, path)
         meta, cols, xs, ys = read_curve_csv(path)
@@ -622,8 +657,8 @@ class TestSerialization:
         assert ys[5] == float(c.values[5])
 
     def test_csv_deterministic(self, tmp_path):
-        pr = ScaledProblem(make_model("cos"), 1)
-        c = integrate(pr, (0.0, 0.8), cfg_with(0.0, 1e-10))
+        c = integrate(make_model("cos"), (0.0, 0.8), cfg_with(0.0, 1e-10),
+                      n=1)
         p1 = tmp_path / "a.csv"
         p2 = tmp_path / "b.csv"
         curve_to_csv(c, p1)
