@@ -16,10 +16,9 @@ from .ode import IntegratorConfig, SolutionCurve, integrate, count_maxima
 from .spectrum import EigenResult, classify, find_eigen, refine_backward, \
     spectrum_scan
 from .asymptotics import (LimitCurve, GrowthLaw, WalkCoefficients,
-                          RGammaScaling, limit_curve, origin_behavior,
-                          growth_law, forbidden_region_z, walk_coefficients,
-                          walk_coefficients_dp, envelope, rgamma_asymptote,
-                          rgamma_asymptote_log, rgamma_forbidden_epsilon,
+                          limit_curve, growth_law, forbidden_region_z,
+                          walk_coefficients, walk_coefficients_dp, envelope,
+                          rgamma_asymptote, rgamma_asymptote_log,
                           rgamma_limit_curve)
 
 __all__ = [
@@ -28,9 +27,8 @@ __all__ = [
     "make_model", "eval_F", "eval_F_prime",
     "IntegratorConfig", "SolutionCurve", "integrate", "count_maxima",
     "EigenResult", "classify", "find_eigen", "refine_backward", "spectrum_scan",
-    "LimitCurve", "GrowthLaw", "WalkCoefficients", "RGammaScaling",
-    "limit_curve", "origin_behavior", "growth_law", "forbidden_region_z",
-    "walk_coefficients", "walk_coefficients_dp", "envelope",
-    "rgamma_asymptote", "rgamma_asymptote_log", "rgamma_forbidden_epsilon",
-    "rgamma_limit_curve",
+    "LimitCurve", "GrowthLaw", "WalkCoefficients", "limit_curve",
+    "growth_law", "forbidden_region_z", "walk_coefficients",
+    "walk_coefficients_dp", "envelope", "rgamma_asymptote",
+    "rgamma_asymptote_log", "rgamma_limit_curve",
 ]

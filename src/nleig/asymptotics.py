@@ -21,15 +21,14 @@ import numpy as np
 
 from .models import rgamma_lambda_scaling
 from .rootfind import RootError, bisect
-from .specfun import DomainError, lambert_w
+from .specfun import DomainError
 
 __all__ = [
-    "LimitCurve", "GrowthLaw", "WalkCoefficients", "RGammaScaling",
-    "OriginBehavior", "limit_curve", "limit_curve_value", "origin_value",
-    "origin_behavior", "growth_law", "forbidden_region_z",
+    "LimitCurve", "GrowthLaw", "WalkCoefficients", "limit_curve",
+    "limit_curve_value", "origin_value", "growth_law", "forbidden_region_z",
     "walk_coefficients", "walk_coefficients_dp", "envelope",
-    "rgamma_asymptote", "rgamma_asymptote_log", "rgamma_forbidden_epsilon",
-    "rgamma_limit_curve", "WALK_P_MAX",
+    "rgamma_asymptote", "rgamma_asymptote_log", "rgamma_limit_curve",
+    "WALK_P_MAX",
 ]
 
 # largest p_max the walk-coefficient tables accept
@@ -42,9 +41,6 @@ class LimitCurve:
     grid: np.ndarray
     z: np.ndarray
     origin_value: float
-
-    def __call__(self, t):
-        return limit_curve_value(self.alpha, t)
 
 
 @dataclass(frozen=True)
@@ -60,39 +56,6 @@ class GrowthLaw:
 class WalkCoefficients:
     p_max: int
     values: tuple  # Fractions alpha_{1,2p+1}, p = 0..p_max
-
-
-@dataclass(frozen=True)
-class RGammaScaling:
-    n: int
-    lam: float
-    r_lambda: float
-    xi_lambda: float  # may be inf when e^{ln_xi} overflows
-    ln_xi: float
-
-    @classmethod
-    def for_index(cls, n):
-        lam, r, ln_xi = rgamma_lambda_scaling(n)
-        xi = math.exp(ln_xi) if ln_xi < 709.0 else math.inf
-        return cls(n=n, lam=lam, r_lambda=r, xi_lambda=xi, ln_xi=ln_xi)
-
-
-@dataclass(frozen=True)
-class OriginBehavior:
-    kind: str          # "finite" | "power-law" | "log-quartic"
-    value: float | None = None      # z(0) when finite
-    exponent: float | None = None   # t-exponent of the power law
-    amplitude: float | None = None  # its prefactor
-    note: str = ""
-
-    def describe(self, t=None):
-        if self.kind == "finite":
-            return self.value
-        if t is None:
-            raise ValueError("power-law/log descriptors need a t")
-        if self.kind == "power-law":
-            return self.amplitude * t ** self.exponent
-        return (-2.0 * math.log(t)) ** 0.25
 
 
 def origin_value(alpha):
@@ -189,21 +152,6 @@ def limit_curve(alpha, grid):
     return LimitCurve(alpha=alpha, grid=grid, z=z, origin_value=origin_value(alpha))
 
 
-def origin_behavior(alpha):
-    """Behavior of the limit curve at t -> 0, by the sign of alpha + 1."""
-    if alpha > -1.0:
-        return OriginBehavior(kind="finite", value=origin_value(alpha))
-    if alpha == -1.0:
-        return OriginBehavior(
-            kind="log-quartic",
-            note=("z(t) ~ (-2 ln t)^(1/4); eigenvalues defined at t = tau > 0 "
-                  "grow like (ln n)^(1/4)"))
-    amp = ((1.0 - alpha) / math.sqrt((1.0 - alpha) ** 2 - 4.0)) ** (1.0 / (1.0 - alpha))
-    return OriginBehavior(kind="power-law",
-                          exponent=(1.0 + alpha) / (1.0 - alpha),
-                          amplitude=amp)
-
-
 def growth_law(model):
     """E_n ~ A n^gamma with gamma = (1+alpha)/(2 beta) and
     A = sqrt(a) (2 pi / b)^gamma z(0)."""
@@ -297,14 +245,6 @@ def rgamma_asymptote(n):
             f"rgamma asymptote overflows binary64 at n={n}; "
             "use rgamma_asymptote_log")
     return math.exp(ln_e)
-
-
-def rgamma_forbidden_epsilon(t):
-    """epsilon(t) = -W0(-1/(e t^2)): the forbidden-region defect for the
-    reciprocal-gamma problem (turning point at t = 1)."""
-    if not (t >= 1.0):
-        raise ValueError("rgamma_forbidden_epsilon: need t >= 1")
-    return -lambert_w("principal", -math.exp(-1.0) / (t * t))
 
 
 def rgamma_limit_curve(t):

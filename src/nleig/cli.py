@@ -27,7 +27,7 @@ import numpy as np
 from . import asymptotics, specfun, spectrum, svgplot, verify
 from .cache import EigenCache, atomic_write_text, record_line
 from .models import make_model
-from .ode import IntegratorConfig, curve_csv_text, curve_to_csv, count_maxima
+from .ode import IntegratorConfig, curve_csv_text, count_maxima
 from .specfun import DomainError
 from .spectrum import ConfigError, _check_coords, separatrix_curve
 
@@ -218,7 +218,9 @@ def cmd_separatrix(rc):
             continue
         base = os.path.join(
             out, f"separatrix_{model.spec.replace(':', '_')}_n{n}_{coords}")
-        curve_to_csv(curve, base + ".csv")
+        atomic_write_text(base + ".csv", curve_csv_text(
+            model.spec, n, coords, "t,z" if coords == "scaled" else "x,y",
+            curve.grid, curve.values))
         print(f"n={n}: E={res.E:.12g} maxima={count_maxima(curve)} "
               f"-> {base}.csv")
         if rc.get("svg"):

@@ -57,7 +57,7 @@ from .specfun import DomainError
 
 __all__ = [
     "IntegratorConfig", "SolutionCurve", "PrecisionExhausted", "StepUnderflow",
-    "Engine", "integrate", "count_maxima", "curve_csv_text", "curve_to_csv",
+    "Engine", "integrate", "count_maxima", "curve_csv_text",
 ]
 
 
@@ -163,7 +163,8 @@ class Engine:
 
     def run(self, x_end):
         """Advance to x_end (or an earlier stopping event).  May be called
-        again with a farther x_end to continue the same trajectory."""
+        again with a farther x_end to continue the same trajectory, also
+        after a run that stopped within a few _H_MIN of x_end."""
         cfg = self.cfg
         sgn = self.sgn
         span = abs(x_end - self.x)
@@ -196,6 +197,10 @@ class Engine:
                 if h > h_max:
                     h = h_max
                 if h > rest:
+                    if rest < h_min:
+                        # close enough to the horizon; h stays the
+                        # controller's proposal, so run() can continue
+                        break
                     h = rest
                 if h < h_min:
                     if rest < 4.0 * h_min:
@@ -487,13 +492,3 @@ def curve_csv_text(model, n, coords, cols, xs, ys):
              f"coords={coords}", cols]
     lines.extend(f"{x:.16e},{y:.16e}" for x, y in zip(xs, ys))
     return "\n".join(lines) + "\n"
-
-
-def curve_to_csv(curve, path):
-    """Write curve to path as curve_csv_text."""
-    from .cache import atomic_write_text
-    atomic_write_text(path, curve_csv_text(
-        curve.meta.get("model", "?"), curve.meta.get("n"), curve.coords,
-        "t,z" if curve.coords == "scaled" else "x,y", curve.grid,
-        curve.values))
-    return path

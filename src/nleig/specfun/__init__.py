@@ -10,7 +10,6 @@ airy_ai         rel <= 1e-10 away from zeros, abs <= 1e-12 near them
 log_gamma       rel <= 1e-13 (abs floor ~5e-15 near the zeros x=1,2)
 recip_gamma     rel <= 1e-12 away from zeros; exact 0 at integers
 digamma         rel <= 1e-11
-lambert_w       round-trip w e^w = x to rel 1e-12 on both branches
 xi_bar          zeta to ~1e-10 over the supported band t <= 1000
                 (Euler-Maclaurin); ~1e-5 to 1e-4 in the warned zone
                 beyond (Riemann-Siegel, first two corrections);
@@ -29,7 +28,6 @@ from .gammafn import (DomainError, PoleError, sinpi, cospi, log_gamma,
                       recip_gamma, recip_gamma_log)
 from .bessel import bessel_j, bessel_j_prime, bessel_j_zero
 from .airy import airy_ai
-from .lambertw import lambert_w
 from .zeta import zeta_half_line, riemann_siegel_z, xi_bar
 
 __all__ = [
@@ -37,7 +35,7 @@ __all__ = [
     "sinpi", "cospi", "log_gamma", "digamma", "trigamma",
     "digamma_root", "digamma_root_seed", "recip_gamma", "recip_gamma_log",
     "bessel_j", "bessel_j_prime", "bessel_j_zero",
-    "airy_ai", "lambert_w",
+    "airy_ai",
     "zeta_half_line", "riemann_siegel_z", "xi_bar",
     "selftest",
 ]
@@ -84,10 +82,6 @@ def _golden_table():
          Accuracy(1e-11, 1e-300)),
         ("digamma_root(1)", digamma_root(1), -0.5040830082644554,
          Accuracy(1e-12, 1e-300)),
-        ("lambert_w(principal, 1)", lambert_w("principal", 1.0),
-         0.5671432904097838, Accuracy(1e-12, 1e-300)),
-        ("lambert_w(principal, -1/e)", lambert_w("principal", -math.exp(-1.0)),
-         -1.0, Accuracy(1e-7, 1e-300)),
         ("xi_bar(0)", xi_bar(0.0), 0.0, Accuracy(1e-13, 1e-300)),
     ]
 

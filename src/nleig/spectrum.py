@@ -153,8 +153,7 @@ def _predict(model, n):
         u_n = zero_table(model).nth_unstable(n).u
         return 0.55 * math.sqrt(u_n)
     from .asymptotics import growth_law
-    gl = growth_law(model)
-    return gl.A * n ** gl.gamma_exp
+    return growth_law(model).predict(n)
 
 
 def find_eigen(model, n, tol=None, cfg=None, seed=None, lo_bound=None,

@@ -96,7 +96,7 @@ def growth(model_spec="cos", n_max=100, method="backward", tol=1e-8,
     recs = [_record(f"growth-exponent-{model_spec}",
                     "log-log slope of E_n equals gamma",
                     gl.gamma_exp, float(slope), 0.01)]
-    ratio = es[-1] / (gl.A * ns[-1] ** gl.gamma_exp)
+    ratio = es[-1] / gl.predict(ns[-1])
     recs.append(_record(f"growth-amplitude-{model_spec}-n{n_max}",
                         f"E_n / (A n^gamma) -> 1 with A = {gl.A:.6f}",
                         1.0, float(ratio), 0.02))

@@ -10,13 +10,11 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from nleig.asymptotics import (envelope, forbidden_region_z, growth_law,
-                               limit_curve, limit_curve_value,
-                               origin_behavior, origin_value,
+                               limit_curve, limit_curve_value, origin_value,
                                rgamma_asymptote, rgamma_asymptote_log,
-                               rgamma_forbidden_epsilon, rgamma_limit_curve,
-                               walk_coefficients, walk_coefficients_dp,
-                               RGammaScaling)
-from nleig.models import Frame, make_model
+                               rgamma_limit_curve, walk_coefficients,
+                               walk_coefficients_dp)
+from nleig.models import Frame, make_model, rgamma_lambda_scaling
 from nleig.rootfind import RootError, bisect
 from nleig.specfun import DomainError
 
@@ -86,7 +84,6 @@ class TestLimitCurve:
         lc = limit_curve(-0.5, np.linspace(0.0, 2.0, 11))
         assert lc.origin_value == pytest.approx(2.0 ** (10.0 / 21.0))
         assert lc.z[0] == pytest.approx(lc.origin_value)
-        assert lc(0.5) == pytest.approx(limit_curve_value(-0.5, 0.5))
 
     def test_domain(self):
         with pytest.raises(ValueError):
@@ -178,25 +175,6 @@ class TestLimitCurveBitIdentity:
     def test_any_point(self, alpha, t):
         assert (_curve_outcome(limit_curve_value, alpha, t)
                 == _curve_outcome(_limit_curve_value_reference, alpha, t))
-
-
-class TestOriginBehavior:
-    def test_finite_branch(self):
-        ob = origin_behavior(0.0)
-        assert ob.kind == "finite"
-        assert ob.value == pytest.approx(2.0 ** (1.0 / 3.0))
-
-    def test_log_branch(self):
-        ob = origin_behavior(-1.0)
-        assert ob.kind == "log-quartic"
-        assert "(ln n)^(1/4)" in ob.note
-        assert ob.describe(1e-4) == pytest.approx((2.0 * math.log(1e4)) ** 0.25)
-
-    def test_power_branch(self):
-        ob = origin_behavior(-2.0)
-        assert ob.kind == "power-law"
-        assert ob.exponent == pytest.approx(-1.0 / 3.0)
-        assert ob.amplitude == pytest.approx((3.0 / math.sqrt(5.0)) ** (1.0 / 3.0))
 
 
 class TestGrowthLaw:
@@ -306,21 +284,13 @@ class TestRGamma:
         assert rgamma_asymptote_log(160) > 709.0
 
     def test_scaling_record(self):
-        sc = RGammaScaling.for_index(2)
-        assert sc.lam == 3.0
-        assert -3.0 < sc.r_lambda < -2.0
-        assert sc.xi_lambda > 0.0
-        assert sc.ln_xi == pytest.approx(math.log(sc.xi_lambda), rel=1e-12)
-
-    def test_epsilon_branch_point(self):
-        assert rgamma_forbidden_epsilon(1.0) == pytest.approx(1.0)
-
-    def test_epsilon_at_two(self):
-        # oracle: bisection on eps e^(-eps) = e^(-1)/4
-        assert rgamma_forbidden_epsilon(2.0) == pytest.approx(
-            0.10182843109414196, abs=1e-10)
-        # quoted rounded figure agrees to 1e-5
-        assert abs(rgamma_forbidden_epsilon(2.0) - 0.101830) < 1e-5
+        lam, r_lambda, ln_xi = rgamma_lambda_scaling(2)
+        assert lam == 3.0
+        assert -3.0 < r_lambda < -2.0
+        # xi = -1/Gamma(r_lambda) > 0
+        assert math.gamma(r_lambda) < 0.0
+        assert ln_xi == pytest.approx(-math.log(-math.gamma(r_lambda)),
+                                      rel=1e-12)
 
     def test_limit_curve_piecewise(self):
         assert rgamma_limit_curve(0.5) == 1.0

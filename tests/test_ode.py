@@ -8,13 +8,13 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from nleig import spectrum
 from nleig.models import (Frame, ZeroTable, check_raw, make_model,
                           zero_table)
-from nleig.ode import (Engine, IntegratorConfig, PrecisionExhausted,
-                       count_maxima, curve_to_csv, integrate)
+from nleig.ode import (_H_MIN, Engine, IntegratorConfig, PrecisionExhausted,
+                       count_maxima, curve_csv_text, integrate)
 from nleig.specfun import DomainError, airy, bessel
 from nleig.svgplot import read_curve_csv
 
@@ -640,12 +640,63 @@ class TestStepSequence:
         assert 6 * eng.nsteps < eng.nfev < calls[0]
 
 
+class TestContinuation:
+    """A run that stops a few ulp short of its horizon, where the step left
+    is below _H_MIN, keeps the step its controller proposed, so run() can
+    carry it on to a farther horizon like any other run."""
+
+    def test_rgamma_shot_past_a_short_stop(self):
+        # the doubled horizon t = 6 stops 1.8e-15 short; carrying that run
+        # on to t = 12 used to raise StepUnderflow at once
+        rgamma = make_model("rgamma")
+        assert spectrum.classify(rgamma, 50.0, n_hint=6) == 3
+        assert spectrum.classify(rgamma, 50.0) == 3
+
+    @given(st.sampled_from(["cos", "bessel:0", "airy", "rgamma", "xibar"]),
+           st.integers(1, 6), st.floats(0.0, 1.0), st.floats(0.3, 1.0),
+           st.floats(0.5, 1.0), st.integers(1, 2))
+    @settings(max_examples=40, deadline=None)
+    def test_continues_after_a_short_stop(self, spec, n, y0_pos, x_pos,
+                                          j_pos, ulps):
+        frame = Frame(make_model(spec), n)
+        # scaled starts span several classes; xibar's start above E_1
+        # settles on a stable zero instead of collapsing to y = 0
+        y0 = (0.3 + 1.7 * y0_pos if frame.coords == "scaled"
+              else 5.2 + 2.8 * y0_pos)
+        cfg = IntegratorConfig()
+        # x stays below 32, where two ulp are still under _H_MIN
+        x1 = min(frame.horizon(y0, cfg), 15.0) * x_pos
+
+        def engine(record):
+            eng = Engine(frame, 0.0, y0, cfg, record=record,
+                         stop_when_settled=False)
+            return eng.run(x1)
+        # a continued run's steps do not depend on its horizon while
+        # neither the horizon nor span/10 clips them, so a horizon a few ulp
+        # past a step end of the reference ends the run there, short of it
+        ref = engine(True)
+        k0 = len(ref.xs)
+        ref.run(2.0 * x1)
+        assume(len(ref.xs) - k0 >= 2)
+        k = k0 + int(j_pos * (len(ref.xs) - 1 - k0))
+        xk = ref.xs[k]
+        x_end = xk + ulps * math.ulp(xk)
+        assert 0.0 < x_end - xk < _H_MIN
+        eng = engine(False).run(x_end)
+        assume(eng.status == "reached_end" and eng.x == xk)
+        far = 2.0 * x_end
+        eng.run(far)
+        assert eng.status == "reached_end"
+        assert 0.0 <= far - eng.x < 4.0 * _H_MIN
+
+
 class TestSerialization:
     def test_csv_round_trip(self, tmp_path):
         c = integrate(make_model("bessel:0"), (0.0, 1.0), cfg_with(0.0, 1e-10),
                       n=2)
         path = tmp_path / "curve.csv"
-        curve_to_csv(c, path)
+        path.write_text(curve_csv_text("bessel:0", 2, c.coords, "t,z",
+                                       c.grid, c.values))
         meta, cols, xs, ys = read_curve_csv(path)
         assert meta["model"] == "bessel:0"
         assert meta["n"] == "2"
@@ -656,11 +707,11 @@ class TestSerialization:
         assert xs[5] == float(c.grid[5])
         assert ys[5] == float(c.values[5])
 
-    def test_csv_deterministic(self, tmp_path):
-        c = integrate(make_model("cos"), (0.0, 0.8), cfg_with(0.0, 1e-10),
-                      n=1)
-        p1 = tmp_path / "a.csv"
-        p2 = tmp_path / "b.csv"
-        curve_to_csv(c, p1)
-        curve_to_csv(c, p2)
-        assert p1.read_bytes() == p2.read_bytes()
+    def test_csv_deterministic(self):
+        texts = []
+        for _ in range(2):
+            c = integrate(make_model("cos"), (0.0, 0.8), cfg_with(0.0, 1e-10),
+                          n=1)
+            texts.append(curve_csv_text("cos", 1, c.coords, "t,z", c.grid,
+                                        c.values))
+        assert texts[0] == texts[1]

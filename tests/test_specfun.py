@@ -13,8 +13,8 @@ from hypothesis import example, given, settings, strategies as st
 from nleig.specfun import (Accuracy, DomainError, PoleError, airy_ai,
                            bessel_j, bessel_j_prime, bessel_j_zero, cospi,
                            digamma, digamma_root, digamma_root_seed,
-                           lambert_w, log_gamma, recip_gamma,
-                           recip_gamma_log, sinpi, xi_bar)
+                           log_gamma, recip_gamma, recip_gamma_log, sinpi,
+                           xi_bar)
 from nleig.specfun.zeta import riemann_siegel_z, zeta_half_line
 
 mp.mp.dps = 30
@@ -462,45 +462,6 @@ class TestRecipGammaBitIdentity:
                 fn(math.nan)
             with pytest.raises(OverflowError):
                 fn(math.inf)
-
-
-class TestLambertW:
-    def test_trivial(self):
-        assert lambert_w("principal", 0.0) == 0.0
-        assert lambert_w("principal", -math.exp(-1.0)) == -1.0
-        assert lambert_w("minus-one", -math.exp(-1.0)) == -1.0
-
-    def test_omega_constant(self):
-        assert abs(lambert_w("principal", 1.0) - 0.5671432904097838) < 1e-12
-
-    def test_round_trip_principal(self):
-        xs = np.concatenate([
-            -np.exp(-1.0) + np.logspace(-12, -0.45, 500),
-            np.logspace(-8, 8, 500),
-        ])
-        for x in xs:
-            w = lambert_w("principal", float(x))
-            assert w >= -1.0
-            assert abs(w * math.exp(w) - x) <= 1e-12 * max(abs(x), 1e-300)
-
-    def test_round_trip_minus_one(self):
-        xs = np.concatenate([
-            -np.exp(-1.0) + np.logspace(-12, -0.45, 500),
-            -np.logspace(-300, -0.46, 500),
-        ])
-        for x in xs:
-            x = float(x)
-            if x >= 0.0:
-                continue
-            w = lambert_w("minus-one", x)
-            assert w <= -1.0
-            assert abs(w * math.exp(w) - x) <= 1e-12 * abs(x)
-
-    def test_domain(self):
-        with pytest.raises(DomainError):
-            lambert_w("principal", -0.4)
-        with pytest.raises(DomainError):
-            lambert_w("minus-one", 0.1)
 
 
 class TestXiBar:
