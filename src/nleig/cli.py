@@ -3,8 +3,8 @@ walk coefficients, verification reports, SVG rendering, and a persistent
 eigenvalue cache.
 
 A separatrix is spectrum.separatrix_curve, the curve refine_backward
-recorded; `verify` reports the records of the nleig.verify suites, which
-the acceptance tests assert on.
+records from the farther start of an exported curve; `verify` reports the
+records of the nleig.verify suites, which the acceptance tests assert on.
 
 Each setting is one entry of _KEYS, a flag and a config-file key, which
 _run_config converts once.  The library function that uses a value

@@ -174,7 +174,7 @@ class Engine:
             return self
         if self.event_tol_scale is None:
             self.event_tol_scale = max(abs(x_end), abs(self.x), 1.0)
-        h_max = span / 10.0
+        h_max = max(span / 10.0, _H_MIN)
         if self.h <= 0.0:
             self.h = min(self._initial_step(span), h_max)
         self.status = None

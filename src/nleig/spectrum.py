@@ -10,9 +10,12 @@ deviation grows like exp(F' x^2 / 2), so doublings resolve fast).
 find_eigen brackets the class jump around the growth-law prediction and
 bisects; refine_backward instead seeds the large-x expansion of u = xy at
 the n-th unstable zero and integrates backward to read E off at the origin.
-That one backward run records the separatrix, returned as EigenResult.curve;
-separatrix_curve converts it to the requested coordinates, after refusing
-the coordinates a model cannot run in.
+That one backward run records the separatrix, returned as EigenResult.curve.
+An eigenvalue run starts where backward contraction has erased the seed's
+error, since the farther stretch changes nothing in E; separatrix_curve
+makes the same run from farther out, where the exported curve starts, and
+converts it to the requested coordinates, after refusing the coordinates
+a model cannot run in.
 """
 
 import math
@@ -136,12 +139,18 @@ class _Shooter:
 
 def classify(model, E, cfg=None, n_hint=None):
     """Forward-integrate y' = F(xy), y(0) = E and return the class index
-    (completed oscillations; ties broken by the attractor index)."""
+    (completed oscillations; ties broken by the attractor index).  Raises
+    RuntimeError when the run neither settles nor collapses by the last
+    horizon, where its count of oscillations is not yet a class."""
     if not (E > 0.0):
         raise ValueError("classify: need E > 0")
     sh = _Shooter(model, n_hint, cfg or IntegratorConfig())
     v = E / sh.frame.y_scale
-    cls, _, _ = sh.shoot(v)
+    cls, signal, eng = sh.shoot(v)
+    if signal == "unresolved":
+        raise RuntimeError(
+            f"class of E={E!r} unresolved at the horizon "
+            f"x={eng.x * sh.frame.x_scale!r} ({len(eng.minima)} minima)")
     return cls
 
 
@@ -246,14 +255,21 @@ def find_eigen(model, n, tol=None, cfg=None, seed=None, lo_bound=None,
                        model=model.spec, tol=tol, z0=z0, log10_E=log10)
 
 
-def refine_backward(model, n, cfg=None, tol=None):
+def refine_backward(model, n, cfg=None, tol=None, *, _export=False):
     """Eigenvalue read off at the origin of a backward-integrated
     separatrix, seeded on the n-th unstable zero s via the large-x
     expansion u(x0) = s - s/(x0^2 F'(s)).
 
     rgamma runs in scaled coordinates from t0 = 3, every other model in
-    raw ones.  The result carries the recorded separatrix as .curve, in
-    those coordinates.
+    raw ones.  There the run starts where backward contraction has erased
+    the seed's error, x0^2 = max(x_t^2 + 90/F'(s), (1.3 x_t)^2) with x_t
+    the turning point, unless the seed's first correction s/(x0^2 F'(s))
+    would leave the basin of s: it is kept within half the gap to s's
+    nearer neighbour and a tenth of s, where F' keeps the sign of F'(s).
+    separatrix_curve passes _export to start the run where an exported
+    curve starts: out to where the correction is a tenth of that half-gap
+    and 2 % of s.  The result carries the recorded separatrix as .curve,
+    in the run's coordinates.
     """
     if n < 1 or n != int(n):
         raise ValueError(f"refine_backward: need integer n >= 1, got {n!r}")
@@ -284,10 +300,9 @@ def refine_backward(model, n, cfg=None, tol=None):
         y0 = (1.0 - corr) / x0
     else:
         frame = Frame(model)
-        # Start deep enough that (a) the first-correction seed is valid
-        # (correction well inside the basin) and (b) the backward
-        # contraction exp(-F'(x0^2-x_tp^2)/2) drives the residual seed
-        # error below machine precision.  This stays out of the stiff
+        # Start where the backward contraction exp(-F'(x0^2-x_tp^2)/2) has
+        # driven the seed error below machine precision, with the first
+        # correction inside the basin of s.  This stays out of the stiff
         # zone x F'(s) >> 1, where an explicit pair is stability-limited.
         x_turn = (s.u / 0.6 if model.kind == "xibar"  # y(x_turn) ~ 1
                   else Frame(model, n).x_scale)
@@ -297,7 +312,8 @@ def refine_backward(model, n, cfg=None, tol=None):
         i = bisect_left(zs, s.u)
         below = s.u - zs[i - 1] if i else math.inf
         halfgap = 0.5 * min(zs[i + 1] - s.u, below)
-        du_cap = min(0.1 * halfgap, 0.02 * s.u)
+        du_cap = (min(0.1 * halfgap, 0.02 * s.u) if _export
+                  else min(0.5 * halfgap, 0.1 * s.u))
         x0 = math.sqrt(max(s.u / (fp * du_cap),
                            x_turn * x_turn + 90.0 / fp,
                            (1.3 * x_turn) ** 2))
@@ -337,9 +353,13 @@ def _check_coords(model, n, coords):
 
 def separatrix_curve(model, n, coords, tol=None, cfg=None):
     """Backward-refined separatrix as (EigenResult, SolutionCurve) in the
-    requested coordinates: the curve refine_backward recorded, converted."""
+    requested coordinates: the curve refine_backward records from the
+    export start, converted.  Raw runs start where the seed's first
+    correction is a tenth of the half-gap from s to its nearer neighbour,
+    so the curve runs out to where it sits that close to its asymptote;
+    its E agrees with refine_backward's up to the integration error."""
     _check_coords(model, n, coords)
-    res = refine_backward(model, n, cfg=cfg, tol=tol)
+    res = refine_backward(model, n, cfg=cfg, tol=tol, _export=True)
     return res, Frame(model, n).convert(res.curve, coords)
 
 

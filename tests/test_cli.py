@@ -54,17 +54,17 @@ class TestSpectrumCommand:
          "8d05ece2ca5725add29bff1705836632054ba68974d34a9afa337598a60805e0",
          "a5d8e37184a12f6d379f9f77b7815122c08d973ba69d0871123605712eaefaa8"),
         ("cos", "1..4",
-         "975f8103a9ddc32681f174adf0ad8e053464f528b70e8f1976241a5c5f6dcbeb",
-         "1953d17f86e0bd804b32566dbf419bba66c0c24cacb58e02a505ba78d0d68bee"),
+         "497ebcbb9db5f5c48b112d6d71ecc72d20abbb3ec7968572e46d9a228f6752de",
+         "50554bf0277731f8805b54b95aa3f09a19a3c059724ee7d1ed1601287fe8f90c"),
         ("cos", "2..3",
-         "6f882ff899e076cb2ea1f8477f996b2cda0d62fe7de1fb48783bf1819ca33cfb",
-         "1953d17f86e0bd804b32566dbf419bba66c0c24cacb58e02a505ba78d0d68bee"),
+         "443df0a99a87edc4f12cf318ebd4e072143f7bc151cd34cc40ba8a80ab5785ff",
+         "50554bf0277731f8805b54b95aa3f09a19a3c059724ee7d1ed1601287fe8f90c"),
         ("rgamma", "1..2",
          "e1411512ff7b43a6eefacef393e58743e962a0f8b196bb0264a0def64c33a9a2",
-         "2848add251302a2201b4f86d3b6542eee88f01c07aff281a2d9fe29ab2a795d4"),
+         "fdea96e7d7acaeecd37b81f33547f4b9797dacd1e5aee0fe9bab000ec772c88e"),
         ("rgamma", "1..3",
          "a2fe8358ed6998259522b9ffa165f495e0fd6244d495015bba055dff022880ef",
-         "fbb323c6ca40efc32829633b4275d6a5d6a063590256ebc990ed46bdb352c5fe"),
+         "97fe392ea473f189f0e7f8583cd2a6d79591d460e5503bd225715b793988724b"),
     ]
 
     def test_miss_hit_bytes_pinned(self, tmp_path):
@@ -257,8 +257,33 @@ class TestSeparatrixCommand:
         meta, cols, xs, ys = read_curve_csv(
             tmp_path / "separatrix_cos_n3_raw.csv")
         assert meta["coords"] == "raw" and cols == ["x", "y"]
-        curve = spectrum.refine_backward(make_model("cos"), 3).curve
+        curve = spectrum.refine_backward(make_model("cos"), 3,
+                                         _export=True).curve
         assert xs == list(curve.grid) and ys == list(curve.values)
+
+    # sha256 of each file `separatrix --svg` writes
+    EXPORT_BYTES = [
+        ("cos", "3", "raw", "separatrix_cos_n3_raw",
+         "d394b0b281c9594133b29fad5b9be7496ed726c7f4871a3d11255e152b7b85a2",
+         "a0e4f2e5b9d837655bbd6181c11277bfd30deddaeaea9595587ab88a490b5967"),
+        ("bessel:0", "2", "scaled", "separatrix_bessel_0_n2_scaled",
+         "50a65af0c3c40431516152b7276caffd3229d307d75b71566932420cddcf16b1",
+         "c51a7492a215da9f49aa8b2fa5d09e3415a1eec346a872e152984926dea806d6"),
+        ("rgamma", "3", "scaled", "separatrix_rgamma_n3_scaled",
+         "63a8e6bf397b907e04bc85afb0523e4db725e79f8856a3f43f6fc81b05de7c2e",
+         "18eb2af7d38068a5a00eb7f2ea02519e592fc36e0941cab323ffeb49dabe385a"),
+    ]
+
+    @pytest.mark.parametrize("spec, n, coords, stem, csv_sha, svg_sha",
+                             EXPORT_BYTES)
+    def test_export_bytes_pinned(self, tmp_path, spec, n, coords, stem,
+                                 csv_sha, svg_sha):
+        # an exported curve starts where it sits within a tenth of a
+        # half-gap of its asymptote, farther out than an eigenvalue run
+        assert run(["separatrix", "--model", spec, "--n", n, "--coords",
+                    coords, "--svg"], tmp_path) == 0
+        assert [hashlib.sha256((tmp_path / f"{stem}.{ext}").read_bytes())
+                .hexdigest() for ext in ("csv", "svg")] == [csv_sha, svg_sha]
 
     @pytest.mark.parametrize("spec,n_range,coords", [
         ("rgamma", "4..6", "raw"), ("xibar", "1..2", "scaled")])
@@ -293,16 +318,21 @@ class TestSeparatrixCurve:
         ("cos", 3, "raw"), ("bessel:0", 2, "raw"), ("airy", 2, "raw"),
         ("xibar", 2, "raw"), ("rgamma", 3, "scaled")])
     def test_curve_is_the_backward_run(self, spec, n, coords):
+        # the export-seeded run, converted; its E is the eigenvalue run's
+        # up to the integration error
         model = make_model(spec)
         res, curve = separatrix_curve(model, n, coords)
-        rec = spectrum.refine_backward(model, n).curve
+        exported = spectrum.refine_backward(model, n, _export=True)
+        rec = Frame(model, n).convert(exported.curve, coords)
         assert curve.coords == rec.coords == coords
         assert np.array_equal(curve.grid, rec.grid)
         assert np.array_equal(curve.values, rec.values)
         assert (curve.maxima, curve.maxima_values, curve.minima,
                 curve.minima_values) == (rec.maxima, rec.maxima_values,
                                          rec.minima, rec.minima_values)
-        assert res.E == spectrum.refine_backward(model, n).E
+        assert res.E == exported.E
+        E = spectrum.refine_backward(model, n).E
+        assert abs(res.E - E) <= 1e-10 * E
 
     def test_events_follow_the_conversion(self):
         model = make_model("bessel:0")

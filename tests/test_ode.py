@@ -533,6 +533,30 @@ class TestStepSequence:
     pinned bit for bit: the step loop may be restructured, its arithmetic
     may not change."""
 
+    @staticmethod
+    def backward_engine(monkeypatch, run):
+        """The one engine run() builds, recorded."""
+        engines = []
+
+        class Recorded(Engine):
+            def __init__(self, *args, **kw):
+                super().__init__(*args, **kw)
+                engines.append(self)
+        monkeypatch.setattr(spectrum, "Engine", Recorded)
+        run()
+        assert len(engines) == 1
+        return engines[0]
+
+    @staticmethod
+    def check_hankel_band(spec, eng):
+        on_band = ON_HANKEL_BAND.get(spec)
+        if on_band is not None:
+            c = eng.frame.u_scale
+            us = [c * x * y for x, y in zip(eng.xs, eng.ys)]
+            assert sum(map(on_band, us)) > len(us) // 2
+
+    # the runs of exported separatrices, which start farther out than an
+    # eigenvalue run (rgamma's start is the same)
     @pytest.mark.parametrize("spec, n, expected", [
         ("cos", 40, (5732, 36014, "reached_end", "0x1.678fa94c63773p+3",
                      40, 39, "06164f5267749954")),
@@ -545,22 +569,27 @@ class TestStepSequence:
                       30, 29, "2c0c07bd3fe697d0")),
     ])
     def test_backward(self, monkeypatch, spec, n, expected):
-        engines = []
+        eng = self.backward_engine(monkeypatch, lambda: (
+            spectrum.separatrix_curve(make_model(spec), n, "scaled")))
+        assert _step_record(eng) == expected
+        self.check_hankel_band(spec, eng)
 
-        class Recorded(Engine):
-            def __init__(self, *args, **kw):
-                super().__init__(*args, **kw)
-                engines.append(self)
-        monkeypatch.setattr(spectrum, "Engine", Recorded)
-        spectrum.refine_backward(make_model(spec), n)
-        assert len(engines) == 1
-        assert _step_record(engines[0]) == expected
-        on_band = ON_HANKEL_BAND.get(spec)
-        if on_band is not None:
-            eng = engines[0]
-            c = eng.frame.u_scale
-            us = [c * x * y for x, y in zip(eng.xs, eng.ys)]
-            assert sum(map(on_band, us)) > len(us) // 2
+    # the eigenvalue runs of refine_backward
+    @pytest.mark.parametrize("spec, n, expected", [
+        ("cos", 40, (2996, 19598, "reached_end", "0x1.678fa94c54394p+3",
+                     40, 39, "2d103260d0958aea")),
+        ("rgamma", 8, (1153, 6986, "reached_end", "0x1.1f4a37e5ad10fp+0",
+                       4, 3, "1ea82aba94c7ed8a")),
+        ("bessel:0", 60, (4652, 30470, "reached_end", "0x1.525f151e8d818p+2",
+                          60, 59, "4586bcdeb8fcb592")),
+        ("airy", 30, (2776, 18026, "reached_end", "0x1.ee3bba50ddd7cp+1",
+                      30, 29, "bba5928f6cb2d73f")),
+    ])
+    def test_backward_eigenvalue(self, monkeypatch, spec, n, expected):
+        eng = self.backward_engine(monkeypatch, lambda: (
+            spectrum.refine_backward(make_model(spec), n)))
+        assert _step_record(eng) == expected
+        self.check_hankel_band(spec, eng)
 
     # unrecorded shots: each digest hashes the ends of the steps in which
     # the events fell
@@ -651,6 +680,17 @@ class TestContinuation:
         rgamma = make_model("rgamma")
         assert spectrum.classify(rgamma, 50.0, n_hint=6) == 3
         assert spectrum.classify(rgamma, 50.0) == 3
+
+    @pytest.mark.parametrize("span", [4.0 * _H_MIN, 5e-14, 7.3e-14,
+                                      9.9e-14, 10.0 * _H_MIN])
+    def test_fresh_run_over_a_short_span(self, span):
+        # span/10 is at most _H_MIN here; below it the step cap was too,
+        # and the first step raised StepUnderflow at x = 0
+        eng = Engine(Frame(make_model("cos")), 0.0, 1.0, IntegratorConfig())
+        eng.run(span)
+        assert eng.status == "reached_end" and eng.nsteps >= 1
+        assert 0.0 <= span - eng.x < _H_MIN
+        assert eng.run(1.0).status == "settled"
 
     @given(st.sampled_from(["cos", "bessel:0", "airy", "rgamma", "xibar"]),
            st.integers(1, 6), st.floats(0.0, 1.0), st.floats(0.3, 1.0),

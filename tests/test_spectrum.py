@@ -10,7 +10,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from nleig import ode
-from nleig.models import RGAMMA_N_MAX, make_model, zero_table
+from nleig.models import (RGAMMA_N_MAX, Frame, eval_F_prime, make_model,
+                          zero_table)
 from nleig.ode import IntegratorConfig
 from nleig.spectrum import (ConfigError, classify, default_tol, find_eigen,
                             refine_backward, spectrum_csv_text,
@@ -46,6 +47,14 @@ class TestClassify:
     def test_needs_positive(self):
         with pytest.raises(ValueError):
             classify(make_model("cos"), 0.0)
+
+    @pytest.mark.parametrize("n_hint", [7, 8])
+    def test_unresolved_shot_raises(self, n_hint):
+        # a hint far above the index starts the scaled shot so low that the
+        # last horizon holds one minimum or none; that count is no class
+        # (it read 1 and 0, where hints 3..6 and the raw run give 3)
+        with pytest.raises(RuntimeError, match="unresolved at the horizon"):
+            classify(make_model("rgamma"), 50.0, n_hint=n_hint)
 
     def test_rgamma_raw_frame(self):
         # without n_hint the shot runs in raw coordinates, where trial
@@ -141,6 +150,48 @@ class TestBackwardCurve:
         res, _ = spectrum_scan(make_model("cos"), range(1, 3),
                                method="backward")
         assert [r.curve for r in res] == [None, None]
+
+
+class TestSeedPlacement:
+    """An eigenvalue run starts at the contraction bound; an exported curve
+    starts where its seed correction is a tenth of the half-gap from s to
+    its nearer neighbour (and at most 2 % of s)."""
+
+    @staticmethod
+    def bounds(model, n):
+        """(contraction bound, export start) of index n, raw."""
+        table = zero_table(model)
+        s = table.nth_unstable(n).u
+        fp = eval_F_prime(model, s)
+        xt = Frame(model, n).x_scale
+        k = 2 * n       # s is the k-th zero
+        halfgap = 0.5 * min(table.zero(k + 1).u - s, s - table.zero(k - 1).u)
+        contraction = max(xt * xt + 90.0 / fp, (1.3 * xt) ** 2)
+        export = max(s / (fp * min(0.1 * halfgap, 0.02 * s)), contraction)
+        return math.sqrt(contraction), math.sqrt(export)
+
+    @pytest.mark.parametrize("spec, n", [("cos", 40), ("bessel:0", 60),
+                                         ("bessel:2.5", 20), ("airy", 30)])
+    def test_starts(self, spec, n):
+        m = make_model(spec)
+        contraction, export = self.bounds(m, n)
+        assert export > 1.5 * contraction
+        assert refine_backward(m, n).evidence["x0"] == contraction
+        assert refine_backward(m, n, _export=True).evidence["x0"] == export
+
+    @pytest.mark.parametrize("spec, n", [("cos", 65), ("cos", 130),
+                                         ("airy", 200), ("bessel:0", 500)])
+    def test_contraction_erases_the_tail(self, spec, n):
+        # the stretch between the two starts changes E by less than the
+        # integration error: against a rel_tol 1e-13 run the eigenvalue
+        # start is as accurate as the export start
+        m = make_model(spec)
+        eig = refine_backward(m, n).E
+        exported = refine_backward(m, n, _export=True).E
+        ref = refine_backward(m, n, _export=True, cfg=IntegratorConfig(
+            rel_tol=1e-13, abs_tol=1e-15)).E
+        assert abs(eig - exported) <= 1e-10 * exported
+        assert abs(eig - ref) <= 1.2 * abs(exported - ref)
 
 
 class TestBackwardProperties:
