@@ -1,42 +1,50 @@
 """Adaptive explicit integration of y'(x) = F(xy) and its scaled forms.
 
 A scalar Dormand-Prince 5(4) pair with proportional-integral step control
-and first-same-as-last reuse.  A sign change of the derivative across an
-accepted step is an event: + to - events are maxima, - to + events are the
-completed oscillations the eigenvalue classifier counts.  Only a recording
-run locates its events, by bisecting along the cubic Hermite dense output
-for the zero of F that u = x*y crosses, with the sign of F at each midpoint
-read off the model's ZeroTable (the parity of the zeros below u), so no
-right-hand side is called; a non-recording run records the end of the step
-in which the sign changed, since nothing reads more than its counts.  Forward
-runs also watch u = x*y, and the first accepted step where u falls commits
-the run for good.  For x > 0, du/dx = (u + x^2 F(u))/x, so a falling u has
-F(u) < 0 and lies between a stable zero z* of F and the unstable zero s
-just above it.  There g_x(u) = u + x^2 F(u) only decreases as x grows, so
-the largest root of g_x below s never moves down: u cannot climb past it
-(du/dx = 0 there) and cannot fall below z* (g_x(z*) = z* > 0), so it never
-crosses s again and xy tends to z*.  That check, Engine._commit, is the
-one attractor path; below a first zero that is unstable (xibar) the basin
-is that of y -> 0, with attractor 0.  A run left uncommitted at its horizon
-(still hugging a separatrix) can be continued farther by calling run()
-again.
+and first-same-as-last reuse.  y' = F(u) changes sign exactly where u = x*y
+crosses a zero of F, so an event is an accepted step across which u leaves
+its gap of the model's ZeroTable for the next one: + to - events are
+maxima, - to + events are the completed oscillations the eigenvalue
+classifier counts.  The step guard rejects and halves a step that error
+control accepts but whose u crosses two zeros or more, so no pair of sign
+changes cancels inside a step, also where a bump of y is far below one ulp
+or F underflows to zero (large-index rgamma); a step that ends on a zero
+crosses it on the next one.  Only a recording run locates its events, by
+bisecting along the cubic Hermite dense output for the zero that u crosses,
+with the sign of F at each midpoint read off the table (the parity of the
+zeros below u), so no right-hand side is called; a non-recording run
+records the end of the step in which the sign changed, since nothing reads
+more than its counts.  Forward runs also watch u = x*y, and the first
+accepted step where u falls commits the run for good.  For x > 0, du/dx =
+(u + x^2 F(u))/x, so a falling u has F(u) < 0 and lies between a stable
+zero z* of F and the unstable zero s just above it.  There g_x(u) = u + x^2
+F(u) only decreases as x grows, so the largest root of g_x below s never
+moves down: u cannot climb past it (du/dx = 0 there) and cannot fall below
+z* (g_x(z*) = z* > 0), so it never crosses s again and xy tends to z*.
+That check, Engine._commit, is the one attractor path; below a first zero
+that is unstable (xibar) the basin is that of y -> 0, with attractor 0.  A
+run left uncommitted at its horizon (still hugging a separatrix) can be
+continued farther by calling run() again.
 
 Every run starts from a models.Frame, the one place that picks raw (x, y)
 or scaled (t, z) coordinates; u is u_scale * x * y in either, so the
 commitment check, event location and the right-hand side form the same u.
 
-Engine.run holds the per-step path in one loop over locals: the step
-size, the counters nfev / nsteps / err_prev (written back to the engine
-by a finally, so an exception keeps them), the bound append methods of a
-recording run and whether the run still watches u.  A step is the seven
-DP5 stages, the error norm, the inline accept/reject and step-size update
-(conditional expressions, no min/max calls), and on acceptance three
-inline tests: a derivative sign change, the y floor, and, while a forward
-run is uncommitted, a falling u (x1 k7 + y1 < 0, the sign of du/dx in raw
-and in scaled coordinates alike, where du/dt = c (z + t z')).  Only when
-one of them fires does the loop call out: _event records the extremum
-(located on a recording run) and applies the max_minima stop, _commit
-looks up the stable zero below u.  The DP5 tableau and error weights are
+Engine.run holds the per-step path in one loop over locals: the step size,
+the counters nfev / nsteps / err_prev and the gap of u (written back to the
+engine by a finally, so an exception keeps them), the gap's two zeros, the
+bound append methods of a recording run and whether the run still watches
+u.  A step is the seven DP5 stages, the error norm, the inline
+accept/reject and step-size update (conditional expressions, no min/max
+calls), one chained comparison of u against its gap's zeros (the guard and
+the event test alike; only a step that leaves the gap looks at the zeros
+beyond it), and on acceptance two more inline tests: the y floor and, while
+a forward run is uncommitted, a falling u (x1 k7 + y1 < 0, the sign of
+du/dx in raw and in scaled coordinates alike, where du/dt = c (z + t z')).
+Only when one of them fires does the loop call out: _event records the
+extremum (located on a recording run) and applies the max_minima stop,
+_commit looks up the stable zero below u.  The guard's rejected stages
+count in nfev like any others.  The DP5 tableau and error weights are
 written in the loop as literal fractions, which the compiler folds into
 constants, so a step loads no module global; _refine_event evaluates the
 cubic Hermite inline, in Horner form for its probes.  The raw cos
@@ -143,6 +151,13 @@ class Engine:
         self.terminal_u = None
         self.nfev = 1
         self.nsteps = 0
+        # the gap of F's zeros that holds u: gap g is (zs[g-1], zs[g]), with
+        # zs[-1] = -inf; on a zero, the gap the run enters, since u grows
+        # with x there (du/dx = y)
+        u0 = frame.u_scale * self.x * self.y
+        zs = frame.zeros.ordinates(u0)
+        g = bisect_left(zs, u0)
+        self.gap = g + 1 if zs[g] == u0 and self.sgn > 0.0 else g
 
     def _initial_step(self, span):
         cfg = self.cfg
@@ -188,6 +203,13 @@ class Engine:
         record = self.record
         xs_append = self.xs.append if record else None
         ys_append = self.ys.append if record else None
+        c = self.frame.u_scale
+        table = self.frame.zeros
+        gap = self.gap
+        table.ensure_count(gap + 2)
+        zs = table.ordinates(0.0)       # the table's own list, grown in place
+        u_lo = zs[gap - 1] if gap else -inf
+        u_hi = zs[gap]
         nfev, nsteps, err_prev = self.nfev, self.nsteps, self.err_prev
         overflow_note = None
         stop = None
@@ -262,18 +284,34 @@ class Engine:
                     fac = 0.9 * err ** -0.2
                     h *= fac if fac > 0.2 else 0.2
                     continue
+                # the step guard: u = c x y may cross one zero of F per
+                # step, so no pair of sign changes of y' cancels inside it
+                u1 = c * x1 * y1
+                cross = 0
+                if not (u_lo < u1 < u_hi):    # u left its gap, or is on a zero
+                    if u1 > u_hi:
+                        if u1 > zs[gap + 1]:
+                            h *= 0.5
+                            continue
+                        cross = 1
+                    elif u1 < u_lo:
+                        if gap >= 2 and u1 < zs[gap - 2]:
+                            h *= 0.5
+                            continue
+                        cross = -1
                 overflow_note = None
                 nsteps += 1
                 if record:
                     xs_append(x1)
                     ys_append(y1)
-                # y' changes sign across the step and is nonzero at its
-                # smaller-x end
-                if ((f > 0.0) != (k7 > 0.0)
-                        and (k7 if hs < 0.0 else f) != 0.0):
-                    self.nfev = nfev
-                    stop = self._event(x, y, f, x1, y1, k7, hs)
-                    nfev = self.nfev
+                if cross:
+                    # y' changes sign inside the step: an event
+                    gap0 = gap
+                    gap += cross
+                    table.ensure_count(gap + 2)
+                    u_lo = zs[gap - 1] if gap else -inf
+                    u_hi = zs[gap]
+                    stop = self._event(x, y, f, x1, y1, k7, hs, gap0)
                 if stop is None:
                     if y1 <= y_floor and k7 <= 0.0:
                         self.terminal_u = 0.0
@@ -297,22 +335,28 @@ class Engine:
                 rest = sgn * (x_end - x)
         finally:
             self.nfev, self.nsteps, self.err_prev = nfev, nsteps, err_prev
+            self.gap = gap
         self.x, self.y, self.f = x, y, f
         self.h = h
         if self.status is None:
             self.status = "reached_end"
         return self
 
-    def _event(self, x0, y0, f0, x1, y1, f1, hs):
-        """Record the derivative sign change inside the step (a maximum when
-        y' is positive at the step's smaller-x end): located by a recording
-        run, the step's end (x1, y1) otherwise, where only the count is
-        read.  Returns "max_minima" once the minima reach max_minima."""
+    def _event(self, x0, y0, f0, x1, y1, f1, hs, gap0):
+        """Record the derivative sign change inside a step that starts in
+        the gap gap0 of F's zeros and crosses one zero: a maximum when F is
+        positive at the step's smaller-x end, read off the gap's parity (F
+        may round to zero there).  Located by a recording run, the step's
+        end (x1, y1) otherwise, where only the count is read.  Returns
+        "max_minima" once the minima reach max_minima."""
+        odd_a = gap0 & 1
         if self.record:
-            xe, ye = self._refine_event(x0, y0, f0, x1, y1, f1, hs)
+            xe, ye = self._refine_event(x0, y0, f0, x1, y1, f1, hs, odd_a)
         else:
             xe, ye = x1, y1
-        if (f1 if hs < 0.0 else f0) > 0.0:
+        # F > 0 in gap0 exactly when its parity is first_unstable's; the
+        # step's end lies in the next gap, of the other sign
+        if (odd_a == self.frame.zeros.first_unstable) == (hs > 0.0):
             self.maxima.append(xe)
             self.maxima_values.append(ye)
             return None
@@ -335,7 +379,7 @@ class Engine:
         self.terminal_u = z_star
         return "settled" if self.stop_when_settled else None
 
-    def _refine_event(self, x0, y0, f0, x1, y1, f1, hs):
+    def _refine_event(self, x0, y0, f0, x1, y1, f1, hs, odd_a):
         # bisect along the cubic Hermite dense output for the zero of F that
         # u = xy crosses, so the located (x, y) pair satisfies F(x y) = 0 to
         # the tolerance; F's sign at a midpoint is the parity of the
@@ -347,8 +391,7 @@ class Engine:
         c = frame.u_scale
         zs = table.ordinates(max(c * x0 * y0, c * x1 * y1))
         # the midpoint moves a when the parity of its zero count is odd_a,
-        # the parity of the gaps where F has the sign of f0
-        odd_a = 0 if (f0 > 0.0) != table.first_unstable else 1
+        # the parity of the step's starting gap
         tol = 1e-10 * self.event_tol_scale
         ahs = abs(hs)
         # the cubic in Horner form, y0 + s (p1 + s (p2 + s p3)), for probes
@@ -443,46 +486,25 @@ def integrate(model, initial, cfg, direction="forward", record=True, meta=None,
 
 
 def count_maxima(curve):
-    """Strict local maxima with prominence above 1e-12 * max(values).
-
-    A maximum's prominence is measured against the nearest minimum on
-    each side (the curve's ends where there is none); one pass from the
-    right and one from the left find them.  A strictly decreasing start
-    counts as a boundary maximum (the reciprocal-gamma separatrices open
-    with F < 0, so their first maximum sits at the origin itself).  The
-    prominences need located extrema: a curve of a non-recording run is
+    """Maxima of a recorded curve: its located + to - sign changes of y',
+    and a boundary maximum at the start when the curve opens falling, that
+    is, when its first located event is a minimum (the reciprocal-gamma
+    separatrices open with F < 0, so their first maximum sits at the origin
+    itself).  A curve with no located event is monotone and opens falling
+    when it ends below its start.  The step guard of Engine.run puts every
+    sign change of y' between accepted steps, also those binary64 cannot
+    show in y, so nothing here reads the values near an extremum.  A curve
+    of a non-recording run carries step ends, not located extrema, and is
     refused with ValueError."""
     if not curve.recorded:
         raise ValueError("count_maxima needs the curve of a recording run")
-    if len(curve.values) == 0:
-        return 0
-    vmax = float(np.max(curve.values))
-    floor = 1e-12 * vmax
-    events = sorted(
-        [(x, v, "max") for x, v in zip(curve.maxima, curve.maxima_values)]
-        + [(x, v, "min") for x, v in zip(curve.minima, curve.minima_values)])
-    right = float(curve.values[-1])
-    rights = []          # nearest minimum right of each maximum, last first
-    for _, v, kind in reversed(events):
-        if kind == "min":
-            right = v
-        else:
-            rights.append(right)
-    count = 0
-    v0 = float(curve.values[0])
-    starts_down = (len(curve.values) > 1
-                   and float(curve.values[1]) < v0
-                   and (not events or events[0][2] == "min"))
-    # right now holds the first minimum, or the last value if there is none
-    if starts_down and v0 - right > floor:
-        count += 1
-    left = v0
-    for _, v, kind in events:
-        if kind == "min":
-            left = v
-        elif min(v - left, v - rights.pop()) > floor:
-            count += 1
-    return count
+    count = len(curve.maxima)
+    if curve.minima:
+        opens_down = not curve.maxima or curve.minima[0] < curve.maxima[0]
+    else:
+        opens_down = (not curve.maxima and len(curve.values) > 1
+                      and curve.values[-1] < curve.values[0])
+    return count + 1 if opens_down else count
 
 
 def curve_csv_text(model, n, coords, cols, xs, ys):

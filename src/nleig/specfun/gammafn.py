@@ -37,11 +37,15 @@ _log, _lgamma, _NEG_INF = math.log, math.lgamma, -math.inf
 
 
 def sinpi(x):
-    """sin(pi*x), exact at integers and accurate near them."""
+    """sin(pi*x), exact at integers and accurate near them.  On (-1/2, 0)
+    it is -sinpi(-x): there x - floor(x) = x + 1 would round the small |x|
+    away (to 1.0 on [-2^-54, 0))."""
     try:
         n = _floor(x)
     except (ValueError, OverflowError):     # NaN, +-inf
         raise DomainError(f"sinpi: non-finite argument {x!r}") from None
+    if -0.5 < x < 0.0:
+        return -_sin(_PI * -x)
     r = x - n
     if r == 0.0:
         return 0.0
@@ -177,15 +181,14 @@ def recip_gamma_log(u):
     """(sign, log magnitude) of 1/Gamma(-u) for u >= -1.
 
     sign is 0 (with -inf magnitude) exactly at nonnegative integers.
-    Raises DomainError below -1, for NaN, and where sin(pi u) rounds to
-    zero at a non-integer u, which happens on [-2^-54, 0) (about -5.6e-17
-    to 0); raises OverflowError at +inf, which Engine.run meets as an
-    overflowing step and retries smaller.
+    Raises DomainError below -1 and for NaN; raises OverflowError at +inf,
+    which Engine.run meets as an overflowing step and retries smaller.
 
     The reflection 1/Gamma(-u) = -sin(pi u) Gamma(1+u) / pi is taken in
     logs, with ``sinpi``'s reduction inlined: n = floor(u), r = u - n,
-    |sin(pi u)| = sin(pi r) (sin(pi (1-r)) past r = 1/2), and the sign of
-    -sin(pi u) is that of (-1)^(n+1).
+    |sin(pi u)| = sin(pi r) (sin(pi (1-r)) past r = 1/2, and sin(-pi u) on
+    (-1/2, 0)), and the sign of -sin(pi u) is that of (-1)^(n+1).  No
+    non-integer u gives s = 0.
     """
     if not (u >= -1.0):
         raise DomainError(f"recip_gamma: need u >= -1, got {u!r}")
@@ -194,10 +197,12 @@ def recip_gamma_log(u):
     if r == 0.0:
         # u = -1: 1/Gamma(1); u = 0, 1, 2, ...: a pole of Gamma(-u)
         return (1, 0.0) if n == -1 else (0, _NEG_INF)
-    s = _sin(_PI * r) if r <= 0.5 else _sin(_PI * (1.0 - r))
-    if s == 0.0:    # u in [-2^-54, 0): r = 1 + u rounds to 1
-        raise DomainError(
-            f"recip_gamma: sinpi(u) underflows to zero at non-integer u={u!r}")
+    if r <= 0.5:
+        s = _sin(_PI * r)
+    elif n == -1:
+        s = _sin(_PI * -u)
+    else:
+        s = _sin(_PI * (1.0 - r))
     return (1 if n & 1 else -1), _log(s / _PI) + _lgamma(1.0 + u)
 
 

@@ -12,10 +12,11 @@ bisects; refine_backward instead seeds the large-x expansion of u = xy at
 the n-th unstable zero and integrates backward to read E off at the origin.
 That one backward run records the separatrix, returned as EigenResult.curve.
 An eigenvalue run starts where backward contraction has erased the seed's
-error, since the farther stretch changes nothing in E; separatrix_curve
-makes the same run from farther out, where the exported curve starts, and
-converts it to the requested coordinates, after refusing the coordinates
-a model cannot run in.
+error (rgamma: where the seed's correction is small), since the farther
+stretch changes nothing in E; separatrix_curve makes the same run from
+farther out, where the exported curve starts, and converts it to the
+requested coordinates, after refusing the coordinates a model cannot run
+in.
 """
 
 import math
@@ -41,6 +42,11 @@ _DEFAULT_TOL = {"cosine": 1e-10, "bessel": 1e-10, "airy": 1e-10,
 _WIDEN = 1.6
 _WIDEN_CAP = 40
 _EXTENSIONS = 7
+
+# an rgamma eigenvalue run starts where the seed's relative correction
+# 1/(t0^2 F'(s)) has fallen to this, or at t0 = 3: from there E_n is
+# within 1e-12 of a run from t0 = 6 (n >= 3)
+_RGAMMA_CORR = 4e-3
 
 # finest relative tolerance find_eigen accepts
 MIN_BISECTION_TOL = 1e-12
@@ -260,16 +266,20 @@ def refine_backward(model, n, cfg=None, tol=None, *, _export=False):
     separatrix, seeded on the n-th unstable zero s via the large-x
     expansion u(x0) = s - s/(x0^2 F'(s)).
 
-    rgamma runs in scaled coordinates from t0 = 3, every other model in
-    raw ones.  There the run starts where backward contraction has erased
-    the seed's error, x0^2 = max(x_t^2 + 90/F'(s), (1.3 x_t)^2) with x_t
-    the turning point, unless the seed's first correction s/(x0^2 F'(s))
-    would leave the basin of s: it is kept within half the gap to s's
-    nearer neighbour and a tenth of s, where F' keeps the sign of F'(s).
-    separatrix_curve passes _export to start the run where an exported
-    curve starts: out to where the correction is a tenth of that half-gap
-    and 2 % of s.  The result carries the recorded separatrix as .curve,
-    in the run's coordinates.
+    rgamma runs in scaled coordinates, from the smallest t0 in [1.3, 3]
+    where the seed's relative correction 1/(t0^2 F'(s)) is at most
+    _RGAMMA_CORR (from 3 where none is), since the stiff stretch beyond
+    changes nothing in E.  Every other model runs in raw coordinates,
+    from where backward contraction has erased the seed's error, x0^2 =
+    max(x_t^2 + 90/F'(s), (1.3 x_t)^2) with x_t the turning point, unless
+    the seed's first correction s/(x0^2 F'(s)) would leave the basin of
+    s: it is kept within half the gap to s's nearer neighbour and a tenth
+    of s, where F' keeps the sign of F'(s).  separatrix_curve passes
+    _export to start the run where an exported curve starts: t0 = 3 for
+    rgamma, otherwise out to where the correction is a tenth of that
+    half-gap and 2 % of s.  The result carries the recorded separatrix as
+    .curve, in the run's coordinates, and maxima counts its every maximum
+    (ode.count_maxima).
     """
     if n < 1 or n != int(n):
         raise ValueError(f"refine_backward: need integer n >= 1, got {n!r}")
@@ -289,11 +299,15 @@ def refine_backward(model, n, cfg=None, tol=None, *, _export=False):
         raise RuntimeError(f"F'({s.u}) <= 0: not a separatrix asymptote")
     if model.kind == "rgamma":
         frame = Frame(model, n)
-        x0 = 3.0
         # x0^2 F'(s) in raw units, via logs to dodge the huge factors, with
         # ln F'(s) = ln Gamma(s + 1) where F'(s) overflows; with s = lambda,
-        # z(x0) = u(x0)/(lambda x0) is (1 - corr)/x0
+        # z(x0) = u(x0)/(lambda x0) is (1 - corr)/x0, corr = 1/(x0^2 F'(s))
         ln_fp = math.log(fp) if fp < math.inf else log_gamma(s.u + 1.0)
+        # corr = corr_1/t0^2: the smallest t0 in [1.3, 3] where it is at
+        # most _RGAMMA_CORR, 3 where none is and for an exported curve
+        corr_1 = math.exp(-(math.log(frame.lam) - frame.ln_xi + ln_fp))
+        t_corr = math.sqrt(corr_1 / _RGAMMA_CORR)
+        x0 = 3.0 if _export or t_corr >= 3.0 else max(1.3, t_corr)
         ln_x2fp = (2.0 * math.log(x0) + math.log(frame.lam) - frame.ln_xi
                    + ln_fp)
         corr = math.exp(-ln_x2fp) if ln_x2fp < 700.0 else 0.0

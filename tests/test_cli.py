@@ -62,9 +62,10 @@ class TestSpectrumCommand:
         ("rgamma", "1..2",
          "e1411512ff7b43a6eefacef393e58743e962a0f8b196bb0264a0def64c33a9a2",
          "fdea96e7d7acaeecd37b81f33547f4b9797dacd1e5aee0fe9bab000ec772c88e"),
+        # n = 3 runs from t0 = 2.81, where its seed correction is 4e-3
         ("rgamma", "1..3",
-         "a2fe8358ed6998259522b9ffa165f495e0fd6244d495015bba055dff022880ef",
-         "97fe392ea473f189f0e7f8583cd2a6d79591d460e5503bd225715b793988724b"),
+         "9776db575d241c878dddadf4b5ef112ddf665cf85addb3ae93b93cd4db612698",
+         "63d26ec1c45fba1735b236eb2abce03fffc5fc94920a8cbabf83eaa21fb5c57c"),
     ]
 
     def test_miss_hit_bytes_pinned(self, tmp_path):

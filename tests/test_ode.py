@@ -1,6 +1,7 @@
 """Integrator behavior: reference-solution agreement, event detection,
 commitment/floor handling, tolerance consistency, and CSV serialization."""
 
+import bisect
 import hashlib
 import math
 import os
@@ -111,34 +112,28 @@ class TestEvents:
             assert count_maxima(c) == 3
 
 
-def count_maxima_reference(curve):
-    """The quadratic count_maxima the linear one replaced, as reference."""
-    if len(curve.values) == 0:
-        return 0
-    vmax = float(np.max(curve.values))
-    floor = 1e-12 * vmax
-    events = sorted(
-        [(x, v, "max") for x, v in zip(curve.maxima, curve.maxima_values)]
-        + [(x, v, "min") for x, v in zip(curve.minima, curve.minima_values)])
-    count = 0
-    v0 = float(curve.values[0])
-    first_base = next((ev[1] for ev in events if ev[2] == "min"),
-                      float(curve.values[-1]))
-    starts_down = (len(curve.values) > 1
-                   and float(curve.values[1]) < v0
-                   and (not events or events[0][2] == "min"))
-    if starts_down and v0 - first_base > floor:
-        count += 1
-    for i, (x, v, kind) in enumerate(events):
-        if kind != "max":
-            continue
-        left = next((ev[1] for ev in reversed(events[:i]) if ev[2] == "min"),
-                    v0)
-        right = next((ev[1] for ev in events[i + 1:] if ev[2] == "min"),
-                     float(curve.values[-1]))
-        if min(v - left, v - right) > floor:
-            count += 1
-    return count
+def grid_gaps(curve, frame):
+    """The gap of F's zeros that holds u = u_scale x y at each recorded
+    point, gap g being (zs[g-1], zs[g]); a point on a zero takes the gap on
+    the side of the point before it (after it, for the first point)."""
+    u = frame.u_scale * curve.grid * curve.values
+    zs = np.asarray(frame.zeros.ordinates(float(np.max(u))))
+    gaps = np.searchsorted(zs, u, side="left")
+    for k in np.nonzero(zs[gaps] == u)[0]:
+        if u[k - 1 if k else 1] > u[k]:
+            gaps[k] += 1
+    return gaps
+
+
+def count_maxima_reference(curve, frame):
+    """Maxima counted off the recorded grid alone: the steps in which u
+    crosses a zero of F with F turning from + to - as x grows, and one at
+    the start when F < 0 just past it.  No step may cross two zeros."""
+    gaps = grid_gaps(curve, frame)
+    positive = (gaps & 1) == frame.zeros.first_unstable    # F > 0 there
+    assert np.all(np.abs(np.diff(gaps)) <= 1)
+    crossed = np.diff(gaps) != 0
+    return int(np.sum(crossed & positive[:-1])) + (0 if positive[0] else 1)
 
 
 class TestCountMaxima:
@@ -146,13 +141,31 @@ class TestCountMaxima:
         ("cos", (1, 7, 40)), ("bessel:0", (1, 5, 60)), ("airy", (1, 4, 30)),
         ("rgamma", (3, 5, 6, 8))])
     def test_equals_reference_on_separatrices(self, spec, ns):
-        # steps wider than a bump lose maxima of rgamma n = 6 and 8; the
-        # linear count keeps those known counts
-        known = {("rgamma", 6): 5, ("rgamma", 8): 4}
         for n in ns:
-            curve = spectrum.refine_backward(make_model(spec), n).curve
-            assert count_maxima(curve) == count_maxima_reference(curve) \
-                == known.get((spec, n), n)
+            model = make_model(spec)
+            curve = spectrum.refine_backward(model, n).curve
+            frame = Frame(model, n) if curve.coords == "scaled" else \
+                Frame(model)
+            assert count_maxima(curve) == count_maxima_reference(curve,
+                                                                 frame) == n
+
+    @pytest.mark.parametrize("n", [*range(1, 13), 20, 80, 150])
+    def test_rgamma_counts_every_maximum(self, n):
+        # most of these maxima are below one ulp of z: the step guard puts
+        # each between two accepted steps, the count reads no value
+        rgamma = make_model("rgamma")
+        assert spectrum.refine_backward(rgamma, n).maxima == n
+        if n <= 12:
+            assert spectrum.find_eigen(rgamma, n).maxima == n
+
+    def test_no_step_spans_two_zeros(self):
+        # rgamma n = 40 opens flat to far below one ulp, where the error
+        # control alone takes steps across dozens of zeros of F
+        frame = Frame(make_model("rgamma"), 40)
+        curve = spectrum.refine_backward(frame.model, 40).curve
+        steps = np.abs(np.diff(grid_gaps(curve, frame)))
+        assert steps.max() == 1
+        assert int(steps.sum()) == 2 * 40 - 2   # zeros 1 .. 2n - 2
 
 
 class TestSettleAndAttractor:
@@ -272,10 +285,13 @@ class TestRecordingProperty:
         assert rec_nfev == nfev
 
 
-def refine_event_reference(eng, x0, y0, f0, x1, y1, f1, hs):
+def refine_event_reference(eng, x0, y0, f0, x1, y1, f1, hs, odd_a=None):
     """Event location by bisection on the sign of the right-hand side
     itself along the cubic Hermite dense output, the rule the zero-table
-    parity replaced: same midpoints, same stops, same returned ordinate."""
+    parity replaced: same midpoints, same stops, same returned ordinate.
+    It reads the starting sign off f0, so it ignores odd_a.  Where the
+    right-hand side underflows to zero off the zeros of F it stops there,
+    as on a zero."""
     tol = 1e-10 * eng.event_tol_scale
     ahs = abs(hs)
     a, b = 0.0, 1.0
@@ -300,14 +316,35 @@ def refine_event_reference(eng, x0, y0, f0, x1, y1, f1, hs):
     return x0 + s * hs, ys
 
 
+def crossing_within_tol(eng, x0, y0, f0, x1, y1, f1, hs, xe):
+    """Whether u along the step's cubic Hermite dense output meets a zero of
+    F between xe - tol and xe + tol, tol the event tolerance."""
+    tol = 1e-10 * eng.event_tol_scale
+
+    def u_at(x):
+        s = min(max((x - x0) / hs, 0.0), 1.0)
+        s2, s3 = s * s, s * s * s
+        y = ((2 * s3 - 3 * s2 + 1) * y0 + (s3 - 2 * s2 + s) * hs * f0
+             + (-2 * s3 + 3 * s2) * y1 + (s3 - s2) * hs * f1)
+        return eng.frame.u_scale * (x0 + s * hs) * y
+    lo, hi = sorted((u_at(xe - tol), u_at(xe + tol)))
+    zs = eng.frame.zeros.ordinates(hi)
+    return bisect.bisect_left(zs, lo) < bisect.bisect_right(zs, hi)
+
+
 class TestEventLocation:
     """Every event is located bit for bit where bisection on the sign of
-    the right-hand side (refine_event_reference) locates it."""
+    the right-hand side (refine_event_reference) locates it, except where
+    that sign is lost: a scaled rgamma right-hand side of a large index
+    underflows to zero near, or all along, its opening crossings, and the
+    reference stops at its first probe there.  The zero table keeps that
+    sign, so those events are checked to the event tolerance instead."""
 
     @staticmethod
     def checked(monkeypatch, run):
-        """(events, mismatches) of the recording runs run() makes."""
-        seen = [0, []]
+        """(events, mismatches, events checked to the tolerance) of the
+        recording runs run() makes."""
+        seen = [0, [], 0]
 
         class Checked(Engine):
             def _refine_event(self, *args):
@@ -315,7 +352,14 @@ class TestEventLocation:
                 ref = refine_event_reference(self, *args)
                 seen[0] += 1
                 if list(map(float.hex, got)) != list(map(float.hex, ref)):
-                    seen[1].append((args, got, ref))
+                    u_ref = self.frame.u_scale * ref[0] * ref[1]
+                    blind = args[2] == 0.0 or (
+                        self.rhs(*ref) == 0.0
+                        and u_ref not in self.frame.zeros.ordinates(u_ref))
+                    if blind and crossing_within_tol(self, *args[:7], got[0]):
+                        seen[2] += 1
+                    else:
+                        seen[1].append((args, got, ref))
                 return got
         monkeypatch.setattr(spectrum, "Engine", Checked)
         run()
@@ -327,25 +371,27 @@ class TestEventLocation:
         ("airy", range(1, 61)), ("xibar", range(1, 12))])
     def test_backward_runs(self, monkeypatch, spec, ns):
         model = make_model(spec)
-        events, bad = self.checked(monkeypatch, lambda: [
+        events, bad, to_tol = self.checked(monkeypatch, lambda: [
             spectrum.refine_backward(model, n) for n in ns])
         assert events >= len(ns) and bad == []
+        # the right-hand side underflows from n = 88 on only
+        assert (to_tol > 0) == (spec == "rgamma")
 
     @pytest.mark.parametrize("spec, n, y0", [
         ("cos", 3, 1.3), ("bessel:0", 3, 1.3), ("bessel:2.5", 3, 1.3),
         ("airy", 3, 1.3), ("rgamma", 3, 1.3), ("xibar", None, 6.0)])
     def test_recorded_forward_shot(self, monkeypatch, spec, n, y0):
         shooter = spectrum._Shooter(make_model(spec), n, IntegratorConfig())
-        events, bad = self.checked(
+        events, bad, to_tol = self.checked(
             monkeypatch, lambda: shooter.shoot(y0, record=True))
-        assert events >= 5 and bad == []
+        assert events >= 5 and bad == [] and to_tol == 0
 
     def test_criterion_5_separatrix(self, monkeypatch):
         cfg = IntegratorConfig(rel_tol=1e-9, abs_tol=1e-12)
-        events, bad = self.checked(monkeypatch, lambda: (
+        events, bad, to_tol = self.checked(monkeypatch, lambda: (
             spectrum.separatrix_curve(make_model("bessel:0"), 1000,
                                       "scaled", tol=1e-8, cfg=cfg)))
-        assert events == 1999 and bad == []
+        assert events == 1999 and bad == [] and to_tol == 0
 
     @staticmethod
     def engine(frame):
@@ -366,15 +412,16 @@ class TestEventLocation:
     def test_midpoint_on_a_zero_stops(self):
         # the first midpoint (x, y) = (0.5, 1.0) has u = 0.5, cos's first
         # zero, exactly: both rules stop there
+        # (the steps here start in gap 0, below cos's first zero)
         eng, calls = self.engine(Frame(make_model("cos")))
         step = (0.0, 0.875, 0.5, 1.0, 0.875, -0.5, 1.0)
-        assert eng._refine_event(*step) == (0.5, 1.0)
+        assert eng._refine_event(*step, 0) == (0.5, 1.0)
         assert calls[0] == 0
         assert refine_event_reference(eng, *step) == (0.5, 1.0)
         assert calls[0] == 1
         # off the zero the bisection goes on to the tolerance
         off = (0.0, 0.9, 0.5, 1.0, 0.9, -0.5, 1.0)
-        x, y = eng._refine_event(*off)
+        x, y = eng._refine_event(*off, 0)
         assert x != 0.5 and (x, y) == refine_event_reference(eng, *off)
 
     def test_u_formed_as_the_right_hand_side_forms_it(self):
@@ -387,7 +434,7 @@ class TestEventLocation:
         z = 5.0 / 7.0
         y = z - 2.0 ** -12         # the Hermite midpoint is y + 2^-12 = z
         step = (0.5, y, 2.0 ** -10, 1.5, y, -(2.0 ** -10), 1.0)
-        assert eng._refine_event(*step) == (1.0, z)
+        assert eng._refine_event(*step, 0) == (1.0, z)
         assert calls[0] == 0
         assert refine_event_reference(eng, *step) == (1.0, z)
 
@@ -399,7 +446,7 @@ class TestEventLocation:
         table = frame.zeros = ZeroTable(frame.model)
         eng, calls = self.engine(frame)
         step = (1.0, 0.1, 8.0, 2.0, 0.1, -8.0, 1.0)
-        got = eng._refine_event(*step)
+        got = eng._refine_event(*step, 0)
         assert calls[0] == 0
         assert table.ordinates(0.0)[:6] == [0.5, 1.5, 2.5, 3.5, 4.5, 5.5]
         assert got == refine_event_reference(eng, *step)
@@ -427,7 +474,7 @@ class TestCommitU:
         eng.event_tol_scale = 1.0
         y = z - 2.0 ** -12         # the Hermite midpoint is y + 2^-12 = z
         step = (0.5, y, 2.0 ** -10, 1.5, y, -(2.0 ** -10), 1.0)
-        assert eng._refine_event(*step) == (1.0, z)
+        assert eng._refine_event(*step, 0) == (1.0, z)
         assert refine_event_reference(eng, *step) == (1.0, z)
         # off the zero, in the basin (4, 5), the run commits to 4
         assert eng._commit(1.0, 4.5 / 9.0) == "settled"
@@ -556,17 +603,19 @@ class TestStepSequence:
             assert sum(map(on_band, us)) > len(us) // 2
 
     # the runs of exported separatrices, which start farther out than an
-    # eigenvalue run (rgamma's start is the same)
+    # eigenvalue run
     @pytest.mark.parametrize("spec, n, expected", [
         ("cos", 40, (5732, 36014, "reached_end", "0x1.678fa94c63773p+3",
                      40, 39, "06164f5267749954")),
-        ("rgamma", 8, (1153, 6986, "reached_end", "0x1.1f4a37e5ad10fp+0",
-                       4, 3, "1ea82aba94c7ed8a")),
+        # every zero crossing located: 7 maxima, 7 minima and the origin's
+        ("rgamma", 8, (1157, 7052, "reached_end", "0x1.1f4a37e595b14p+0",
+                       7, 7, "59fd83cca762b33e")),
         # u = xy up to about 376 and 43: J_0 and Ai(-u) on the Hankel band
         ("bessel:0", 60, (8163, 51524, "reached_end", "0x1.525f151e8efa3p+2",
                           60, 59, "ba9f631e76a8fe2d")),
-        ("airy", 30, (5725, 35720, "reached_end", "0x1.ee3bba50dd2acp+1",
-                      30, 29, "2c0c07bd3fe697d0")),
+        # y and the digest follow sinpi(-1/3), which seeds Ai on (7, 10]
+        ("airy", 30, (5725, 35720, "reached_end", "0x1.ee3bba50dd2adp+1",
+                      30, 29, "ac557e434bcb2a12")),
     ])
     def test_backward(self, monkeypatch, spec, n, expected):
         eng = self.backward_engine(monkeypatch, lambda: (
@@ -578,12 +627,13 @@ class TestStepSequence:
     @pytest.mark.parametrize("spec, n, expected", [
         ("cos", 40, (2996, 19598, "reached_end", "0x1.678fa94c54394p+3",
                      40, 39, "2d103260d0958aea")),
-        ("rgamma", 8, (1153, 6986, "reached_end", "0x1.1f4a37e5ad10fp+0",
-                       4, 3, "1ea82aba94c7ed8a")),
+        # from t0 = 1.38, where the seed correction is 4e-3
+        ("rgamma", 8, (203, 1316, "reached_end", "0x1.1f4a37e5dd5b1p+0",
+                       7, 7, "4daf5675aca9d0e2")),
         ("bessel:0", 60, (4652, 30470, "reached_end", "0x1.525f151e8d818p+2",
                           60, 59, "4586bcdeb8fcb592")),
-        ("airy", 30, (2776, 18026, "reached_end", "0x1.ee3bba50ddd7cp+1",
-                      30, 29, "bba5928f6cb2d73f")),
+        ("airy", 30, (2776, 18026, "reached_end", "0x1.ee3bba50ddd7ap+1",
+                      30, 29, "e63350fb33bc877c")),
     ])
     def test_backward_eigenvalue(self, monkeypatch, spec, n, expected):
         eng = self.backward_engine(monkeypatch, lambda: (
@@ -598,8 +648,8 @@ class TestStepSequence:
                                      "0x1.a801531b943d5p-1", 3, 2,
                                      "b5a2974572661ae6")),
         ("airy", 2, 1.09, None, (192, 1232, "settled",
-                                 "0x1.aea317d6d62bdp-1", 3, 2,
-                                 "9f3744b8b4698780")),
+                                 "0x1.aea317d739567p-1", 3, 2,
+                                 "c96dedd2c4884fea")),
         ("cos", 3, 1.2, 2, (71, 488, "max_minima", "0x1.111d0aecdadbap+0",
                             2, 2, "d63fa56d11f352d8")),
         # y and the digest follow xi_bar's table

@@ -357,13 +357,16 @@ class TestGammaFamily:
         sign, lm = recip_gamma_log(300.5)
         assert sign in (-1, 1) and lm > 709.0
 
-    @pytest.mark.parametrize("u", [-1e-17, -1.87e-122])
-    def test_recip_gamma_sine_underflow(self, u):
-        # sinpi(u) rounds to -0.0 just below 0, which no log can take
-        assert sinpi(u) == 0.0
-        for fn in (recip_gamma, recip_gamma_log):
-            with pytest.raises(DomainError, match="sinpi"):
-                fn(u)
+    @pytest.mark.parametrize("u", [-1e-17, -1.87e-122, -0.3, -0.5 + 2e-16])
+    def test_recip_gamma_just_below_zero(self, u):
+        # on (-1/2, 0) sinpi(u) = -sinpi(-u): u + 1 would round a small |u|
+        # away, to 1.0 on [-2^-54, 0)
+        assert sinpi(u) == -sinpi(-u) != 0.0
+        assert abs(sinpi(u) - float(mp.sinpi(u))) <= 2e-16 * abs(sinpi(u))
+        want = float(mp.rgamma(-mp.mpf(u)))
+        assert abs(recip_gamma(u) - want) <= 1e-13 * want
+        sign, lm = recip_gamma_log(u)
+        assert sign == 1 and abs(lm - math.log(want)) <= 1e-13
 
     def test_digamma_values(self):
         assert abs(digamma(1.0) + EULER_GAMMA) < 1e-11
@@ -409,9 +412,6 @@ def _recip_gamma_log_reference(u):
     if u >= 0.0 and u == math.floor(u):
         return 0, -math.inf
     s = sinpi(u)
-    if s == 0.0:
-        raise DomainError(
-            f"recip_gamma: sinpi(u) underflows to zero at non-integer u={u!r}")
     sign = -1 if s > 0.0 else 1
     return sign, math.log(abs(s) / math.pi) + math.lgamma(1.0 + u)
 
@@ -446,7 +446,7 @@ class TestRecipGammaBitIdentity:
     @example(-0.5)
     @example(math.nextafter(-1.0, 0.0))
     @example(-2.0 ** -54)
-    @example(-1e-17)                    # sin(pi u) rounds to zero
+    @example(-1e-17)                    # u + 1 rounds to 1
     @settings(max_examples=500, deadline=None)
     def test_matches_sinpi_route(self, u):
         assert (_hex_outcome(recip_gamma_log, u)

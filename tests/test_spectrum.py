@@ -152,10 +152,22 @@ class TestBackwardCurve:
         assert [r.curve for r in res] == [None, None]
 
 
+def rgamma_eigenvalue_from(n, t0, cfg):
+    """E_n of a backward run from t0 seeded with z(t0) = (1 - corr)/t0,
+    corr = 1/(t0^2 F'(s)) in raw units, F'(s) = Gamma(2n) at s = 2n - 1."""
+    frame = Frame(make_model("rgamma"), n)
+    corr = math.exp(-(2.0 * math.log(t0) + math.log(frame.lam)
+                      - frame.ln_xi + math.lgamma(2.0 * n)))
+    eng = ode.Engine(frame, t0, (1.0 - corr) / t0, cfg, direction=-1)
+    eng.run(0.0)
+    return eng.y * frame.y_scale
+
+
 class TestSeedPlacement:
     """An eigenvalue run starts at the contraction bound; an exported curve
     starts where its seed correction is a tenth of the half-gap from s to
-    its nearer neighbour (and at most 2 % of s)."""
+    its nearer neighbour (and at most 2 % of s).  rgamma runs in scaled
+    coordinates, where both starts are its own."""
 
     @staticmethod
     def bounds(model, n):
@@ -193,6 +205,50 @@ class TestSeedPlacement:
         assert abs(eig - exported) <= 1e-10 * exported
         assert abs(eig - ref) <= 1.2 * abs(exported - ref)
 
+    # E_1 and E_2 as they were from t0 = 3
+    RGAMMA_E_AT_3 = {1: "0x1.adc05ff5dc007p-1", 2: "0x1.35de90b642ab5p+1"}
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 9, 20, 150])
+    def test_rgamma_start(self, n):
+        # the smallest t0 in [1.3, 3] where the seed correction
+        # 1/(t0^2 F'(s)) is at most 4e-3, and 3 where none is; an exported
+        # curve starts at 3
+        rgamma = make_model("rgamma")
+        frame = Frame(rgamma, n)
+        corr_1 = math.exp(-(math.log(frame.lam) - frame.ln_xi
+                            + math.lgamma(2.0 * n)))     # at t0 = 1
+        t0 = refine_backward(rgamma, n).evidence["x0"] / frame.x_scale
+        bound = math.sqrt(corr_1 / 4e-3)
+        if bound >= 3.0:
+            assert t0 == 3.0
+        else:
+            assert t0 == pytest.approx(max(1.3, bound), rel=1e-12)
+        assert (refine_backward(rgamma, n, _export=True).evidence["x0"]
+                == 3.0 * frame.x_scale)
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_rgamma_first_two_stay_at_3(self, n):
+        res = refine_backward(make_model("rgamma"), n)
+        assert res.E.hex() == self.RGAMMA_E_AT_3[n]
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 20, 80, 150])
+    def test_rgamma_start_erases_the_seed_error(self, n):
+        # against rel_tol 1e-13 runs from t0 = 6, twice the export start:
+        # where the start moved below 3 (n >= 3) the seed error is gone
+        # (n = 1 keeps 4.5e-10 of it at t0 = 3)
+        rgamma = make_model("rgamma")
+        tight = IntegratorConfig(rel_tol=1e-13, abs_tol=1e-15)
+        conv = rgamma_eigenvalue_from(n, 6.0, tight)
+        if n >= 3:
+            assert abs(refine_backward(rgamma, n, cfg=tight).E - conv) \
+                <= 1e-12 * conv
+        # at the default rel_tol 1e-10 the integration error grows with n,
+        # to 2.6e-9 and 3.6e-9 at n = 80 and 150 (1.9e-9 and 3.4e-9 from
+        # t0 = 3), past a quarter of tol; up to n = 20 it stays inside
+        if n <= 20:
+            res = refine_backward(rgamma, n)
+            assert abs(res.E - conv) <= res.tol / 4.0 * conv
+
 
 class TestBackwardProperties:
     @given(st.sampled_from(["cos", "bessel:0"]), st.integers(1, 40),
@@ -207,7 +263,8 @@ class TestBackwardProperties:
         assert len(es) == count
         assert all(b > a for a, b in zip(es, es[1:]))
 
-    @given(st.sampled_from(["cos", "bessel:0", "airy"]), st.integers(1, 60))
+    @given(st.sampled_from(["cos", "bessel:0", "airy", "rgamma"]),
+           st.integers(1, 60))
     @settings(max_examples=8, deadline=None)
     def test_separatrix_maxima_equal_index(self, spec, n):
         assert refine_backward(make_model(spec), n).maxima == n
@@ -339,11 +396,11 @@ BISECTION_PINS = [
     ("rgamma", 3, "0x1.8020c8d3f6966p+3", "0x1.8020c8ad07e11p+3", 3, "M"),
     ("rgamma", 4, "0x1.51fa70b2d94cap+6", "0x1.51fa708f75e7cp+6", 4, "M"),
     ("rgamma", 5, "0x1.7edc64598bc54p+9", "0x1.7edc64308ea14p+9", 5, "M"),
-    ("rgamma", 6, "0x1.0928c00a9a9a1p+13", "0x1.0928bfedbe6c8p+13", 5, "A"),
-    ("rgamma", 7, "0x1.b21fefb179685p+16", "0x1.b21fef819d3dbp+16", 5, "A"),
-    ("rgamma", 8, "0x1.9a0a183b2126fp+20", "0x1.9a0a180d74fb0p+20", 4, "A"),
-    ("rgamma", 9, "0x1.b6df0da2962c3p+24", "0x1.b6df0d71494afp+24", 4, "A"),
-    ("rgamma", 10, "0x1.0672c5d421115p+29", "0x1.0672c5b66fb56p+29", 4, "A"),
+    ("rgamma", 6, "0x1.0928c00a9a9a1p+13", "0x1.0928bfedbe6c8p+13", 6, "M"),
+    ("rgamma", 7, "0x1.b21fefb179685p+16", "0x1.b21fef819d3dbp+16", 7, "M"),
+    ("rgamma", 8, "0x1.9a0a183b2126fp+20", "0x1.9a0a180d74fb0p+20", 8, "M"),
+    ("rgamma", 9, "0x1.b6df0da2962c3p+24", "0x1.b6df0d71494afp+24", 9, "M"),
+    ("rgamma", 10, "0x1.0672c5d421115p+29", "0x1.0672c5b66fb56p+29", 10, "M"),
 ]
 
 
