@@ -7,10 +7,11 @@ The limit curve z(t) for exponent alpha > -1 solves, for t <= 1,
     (w + (alpha-1)/2 R)^2 (w + R)^(1-alpha) = 1,
     w = z^(1-alpha),  R = sqrt(z^(2-2 alpha) - t^(2+2 alpha)),
 
-with z = 1/t beyond the turning point t = 1.  The equation is solved
-directly in log form by bisection inside the radicand-feasible
-bracket; alpha = 1 and alpha = 3 are removable degeneracies handled by
-their closed limits.
+with z = 1/t beyond the turning point t = 1.  In q = R/w, which runs over
+[0, 1], the curve is explicit, w^(3-alpha) = (1+q)^(alpha-1) /
+(1 + (alpha-1) q/2)^2 and t^(2+2 alpha) = w^2 (1 - q^2): z(t) bisects q,
+and z(0) is q = 1, by one formula for every finite alpha > -1 (alpha = 1
+and alpha = 3 included).
 """
 
 import math
@@ -20,7 +21,6 @@ from fractions import Fraction
 import numpy as np
 
 from .models import rgamma_lambda_scaling
-from .rootfind import RootError, bisect
 from .specfun import DomainError
 
 __all__ = [
@@ -58,89 +58,56 @@ class WalkCoefficients:
     values: tuple  # Fractions alpha_{1,2p+1}, p = 0..p_max
 
 
+def _log1p_ratio(x):
+    """log1p(x)/x, continued by its limit 1 at x = 0."""
+    return 1.0 if x == 0.0 else math.log1p(x) / x
+
+
+def _ln_z(alpha, q):
+    """ln z on the limit curve at q = R/w in [0, 1], in the form whose
+    denominator stays away from 0: (3 - alpha) below alpha = 2, and
+    (alpha - 1) with p = q/(1+q) from alpha = 2 on."""
+    if alpha < 2.0:
+        return ((q * _log1p_ratio(0.5 * (alpha - 1.0) * q) - math.log1p(q))
+                / (3.0 - alpha))
+    p = q / (1.0 + q)
+    return ((math.log1p(q) - p * _log1p_ratio(0.5 * (alpha - 3.0) * p))
+            / (alpha - 1.0))
+
+
 def origin_value(alpha):
-    """z(0) for alpha > -1: (2^(1+alpha)/(1+alpha)^2)^(1/((1-alpha)(3-alpha))),
-    with the alpha = 1, 3 degeneracies taken as limits."""
+    """z(0) = (2^(1+alpha)/(1+alpha)^2)^(1/((1-alpha)(3-alpha))) for
+    alpha > -1: the limit curve at q = 1."""
     if alpha <= -1.0:
         raise ValueError("finite origin value requires alpha > -1")
-    if alpha == 1.0:
-        return math.exp(0.5 * (1.0 - math.log(2.0)))
-    if alpha == 3.0:
-        return math.exp(0.5 * (math.log(2.0) - 0.5))
-    num = (1.0 + alpha) * math.log(2.0) - 2.0 * math.log1p(alpha)
-    return math.exp(num / ((1.0 - alpha) * (3.0 - alpha)))
+    return math.exp(_ln_z(alpha, 1.0))
 
 
 def limit_curve_value(alpha, t):
-    """z(t) of the limit curve for a finite alpha > -1 (piecewise 1/t past
-    t = 1)."""
+    """z(t) of the limit curve for a finite alpha > -1 (1/t from the
+    turning point t = 1 on)."""
     if not (-1.0 < alpha < math.inf):
         raise DomainError(f"limit_curve: need a finite alpha > -1, "
                           f"got {alpha!r}")
-    if t < 0.0:
+    if not (t >= 0.0):
         raise DomainError("limit_curve: need t >= 0")
-    if t > 1.0:
+    if t >= 1.0:
         return 1.0 / t
-    if abs(alpha - 1.0) < 1e-9:
-        # (1-alpha) -> 0 limit: 2 ln z = R - ln(1+R), R = sqrt(1 - t^4)
-        r = math.sqrt(max(0.0, 1.0 - t ** 4))
-        return math.exp(0.5 * (r - math.log1p(r)))
-    z0 = origin_value(alpha)
     if t == 0.0:
-        # z^(1-alpha) must stay representable on the bracket
-        if alpha < 1.0:
-            lo, hi = 1e-12, max(2.0 * z0, 2.0)
-        else:
-            lo, hi = 1.0 - 1e-12, 2.0 * z0
-    else:
-        # radicand feasibility bound z = t^((2+2a)/(2-2a)), in logs: the
-        # exponent blows up as alpha -> 1 and the power can overflow
-        ln_zrad = math.log(t) * (2.0 + 2.0 * alpha) / (2.0 - 2.0 * alpha)
-        if alpha < 1.0:
-            z_rad = math.exp(ln_zrad) if ln_zrad > -27.0 else 1e-12
-            lo, hi = z_rad, z0 * (1.0 + 1e-9)
-        else:
-            z_rad = math.exp(ln_zrad) if ln_zrad < 700.0 else math.inf
-            lo, hi = 1.0 - 1e-12, min(z_rad, z0 * (1.0 + 1e-9))
-    # the log of the defining product, 0 on the curve; its z-free parts
-    # are formed once here, not on each of the bisection's calls
+        return origin_value(alpha)
+    # (1+alpha) ln t = ln w + ln(1-q^2)/2 falls strictly from 0 at q = 0
+    # to -inf at q = 1; bisect q down to adjacent floats
+    target = (1.0 + alpha) * math.log(t)
     a1 = 1.0 - alpha
-    a2 = 2.0 - 2.0 * alpha
-    half = 0.5 * (alpha - 1.0)
-    t_pow = t ** (2.0 + 2.0 * alpha)
-    sqrt, log, inf = math.sqrt, math.log, math.inf
-
-    def f(z):
-        w = z ** a1
-        rad = z ** a2 - t_pow
-        if rad < 0.0:
-            rad = 0.0
-        r = sqrt(rad)
-        first = w + half * r
-        if first <= 0.0:
-            return inf
-        return 2.0 * log(first) + a1 * log(w + r)
-    flo, fhi = f(lo), f(hi)
-    if flo == 0.0:
-        return lo
-    if fhi == 0.0:
-        return hi
-    if (flo > 0.0) == (fhi > 0.0) or not math.isfinite(flo) \
-            or not math.isfinite(fhi):
-        # walk the feasible interval for a sign change (robustness net)
-        zs = np.linspace(lo, hi, 64)
-        vals = [f(z) for z in zs]
-        for i in range(len(zs) - 1):
-            if math.isfinite(vals[i]) and math.isfinite(vals[i + 1]) \
-                    and (vals[i] > 0.0) != (vals[i + 1] > 0.0):
-                lo, hi = zs[i], zs[i + 1]
-                break
+    lo, hi = 0.0, 1.0
+    while True:
+        mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:
+            return math.exp(_ln_z(alpha, lo))
+        if a1 * _ln_z(alpha, mid) + 0.5 * math.log1p(-mid * mid) > target:
+            lo = mid
         else:
-            raise RootError(f"limit_curve: no bracket at alpha={alpha}, t={t}")
-    z = bisect(f, lo, hi, xtol=1e-16, rtol=1e-16, ftol=1e-13)
-    if abs(f(z)) > 1e-12:
-        raise RootError(f"limit_curve: residual {f(z):.2e} > 1e-12 at t={t}")
-    return z
+            hi = mid
 
 
 def limit_curve(alpha, grid):

@@ -276,11 +276,14 @@ def cmd_walk_coeffs(rc):
 
 
 def cmd_plot(csv_path, out_path):
-    if not os.path.exists(csv_path):
+    if not os.path.isfile(csv_path):
         raise ConfigError(f"no such CSV: {csv_path}")
     out_path = out_path or (csv_path[:-4] if csv_path.endswith(".csv")
                             else csv_path) + ".svg"
-    svgplot.render_csv(csv_path, out_path)
+    try:
+        svgplot.render_csv(csv_path, out_path)
+    except ValueError as exc:   # a row that is not numbers, or no rows
+        raise ConfigError(f"cannot plot {csv_path}: {exc}") from None
     print(out_path)
     return 0
 

@@ -125,7 +125,10 @@ class _Shooter:
         self.cfg = cfg or IntegratorConfig()
 
     def shoot(self, y0, stop_at=None, record=False):
-        """Integrate from the origin; returns (class, signal, engine)."""
+        """Integrate from the origin; returns (class, signal, engine).
+        Raises RuntimeError when the run neither settles nor collapses by
+        the last horizon, where its count of oscillations is not yet a
+        class."""
         eng = Engine(self.frame, 0.0, y0, self.cfg, record=record,
                      max_minima=stop_at)
         horizon = self.frame.horizon(y0, self.cfg)
@@ -140,24 +143,21 @@ class _Shooter:
         if eng.status in ("settled", "floor"):
             cls = self.frame.zeros.unstable_below(eng.terminal_u)
             return cls, "attractor-jump", eng
-        return len(eng.minima), "unresolved", eng
+        raise RuntimeError(
+            f"class of E={y0 * self.frame.y_scale!r} unresolved at the "
+            f"horizon x={eng.x * self.frame.x_scale!r} "
+            f"({len(eng.minima)} minima)")
 
 
 def classify(model, E, cfg=None, n_hint=None):
     """Forward-integrate y' = F(xy), y(0) = E and return the class index
     (completed oscillations; ties broken by the attractor index).  Raises
-    RuntimeError when the run neither settles nor collapses by the last
-    horizon, where its count of oscillations is not yet a class."""
+    RuntimeError when the shot is unresolved at the horizon
+    (_Shooter.shoot)."""
     if not (E > 0.0):
         raise ValueError("classify: need E > 0")
     sh = _Shooter(model, n_hint, cfg or IntegratorConfig())
-    v = E / sh.frame.y_scale
-    cls, signal, eng = sh.shoot(v)
-    if signal == "unresolved":
-        raise RuntimeError(
-            f"class of E={E!r} unresolved at the horizon "
-            f"x={eng.x * sh.frame.x_scale!r} ({len(eng.minima)} minima)")
-    return cls
+    return sh.shoot(E / sh.frame.y_scale)[0]
 
 
 def _predict(model, n):

@@ -125,9 +125,9 @@ def read_curve_csv(path):
             if cols is None and any(c.isalpha() for c in line.split(",")[0]):
                 cols = line.split(",")
                 continue
-            fields = line.split(",")
-            xs.append(float(fields[0]))
-            ys.append(float(fields[1]))
+            x, y = line.split(",")[:2]   # ValueError on a one-field row
+            xs.append(float(x))
+            ys.append(float(y))
     if cols is None:
         cols = ["x", "y"]
     return meta, cols, xs, ys

@@ -5,6 +5,7 @@ the reciprocal-gamma asymptote."""
 import math
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -15,7 +16,6 @@ from nleig.asymptotics import (envelope, forbidden_region_z, growth_law,
                                rgamma_limit_curve, walk_coefficients,
                                walk_coefficients_dp)
 from nleig.models import Frame, make_model, rgamma_lambda_scaling
-from nleig.rootfind import RootError, bisect
 from nleig.specfun import DomainError
 
 
@@ -41,7 +41,7 @@ class TestLimitCurve:
                 1.0 / 1.0000001)
 
     def test_origin_values_from_implicit_equation(self):
-        # the solver at t = 0 must land on the closed form
+        # the curve at t = 0 must land on the closed form
         assert abs(limit_curve_value(-0.5, 0.0) - 2.0 ** (10.0 / 21.0)) <= 1e-12
         assert abs(limit_curve_value(0.0, 0.0) - 2.0 ** (1.0 / 3.0)) <= 1e-12
 
@@ -49,7 +49,7 @@ class TestLimitCurve:
         # z(0) at the removable alpha = 1 point: exp((1 - ln 2)/2)
         want = math.exp(0.5 * (1.0 - math.log(2.0)))
         assert abs(limit_curve_value(1.0, 0.0) - want) <= 1e-12
-        # continuity across the special-cased band
+        # continuity through alpha = 1, an ordinary point of the formula
         for t in (0.2, 0.7):
             a = limit_curve_value(1.0, t)
             b = limit_curve_value(1.0 + 1e-7, t)
@@ -90,91 +90,162 @@ class TestLimitCurve:
             limit_curve_value(-1.2, 0.5)
         with pytest.raises(ValueError):
             limit_curve_value(0.0, -0.1)
+        with pytest.raises(DomainError, match="t >= 0"):
+            limit_curve_value(0.0, math.nan)
         for alpha in (math.nan, math.inf, -math.inf):
             with pytest.raises(DomainError, match="finite alpha"):
                 limit_curve_value(alpha, 0.5)
 
 
-# limit_curve_value as it was before its residual's z-free parts were
-# hoisted: each residual call formed t^(2+2 alpha), 1-alpha, 2-2 alpha and
-# (alpha-1)/2 again.  The served values must be the same floats.
+def _limit_curve_mp(alpha, t):
+    """z(t) to 50 digits.  alpha = 1 and alpha = 3 take their limit curves
+    (closed in t at alpha = 1; ln(w + R) = R/(w + R) at alpha = 3).  Any
+    other alpha bisects q = R/w in w^(3-alpha) = (1+q)^(alpha-1) /
+    (1 + (alpha-1) q/2)^2, t^(2+2 alpha) = w^2 (1 - q^2), and the result is
+    checked on the defining equation itself."""
+    with mpmath.workdps(50):
+        a, t = mpmath.mpf(alpha), mpmath.mpf(t)
+        if t >= 1:
+            return 1 / t
+        if alpha == 1.0:
+            r = mpmath.sqrt(1 - t ** 4)
+            return mpmath.exp((r - mpmath.log1p(r)) / 2)
+        if alpha == 3.0:
+            def h(z):
+                w = z ** -2
+                r = mpmath.sqrt(max(w * w - t ** 8, 0))
+                return mpmath.log(w + r) - r / (w + r)
+            lo, hi = mpmath.mpf(1), min(mpmath.mpf(2), t ** -2 if t else 2)
+            for _ in range(180):
+                mid = (lo + hi) / 2
+                lo, hi = (mid, hi) if h(mid) > 0 else (lo, mid)
+            return lo
 
-def _curve_log_residual_reference(alpha, t, z):
-    w = z ** (1.0 - alpha)
-    rad = z ** (2.0 - 2.0 * alpha) - t ** (2.0 + 2.0 * alpha)
-    if rad < 0.0:
-        rad = 0.0
-    r = math.sqrt(rad)
-    first = w + 0.5 * (alpha - 1.0) * r
-    if first <= 0.0:
-        return math.inf
-    return 2.0 * math.log(first) + (1.0 - alpha) * math.log(w + r)
-
-
-def _limit_curve_value_reference(alpha, t):
-    if t > 1.0:
-        return 1.0 / t
-    if abs(alpha - 1.0) < 1e-9:
-        r = math.sqrt(max(0.0, 1.0 - t ** 4))
-        return math.exp(0.5 * (r - math.log1p(r)))
-    z0 = origin_value(alpha)
-    if t == 0.0:
-        if alpha < 1.0:
-            lo, hi = 1e-12, max(2.0 * z0, 2.0)
+        def ln_w(q):
+            return ((a - 1) * mpmath.log1p(q)
+                    - 2 * mpmath.log1p((a - 1) * q / 2)) / (3 - a)
+        lo, hi = mpmath.mpf(0), mpmath.mpf(1)
+        if t == 0:
+            lo = hi
         else:
-            lo, hi = 1.0 - 1e-12, 2.0 * z0
-    else:
-        ln_zrad = math.log(t) * (2.0 + 2.0 * alpha) / (2.0 - 2.0 * alpha)
-        if alpha < 1.0:
-            z_rad = math.exp(ln_zrad) if ln_zrad > -27.0 else 1e-12
-            lo, hi = z_rad, z0 * (1.0 + 1e-9)
-        else:
-            z_rad = math.exp(ln_zrad) if ln_zrad < 700.0 else math.inf
-            lo, hi = 1.0 - 1e-12, min(z_rad, z0 * (1.0 + 1e-9))
-    f = lambda z: _curve_log_residual_reference(alpha, t, z)
-    flo, fhi = f(lo), f(hi)
-    if flo == 0.0:
-        return lo
-    if fhi == 0.0:
-        return hi
-    if (flo > 0.0) == (fhi > 0.0) or not math.isfinite(flo) \
-            or not math.isfinite(fhi):
-        zs = np.linspace(lo, hi, 64)
-        vals = [f(z) for z in zs]
-        for i in range(len(zs) - 1):
-            if math.isfinite(vals[i]) and math.isfinite(vals[i + 1]) \
-                    and (vals[i] > 0.0) != (vals[i + 1] > 0.0):
-                lo, hi = zs[i], zs[i + 1]
-                break
-        else:
-            raise RootError(f"limit_curve: no bracket at alpha={alpha}, t={t}")
-    z = bisect(f, lo, hi, xtol=1e-16, rtol=1e-16, ftol=1e-13)
-    if abs(f(z)) > 1e-12:
-        raise RootError(f"limit_curve: residual {f(z):.2e} > 1e-12 at t={t}")
-    return z
+            ln_t = (1 + a) * mpmath.log(t)
+            for _ in range(180):
+                mid = (lo + hi) / 2
+                if ln_w(mid) + mpmath.log1p(-mid * mid) / 2 > ln_t:
+                    lo = mid
+                else:
+                    hi = mid
+        z = mpmath.exp(ln_w(lo) / (1 - a))
+        # the residual of 2 ln(w + (alpha-1) R/2) + (1-alpha) ln(w + R) = 0
+        w = z ** (1 - a)
+        r = mpmath.sqrt(max(w * w - t ** (2 + 2 * a), 0))
+        res = 2 * mpmath.log(w + (a - 1) * r / 2) + (1 - a) * mpmath.log(w + r)
+        assert abs(res) <= mpmath.mpf(10) ** -40
+        return z
 
 
-def _curve_outcome(fn, alpha, t):
-    try:
-        return float(fn(alpha, t)).hex()
-    except (ValueError, ArithmeticError) as exc:
-        return type(exc).__name__
+def _accuracy_bound(alpha):
+    # the q-equation cancels as alpha -> -1: (1-alpha) ln z and
+    # ln(1-q^2)/2 nearly cancel near q = 0, by a factor of 1+alpha
+    if alpha >= -0.9:
+        return 2e-15
+    return 2e-14 if alpha >= -0.99 else 1e-13
 
 
-class TestLimitCurveBitIdentity:
+def _assert_accurate(alpha, t):
+    z = limit_curve_value(alpha, t)
+    want = _limit_curve_mp(alpha, t)
+    assert float(abs(z - want) / want) <= _accuracy_bound(alpha)
+
+
+class TestLimitCurveAccuracy:
     @pytest.mark.parametrize("alpha", [-0.9, -0.5, 0.0, 0.5, 1.0 - 1e-10,
                                        1.0 + 1e-10, 2.0, 3.0, 5.0])
     @pytest.mark.parametrize("t", [0.0, 1e-3, 0.1, 0.45, 0.9, 1.0])
     def test_grid(self, alpha, t):
-        assert (_curve_outcome(limit_curve_value, alpha, t)
-                == _curve_outcome(_limit_curve_value_reference, alpha, t))
+        _assert_accurate(alpha, t)
 
-    @given(st.floats(-0.999, 6.0), st.floats(0.0, 1.0))
+    @given(st.floats(-0.999, 100.0), st.floats(0.0, 1.0))
     @example(-0.25, 0.5)
+    @example(1.0, 0.5)
+    @example(3.0, 0.75)
+    @example(1.0 + 1e-8, 1e-3)
+    @example(1.0 - 1e-8, 0.05)
+    @example(3.0 + 1e-9, 0.05)
+    @example(3.0 - 1e-9, 0.5)
+    @example(2.999998, 0.3)
+    @example(100.0, 0.3)
+    @example(-0.999, 0.6713839561308822)
     @settings(max_examples=150, deadline=None)
     def test_any_point(self, alpha, t):
-        assert (_curve_outcome(limit_curve_value, alpha, t)
-                == _curve_outcome(_limit_curve_value_reference, alpha, t))
+        _assert_accurate(alpha, t)
+
+    @pytest.mark.parametrize("alpha", [-0.999, -0.5, 0.0, 1.0, 3.0, 100.0])
+    def test_ends(self, alpha):
+        assert limit_curve_value(alpha, 0.0) == origin_value(alpha)
+        assert limit_curve_value(alpha, 1.0) == 1.0
+
+
+class TestLimitCurvePins:
+    # recorded before the curve was parametrized by q = R/w: the growth-law
+    # constants, and through them every bisection bracket, keep their bits
+    @pytest.mark.parametrize("alpha, want", [
+        (0.0, "0x1.428a2f98d728bp+0"), (-0.5, "0x1.641ce05d40362p+0"),
+        (-0.25, "0x1.4f36f58bb7fbcp+0")])
+    def test_origin_value(self, alpha, want):
+        assert origin_value(alpha).hex() == want
+
+    @pytest.mark.parametrize("spec, want", [
+        ("cos", "0x1.c823e074ec12ap+0"),
+        ("bessel:0", "0x1.f79e9aca4c53dp+0"),
+        ("bessel:2.5", "0x1.f79e9aca4c53dp+0"),
+        ("airy", "0x1.b92ad672042dbp+0")])
+    def test_growth_constant(self, spec, want):
+        assert growth_law(make_model(spec)).A.hex() == want
+
+
+# z(t) bits of the q-parametrized route, t = 0, 1e-3, 0.1, 0.45, 0.9, 1;
+# each is within _accuracy_bound of the 50-digit reference
+_LIMIT_CURVE_BITS = {
+    -0.9: ("0x1.e111d63afe3ccp+0", "0x1.c2f38cdeec4d8p+0",
+           "0x1.8570af62cf11fp+0", "0x1.4c7e73ef8fbb9p+0",
+           "0x1.11ff2611bdedbp+0", "0x1.0000000000000p+0"),
+    -0.5: ("0x1.641ce05d40362p+0", "0x1.640bf04d3f994p+0",
+           "0x1.5d566da195d4ep+0", "0x1.42737462c1f31p+0",
+           "0x1.11aefcccfc473p+0", "0x1.0000000000000p+0"),
+    0.0: ("0x1.428a2f98d728bp+0", "0x1.428a2c449c62ap+0",
+          "0x1.4207f0c2fed1cp+0", "0x1.37e5efd862addp+0",
+          "0x1.114a537603de1p+0", "0x1.0000000000000p+0"),
+    0.5: ("0x1.336b205505725p+0", "0x1.336b20544e31dp+0",
+          "0x1.336033d6993dfp+0", "0x1.2f7e060b4ff5cp+0",
+          "0x1.10e5787acfc52p+0", "0x1.0000000000000p+0"),
+    1.0 - 1e-10: ("0x1.2a734f5b762c7p+0", "0x1.2a734f5b76036p+0",
+                  "0x1.2a725add7a953p+0", "0x1.28eaa90ebee5cp+0",
+                  "0x1.1080bf24d3cb2p+0", "0x1.0000000000000p+0"),
+    1.0 + 1e-10: ("0x1.2a734f5b69cb6p+0", "0x1.2a734f5b69a25p+0",
+                  "0x1.2a725add6e381p+0", "0x1.28eaa90eb4f35p+0",
+                  "0x1.1080bf24d31e6p+0", "0x1.0000000000000p+0"),
+    2.0: ("0x1.2000000000000p+0", "0x1.2000000000000p+0",
+          "0x1.1ffffe02645e5p+0", "0x1.1fbf6e089fe2cp+0",
+          "0x1.0fb8e63380b41p+0", "0x1.0000000000000p+0"),
+    3.0: ("0x1.19f4bc7f23a20p+0", "0x1.19f4bc7f23a21p+0",
+          "0x1.19f4bc7ac9e2bp+0", "0x1.19e99314d65f6p+0",
+          "0x1.0ef4f95e68939p+0", "0x1.0000000000000p+0"),
+    5.0: ("0x1.131703da7272bp+0", "0x1.131703da7272bp+0",
+          "0x1.131703da725c4p+0", "0x1.1316a7c5d7111p+0",
+          "0x1.0d7fb8486389ep+0", "0x1.0000000000000p+0"),
+}
+
+
+class TestLimitCurveBitIdentity:
+    # limit_curve_value feeds the envelope and the eigenvalue runs, so a
+    # change of route that moves its bits should be seen here first
+    @pytest.mark.parametrize("alpha", [-0.9, -0.5, 0.0, 0.5, 1.0 - 1e-10,
+                                       1.0 + 1e-10, 2.0, 3.0, 5.0])
+    @pytest.mark.parametrize("t", [0.0, 1e-3, 0.1, 0.45, 0.9, 1.0])
+    def test_grid(self, alpha, t):
+        i = (0.0, 1e-3, 0.1, 0.45, 0.9, 1.0).index(t)
+        assert limit_curve_value(alpha, t).hex() == _LIMIT_CURVE_BITS[alpha][i]
 
 
 class TestGrowthLaw:

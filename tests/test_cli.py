@@ -26,6 +26,12 @@ def run(args, cwd):
 
 
 class TestSpectrumCommand:
+    def test_unresolved_shot_is_computation_failure(self, tmp_path, capsys):
+        rc = run(["spectrum", "--model", "cos", "--n", "3", "--method",
+                  "bisection", "--x-max", "0.001", "--no-cache"], tmp_path)
+        assert rc == 1
+        assert "unresolved at the horizon" in capsys.readouterr().err
+
     def test_row_count_and_artifacts(self, tmp_path):
         rc = run(["spectrum", "--model", "bessel:0", "--n", "1..5",
                   "--tol", "1e-8"], tmp_path)
@@ -368,13 +374,23 @@ class TestLimitCurveCommand:
         assert run(["limit-curve", "--alpha", "-1.5"], tmp_path) == 2
 
     def test_bytes_pinned(self, tmp_path):
-        # written through ode.curve_csv_text, the curve CSV writer; the
-        # bytes of the command's earlier inline format
+        # written through ode.curve_csv_text, the curve CSV writer; its z
+        # column holds the correctly rounded 2^(1/3) at t = 0
         assert run(["limit-curve", "--alpha", "0", "--points", "5"],
                    tmp_path) == 0
         body = (tmp_path / "limit_alpha0.csv").read_bytes()
         assert hashlib.sha256(body).hexdigest() == (
-            "aad7afe7ae803be38d9cabaea2f4c292f68b29b0de5b109b07479abcc8418cc4")
+            "2fe49af7ba2bd585d6aea0b0765cb27e872ad31361bb8dcf8aaf377cb1c5ae59")
+
+    @pytest.mark.parametrize("alpha", ["3", "100"])
+    def test_origin_row_is_printed_z0(self, tmp_path, capsys, alpha):
+        assert run(["limit-curve", "--alpha", alpha, "--points", "5"],
+                   tmp_path) == 0
+        printed = capsys.readouterr().out.split()[0]
+        body = (tmp_path / f"limit_alpha{alpha}.csv").read_text()
+        origin = [r for r in body.splitlines() if r.startswith("0.0")]
+        assert len(origin) == 1
+        assert printed == f"z(0)={float(origin[0].split(',')[1]):.12g}"
 
 
 class TestWalkCommand:
@@ -400,6 +416,18 @@ class TestPlotCommand:
 
     def test_missing_csv_is_config_error(self, tmp_path):
         assert run(["plot", "missing.csv"], tmp_path) == 2
+        (tmp_path / "dir.csv").mkdir()
+        assert run(["plot", "dir.csv"], tmp_path) == 2
+
+    @pytest.mark.parametrize("body", ["t,z\n0,1\n1,2\nx,y,z\n", "",
+                                      "t\n0\n1\n"],
+                             ids=["header-after-data", "empty", "one-column"])
+    def test_unplottable_csv_is_config_error(self, tmp_path, capsys, body):
+        (tmp_path / "bad.csv").write_text(body)
+        assert run(["plot", "bad.csv"], tmp_path) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not (tmp_path / "bad.svg").exists()
 
 
 class TestVerifyCommand:

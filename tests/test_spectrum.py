@@ -73,6 +73,13 @@ class TestFindEigen:
         assert r.maxima == 1
         assert r.method == "bisection"
 
+    @pytest.mark.parametrize("x_max", [0.001, 0.01])
+    def test_unresolved_shot_raises(self, x_max):
+        # horizons this short end cos shots before they settle; their
+        # minima counts (0 and 2) once bracketed E_3 at 18.34 and 2.97737
+        with pytest.raises(RuntimeError, match="unresolved at the horizon"):
+            find_eigen(make_model("cos"), 3, cfg=IntegratorConfig(x_max=x_max))
+
     def test_evidence_brackets_class_jump(self):
         r = find_eigen(make_model("cos"), 2, tol=1e-9)
         assert r.evidence["lo_class"] == 1
