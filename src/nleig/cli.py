@@ -282,7 +282,7 @@ def cmd_plot(csv_path, out_path):
                             else csv_path) + ".svg"
     try:
         svgplot.render_csv(csv_path, out_path)
-    except ValueError as exc:   # a row that is not numbers, or no rows
+    except ValueError as exc:   # no rows, or a row not two finite numbers
         raise ConfigError(f"cannot plot {csv_path}: {exc}") from None
     print(out_path)
     return 0

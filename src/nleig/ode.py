@@ -12,9 +12,12 @@ or F underflows to zero (large-index rgamma); a step that ends on a zero
 crosses it on the next one.  Only a recording run locates its events, by
 bisecting along the cubic Hermite dense output for the zero that u crosses,
 with the sign of F at each midpoint read off the table (the parity of the
-zeros below u), so no right-hand side is called; a non-recording run
-records the end of the step in which the sign changed, since nothing reads
-more than its counts.  Forward runs also watch u = x*y, and the first
+zeros below u), so no right-hand side is called; a non-recording run keeps
+the end of the step in which the sign changed, and its first and last
+points only.  With one sign change per step those step ends come in the
+order of the extrema, so count_maxima counts either curve alike.  A run
+takes the same steps whether it records or not.  Forward runs also watch
+u = x*y, and the first
 accepted step where u falls commits the run for good.  For x > 0, du/dx =
 (u + x^2 F(u))/x, so a falling u has F(u) < 0 and lies between a stable
 zero z* of F and the unstable zero s just above it.  There g_x(u) = u + x^2
@@ -103,7 +106,8 @@ class IntegratorConfig:
 class SolutionCurve:
     """A run's grid and events.  Only a recording run locates its maxima
     and minima; a non-recording run (recorded=False) keeps, for each, the
-    end of the step in which y' changed sign, and its last point only."""
+    end of the step in which y' changed sign, and as its grid its first and
+    last points only."""
     coords: str                      # "raw" or "scaled"
     grid: np.ndarray
     values: np.ndarray
@@ -140,6 +144,7 @@ class Engine:
         self.record = record
         self.xs = [self.x] if record else None
         self.ys = [self.y] if record else None
+        self.start = (self.x, self.y)
         self.maxima = []
         self.maxima_values = []
         self.minima = []
@@ -428,8 +433,8 @@ class Engine:
             grid = np.asarray(self.xs, dtype=float)
             vals = np.asarray(self.ys, dtype=float)
         else:
-            grid = np.asarray([self.x], dtype=float)
-            vals = np.asarray([self.y], dtype=float)
+            grid = np.asarray([self.start[0], self.x], dtype=float)
+            vals = np.asarray([self.start[1], self.y], dtype=float)
         maxima = list(self.maxima)
         maxima_v = list(self.maxima_values)
         minima = list(self.minima)
@@ -457,7 +462,8 @@ def integrate(model, initial, cfg, direction="forward", record=True, meta=None,
     a recording run locates its maxima and minima to an abscissa accuracy
     of 1e-10 times the horizon, from the zero table and with no
     right-hand-side call, a run with record=False only counts them (each
-    event carries the end of the step it fell in).  meta["nfev"] counts
+    event carries the end of the step it fell in, and the grid is the
+    run's first and last points).  meta["nfev"] counts
     the run's right-hand-side calls.
     With stop_when_settled the run ends as soon as x*y has committed to a
     stable zero of F; otherwise the attractor is recorded in terminal_u and
@@ -486,18 +492,17 @@ def integrate(model, initial, cfg, direction="forward", record=True, meta=None,
 
 
 def count_maxima(curve):
-    """Maxima of a recorded curve: its located + to - sign changes of y',
-    and a boundary maximum at the start when the curve opens falling, that
-    is, when its first located event is a minimum (the reciprocal-gamma
-    separatrices open with F < 0, so their first maximum sits at the origin
-    itself).  A curve with no located event is monotone and opens falling
-    when it ends below its start.  The step guard of Engine.run puts every
-    sign change of y' between accepted steps, also those binary64 cannot
-    show in y, so nothing here reads the values near an extremum.  A curve
-    of a non-recording run carries step ends, not located extrema, and is
-    refused with ValueError."""
-    if not curve.recorded:
-        raise ValueError("count_maxima needs the curve of a recording run")
+    """Maxima of a curve: its + to - sign changes of y', and a boundary
+    maximum at the start when the curve opens falling, that is, when its
+    first event is a minimum (the reciprocal-gamma separatrices open with
+    F < 0, so their first maximum sits at the origin itself).  A curve with
+    no event is monotone and opens falling when it ends below its start.
+    The step guard of Engine.run puts every sign change of y' between
+    accepted steps, also those binary64 cannot show in y, so nothing here
+    reads the values near an extremum.  A curve of a non-recording run
+    counts exactly as the recorded one: its events are step ends, one per
+    step and so in the order of the extrema, and it keeps its first and
+    last points."""
     count = len(curve.maxima)
     if curve.minima:
         opens_down = not curve.maxima or curve.minima[0] < curve.maxima[0]

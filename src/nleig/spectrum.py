@@ -10,7 +10,10 @@ deviation grows like exp(F' x^2 / 2), so doublings resolve fast).
 find_eigen brackets the class jump around the growth-law prediction and
 bisects; refine_backward instead seeds the large-x expansion of u = xy at
 the n-th unstable zero and integrates backward to read E off at the origin.
-That one backward run records the separatrix, returned as EigenResult.curve.
+That one backward run records the separatrix, returned as EigenResult.curve;
+the runs of spectrum_scan, whose curves nobody keeps, record nothing and
+count their maxima off the step ends (ode.count_maxima), for the same E,
+count and record bit for bit.
 An eigenvalue run starts where backward contraction has erased the seed's
 error (rgamma: where the seed's correction is small), since the farther
 stretch changes nothing in E; separatrix_curve makes the same run from
@@ -247,7 +250,7 @@ def find_eigen(model, n, tol=None, cfg=None, seed=None, lo_bound=None,
                            else "attractor-jump")}
     maxima = None
     if count_maxima_at_lo:
-        _, _, eng = sh.shoot(lo, record=True)
+        _, _, eng = sh.shoot(lo)
         maxima = count_maxima(eng.curve())
     E = hi * frame.y_scale
     log10 = None
@@ -261,7 +264,8 @@ def find_eigen(model, n, tol=None, cfg=None, seed=None, lo_bound=None,
                        model=model.spec, tol=tol, z0=z0, log10_E=log10)
 
 
-def refine_backward(model, n, cfg=None, tol=None, *, _export=False):
+def refine_backward(model, n, cfg=None, tol=None, *, _export=False,
+                    _record=True):
     """Eigenvalue read off at the origin of a backward-integrated
     separatrix, seeded on the n-th unstable zero s via the large-x
     expansion u(x0) = s - s/(x0^2 F'(s)).
@@ -279,7 +283,9 @@ def refine_backward(model, n, cfg=None, tol=None, *, _export=False):
     rgamma, otherwise out to where the correction is a tenth of that
     half-gap and 2 % of s.  The result carries the recorded separatrix as
     .curve, in the run's coordinates, and maxima counts its every maximum
-    (ode.count_maxima).
+    (ode.count_maxima).  spectrum_scan passes _record=False: the run then
+    takes the same steps unrecorded, counts the same maxima off its step
+    ends and the result carries no curve.
     """
     if n < 1 or n != int(n):
         raise ValueError(f"refine_backward: need integer n >= 1, got {n!r}")
@@ -332,7 +338,7 @@ def refine_backward(model, n, cfg=None, tol=None, *, _export=False):
                            x_turn * x_turn + 90.0 / fp,
                            (1.3 * x_turn) ** 2))
         y0 = (s.u - s.u / (x0 * x0 * fp)) / x0
-    eng = Engine(frame, x0, y0, cfg, direction=-1, record=True)
+    eng = Engine(frame, x0, y0, cfg, direction=-1, record=_record)
     eng.run(0.0)
     v = eng.y
     if not (v > 0.0) or not math.isfinite(v):
@@ -350,7 +356,7 @@ def refine_backward(model, n, cfg=None, tol=None, *, _export=False):
                        z0=v if frame.coords == "scaled" else None,
                        log10_E=(math.log10(frame.y_scale)
                                 + math.log10(max(v, 1e-300))),
-                       curve=curve)
+                       curve=curve if _record else None)
 
 
 def _check_coords(model, n, coords):
@@ -384,8 +390,10 @@ def spectrum_scan(model, n_range, tol=None, cfg=None, method="bisection"):
     "backward" integrates each separatrix down from its seeded asymptote
     (much faster for large indices, cross-validated by the bisection path
     at small ones).  Failures are recorded per index without aborting; the
-    monotonicity of the successful results is verified.  The results carry
-    no curves, so a long backward scan holds no recorded separatrices.
+    monotonicity of the successful results is verified.  No run of a scan
+    records its curve: a backward run counts its maxima off its step ends
+    and the results carry no curves, each record bit for bit that of
+    refine_backward.
     A xibar bisection seeds each index from the one before it, so it scans
     from n = 1 and returns the requested indices only.  Returns (results,
     errors).
@@ -415,7 +423,8 @@ def spectrum_scan(model, n_range, tol=None, cfg=None, method="bisection"):
             lo_bound = prev.E
         try:
             if method == "backward":
-                res = refine_backward(model, n, cfg=cfg, tol=tol)
+                res = refine_backward(model, n, cfg=cfg, tol=tol,
+                                      _record=False)
             else:
                 try:
                     res = find_eigen(model, n, tol=tol, cfg=cfg, seed=seed,
@@ -436,7 +445,6 @@ def spectrum_scan(model, n_range, tol=None, cfg=None, method="bisection"):
                     res = find_eigen(model, n, tol=tight, cfg=cfg,
                                      seed=prev2.E * (1.0 + 100.0 * tight),
                                      lo_bound=prev2.E)
-            res.curve = None
             results.append(res)
             prev = res
         except (BracketError, RootError, RuntimeError, OverflowError) as exc:

@@ -39,11 +39,15 @@ def _ticks(lo, hi, n=6):
 
 
 def render_series(series, path, xlabel="x", ylabel="y", title=""):
-    """series: list of (label, xs, ys) drawn in order with a fixed palette."""
+    """series: list of (label, xs, ys) drawn in order with a fixed palette.
+    Raises ValueError when there is nothing to plot or a coordinate is not
+    finite."""
     xs_all = [x for _, xs, _ in series for x in xs]
     ys_all = [y for _, _, ys in series for y in ys]
     if not xs_all:
         raise ValueError("render_series: nothing to plot")
+    if not all(map(math.isfinite, xs_all + ys_all)):
+        raise ValueError("render_series: a coordinate is not finite")
     x_lo, x_hi = min(xs_all), max(xs_all)
     y_lo, y_hi = min(ys_all), max(ys_all)
     if x_hi == x_lo:

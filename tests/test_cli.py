@@ -3,13 +3,14 @@ and exit codes."""
 
 import hashlib
 import json
+import math
 import os
 import warnings
 
 import numpy as np
 import pytest
 
-from nleig import ode, spectrum, verify
+from nleig import ode, spectrum, svgplot, verify
 from nleig.cache import EigenCache
 from nleig.cli import main, separatrix_curve
 from nleig.models import Frame, make_model
@@ -420,14 +421,26 @@ class TestPlotCommand:
         assert run(["plot", "dir.csv"], tmp_path) == 2
 
     @pytest.mark.parametrize("body", ["t,z\n0,1\n1,2\nx,y,z\n", "",
-                                      "t\n0\n1\n"],
-                             ids=["header-after-data", "empty", "one-column"])
+                                      "t\n0\n1\n", "t,z\n0,1\ninf,2\n",
+                                      "t,z\n0,1\n1,nan\n",
+                                      "t,z\n0,1\n1,-inf\n"],
+                             ids=["header-after-data", "empty", "one-column",
+                                  "inf-row", "nan-row", "minus-inf-row"])
     def test_unplottable_csv_is_config_error(self, tmp_path, capsys, body):
         (tmp_path / "bad.csv").write_text(body)
         assert run(["plot", "bad.csv"], tmp_path) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
         assert not (tmp_path / "bad.svg").exists()
+
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_series_refuses_non_finite(self, tmp_path, bad):
+        # an overlay reaches render_series without read_curve_csv
+        path = tmp_path / "s.svg"
+        with pytest.raises(ValueError, match="not finite"):
+            svgplot.render_series([("a", [0.0, 1.0], [1.0, 2.0]),
+                                   ("b", [0.0, 1.0], [1.0, bad])], path)
+        assert not path.exists()
 
 
 class TestVerifyCommand:

@@ -9,7 +9,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from nleig import spectrum
 from nleig.models import (Frame, ZeroTable, check_raw, make_model,
@@ -95,15 +95,21 @@ class TestEvents:
         # boundary maximum at the origin still counts (strictly decreasing)
         assert count_maxima(c) == 1
 
-    def test_count_refuses_an_unrecorded_curve(self):
-        # an unrecorded run's events are step ends, not located extrema
+    def test_unrecorded_curve_counts_as_recorded(self):
+        # an unrecorded run's events are step ends, not located extrema,
+        # one per step and so in the extrema's order; it keeps its first
+        # and last points for the rule of a curve with no event
         m = make_model("cos")
         c = integrate(m, (0.0, 0.9), cfg_with(6.0), record=False, n=2)
         raw = Frame(m, 2).convert(c, "raw")
         assert not c.recorded and not raw.recorded and len(raw.maxima) == 2
-        with pytest.raises(ValueError, match="recording run"):
-            count_maxima(raw)
+        assert c.grid[0] == 0.0 and c.values[0] == 0.9 and len(c.grid) == 2
+        assert count_maxima(raw) == count_maxima(c) == 2
         assert count_maxima(integrate(m, (0.0, 0.9), cfg_with(6.0), n=2)) == 2
+        # no event at all: rgamma's monotone curve opens falling
+        rg = integrate(make_model("rgamma"), (0.0, 0.4), cfg_with(6.0),
+                       record=False)
+        assert not rg.maxima and not rg.minima and count_maxima(rg) == 1
 
     def test_maxima_invariant_under_refinement(self):
         for rel in (1e-9, 1e-11):
@@ -283,6 +289,53 @@ class TestRecordingProperty:
         assert refined == [0, 0]
         assert rec_refined == [0, rec[6] + rec[7]]  # one per event, no call
         assert rec_nfev == nfev
+
+
+class TestUnrecordedCount:
+    """count_maxima counts the curve of a run that did not record exactly
+    as that of the same run recorded: the backward eigenvalue runs of
+    refine_backward, rgamma n = 1 (no event) and raw xibar included, and
+    forward shots."""
+
+    @staticmethod
+    def backward_curve(model, n, record):
+        engines = []
+
+        class Kept(Engine):
+            def __init__(self, *args, **kw):
+                super().__init__(*args, **kw)
+                engines.append(self)
+        with mock.patch.object(spectrum, "Engine", Kept):
+            spectrum.refine_backward(model, n, _record=record)
+        (eng,) = engines
+        return eng.curve()
+
+    @given(st.sampled_from(["cos", "bessel:0", "airy", "rgamma", "xibar"]),
+           st.integers(1, 20))
+    @example("rgamma", 1)   # no event: the rule of a monotone curve
+    @settings(max_examples=30, deadline=None)
+    def test_backward_runs(self, spec, n):
+        model = make_model(spec)
+        if spec == "xibar":
+            n = 1 + n % 6
+        rec = self.backward_curve(model, n, True)
+        plain = self.backward_curve(model, n, False)
+        assert rec.recorded and not plain.recorded
+        assert count_maxima(plain) == count_maxima(rec) == n
+
+    @given(st.sampled_from(["cos", "bessel:0", "airy", "rgamma", "xibar"]),
+           st.integers(1, 4), st.floats(0.1, 2.0), st.booleans())
+    @settings(max_examples=40, deadline=None)
+    def test_forward_shots(self, spec, n, z0, stop):
+        # xibar runs raw from y0 = 4 z0 in [0.4, 8], classes 0 up to 3
+        model = make_model(spec)
+        if spec == "xibar":
+            n, z0 = None, 4.0 * z0
+        stop_at = (n or 2) if stop else None
+        shooter = spectrum._Shooter(model, n, IntegratorConfig())
+        counts = [count_maxima(shooter.shoot(z0, stop_at, record=r)[2].curve())
+                  for r in (True, False)]
+        assert counts[0] == counts[1]
 
 
 def refine_event_reference(eng, x0, y0, f0, x1, y1, f1, hs, odd_a=None):
@@ -640,6 +693,29 @@ class TestStepSequence:
             spectrum.refine_backward(make_model(spec), n)))
         assert _step_record(eng) == expected
         self.check_hankel_band(spec, eng)
+
+    # the same eigenvalue runs as spectrum_scan makes them, unrecorded: the
+    # steps, evaluations and end values of test_backward_eigenvalue, each
+    # digest hashing the ends of the steps in which the events fell
+    @pytest.mark.parametrize("spec, n, expected", [
+        ("cos", 40, (2996, 19598, "reached_end", "0x1.678fa94c54394p+3",
+                     40, 39, "3c2414fe3108e292")),
+        ("rgamma", 8, (203, 1316, "reached_end", "0x1.1f4a37e5dd5b1p+0",
+                       7, 7, "ad4655eab3243cca")),
+        ("bessel:0", 60, (4652, 30470, "reached_end", "0x1.525f151e8d818p+2",
+                          60, 59, "467c5e9275ffdcc4")),
+        ("airy", 30, (2776, 18026, "reached_end", "0x1.ee3bba50ddd7ap+1",
+                      30, 29, "7e49b2d481f57ca6")),
+    ])
+    def test_backward_eigenvalue_unrecorded(self, monkeypatch, spec, n,
+                                            expected):
+        scans = []
+        eng = self.backward_engine(monkeypatch, lambda: scans.append(
+            spectrum.spectrum_scan(make_model(spec), [n], method="backward")))
+        (res,), errors = scans[0]
+        assert not eng.record and eng.xs is None and not errors
+        assert res.curve is None and res.maxima == n
+        assert _step_record(eng) == expected
 
     # unrecorded shots: each digest hashes the ends of the steps in which
     # the events fell

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from nleig import ode
+from nleig.cache import record_line
 from nleig.models import (RGAMMA_N_MAX, Frame, eval_F_prime, make_model,
                           zero_table)
 from nleig.ode import IntegratorConfig
@@ -275,6 +276,21 @@ class TestBackwardProperties:
     @settings(max_examples=8, deadline=None)
     def test_separatrix_maxima_equal_index(self, spec, n):
         assert refine_backward(make_model(spec), n).maxima == n
+
+    @given(st.sampled_from(["cos", "bessel:0", "airy", "rgamma", "xibar"]),
+           st.integers(1, 30), st.integers(1, 3))
+    @settings(max_examples=20, deadline=None)
+    def test_scan_records_equal_refine_backward(self, spec, start, count):
+        # a scan's runs record nothing; each record is still refine_backward's
+        # bit for bit, maxima included (rgamma n = 1 has no event)
+        model = make_model(spec)
+        if spec == "xibar":
+            start = 1 + start % 5
+        ns = range(start, start + count)
+        res, errs = spectrum_scan(model, ns, method="backward")
+        assert not errs and [r.curve for r in res] == [None] * count
+        assert [record_line(r.to_record()) for r in res] == [
+            record_line(refine_backward(model, n).to_record()) for n in ns]
 
 
 class TestSpectrumScan:
