@@ -8,7 +8,17 @@ is still hugging a separatrix at the horizon, the horizon is extended (the
 deviation grows like exp(F' x^2 / 2), so doublings resolve fast).
 
 find_eigen brackets the class jump around the growth-law prediction and
-bisects; refine_backward instead seeds the large-x expansion of u = xy at
+bisects.  A shot there only has to tell which side of the jump it lands
+on, so its integrator tolerance follows a ladder: loose while the bracket
+is wide, the tight _ode_cfg(tol, cfg) once it is narrow.  The two ends of
+the final bracket are then shot tight (again, where they were shot loose),
+and those tight shots alone give the evidence and the maxima count.  The
+class is monotone in E, so a loose decision that was not the tight one
+leaves the tight jump outside the final bracket and fails an end check;
+when both checks pass, the result is the all-tight search's bit for bit.
+A failed check or an error sends the search round once more with every
+shot tight, and that is the one fallback.
+refine_backward instead seeds the large-x expansion of u = xy at
 the n-th unstable zero and integrates backward to read E off at the origin.
 That one backward run records the separatrix, returned as EigenResult.curve;
 the runs of spectrum_scan, whose curves nobody keeps, record nothing and
@@ -24,7 +34,7 @@ in.
 
 import math
 from bisect import bisect_left
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from .cache import record_line
 from .rootfind import RootError
@@ -45,6 +55,11 @@ _DEFAULT_TOL = {"cosine": 1e-10, "bessel": 1e-10, "airy": 1e-10,
 _WIDEN = 1.6
 _WIDEN_CAP = 40
 _EXTENSIONS = 7
+
+# a bisection shot in a bracket of relative width w runs at rel_tol
+# _LADDER * w / n, within [the tight tolerance, 1e-6]: 1e-3 mis-sided
+# shots on cos 80, airy 5 and bessel:2.5 3, so the factor 10 is margin
+_LADDER = 1e-4
 
 # an rgamma eigenvalue run starts where the seed's relative correction
 # 1/(t0^2 F'(s)) has fallen to this, or at t0 = 3: from there E_n is
@@ -127,14 +142,16 @@ class _Shooter:
         self.frame = Frame(model, n)
         self.cfg = cfg or IntegratorConfig()
 
-    def shoot(self, y0, stop_at=None, record=False):
-        """Integrate from the origin; returns (class, signal, engine).
+    def shoot(self, y0, stop_at=None, record=False, cfg=None):
+        """Integrate from the origin, under cfg when given and the
+        shooter's own config otherwise; returns (class, signal, engine).
         Raises RuntimeError when the run neither settles nor collapses by
         the last horizon, where its count of oscillations is not yet a
         class."""
-        eng = Engine(self.frame, 0.0, y0, self.cfg, record=record,
+        cfg = cfg or self.cfg
+        eng = Engine(self.frame, 0.0, y0, cfg, record=record,
                      max_minima=stop_at)
-        horizon = self.frame.horizon(y0, self.cfg)
+        horizon = self.frame.horizon(y0, cfg)
         eng.run(horizon)
         ext = 0
         while eng.status == "reached_end" and ext < _EXTENSIONS:
@@ -181,6 +198,23 @@ def find_eigen(model, n, tol=None, cfg=None, seed=None, lo_bound=None,
     The initial bracket is centered on the growth-law prediction with a
     +-50% margin and widened geometrically (factor 1.6, cap 40) until the
     class jumps from n-1 to n across it.
+
+    A shot only has to tell which side of the jump it lands on, so it runs
+    at rel_tol min(1e-6, max(rt, _LADDER w / n)), with rt the tight
+    tolerance (_ode_cfg(tol, cfg)) and w the bracket's relative width
+    (hi - lo) / hi when the shot is taken (1 while widening); abs_tol keeps
+    the tight abs/rel ratio and x_max is kept.  A loose shot that is
+    unresolved is shot again, tight.  A loose decision that a wrong class
+    would turn into a wider bracket (widen, or give up at the lower bound)
+    is confirmed by a tight shot; every other wrong decision leaves the
+    tight jump outside the final bracket.  So the ends of that bracket are
+    shot tight (again, where they were shot loose): when lo is below class
+    n and hi is not, every decision was the tight one and the result is
+    that of an all-tight search bit for bit.  lo's tight shot, which never
+    reached the minima stop, supplies the maxima count.  When an end check
+    fails, or the search raises (BracketError or RuntimeError), the search
+    runs again with every shot tight, reusing the tight shots already
+    taken, and its result or error is the one reported.
     """
     if n < 1 or n != int(n):
         raise ValueError(f"find_eigen: need integer n >= 1, got {n!r}")
@@ -189,69 +223,109 @@ def find_eigen(model, n, tol=None, cfg=None, seed=None, lo_bound=None,
     tol = _checked_tol(model, tol, "bisection")
     sh = _Shooter(model, n, _ode_cfg(tol, cfg))
     frame = sh.frame
+    tight = sh.cfg
+    rt = tight.rel_tol
     pred = _predict(model, n) if seed is None else seed / frame.y_scale
     floor = None
     if lo_bound is not None:
         floor = lo_bound / frame.y_scale
-    lo, hi = 0.5 * pred, 1.5 * pred
-    if floor is not None:
-        lo = max(lo, floor * (1.0 + 2.0 * tol))
-        hi = max(hi, floor * (1.0 + 4.0 * tol))
+    # v -> (class >= n, class, signal, rel_tol of the shot, engine of a
+    # tight shot below class n)
     cache = {}
 
-    def above(v):
-        if v not in cache:
-            cls, signal, _ = sh.shoot(v, stop_at=n)
-            cache[v] = (cls >= n, cls, signal)
-        return cache[v]
+    def shot(v, rel):
+        """The cached shot at v when it ran at rel or tighter; otherwise a
+        new one at rel, or a tight one when rel is tight or the loose shot
+        raises RuntimeError."""
+        hit = cache.get(v)
+        if hit is not None and hit[3] <= rel:
+            return hit
+        if rel <= rt:
+            cfg_v = tight
+        else:
+            cfg_v = replace(tight, rel_tol=rel,
+                            abs_tol=rel * (tight.abs_tol / rt))
+        try:
+            cls, signal, eng = sh.shoot(v, stop_at=n, cfg=cfg_v)
+        except RuntimeError:
+            if cfg_v is tight:
+                raise
+            cfg_v = tight
+            cls, signal, eng = sh.shoot(v, stop_at=n, cfg=tight)
+        keep = eng if cfg_v is tight and cls < n else None
+        cache[v] = hit = (cls >= n, cls, signal, cfg_v.rel_tol, keep)
+        return hit
 
-    widened = 0
-    while True:
-        if not above(lo)[0]:
-            break
-        if floor is not None and lo <= floor * (1.0 + 2.0 * tol):
-            # hyperfine neighbor: the jump sits inside the margin sliver
-            # just above the previous eigenvalue
-            if above(floor)[0]:
-                raise BracketError(
-                    f"class >= {n} already at the lower bound {floor!r}",
-                    at_lower_bound=True)
-            hi, lo = lo, floor
-            break
-        lo /= _WIDEN
+    def search(ladder):
+        """Final (lo, hi) of the bracket-and-bisect search, each shot at
+        the ladder's tolerance (every shot tight when ladder is 0)."""
+
+        def above(v, w, confirm=None):
+            # a loose answer equal to confirm widens the bracket, which no
+            # end check would catch, so a tight shot has to give it
+            rel = min(1e-6, max(rt, ladder * w / n))
+            hit = shot(v, rel)
+            if hit[0] == confirm and hit[3] > rt:
+                hit = shot(v, rt)
+            return hit[0]
+
+        lo, hi = 0.5 * pred, 1.5 * pred
         if floor is not None:
             lo = max(lo, floor * (1.0 + 2.0 * tol))
-        widened += 1
-        if widened > _WIDEN_CAP:
-            raise BracketError(f"no class-{n - 1} floor found for n={n}")
-    while True:
-        if above(hi)[0]:
-            break
-        hi *= _WIDEN
-        widened += 1
-        if widened > _WIDEN_CAP:
-            raise BracketError(f"no class-{n} ceiling found for n={n}")
-    for _ in range(300):
-        if hi - lo <= tol * hi:
-            break
-        mid = 0.5 * (lo + hi)
-        if mid <= lo or mid >= hi:
-            break
-        if above(mid)[0]:
-            hi = mid
-        else:
-            lo = mid
-    # evidence of the final bracket, whose ends were both shot already
-    _, cls_lo, sig_lo = cache[lo]
-    _, cls_hi, sig_hi = cache[hi]
+            hi = max(hi, floor * (1.0 + 4.0 * tol))
+        widened = 0
+        while True:
+            if not above(lo, 1.0, True):
+                break
+            if floor is not None and lo <= floor * (1.0 + 2.0 * tol):
+                # hyperfine neighbor: the jump sits inside the margin sliver
+                # just above the previous eigenvalue
+                if above(floor, 1.0, True):
+                    raise BracketError(
+                        f"class >= {n} already at the lower bound {floor!r}",
+                        at_lower_bound=True)
+                hi, lo = lo, floor
+                break
+            lo /= _WIDEN
+            if floor is not None:
+                lo = max(lo, floor * (1.0 + 2.0 * tol))
+            widened += 1
+            if widened > _WIDEN_CAP:
+                raise BracketError(f"no class-{n - 1} floor found for n={n}")
+        while True:
+            if above(hi, 1.0, False):
+                break
+            hi *= _WIDEN
+            widened += 1
+            if widened > _WIDEN_CAP:
+                raise BracketError(f"no class-{n} ceiling found for n={n}")
+        for _ in range(300):
+            if hi - lo <= tol * hi:
+                break
+            mid = 0.5 * (lo + hi)
+            if mid <= lo or mid >= hi:
+                break
+            if above(mid, (hi - lo) / hi):
+                hi = mid
+            else:
+                lo = mid
+        return lo, hi
+
+    try:
+        lo, hi = search(_LADDER)
+        sound = not shot(lo, rt)[0] and shot(hi, rt)[0]
+    except (BracketError, RuntimeError):
+        sound = False
+    if not sound:
+        lo, hi = search(0.0)
+    # evidence of the final bracket, whose ends were both shot tight
+    _, cls_lo, sig_lo, _, eng_lo = cache[lo]
+    _, cls_hi, sig_hi, _, _ = cache[hi]
     evid = {"lo_class": cls_lo, "lo_signal": sig_lo,
             "hi_class": cls_hi, "hi_signal": sig_hi,
             "classifier": ("maxima-jump" if sig_hi == "maxima-jump"
                            else "attractor-jump")}
-    maxima = None
-    if count_maxima_at_lo:
-        _, _, eng = sh.shoot(lo)
-        maxima = count_maxima(eng.curve())
+    maxima = count_maxima(eng_lo.curve()) if count_maxima_at_lo else None
     E = hi * frame.y_scale
     log10 = None
     z0 = None

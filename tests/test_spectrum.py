@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from nleig import ode
+from nleig import ode, spectrum
 from nleig.cache import record_line
 from nleig.models import (RGAMMA_N_MAX, Frame, eval_F_prime, make_model,
                           zero_table)
@@ -444,6 +444,117 @@ class TestBisectionPins:
         assert r.evidence == {"lo_class": n - 1, "lo_signal": "attractor-jump",
                               "hi_class": n, "hi_signal": hi_signal,
                               "classifier": hi_signal}
+
+
+def _record_shots(monkeypatch, alter=None):
+    """Wrap _Shooter.shoot to log (y0, stop_at, tight, class) per shot; a
+    shot is tight when it runs under the shooter's own config.  alter(k,
+    y0, tight, result) may replace the k-th shot's result or raise."""
+    shots = []
+    shoot = spectrum._Shooter.shoot
+
+    def wrapper(self, y0, stop_at=None, record=False, cfg=None):
+        tight = cfg is None or cfg is self.cfg
+        k = len(shots)
+        shots.append((y0, stop_at, tight, None))
+        res = shoot(self, y0, stop_at, record, cfg)
+        if alter is not None:
+            res = alter(k, y0, tight, res)
+        shots[k] = (y0, stop_at, tight, res[0])
+        return res
+    monkeypatch.setattr(spectrum._Shooter, "shoot", wrapper)
+    return shots
+
+
+def _pinned(spec, n):
+    row = next(p for p in BISECTION_PINS if p[:2] == (spec, n))
+    return row[2], row[3], row[4]
+
+
+class TestToleranceLadder:
+    """find_eigen shoots loose while its bracket is wide and checks the ends
+    of the final bracket tight; the result is the all-tight search's bit
+    for bit, and any loose decision the tight one would not make sends the
+    search round again with every shot tight."""
+
+    @staticmethod
+    def key(r):
+        return r.E.hex(), r.bracket[0].hex(), r.evidence, r.maxima
+
+    @given(st.sampled_from(["cos", "bessel:0", "airy", "rgamma"]),
+           st.integers(1, 5), st.sampled_from([1e-6, 1e-8, 1e-10, 1e-12]))
+    @settings(max_examples=20, deadline=None)
+    def test_equals_all_tight_search(self, spec, n, tol):
+        model = make_model(spec)
+        tiered = find_eigen(model, n, tol=tol)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(spectrum, "_LADDER", 0.0)
+            tight = find_eigen(model, n, tol=tol)
+        assert self.key(tiered) == self.key(tight)
+
+    def test_lo_is_shot_tight_once(self, monkeypatch):
+        shots = _record_shots(monkeypatch)
+        r = find_eigen(make_model("cos"), 3)
+        assert (r.E.hex(), r.bracket[0].hex(), r.maxima) == _pinned("cos", 3)
+        lo = max(y0 for y0, _, _, cls in shots if cls < 3)
+        assert lo * Frame(make_model("cos"), 3).y_scale == r.bracket[0]
+        at_lo = [(stop_at, tight) for y0, stop_at, tight, _ in shots
+                 if y0 == lo]
+        # one tight shot at lo, also counting the maxima; no shot without
+        # the minima stop
+        assert [tight for _, tight in at_lo].count(True) == 1
+        assert all(stop_at == 3 for stop_at, _ in at_lo)
+        # most shots run loose; a point shot twice (the initial lower end,
+        # whose class 3 widens the bracket) was shot loose, then tight
+        assert sum(not t for _, _, t, _ in shots) > len(shots) // 2
+        ys = [y0 for y0, _, _, _ in shots]
+        for y in {y for y in ys if ys.count(y) > 1}:
+            assert [t for y0, _, t, _ in shots if y0 == y] == [False, True]
+
+    def test_wrong_loose_class_falls_back(self, monkeypatch):
+        model = make_model("cos")
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(spectrum, "_LADDER", 0.0)
+            all_tight = _record_shots(mp)
+            find_eigen(model, 3)
+        lows, highs, wrong = [], [], []
+
+        def alter(k, y0, tight, res):
+            # the first loose shot inside the bracket reports the class on
+            # the other side of the jump
+            cls, signal, eng = res
+            if (not tight and not wrong and lows and highs
+                    and max(lows) < y0 < min(highs)):
+                wrong.append(y0)
+                cls = 2 if cls >= 3 else 3
+            (highs if cls >= 3 else lows).append(y0)
+            return cls, signal, eng
+        shots = _record_shots(monkeypatch, alter)
+        r = find_eigen(model, 3)
+        assert wrong
+        assert (r.E.hex(), r.bracket[0].hex(), r.maxima) == _pinned("cos", 3)
+        assert r.evidence == {"lo_class": 2, "lo_signal": "attractor-jump",
+                              "hi_class": 3, "hi_signal": "maxima-jump",
+                              "classifier": "maxima-jump"}
+        # the all-tight search ran: every point it shoots was shot tight
+        assert {y0 for y0, _, _, _ in all_tight} <= {
+            y0 for y0, _, t, _ in shots if t}
+
+    def test_unresolved_loose_shot_is_shot_again_tight(self, monkeypatch):
+        failed = []
+
+        def alter(k, y0, tight, res):
+            if not tight and not failed:
+                failed.append(k)
+                raise RuntimeError("class unresolved at the horizon")
+            return res
+        shots = _record_shots(monkeypatch, alter)
+        r = find_eigen(make_model("cos"), 3)
+        assert (r.E.hex(), r.bracket[0].hex(), r.maxima) == _pinned("cos", 3)
+        k = failed[0]
+        assert shots[k + 1][0] == shots[k][0] and shots[k + 1][2]
+        # and the search went on loose, with no all-tight rerun
+        assert sum(not t for _, _, t, _ in shots) > len(shots) // 2
 
 
 class TestGrowthConstantEmpirical:
