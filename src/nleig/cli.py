@@ -152,7 +152,7 @@ def cmd_spectrum(rc):
     method = rc.get("method", "bisection")
     tol = rc.get("tol")
     if tol is None:
-        tol = spectrum.default_tol(model)
+        tol = model.default_tol
     cfg = _integrator_cfg(rc)
     cache_path = _cache_path(rc)
     no_cache = rc.get("no_cache")
@@ -227,15 +227,7 @@ def cmd_separatrix(rc):
             overlay = None
             if coords == "scaled":
                 ts = [i / 200.0 * 3.0 for i in range(201)]
-                if model.kind == "rgamma":
-                    zs = [asymptotics.rgamma_limit_curve(t) for t in ts]
-                elif model.asym is not None:
-                    zs = [asymptotics.limit_curve_value(model.asym.alpha, t)
-                          for t in ts]
-                else:
-                    zs = None
-                if zs is not None:
-                    overlay = ("limit curve", ts, zs)
+                overlay = ("limit curve", ts, model.limit_curve(ts))
             svgplot.render_csv(base + ".csv", base + ".svg", overlay=overlay)
     return status
 

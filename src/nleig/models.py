@@ -1,16 +1,29 @@
 """Generating functions F for the problem y'(x) = F(xy).
 
-A model bundles pointwise evaluation of F, the asymptotic amplitude/phase
-parameters (a, alpha, b, beta, phi) when F oscillates algebraically, the
-eigen-index parametrization lambda, and the stable/unstable classification
-of the zeros of F that the u = xy dynamics du/dx = u/x + x F(u) organizes
-itself around.
+Each model kind is one object, a frozen GeneratingFunction subclass, that
+holds every fact about the kind the rest of the library reads:
+- kind, its name, and spec, its model-grammar string; F, F_prime,
+  zero(k) (the k-th positive zero) and first_unstable (F' > 0 at the
+  first zero);
+- raw_rhs() and, where has_scaling holds, scale(frame, n),
+  scaled_rhs(frame) and limit_curve(ts): the right-hand sides of raw
+  (x, y) and of index n's scaled (t, z), and the scaled limit curve;
+- default_tol, predict(n) (the bisection's first guess) and chains (a
+  bisection scan seeds each index from the one before);
+- n_max and raw_n_max (check_binary64, check_raw): the largest index whose
+  E_n is a binary64 number and the largest that raw coordinates can run;
+- raw_horizon(y0), the first horizon of a raw forward run, and
+  backward_start(n, s, export), where a backward run starts.
+The algebraic kinds, F(u) ~ a u^alpha cos(b u^beta + phi), share
+Algebraic, which carries asym and the scaling derived from it.  Adding a
+kind means adding one object (and its spec to make_model's grammar):
+Frame, ZeroTable, spectrum and cli read the object, never its name.
 
 Frame is the one problem set-up of a run: raw (x, y) or the scaled (t, z)
 of an index, with the scales, u = u_scale t z and the right-hand side of
-those coordinates.  The right-hand sides are two closure families, raw_rhs
-and the scaled closures of Frame, which look their special function up in
-this module (or bessel._j_any) and make one call to it per evaluation.
+those coordinates.  The right-hand sides are closures that look their
+special function up in this module (or bessel._j_any) and make one call
+to it per evaluation.
 """
 
 import math
@@ -25,10 +38,10 @@ from .specfun import (DomainError, sinpi, cospi, bessel_j, bessel_j_prime,
 from .specfun.zeta import _xi_bar_direct
 
 __all__ = [
-    "AsymptoticForm", "GeneratingFunction", "Frame", "ClassifiedZero",
-    "make_model", "eval_F", "eval_F_prime", "ZeroTable",
-    "zero_table", "rgamma_lambda_scaling", "raw_rhs", "check_raw",
-    "check_binary64", "RGAMMA_N_MAX",
+    "AsymptoticForm", "GeneratingFunction", "Algebraic", "Cosine", "Bessel",
+    "Airy", "RecipGamma", "XiBar", "Frame", "ClassifiedZero", "make_model",
+    "eval_F", "eval_F_prime", "ZeroTable", "zero_table",
+    "rgamma_lambda_scaling", "RGAMMA_N_MAX",
 ]
 
 
@@ -53,29 +66,404 @@ class AsymptoticForm:
 
 @dataclass(frozen=True)
 class GeneratingFunction:
-    """One of the library models; immutable and safe to share."""
-    kind: str                  # cosine | bessel | airy | rgamma | xibar
-    nu: float = 0.0            # bessel order
-    asym: AsymptoticForm | None = None
-
-    @property
-    def spec(self):
-        """The CLI model-grammar string."""
-        if self.kind == "bessel":
-            return f"bessel:{self.nu:g}"
-        return {"cosine": "cos", "airy": "airy", "rgamma": "rgamma",
-                "xibar": "xibar"}[self.kind]
+    """A model kind (see the module docstring); immutable and safe to
+    share, and equal models share one ZeroTable."""
+    asym = None
+    first_unstable = False
+    has_scaling = True
+    chains = False
+    default_tol = 1e-10
+    n_max = math.inf
+    raw_n_max = math.inf
 
     def __str__(self):
         return self.spec
+
+    def F_prime(self, u):
+        """dF/du by central difference, where no analytic F' is cheap."""
+        h = 6e-6 * max(1.0, abs(u))
+        return (self.F(u + h) - self.F(u - h)) / (2.0 * h)
+
+    def check_binary64(self, n):
+        """DomainError for n > n_max, whose E_n exceeds binary64."""
+        if n > self.n_max:
+            raise DomainError(
+                f"{self.spec} n={n} refused: E_n exceeds binary64 (the "
+                f"largest double, ~1.8e308) for n > {self.n_max}")
+
+    def check_raw(self, n):
+        """DomainError for a raw-coordinate run of index n > raw_n_max."""
+        if n > self.raw_n_max:
+            raise DomainError(f"raw-coordinate {self.spec} integration "
+                              f"refused for n > {self.raw_n_max}; use "
+                              "scaled coordinates")
+
+    def _slope(self, s):
+        """F'(s) at the unstable zero s a backward run is seeded on."""
+        fp = self.F_prime(s)
+        if not (fp > 0.0):
+            raise RuntimeError(f"F'({s}) <= 0: not a separatrix asymptote")
+        return fp
+
+    def backward_start(self, n, s, export):
+        """(frame, x0, y0) of the backward run seeded on s, the n-th
+        unstable zero: raw, as spectrum.refine_backward describes."""
+        fp = self._slope(s)
+        # Start where the backward contraction exp(-F'(x0^2-x_tp^2)/2) has
+        # driven the seed error below machine precision, with the first
+        # correction inside the basin of s.  This stays out of the stiff
+        # zone x F'(s) >> 1, where an explicit pair is stability-limited.
+        x_turn = self.x_turn(n, s)
+        # half the narrower gap from s to its neighbouring zeros; xibar's
+        # first zero has only an upper neighbour
+        zs = zero_table(self).ordinates(s)
+        i = bisect_left(zs, s)
+        below = s - zs[i - 1] if i else math.inf
+        halfgap = 0.5 * min(zs[i + 1] - s, below)
+        du_cap = (min(0.1 * halfgap, 0.02 * s) if export
+                  else min(0.5 * halfgap, 0.1 * s))
+        x0 = math.sqrt(max(s / (fp * du_cap),
+                           x_turn * x_turn + 90.0 / fp,
+                           (1.3 * x_turn) ** 2))
+        return Frame(self), x0, (s - s / (x0 * x0 * fp)) / x0
+
+
+class Algebraic(GeneratingFunction):
+    """F(u) ~ a u^alpha cos(b u^beta + phi), its asym.  Index n's scaled
+    coordinates are y = sqrt(a) (lambda/b)^gamma z and x = (lambda/b)^(1/beta
+    - gamma) t / sqrt(a), gamma = (1+alpha)/(2 beta), lambda = (2n - 1/2) pi
+    - phi, u_scale = x_scale y_scale."""
+
+    def scale(self, frame, n):
+        asym = self.asym
+        lam = frame.lam = (2.0 * n - 0.5) * math.pi - asym.phi
+        frame.gamma_exp = (1.0 + asym.alpha) / (2.0 * asym.beta)
+        sqrt_a = math.sqrt(asym.a)
+        frame.y_scale = sqrt_a * (lam / asym.b) ** frame.gamma_exp
+        frame.x_scale = ((lam / asym.b) ** (1.0 / asym.beta - frame.gamma_exp)
+                         / sqrt_a)
+        frame.u_scale = frame.x_scale * frame.y_scale
+
+    def predict(self, n):
+        from .asymptotics import growth_law
+        return growth_law(self).predict(n)
+
+    def raw_horizon(self, y0):
+        """Three times the turning point expected of y0."""
+        asym = self.asym
+        a, al, b, be = asym.a, asym.alpha, asym.b, asym.beta
+        g = (1.0 + al) / (2.0 * be)
+        lam = b * max(y0 / math.sqrt(a), 1e-6) ** (1.0 / g)
+        x_turn = (lam / b) ** (1.0 / be - g) / math.sqrt(a)
+        return 3.0 * max(x_turn, 1.0)
+
+    def x_turn(self, n, s):
+        return Frame(self, n).x_scale
+
+    def limit_curve(self, ts):
+        from .asymptotics import limit_curve_value
+        return [limit_curve_value(self.asym.alpha, t) for t in ts]
+
+
+@dataclass(frozen=True)
+class Cosine(Algebraic):
+    """F(u) = cos(pi u), zeros k - 1/2."""
+    kind = "cosine"
+    spec = "cos"
+    asym = AsymptoticForm(1.0, 0.0, math.pi, 1.0, 0.0)
+
+    def F(self, u):
+        return cospi(u)
+
+    def F_prime(self, u):
+        return -math.pi * sinpi(u)
+
+    def zero(self, k):
+        return k - 0.5
+
+    def raw_rhs(self):
+        return cospi    # cospi(x, y) = cos(pi x y), read at build time
+
+    def scaled_rhs(self, frame):
+        pref = frame.x_scale / frame.y_scale
+        c_u = frame.u_scale
+        def rhs(t, z):
+            return pref * cospi(c_u * t * z)
+        return rhs
+
+
+@dataclass(frozen=True)
+class Bessel(Algebraic):
+    """F(u) = J_nu(u), 0 <= nu <= 50."""
+    nu: float = 0.0
+    kind = "bessel"
+
+    @property
+    def spec(self):
+        # nu in the shortest text that reads back as it: :g where that
+        # does (bessel:2.5, bessel:1e-07), repr otherwise; -0 prints as 0
+        nu = self.nu + 0.0
+        text = f"{nu:g}"
+        return f"bessel:{text if float(text) == nu else repr(nu)}"
+
+    @property
+    def asym(self):
+        return AsymptoticForm(math.sqrt(2.0 / math.pi), -0.5, 1.0, 1.0,
+                              -(2.0 * self.nu + 1.0) * math.pi / 4.0)
+
+    def F(self, u):
+        return bessel_j(self.nu, u)
+
+    def F_prime(self, u):
+        return bessel_j_prime(self.nu, u)
+
+    def zero(self, k):
+        return bessel_j_zero(self.nu, k)
+
+    # stage probes may undershoot xy = 0 by a hair: both closures clamp
+    # the argument at 0, which leaves NaN and -0.0 as they are
+    def raw_rhs(self):
+        from .specfun.bessel import _j_any
+        nu = self.nu
+        def rhs(x, y):
+            u = x * y
+            return _j_any(nu, 0.0 if u < 0.0 else u)
+        return rhs
+
+    def scaled_rhs(self, frame):
+        from .specfun.bessel import _j_any
+        nu = self.nu
+        pref = frame.x_scale / frame.y_scale
+        c_u = frame.u_scale
+        def rhs(t, z):
+            u = c_u * t * z
+            return pref * _j_any(nu, 0.0 if u < 0.0 else u)
+        return rhs
+
+
+@dataclass(frozen=True)
+class Airy(Algebraic):
+    """F(u) = Ai(-u); the right-hand sides clamp u at -5."""
+    kind = spec = "airy"
+    asym = AsymptoticForm(1.0 / math.sqrt(math.pi), -0.25, 2.0 / 3.0, 1.5,
+                          -math.pi / 4.0)
+
+    def F(self, u):
+        return airy_ai(-u)
+
+    def zero(self, k):
+        t = 3.0 * math.pi * (4.0 * k - 1.0) / 8.0
+        u = t ** (2.0 / 3.0) * (1.0 + 5.0 / (48.0 * t * t))
+        # local zero spacing ~ pi t^(-1/3): the seed is good to ~1e-6 by
+        # k = 4, so a fraction of a gap always brackets the right zero
+        spacing = math.pi * t ** (-1.0 / 3.0) if k > 3 else 1.0
+        f = self.F
+        half = 0.12 * spacing
+        for _ in range(6):
+            lo, hi = u - half, u + half
+            if (f(lo) > 0) != (f(hi) > 0):
+                return bisect(f, lo, hi, xtol=1e-14)
+            half *= 1.6
+        raise RootError(f"airy zero {k}: no bracket near {u!r}")
+
+    def raw_rhs(self):
+        def rhs(x, y):
+            u = x * y
+            return airy_ai(5.0 if u < -5.0 else -u)
+        return rhs
+
+    def scaled_rhs(self, frame):
+        pref = frame.x_scale / frame.y_scale
+        c_u = frame.u_scale
+        def rhs(t, z):
+            u = c_u * t * z
+            return pref * airy_ai(5.0 if u < -5.0 else -u)
+        return rhs
+
+
+# Largest reciprocal-gamma index whose eigenvalue is a binary64 number:
+# E_150 is about 10^306.6, E_151 about 10^309.
+RGAMMA_N_MAX = 150
+
+# an rgamma eigenvalue run starts where the seed's relative correction
+# 1/(t0^2 F'(s)) has fallen to this, or at t0 = 3: from there E_n is
+# within 1e-12 of a run from t0 = 6 (n >= 3)
+_RGAMMA_CORR = 4e-3
+
+
+def rgamma_lambda_scaling(n):
+    """(lambda, r_lambda, ln_xi) for the reciprocal-gamma problem.
+
+    lambda = 2n-1; xi(lambda) = -xi0/Gamma(r_lambda) with xi0 = 1, which
+    puts the turning point at t = 1.  Gamma(r_lambda) < 0 is asserted: the
+    radicand of the eigenvalue asymptote must be positive, and a wrong
+    digamma-root index would flip it.
+    """
+    lam = 2 * n - 1
+    r = digamma_root(lam)
+    # sign of Gamma(r) equals sign of sin(pi r) (reflection; Gamma(1-r) > 0)
+    if sinpi(r) >= 0.0:
+        raise ArithmeticError(
+            f"rgamma scaling: Gamma(r_lambda) not negative at lambda={lam}")
+    ln_gamma_mag = (math.log(math.pi) - math.log(abs(sinpi(r)))
+                    - log_gamma(1.0 - r))
+    ln_xi = -ln_gamma_mag
+    return float(lam), r, ln_xi
+
+
+@dataclass(frozen=True)
+class RecipGamma(GeneratingFunction):
+    """F(u) = 1/Gamma(-u), u >= -1 (the right-hand sides clamp u at -1),
+    zeros u = 0, 1, 2, ...  Index n's scaled coordinates are
+    x = sqrt(lambda/xi) t and y = sqrt(lambda xi) z with lambda = 2n - 1
+    and u_scale = lambda, which x_scale y_scale, two rounded exponentials,
+    misses by up to 1.2e-13 relative.  Raw coordinates need Gamma values
+    past binary64 from n = 6."""
+    kind = spec = "rgamma"
+    default_tol = 1e-8
+    n_max = RGAMMA_N_MAX
+    raw_n_max = 5
+
+    def F(self, u):
+        return recip_gamma(u)
+
+    def F_prime(self, u):
+        # d/du [-sin(pi u) Gamma(1+u) / pi]
+        g = math.exp(log_gamma(1.0 + u)) if u > -1.0 else 1.0
+        return -cospi(u) * g - sinpi(u) * g * digamma(1.0 + u) / math.pi
+
+    def zero(self, k):
+        return float(k - 1)
+
+    def raw_rhs(self):
+        def rhs(x, y):
+            u = x * y
+            return recip_gamma(-1.0 if u < -1.0 else u)
+        return rhs
+
+    def scale(self, frame, n):
+        lam, _, ln_xi = rgamma_lambda_scaling(n)
+        ln_x = 0.5 * (math.log(lam) - ln_xi)
+        ln_y = 0.5 * (math.log(lam) + ln_xi)
+        if abs(ln_x) > 708.0 or abs(ln_y) > 708.0:
+            raise OverflowError(f"rgamma scaling overflows binary64 at n={n}")
+        frame.lam = frame.u_scale = lam
+        frame.ln_xi = ln_xi
+        frame.x_scale = math.exp(ln_x)
+        frame.y_scale = math.exp(ln_y)
+
+    def scaled_rhs(self, frame):
+        c_u = frame.u_scale
+        ln_xi = frame.ln_xi
+        exp = math.exp
+        def rhs(t, z):
+            u = c_u * t * z
+            sign, lm = recip_gamma_log(-1.0 if u < -1.0 else u)
+            if sign == 0:
+                return 0.0
+            e = lm - ln_xi
+            if e > 705.0:
+                raise OverflowError(
+                    "precision exhausted: rgamma right-hand side "
+                    f"overflows at t={t!r}")
+            return sign * exp(e)
+        return rhs
+
+    def predict(self, n):
+        return 1.0  # z(0) -> z_inf(0) = 1
+
+    def raw_horizon(self, y0):
+        return 3.0 * max(2.0, 2.0 * y0)
+
+    def _slope(self, s):
+        try:
+            return super()._slope(s)
+        except OverflowError:
+            return math.inf  # Gamma(2n) past binary64 (n >= 86): see below
+
+    def backward_start(self, n, s, export):
+        """Scaled coordinates, from the smallest t0 in [1.3, 3] where the
+        seed's relative correction 1/(t0^2 F'(s)) is at most _RGAMMA_CORR,
+        and from t0 = 3 where none is and for an exported curve."""
+        fp = self._slope(s)
+        frame = Frame(self, n)
+        # x0^2 F'(s) in raw units, via logs to dodge the huge factors, with
+        # ln F'(s) = ln Gamma(s + 1) where F'(s) overflows; with s = lambda,
+        # z(x0) = u(x0)/(lambda x0) is (1 - corr)/x0, corr = 1/(x0^2 F'(s))
+        ln_fp = math.log(fp) if fp < math.inf else log_gamma(s + 1.0)
+        # corr = corr_1/t0^2
+        corr_1 = math.exp(-(math.log(frame.lam) - frame.ln_xi + ln_fp))
+        t_corr = math.sqrt(corr_1 / _RGAMMA_CORR)
+        x0 = 3.0 if export or t_corr >= 3.0 else max(1.3, t_corr)
+        ln_x2fp = (2.0 * math.log(x0) + math.log(frame.lam) - frame.ln_xi
+                   + ln_fp)
+        corr = math.exp(-ln_x2fp) if ln_x2fp < 700.0 else 0.0
+        return frame, x0, (1.0 - corr) / x0
+
+    def limit_curve(self, ts):
+        from .asymptotics import rgamma_limit_curve
+        return [rgamma_limit_curve(t) for t in ts]
+
+
+_xibar_zero_cache = []
+
+
+@dataclass(frozen=True)
+class XiBar(GeneratingFunction):
+    """F = xi_bar, the rescaled Riemann xi (the right-hand side clamps u at
+    0), negative just above 0 (Hardy Z sign).  No scaling: every index
+    runs raw."""
+    kind = spec = "xibar"
+    first_unstable = True
+    has_scaling = False
+    chains = True
+    default_tol = 1e-6
+
+    def F(self, u):
+        return xi_bar(u)
+
+    def zero(self, k):
+        """k-th ordinate of a nontrivial zeta zero, by scanning xi_bar's
+        direct route: the ordinates do not depend on xi_bar's table."""
+        zs = _xibar_zero_cache
+        x = zs[-1] + 0.05 if zs else 10.0
+        f0 = _xi_bar_direct(x)
+        while len(zs) < k:
+            step = 0.35
+            while True:
+                x1 = x + step
+                f1 = _xi_bar_direct(x1)
+                if (f0 > 0) != (f1 > 0):
+                    zs.append(bisect(_xi_bar_direct, x, x1, xtol=1e-12))
+                    x, f0 = x1, f1
+                    break
+                x, f0 = x1, f1
+        return zs[k - 1]
+
+    def raw_rhs(self):
+        def rhs(x, y):
+            u = x * y
+            return xi_bar(0.0 if u < 0.0 else u)
+        return rhs
+
+    def predict(self, n):
+        u_n = zero_table(self).nth_unstable(n).u
+        return 0.55 * math.sqrt(u_n)
+
+    def raw_horizon(self, y0):
+        u1 = zero_table(self).zero(2).u  # second zero, the first stable one
+        return 3.0 * max(u1, 10.0) / (0.6 * max(y0, 1e-3))
+
+    def x_turn(self, n, s):
+        return s / 0.6  # y(x_turn) ~ 1
+
+
+_PLAIN_SPECS = {kind.spec: kind for kind in (Cosine, Airy, RecipGamma, XiBar)}
 
 
 def make_model(spec):
     """Parse a model spec: cos | bessel:NU | airy | rgamma | xibar."""
     spec = spec.strip()
-    if spec == "cos":
-        return GeneratingFunction("cosine", asym=AsymptoticForm(
-            1.0, 0.0, math.pi, 1.0, 0.0))
     if spec.startswith("bessel:"):
         try:
             nu = float(spec.split(":", 1)[1])
@@ -83,48 +471,20 @@ def make_model(spec):
             raise DomainError(f"bad bessel order in model spec {spec!r}")
         if not (0.0 <= nu <= 50.0):
             raise DomainError(f"bessel order {nu!r} outside [0, 50]")
-        return GeneratingFunction("bessel", nu=nu, asym=AsymptoticForm(
-            math.sqrt(2.0 / math.pi), -0.5, 1.0, 1.0,
-            -(2.0 * nu + 1.0) * math.pi / 4.0))
-    if spec == "airy":
-        return GeneratingFunction("airy", asym=AsymptoticForm(
-            1.0 / math.sqrt(math.pi), -0.25, 2.0 / 3.0, 1.5, -math.pi / 4.0))
-    if spec == "rgamma":
-        return GeneratingFunction("rgamma")
-    if spec == "xibar":
-        return GeneratingFunction("xibar")
+        return Bessel(nu)
+    if spec in _PLAIN_SPECS:
+        return _PLAIN_SPECS[spec]()
     raise DomainError(f"unknown model spec {spec!r}")
 
 
 def eval_F(model, u):
     """F(u); domain u >= -1 for rgamma, u >= 0 otherwise."""
-    k = model.kind
-    if k == "cosine":
-        return cospi(u)
-    if k == "bessel":
-        return bessel_j(model.nu, u)
-    if k == "airy":
-        return airy_ai(-u)
-    if k == "rgamma":
-        return recip_gamma(u)
-    if k == "xibar":
-        return xi_bar(u)
-    raise DomainError(f"unknown model kind {k!r}")
+    return model.F(u)
 
 
 def eval_F_prime(model, u):
     """dF/du, analytic where cheap, central difference otherwise."""
-    k = model.kind
-    if k == "cosine":
-        return -math.pi * sinpi(u)
-    if k == "bessel":
-        return bessel_j_prime(model.nu, u)
-    if k == "rgamma":
-        # d/du [-sin(pi u) Gamma(1+u) / pi]
-        g = math.exp(log_gamma(1.0 + u)) if u > -1.0 else 1.0
-        return -cospi(u) * g - sinpi(u) * g * digamma(1.0 + u) / math.pi
-    h = 6e-6 * max(1.0, abs(u))
-    return (eval_F(model, u + h) - eval_F(model, u - h)) / (2.0 * h)
+    return model.F_prime(u)
 
 
 @dataclass(frozen=True)
@@ -139,33 +499,18 @@ class ZeroTable:
     the forward runs' commitment check and the eigenvalue classifier.
 
     The zeros are simple, so stable (F' < 0) and unstable (F' > 0) zeros
-    alternate and only their ordinates are kept: the first zero is
-    unstable for xibar, which is negative just above 0 (Hardy Z sign), and
-    stable for every other model (rgamma's first zero is u = 0).  So F is
-    positive at a u that is no zero exactly when the number of zeros below
-    u is even, or odd where first_unstable holds."""
+    alternate and only their ordinates are kept, with the kind's
+    first_unstable.  So F is positive at a u that is no zero exactly when
+    the number of zeros below u is even, or odd where first_unstable
+    holds."""
 
     def __init__(self, model):
         self.model = model
         self._zeros = []       # ordered ordinates
-        self.first_unstable = model.kind == "xibar"
+        self.first_unstable = model.first_unstable
 
     def _append_next(self):
-        m = self.model
-        k = len(self._zeros) + 1
-        if m.kind == "cosine":
-            u = k - 0.5
-        elif m.kind == "rgamma":
-            u = float(k - 1)   # zero of 1/Gamma(-u) at u = k-1
-        elif m.kind == "bessel":
-            u = bessel_j_zero(m.nu, k)
-        elif m.kind == "airy":
-            u = _airy_neg_zero(k)
-        elif m.kind == "xibar":
-            u = _xibar_zero(k)
-        else:
-            raise DomainError(f"unknown model kind {m.kind!r}")
-        self._zeros.append(u)
+        self._zeros.append(self.model.zero(len(self._zeros) + 1))
 
     def _stable(self, i):
         """Whether the zero at 0-based position i is stable."""
@@ -226,87 +571,21 @@ _zero_tables = {}
 
 
 def zero_table(model):
-    key = (model.kind, model.nu)
-    if key not in _zero_tables:
-        _zero_tables[key] = ZeroTable(model)
-    return _zero_tables[key]
-
-
-def _airy_neg_zero(k):
-    """k-th zero of Ai(-u) on u > 0."""
-    t = 3.0 * math.pi * (4.0 * k - 1.0) / 8.0
-    u = t ** (2.0 / 3.0) * (1.0 + 5.0 / (48.0 * t * t))
-    # local zero spacing ~ pi t^(-1/3): the seed is good to ~1e-6 by k = 4,
-    # so a fraction of a gap always brackets the right zero
-    spacing = math.pi * t ** (-1.0 / 3.0) if k > 3 else 1.0
-    f = lambda v: airy_ai(-v)
-    half = 0.12 * spacing
-    for _ in range(6):
-        lo, hi = u - half, u + half
-        if (f(lo) > 0) != (f(hi) > 0):
-            return bisect(f, lo, hi, xtol=1e-14)
-        half *= 1.6
-    raise RootError(f"airy zero {k}: no bracket near {u!r}")
-
-
-_xibar_zero_cache = []
-
-
-def _xibar_zero(k):
-    """k-th ordinate of a nontrivial zeta zero, by scanning xi_bar's direct
-    route: the ordinates do not depend on xi_bar's table."""
-    zs = _xibar_zero_cache
-    x = zs[-1] + 0.05 if zs else 10.0
-    f0 = _xi_bar_direct(x)
-    while len(zs) < k:
-        step = 0.35
-        while True:
-            x1 = x + step
-            f1 = _xi_bar_direct(x1)
-            if (f0 > 0) != (f1 > 0):
-                zs.append(bisect(_xi_bar_direct, x, x1, xtol=1e-12))
-                x, f0 = x1, f1
-                break
-            x, f0 = x1, f1
-    return zs[k - 1]
-
-
-def rgamma_lambda_scaling(n):
-    """(lambda, r_lambda, ln_xi) for the reciprocal-gamma problem.
-
-    lambda = 2n-1; xi(lambda) = -xi0/Gamma(r_lambda) with xi0 = 1, which
-    puts the turning point at t = 1.  Gamma(r_lambda) < 0 is asserted: the
-    radicand of the eigenvalue asymptote must be positive, and a wrong
-    digamma-root index would flip it.
-    """
-    lam = 2 * n - 1
-    r = digamma_root(lam)
-    # sign of Gamma(r) equals sign of sin(pi r) (reflection; Gamma(1-r) > 0)
-    if sinpi(r) >= 0.0:
-        raise ArithmeticError(
-            f"rgamma scaling: Gamma(r_lambda) not negative at lambda={lam}")
-    ln_gamma_mag = (math.log(math.pi) - math.log(abs(sinpi(r)))
-                    - log_gamma(1.0 - r))
-    ln_xi = -ln_gamma_mag
-    return float(lam), r, ln_xi
+    if model not in _zero_tables:
+        _zero_tables[model] = ZeroTable(model)
+    return _zero_tables[model]
 
 
 class Frame:
     """Problem set-up of a run: its coordinates, their scales and its
-    right-hand side.  A model with an index n runs in the scaled
-    coordinates (t, z) of that index; xibar, which has no scaling, and a
-    model without an index run in raw coordinates (x, y), where every scale
-    is 1.0 and lam, gamma_exp and ln_xi are None.
+    right-hand side, read off the model's kind object.  With an index n it
+    runs in the scaled coordinates (t, z) of n (the kind's scale and
+    scaled_rhs); without one, or for a kind without a scaling, in raw
+    (x, y) (raw_rhs), where every scale is 1.0 and lam, gamma_exp and
+    ln_xi are None.
 
     x = x_scale t, y = y_scale z, and u = xy = u_scale t z as the
     right-hand side, the commitment check and event location all form it.
-    Algebraic models: y = sqrt(a) (lambda/b)^gamma z and
-    x = (lambda/b)^(1/beta - gamma) t / sqrt(a) with
-    gamma = (1+alpha)/(2 beta), lambda = (2n - 1/2) pi - phi and
-    u_scale = x_scale y_scale.  Reciprocal gamma: x = sqrt(lambda/xi) t,
-    y = sqrt(lambda xi) z with lambda = 2n - 1 and u_scale = lambda, which
-    x_scale y_scale, a product of two rounded exponentials, misses by up
-    to 1.2e-13 relative (n <= RGAMMA_N_MAX).
     """
 
     def __init__(self, model, n=None):
@@ -315,94 +594,25 @@ class Frame:
         self.zeros = zero_table(model)
         self.lam = self.gamma_exp = self.ln_xi = None
         self.x_scale = self.y_scale = self.u_scale = 1.0
-        if n is None or model.kind == "xibar":
+        if n is None or not model.has_scaling:
             self.coords = "raw"
-            self.rhs = raw_rhs(model)
+            self.rhs = model.raw_rhs()
             return
         if n < 1 or n != int(n):
             raise DomainError(f"Frame: need integer n >= 1, got {n!r}")
         self.coords = "scaled"
-        if model.kind == "rgamma":
-            lam, _, ln_xi = rgamma_lambda_scaling(int(n))
-            ln_x = 0.5 * (math.log(lam) - ln_xi)
-            ln_y = 0.5 * (math.log(lam) + ln_xi)
-            if abs(ln_x) > 708.0 or abs(ln_y) > 708.0:
-                raise OverflowError(
-                    f"rgamma scaling overflows binary64 at n={n}")
-            self.lam = self.u_scale = lam
-            self.ln_xi = ln_xi
-            self.x_scale = math.exp(ln_x)
-            self.y_scale = math.exp(ln_y)
-        else:
-            asym = model.asym
-            lam = self.lam = (2.0 * int(n) - 0.5) * math.pi - asym.phi
-            self.gamma_exp = (1.0 + asym.alpha) / (2.0 * asym.beta)
-            sqrt_a = math.sqrt(asym.a)
-            self.y_scale = sqrt_a * (lam / asym.b) ** self.gamma_exp
-            self.x_scale = ((lam / asym.b) ** (1.0 / asym.beta - self.gamma_exp)
-                            / sqrt_a)
-            self.u_scale = self.x_scale * self.y_scale
-        self.rhs = self._scaled_rhs()
-
-    def _scaled_rhs(self):
-        """dz/dt as a tight closure (the exact right-hand side, not the
-        asymptotic form) of u = u_scale * t * z."""
-        model = self.model
-        pref = self.x_scale / self.y_scale
-        c_u = self.u_scale
-        if model.kind == "cosine":
-            def rhs(t, z):
-                return pref * cospi(c_u * t * z)
-        elif model.kind == "bessel":
-            from .specfun.bessel import _j_any
-            nu = model.nu
-            def rhs(t, z):
-                # stage probes may undershoot y = 0 by a hair: clamp
-                u = c_u * t * z
-                return pref * _j_any(nu, 0.0 if u < 0.0 else u)
-        elif model.kind == "airy":
-            def rhs(t, z):
-                u = c_u * t * z
-                return pref * airy_ai(5.0 if u < -5.0 else -u)
-        elif model.kind == "rgamma":
-            ln_xi = self.ln_xi
-            exp = math.exp
-            def rhs(t, z):
-                u = c_u * t * z
-                sign, lm = recip_gamma_log(-1.0 if u < -1.0 else u)
-                if sign == 0:
-                    return 0.0
-                e = lm - ln_xi
-                if e > 705.0:
-                    raise OverflowError(
-                        "precision exhausted: rgamma right-hand side "
-                        f"overflows at t={t!r}")
-                return sign * exp(e)
-        else:
-            raise DomainError(f"no scaled rhs for model {model.kind!r}")
-        return rhs
+        model.scale(self, int(n))
+        self.rhs = model.scaled_rhs(self)
 
     def horizon(self, y0, cfg):
         """First horizon of a forward run from the origin at y0: cfg.x_max
         when set; otherwise t = 3, three times the turning point t = 1, in
-        scaled coordinates, and three times the expected turning point of
-        y0 in raw ones."""
+        scaled coordinates, and the kind's raw_horizon in raw ones."""
         if cfg.x_max > 0.0:
             return cfg.x_max
         if self.coords == "scaled":
             return 3.0
-        m = self.model
-        if m.asym is not None:
-            a, al, b, be = m.asym.a, m.asym.alpha, m.asym.b, m.asym.beta
-            g = (1.0 + al) / (2.0 * be)
-            lam = b * max(y0 / math.sqrt(a), 1e-6) ** (1.0 / g)
-            x_turn = (lam / b) ** (1.0 / be - g) / math.sqrt(a)
-            return 3.0 * max(x_turn, 1.0)
-        if m.kind == "xibar":
-            u1 = self.zeros.zero(2).u  # second zero, the first stable one
-            return 3.0 * max(u1, 10.0) / (0.6 * max(y0, 1e-3))
-        # raw rgamma (n <= 5 use only)
-        return 3.0 * max(2.0, 2.0 * y0)
+        return self.model.raw_horizon(y0)
 
     def convert(self, curve, coords):
         """curve in coords ("raw" or "scaled"): abscissae, ordinates and
@@ -421,56 +631,3 @@ class Frame:
             minima=[fx(v) for v in curve.minima],
             minima_values=[fy(v) for v in curve.minima_values],
             meta=dict(curve.meta))
-
-
-def raw_rhs(model):
-    """dy/dx = F(xy) as one closure per model kind, with no dispatch per
-    call.  Stage probes may undershoot xy = 0 by a hair, so every argument
-    is clamped into the domain of F: at 0 for bessel and xibar, -5 for airy
-    and -1 for rgamma.  A clamp leaves NaN and -0.0 as they are."""
-    kind = model.kind
-    if kind == "cosine":
-        return cospi    # cospi(x, y) = cos(pi x y), read at build time
-    if kind == "bessel":
-        from .specfun.bessel import _j_any
-        nu = model.nu
-        def rhs(x, y):
-            u = x * y
-            return _j_any(nu, 0.0 if u < 0.0 else u)
-    elif kind == "xibar":
-        def rhs(x, y):
-            u = x * y
-            return xi_bar(0.0 if u < 0.0 else u)
-    elif kind == "airy":
-        def rhs(x, y):
-            u = x * y
-            return airy_ai(5.0 if u < -5.0 else -u)
-    elif kind == "rgamma":
-        def rhs(x, y):
-            u = x * y
-            return recip_gamma(-1.0 if u < -1.0 else u)
-    else:
-        raise DomainError(f"unknown model kind {kind!r}")
-    return rhs
-
-
-# Largest reciprocal-gamma index whose eigenvalue is a binary64 number:
-# E_150 is about 10^306.6, E_151 about 10^309.
-RGAMMA_N_MAX = 150
-
-
-def check_binary64(model, n):
-    """DomainError for a reciprocal-gamma index n > RGAMMA_N_MAX, whose
-    eigenvalue exceeds the largest binary64 number."""
-    if model.kind == "rgamma" and n > RGAMMA_N_MAX:
-        raise DomainError(
-            f"rgamma n={n} refused: E_n exceeds binary64 (the largest double, "
-            f"~1.8e308) for n > {RGAMMA_N_MAX}")
-
-
-def check_raw(model, n):
-    """DomainError for a raw-coordinate reciprocal-gamma run of index
-    n > 5: its right-hand side needs Gamma values beyond binary64."""
-    if model.kind == "rgamma" and n > 5:
-        raise DomainError("raw-coordinate rgamma integration refused for "
-                          "n > 5; use scaled coordinates")

@@ -33,24 +33,19 @@ in.
 """
 
 import math
-from bisect import bisect_left
 from dataclasses import dataclass, field, replace
 
 from .cache import record_line
 from .rootfind import RootError
-from .models import (Frame, check_binary64, check_raw, eval_F_prime,
-                     zero_table)
+from .models import Frame, zero_table
 from .ode import Engine, IntegratorConfig, SolutionCurve, count_maxima
-from .specfun import DomainError, log_gamma
+from .specfun import DomainError
 
 __all__ = [
     "EigenResult", "classify", "find_eigen", "refine_backward",
-    "separatrix_curve", "spectrum_scan", "default_tol", "spectrum_csv_text",
+    "separatrix_curve", "spectrum_scan", "spectrum_csv_text",
     "spectrum_json_text", "BracketError", "ConfigError", "MIN_BISECTION_TOL",
 ]
-
-_DEFAULT_TOL = {"cosine": 1e-10, "bessel": 1e-10, "airy": 1e-10,
-                "rgamma": 1e-8, "xibar": 1e-6}
 
 _WIDEN = 1.6
 _WIDEN_CAP = 40
@@ -60,11 +55,6 @@ _EXTENSIONS = 7
 # _LADDER * w / n, within [the tight tolerance, 1e-6]: 1e-3 mis-sided
 # shots on cos 80, airy 5 and bessel:2.5 3, so the factor 10 is margin
 _LADDER = 1e-4
-
-# an rgamma eigenvalue run starts where the seed's relative correction
-# 1/(t0^2 F'(s)) has fallen to this, or at t0 = 3: from there E_n is
-# within 1e-12 of a run from t0 = 6 (n >= 3)
-_RGAMMA_CORR = 4e-3
 
 # finest relative tolerance find_eigen accepts
 MIN_BISECTION_TOL = 1e-12
@@ -82,15 +72,11 @@ class BracketError(RuntimeError):
         self.at_lower_bound = at_lower_bound
 
 
-def default_tol(model):
-    return _DEFAULT_TOL[model.kind]
-
-
 def _checked_tol(model, tol, method):
     """tol, or the model's default when None; refused unless finite and
     positive and, for bisection, at least MIN_BISECTION_TOL."""
     if tol is None:
-        return default_tol(model)
+        return model.default_tol
     if not (math.isfinite(tol) and tol > 0.0):
         raise ConfigError(f"tol must be a positive number, got {tol!r}")
     if method == "bisection" and tol < MIN_BISECTION_TOL:
@@ -180,17 +166,6 @@ def classify(model, E, cfg=None, n_hint=None):
     return sh.shoot(E / sh.frame.y_scale)[0]
 
 
-def _predict(model, n):
-    """Growth-law/asymptote prediction in the bisection variable."""
-    if model.kind == "rgamma":
-        return 1.0  # z(0) -> z_inf(0) = 1
-    if model.kind == "xibar":
-        u_n = zero_table(model).nth_unstable(n).u
-        return 0.55 * math.sqrt(u_n)
-    from .asymptotics import growth_law
-    return growth_law(model).predict(n)
-
-
 def find_eigen(model, n, tol=None, cfg=None, seed=None, lo_bound=None,
                count_maxima_at_lo=True):
     """n-th eigenvalue by bisection on the classifier.
@@ -219,13 +194,13 @@ def find_eigen(model, n, tol=None, cfg=None, seed=None, lo_bound=None,
     if n < 1 or n != int(n):
         raise ValueError(f"find_eigen: need integer n >= 1, got {n!r}")
     n = int(n)
-    check_binary64(model, n)
+    model.check_binary64(n)
     tol = _checked_tol(model, tol, "bisection")
     sh = _Shooter(model, n, _ode_cfg(tol, cfg))
     frame = sh.frame
     tight = sh.cfg
     rt = tight.rel_tol
-    pred = _predict(model, n) if seed is None else seed / frame.y_scale
+    pred = model.predict(n) if seed is None else seed / frame.y_scale
     floor = None
     if lo_bound is not None:
         floor = lo_bound / frame.y_scale
@@ -344,11 +319,12 @@ def refine_backward(model, n, cfg=None, tol=None, *, _export=False,
     separatrix, seeded on the n-th unstable zero s via the large-x
     expansion u(x0) = s - s/(x0^2 F'(s)).
 
-    rgamma runs in scaled coordinates, from the smallest t0 in [1.3, 3]
-    where the seed's relative correction 1/(t0^2 F'(s)) is at most
-    _RGAMMA_CORR (from 3 where none is), since the stiff stretch beyond
-    changes nothing in E.  Every other model runs in raw coordinates,
-    from where backward contraction has erased the seed's error, x0^2 =
+    The kind's backward_start places the run.  rgamma runs in scaled
+    coordinates, from the smallest t0 in [1.3, 3] where the seed's
+    relative correction 1/(t0^2 F'(s)) is at most 4e-3 (from 3 where none
+    is), since the stiff stretch beyond changes nothing in E.  Every other
+    model runs in raw coordinates, from where backward contraction has
+    erased the seed's error, x0^2 =
     max(x_t^2 + 90/F'(s), (1.3 x_t)^2) with x_t the turning point, unless
     the seed's first correction s/(x0^2 F'(s)) would leave the basin of
     s: it is kept within half the gap to s's nearer neighbour and a tenth
@@ -364,54 +340,11 @@ def refine_backward(model, n, cfg=None, tol=None, *, _export=False,
     if n < 1 or n != int(n):
         raise ValueError(f"refine_backward: need integer n >= 1, got {n!r}")
     n = int(n)
-    check_binary64(model, n)
+    model.check_binary64(n)
     tol = _checked_tol(model, tol, "backward")
     cfg = _ode_cfg(tol, cfg)
-    table = zero_table(model)
-    s = table.nth_unstable(n)
-    try:
-        fp = eval_F_prime(model, s.u)
-    except OverflowError:
-        if model.kind != "rgamma":
-            raise
-        fp = math.inf   # Gamma(2n) past binary64 (n >= 86): logs only below
-    if not (fp > 0.0):
-        raise RuntimeError(f"F'({s.u}) <= 0: not a separatrix asymptote")
-    if model.kind == "rgamma":
-        frame = Frame(model, n)
-        # x0^2 F'(s) in raw units, via logs to dodge the huge factors, with
-        # ln F'(s) = ln Gamma(s + 1) where F'(s) overflows; with s = lambda,
-        # z(x0) = u(x0)/(lambda x0) is (1 - corr)/x0, corr = 1/(x0^2 F'(s))
-        ln_fp = math.log(fp) if fp < math.inf else log_gamma(s.u + 1.0)
-        # corr = corr_1/t0^2: the smallest t0 in [1.3, 3] where it is at
-        # most _RGAMMA_CORR, 3 where none is and for an exported curve
-        corr_1 = math.exp(-(math.log(frame.lam) - frame.ln_xi + ln_fp))
-        t_corr = math.sqrt(corr_1 / _RGAMMA_CORR)
-        x0 = 3.0 if _export or t_corr >= 3.0 else max(1.3, t_corr)
-        ln_x2fp = (2.0 * math.log(x0) + math.log(frame.lam) - frame.ln_xi
-                   + ln_fp)
-        corr = math.exp(-ln_x2fp) if ln_x2fp < 700.0 else 0.0
-        y0 = (1.0 - corr) / x0
-    else:
-        frame = Frame(model)
-        # Start where the backward contraction exp(-F'(x0^2-x_tp^2)/2) has
-        # driven the seed error below machine precision, with the first
-        # correction inside the basin of s.  This stays out of the stiff
-        # zone x F'(s) >> 1, where an explicit pair is stability-limited.
-        x_turn = (s.u / 0.6 if model.kind == "xibar"  # y(x_turn) ~ 1
-                  else Frame(model, n).x_scale)
-        # half the narrower gap from s to its neighbouring zeros; xibar's
-        # first zero has only an upper neighbour
-        zs = table.ordinates(s.u)
-        i = bisect_left(zs, s.u)
-        below = s.u - zs[i - 1] if i else math.inf
-        halfgap = 0.5 * min(zs[i + 1] - s.u, below)
-        du_cap = (min(0.1 * halfgap, 0.02 * s.u) if _export
-                  else min(0.5 * halfgap, 0.1 * s.u))
-        x0 = math.sqrt(max(s.u / (fp * du_cap),
-                           x_turn * x_turn + 90.0 / fp,
-                           (1.3 * x_turn) ** 2))
-        y0 = (s.u - s.u / (x0 * x0 * fp)) / x0
+    s = zero_table(model).nth_unstable(n).u
+    frame, x0, y0 = model.backward_start(n, s, _export)
     eng = Engine(frame, x0, y0, cfg, direction=-1, record=_record)
     eng.run(0.0)
     v = eng.y
@@ -424,7 +357,7 @@ def refine_backward(model, n, cfg=None, tol=None, *, _export=False,
     return EigenResult(n=n, E=E, bracket=(E * (1.0 - est), E),
                        method="backward",
                        evidence={"classifier": "backward-seed",
-                                 "seed_zero": s.u, "x0": x0 * frame.x_scale},
+                                 "seed_zero": s, "x0": x0 * frame.x_scale},
                        residual=est, maxima=count_maxima(curve),
                        model=model.spec, tol=tol,
                        z0=v if frame.coords == "scaled" else None,
@@ -438,11 +371,11 @@ def _check_coords(model, n, coords):
     any run."""
     if coords not in ("raw", "scaled"):
         raise ConfigError(f"coords must be raw or scaled, got {coords!r}")
-    check_binary64(model, n)
-    if coords == "scaled" and model.kind == "xibar":
-        raise DomainError("xibar has no scaled coordinates")
+    model.check_binary64(n)
+    if coords == "scaled" and not model.has_scaling:
+        raise DomainError(f"{model.spec} has no scaled coordinates")
     if coords == "raw":
-        check_raw(model, n)
+        model.check_raw(n)
 
 
 def separatrix_curve(model, n, coords, tol=None, cfg=None):
@@ -478,10 +411,10 @@ def spectrum_scan(model, n_range, tol=None, cfg=None, method="bisection"):
     if method not in ("bisection", "backward"):
         raise ConfigError(f"method must be bisection or backward, "
                           f"got {method!r}")
-    check_binary64(model, ns[-1])
+    model.check_binary64(ns[-1])
     tol = _checked_tol(model, tol, method)
     wanted = set(ns)
-    if model.kind == "xibar" and method == "bisection":
+    if model.chains and method == "bisection":
         ns = range(1, ns[-1] + 1)
     results = []
     errors = []
@@ -489,7 +422,7 @@ def spectrum_scan(model, n_range, tol=None, cfg=None, method="bisection"):
     for n in ns:
         seed = None
         lo_bound = None
-        if model.kind == "xibar" and prev is not None:
+        if model.chains and prev is not None:
             table = zero_table(model)
             u_prev = table.nth_unstable(prev.n).u
             u_n = table.nth_unstable(n).u

@@ -17,7 +17,7 @@ import pytest
 
 from nleig import verify
 from nleig.asymptotics import growth_law, walk_coefficients
-from nleig.models import check_raw, make_model
+from nleig.models import make_model
 from nleig.ode import IntegratorConfig
 from nleig.spectrum import find_eigen, refine_backward, spectrum_scan
 from nleig.specfun import DomainError
@@ -150,7 +150,7 @@ def test_criterion_9_scale_boundaries():
     assert r.z0 is not None and 0.9 < r.z0 < 1.3
     assert r.log10_E is not None and 140.0 < r.log10_E < 144.0
     with pytest.raises(DomainError):
-        check_raw(rg, 80)
+        rg.check_raw(80)
     report("9 (scale boundaries)",
            f"rgamma n=80 scaled pass: z(0)={r.z0:.6f}, "
            f"log10(E_80)={r.log10_E:.3f}; raw-coordinate mode refused")

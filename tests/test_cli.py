@@ -133,6 +133,18 @@ class TestSpectrumCommand:
         rows = (tmp_path / "spectrum_cos.csv").read_text().splitlines()[1:]
         assert [r.split(",")[3] for r in rows] == ["bisection", "bisection"]
 
+    def test_bessel_orders_keyed_apart(self, tmp_path, capsys):
+        # bessel:2.5000001 once printed as bessel:2.5, so it was served
+        # order 2.5's records and wrote over its artifacts
+        base = ["spectrum", "--n", "1..2", "--method", "backward"]
+        assert run(base + ["--model", "bessel:2.5"], tmp_path) == 0
+        capsys.readouterr()
+        assert run(base + ["--model", "bessel:2.5000001"], tmp_path) == 0
+        assert "cache hit" not in capsys.readouterr().err
+        pairs = [[(tmp_path / f"spectrum_bessel_{nu}.{ext}").read_text()
+                  for ext in ("csv", "json")] for nu in ("2.5", "2.5000001")]
+        assert pairs[0][0] != pairs[1][0] and pairs[0][1] != pairs[1][1]
+
     def test_cache_file_read_once(self, tmp_path, capsys, monkeypatch):
         args = ["spectrum", "--model", "cos", "--method", "backward"]
         assert run(args + ["--n", "1..3"], tmp_path) == 0

@@ -8,8 +8,8 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 from scipy.integrate import solve_ivp
 
-from nleig.models import (RGAMMA_N_MAX, AsymptoticForm, Frame, eval_F,
-                          eval_F_prime, make_model, raw_rhs, zero_table,
+from nleig.models import (RGAMMA_N_MAX, Algebraic, AsymptoticForm, Frame,
+                          eval_F, eval_F_prime, make_model, zero_table,
                           rgamma_lambda_scaling)
 from nleig.specfun import recip_gamma_log
 from nleig.specfun.bessel import _order
@@ -29,6 +29,25 @@ class TestModelCatalog:
             make_model("bessel:-1")
         with pytest.raises(DomainError):
             make_model("mystery")
+
+    @given(st.one_of(st.floats(0.0, 50.0).map(lambda nu: f"bessel:{nu!r}"),
+                     st.sampled_from(["cos", "airy", "rgamma", "xibar"])))
+    @example("bessel:2.5000001")    # :g printed it as bessel:2.5
+    @example("bessel:-0")
+    @settings(max_examples=200, deadline=None)
+    def test_spec_round_trip(self, text):
+        # the spec names the model it came from: the cache keys and the
+        # artifact names of the CLI are built from it
+        m = make_model(text)
+        assert make_model(m.spec) == m
+        assert make_model(m.spec).spec == m.spec
+
+    def test_spec_text(self):
+        # equal models print alike, and the orders that round-trip through
+        # 6 significant digits keep their text
+        assert make_model("bessel:-0").spec == "bessel:0"
+        for text in ("bessel:0", "bessel:1", "bessel:2.5", "bessel:1e-07"):
+            assert make_model(text).spec == text
 
     def test_asymptotic_parameters(self):
         c = make_model("cos").asym
@@ -61,6 +80,49 @@ class TestModelCatalog:
             for u in np.linspace(20.0, 200.0, 37):
                 err = abs(eval_F(m, float(u)) - m.asym.eval(float(u)))
                 assert err <= 0.5 * m.asym.a * u ** m.asym.alpha
+
+
+class CosU(Algebraic):
+    """F(u) = cos(u), zeros (k - 1/2) pi: the built-in cos with u scaled by
+    pi, so that its eigenvalues are sqrt(pi) times those of cos."""
+    spec = "cosu"
+    asym = AsymptoticForm(1.0, 0.0, 1.0, 1.0, 0.0)
+
+    def F(self, u):
+        return math.cos(u)
+
+    def F_prime(self, u):
+        return -math.sin(u)
+
+    def zero(self, k):
+        return (k - 0.5) * math.pi
+
+    def raw_rhs(self):
+        return lambda x, y: math.cos(x * y)
+
+    def scaled_rhs(self, frame):
+        pref, c_u = frame.x_scale / frame.y_scale, frame.u_scale
+        return lambda t, z: pref * math.cos(c_u * t * z)
+
+
+class TestKindIsOneObject:
+    """A kind defined here, as one subclass and nothing else, runs through
+    both eigenvalue methods: y' = cos(xy) is y' = cos(pi xy) with x and y
+    scaled by sqrt(pi)."""
+
+    @pytest.mark.parametrize("n", [3, 30])
+    def test_backward(self, n):
+        from nleig.spectrum import refine_backward
+        mine, cos = refine_backward(CosU(), n), refine_backward(
+            make_model("cos"), n)
+        assert abs(mine.E - math.sqrt(math.pi) * cos.E) <= 1e-12 * mine.E
+        assert mine.maxima == cos.maxima == n
+
+    def test_bisection(self):
+        from nleig.spectrum import find_eigen
+        mine, cos = find_eigen(CosU(), 2), find_eigen(make_model("cos"), 2)
+        assert abs(mine.E - math.sqrt(math.pi) * cos.E) <= 1e-9 * mine.E
+        assert mine.maxima == cos.maxima == 2
 
 
 class TestLambdaParametrization:
@@ -237,7 +299,7 @@ class TestRhsClosures:
         x = a * math.sqrt(RHS_U_MAX[spec])
         y = b * (math.sqrt(RHS_U_MAX[spec]) if b > 0.0 else 10.0)
         want = _outcome(eval_F, m, _clamped(spec, x * y))
-        assert _outcome(raw_rhs(m), x, y) == want
+        assert _outcome(m.raw_rhs(), x, y) == want
 
     @given(st.sampled_from(["cos", "bessel:0", "bessel:2.5", "airy",
                             "rgamma"]),
@@ -277,7 +339,7 @@ class TestRhsClosures:
         m = make_model(spec)
         x = (_order(m.nu)[0] + d) / y
         assume(x * y >= _order(m.nu)[0])
-        assert _outcome(raw_rhs(m), x, y) == _outcome(eval_F, m, x * y)
+        assert _outcome(m.raw_rhs(), x, y) == _outcome(eval_F, m, x * y)
 
     @given(st.integers(1, 150), st.floats(0.0, 3.0), st.floats(-0.5, 1.5))
     @example(3, 1.0, 1.0)      # u = lambda, a zero of F: exactly 0.0

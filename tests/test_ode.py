@@ -12,8 +12,7 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from nleig import spectrum
-from nleig.models import (Frame, ZeroTable, check_raw, make_model,
-                          zero_table)
+from nleig.models import Frame, ZeroTable, make_model, zero_table
 from nleig.ode import (_H_MIN, Engine, IntegratorConfig, PrecisionExhausted,
                        count_maxima, curve_csv_text, integrate)
 from nleig.specfun import DomainError, airy, bessel
@@ -559,9 +558,9 @@ class TestGuards:
                       direction="backward")
 
     def test_rgamma_raw_refused_for_large_n(self):
-        check_raw(make_model("rgamma"), 5)
+        make_model("rgamma").check_raw(5)
         with pytest.raises(DomainError):
-            check_raw(make_model("rgamma"), 6)
+            make_model("rgamma").check_raw(6)
 
     def test_grid_strictly_increasing(self):
         c = integrate(make_model("cos"), (0.0, 1.0), cfg_with(5.0))

@@ -14,7 +14,7 @@ from nleig.cache import record_line
 from nleig.models import (RGAMMA_N_MAX, Frame, eval_F_prime, make_model,
                           zero_table)
 from nleig.ode import IntegratorConfig
-from nleig.spectrum import (ConfigError, classify, default_tol, find_eigen,
+from nleig.spectrum import (ConfigError, classify, find_eigen,
                             refine_backward, spectrum_csv_text,
                             spectrum_json_text, spectrum_scan)
 from nleig.specfun import DomainError
@@ -107,9 +107,9 @@ class TestFindEigen:
                                     rel=0.05)
 
     def test_default_tolerances(self):
-        assert default_tol(make_model("cos")) == 1e-10
-        assert default_tol(make_model("rgamma")) == 1e-8
-        assert default_tol(make_model("xibar")) == 1e-6
+        assert make_model("cos").default_tol == 1e-10
+        assert make_model("rgamma").default_tol == 1e-8
+        assert make_model("xibar").default_tol == 1e-6
 
 
 class TestCrossMethod:
