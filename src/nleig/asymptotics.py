@@ -17,11 +17,13 @@ and alpha = 3 included).
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .models import rgamma_lambda_scaling
 from .specfun import DomainError
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "LimitCurve", "GrowthLaw", "WalkCoefficients", "limit_curve",
@@ -38,8 +40,8 @@ WALK_P_MAX = 60
 @dataclass(frozen=True)
 class LimitCurve:
     alpha: float
-    grid: np.ndarray
-    z: np.ndarray
+    grid: "np.ndarray"
+    z: "np.ndarray"
     origin_value: float
 
 
@@ -112,6 +114,7 @@ def limit_curve_value(alpha, t):
 
 def limit_curve(alpha, grid):
     """LimitCurve sampled on the given t grid (t >= 0)."""
+    import numpy as np
     grid = np.asarray(list(grid), dtype=float)
     if len(grid) == 0:
         raise ValueError("limit_curve: empty grid")

@@ -22,8 +22,6 @@ import math
 import os
 import sys
 
-import numpy as np
-
 from . import asymptotics, specfun, spectrum, svgplot, verify
 from .cache import EigenCache, atomic_write_text, record_line
 from .models import make_model
@@ -239,9 +237,10 @@ def cmd_limit_curve(rc):
     if points < 1 or not (0.0 <= t_max < math.inf):
         raise ConfigError("limit-curve requires points >= 1 and a finite "
                           "t_max >= 0")
+    import numpy as np
     grid = np.linspace(0.0, t_max, points)
     # always sample the turning point exactly
-    if not np.any(np.isclose(grid, 1.0)):
+    if 1.0 not in grid:
         grid = np.sort(np.append(grid, 1.0))
     lc = asymptotics.limit_curve(alpha, grid)
     out = _out_dir(rc)

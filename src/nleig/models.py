@@ -405,9 +405,6 @@ class RecipGamma(GeneratingFunction):
         return [rgamma_limit_curve(t) for t in ts]
 
 
-_xibar_zero_cache = []
-
-
 @dataclass(frozen=True)
 class XiBar(GeneratingFunction):
     """F = xi_bar, the rescaled Riemann xi (the right-hand side clamps u at
@@ -424,21 +421,22 @@ class XiBar(GeneratingFunction):
 
     def zero(self, k):
         """k-th ordinate of a nontrivial zeta zero, by scanning xi_bar's
-        direct route: the ordinates do not depend on xi_bar's table."""
-        zs = _xibar_zero_cache
+        direct route: the ordinates do not depend on xi_bar's table.  The
+        scan resumes 0.05 above the (k-1)-th zero of the kind's ZeroTable
+        (from 10 for the first), so the table's list is the only copy."""
+        table = zero_table(self)
+        table.ensure_count(k - 1)
+        zs = table._zeros
+        if k <= len(zs):
+            return zs[k - 1]
         x = zs[-1] + 0.05 if zs else 10.0
         f0 = _xi_bar_direct(x)
-        while len(zs) < k:
-            step = 0.35
-            while True:
-                x1 = x + step
-                f1 = _xi_bar_direct(x1)
-                if (f0 > 0) != (f1 > 0):
-                    zs.append(bisect(_xi_bar_direct, x, x1, xtol=1e-12))
-                    x, f0 = x1, f1
-                    break
-                x, f0 = x1, f1
-        return zs[k - 1]
+        while True:
+            x1 = x + 0.35
+            f1 = _xi_bar_direct(x1)
+            if (f0 > 0) != (f1 > 0):
+                return bisect(_xi_bar_direct, x, x1, xtol=1e-12)
+            x, f0 = x1, f1
 
     def raw_rhs(self):
         def rhs(x, y):
@@ -616,7 +614,9 @@ class Frame:
 
     def convert(self, curve, coords):
         """curve in coords ("raw" or "scaled"): abscissae, ordinates and
-        events all rescaled.  A curve already in coords comes back as is."""
+        events all rescaled.  A curve already in coords comes back as is.
+        A recorded curve's grid and values are arrays and stay arrays; an
+        unrecorded one's two end points stay a list."""
         if curve.coords == coords:
             return curve
         if self.coords == "raw":
@@ -624,9 +624,14 @@ class Frame:
         op = operator.mul if coords == "raw" else operator.truediv
         fx = lambda v: op(v, self.x_scale)
         fy = lambda v: op(v, self.y_scale)
+        if curve.recorded:
+            grid, values = fx(curve.grid), fy(curve.values)
+        else:
+            grid = [fx(v) for v in curve.grid]
+            values = [fy(v) for v in curve.values]
         return replace(
-            curve, coords=coords, grid=fx(curve.grid),
-            values=fy(curve.values), maxima=[fx(v) for v in curve.maxima],
+            curve, coords=coords, grid=grid,
+            values=values, maxima=[fx(v) for v in curve.maxima],
             maxima_values=[fy(v) for v in curve.maxima_values],
             minima=[fx(v) for v in curve.minima],
             minima_values=[fy(v) for v in curve.minima_values],

@@ -29,6 +29,10 @@ that is unstable (xibar) the basin is that of y -> 0, with attractor 0.  A
 run left uncommitted at its horizon (still hugging a separatrix) can be
 continued farther by calling run() again.
 
+Only a recording run's curve is built with numpy, imported when the first
+one is: a non-recording run keeps its two end points in plain lists, so
+the classifier's shots and spectrum_scan's backward runs load no numpy.
+
 Every run starts from a models.Frame, the one place that picks raw (x, y)
 or scaled (t, z) coordinates; u is u_scale * x * y in either, so the
 commitment check, event location and the right-hand side form the same u.
@@ -60,11 +64,13 @@ as the machine's load varies.
 import math
 from bisect import bisect_left
 from dataclasses import dataclass, field
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .models import Frame
 from .specfun import DomainError
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "IntegratorConfig", "SolutionCurve", "PrecisionExhausted", "StepUnderflow",
@@ -107,10 +113,12 @@ class SolutionCurve:
     """A run's grid and events.  Only a recording run locates its maxima
     and minima; a non-recording run (recorded=False) keeps, for each, the
     end of the step in which y' changed sign, and as its grid its first and
-    last points only."""
+    last points only.  A recording run's grid and values are numpy arrays;
+    a non-recording run stores its two end points as plain lists of floats,
+    so building it loads no numpy (Frame.convert rescales either form)."""
     coords: str                      # "raw" or "scaled"
-    grid: np.ndarray
-    values: np.ndarray
+    grid: "np.ndarray | list"
+    values: "np.ndarray | list"
     maxima: list                     # abscissae of maxima (or of step ends)
     maxima_values: list              # y at those abscissae
     minima: list                     # likewise for minima
@@ -429,24 +437,22 @@ class Engine:
                              + (-2 * s3 + 3 * s2) * y1 + (s3 - s2) * hs * f1)
 
     def curve(self, meta=None):
+        """The run as a SolutionCurve, in increasing x.  Only a recording
+        run builds numpy arrays; a non-recording one keeps its two end
+        points in lists, clamped at 0 as np.maximum(v, 0.0) would."""
+        sl = slice(None, None, -1 if self.sgn < 0 else 1)
         if self.record:
-            grid = np.asarray(self.xs, dtype=float)
-            vals = np.asarray(self.ys, dtype=float)
+            import numpy as np
+            grid = np.asarray(self.xs[sl], dtype=float)
+            vals = np.maximum(np.asarray(self.ys[sl], dtype=float), 0.0)
         else:
-            grid = np.asarray([self.start[0], self.x], dtype=float)
-            vals = np.asarray([self.start[1], self.y], dtype=float)
-        maxima = list(self.maxima)
-        maxima_v = list(self.maxima_values)
-        minima = list(self.minima)
-        minima_v = list(self.minima_values)
-        if self.sgn < 0:
-            grid = grid[::-1].copy()
-            vals = vals[::-1].copy()
-            maxima = maxima[::-1]
-            maxima_v = maxima_v[::-1]
-            minima = minima[::-1]
-            minima_v = minima_v[::-1]
-        return SolutionCurve(self.frame.coords, grid, np.maximum(vals, 0.0),
+            grid = [self.start[0], self.x][sl]
+            vals = [0.0 if v <= 0.0 else v for v in (self.start[1], self.y)][sl]
+        maxima = self.maxima[sl]
+        maxima_v = self.maxima_values[sl]
+        minima = self.minima[sl]
+        minima_v = self.minima_values[sl]
+        return SolutionCurve(self.frame.coords, grid, vals,
                              maxima, maxima_v, minima, minima_v,
                              self.terminal_u, self.status or "reached_end",
                              meta or {}, self.record)

@@ -20,8 +20,6 @@ and sqrt(u) is taken once per call for both zeta and the prefactor.
 
 import math
 
-import numpy as np
-
 from .gammafn import DomainError
 from .bessel import _hankel_pq, _j_direct, _order
 from .taylor import TaylorTable, airy_coeffs
@@ -83,6 +81,7 @@ def _pos_asymptotic(x):
 def _pos_quadrature(x):
     # Ai(x) = sqrt(x/3)/pi * K_{1/3}(zeta); K via cosh t = 1 + v^2 which
     # turns the integral into a pure Gaussian in v.
+    import numpy as np
     zeta = (2.0 / 3.0) * x * math.sqrt(x)
     if 80 not in _herm_cache:
         _herm_cache[80] = np.polynomial.hermite.hermgauss(80)

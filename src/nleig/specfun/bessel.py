@@ -35,8 +35,6 @@ adaptive P/Q loop, one pass per order, with the phase formed as
 
 import math
 
-import numpy as np
-
 from .gammafn import DomainError, sinpi
 from .taylor import TaylorTable, bessel_coeffs
 
@@ -200,6 +198,7 @@ _lag_cache = {}
 
 def _leg_nodes(n):
     if n not in _leg_cache:
+        import numpy as np
         t, w = np.polynomial.legendre.leggauss(n)
         _leg_cache[n] = (0.5 * math.pi * (t + 1.0), 0.5 * math.pi * w)
     return _leg_cache[n]
@@ -207,6 +206,7 @@ def _leg_nodes(n):
 
 def _lag_nodes(n):
     if n not in _lag_cache:
+        import numpy as np
         _lag_cache[n] = np.polynomial.laguerre.laggauss(n)
     return _lag_cache[n]
 
@@ -214,6 +214,7 @@ def _lag_nodes(n):
 def _j_quadrature(nu, x):
     """Bessel integral: (1/pi) int_0^pi cos(x sin h - nu h) dh minus the
     sin(nu pi) sinh-tail for non-integer order."""
+    import numpy as np
     n = int(2.2 * (x + nu)) + 60
     n = 32 * ((n + 31) // 32)
     theta, w = _leg_nodes(n)

@@ -15,16 +15,17 @@ A cell's coefficients come from one of two places:
   coefficients of its Chebyshev interpolant, and only then are those
   turned into monomials in x - c.  (Composing the two steps into one
   matrix loses about three digits: its entries reach ~3e3 and cancel on
-  the node values.)
+  the node values.)  The two matrices are numpy arrays built on the first
+  fit of any cell, which is also when this module first imports numpy;
+  the recurrence tables never do.
 
 See Gil, Segura & Temme, Numerical Methods for Special Functions (SIAM
 2007), ch. 3 and 9, and Trefethen, Approximation Theory and Approximation
 Practice, ch. 4 and 8.
 """
 
+import functools
 import math
-
-import numpy as np
 
 __all__ = ["TaylorTable", "airy_coeffs", "bessel_coeffs", "chebyshev_coeffs"]
 
@@ -118,26 +119,29 @@ def bessel_coeffs(nu):
 # pi (j + 1/2) / TERMS: all inside (-1, 1), so a fit never samples f on a
 # cell edge
 _THETA = [math.pi * (j + 0.5) / TERMS for j in range(TERMS)]
-# the DCT: b_k = (2/TERMS) sum_j f(s_j) T_k(s_j), T_k(s_j) = cos(k theta_j),
-# with b_0 halved
-_DCT = np.array([[(1.0 if k else 0.5) * (2.0 / TERMS) * math.cos(k * th)
-                  for th in _THETA] for k in range(TERMS)])
 
 
-def _chebyshev_monomials():
-    """Entry (m, k): the coefficient of (x - c)^m in T_k((x - c) / h),
-    h = STEP/2, from T_{k+1}(s) = 2 s T_k(s) - T_{k-1}(s)."""
+@functools.cache
+def _chebyshev_matrices():
+    """The two matrices of a fit, as numpy arrays built on the first cell
+    fill (so importing this module loads no numpy):
+
+    * the DCT, b_k = (2/TERMS) sum_j f(s_j) T_k(s_j), T_k(s_j) =
+      cos(k theta_j), with b_0 halved;
+    * entry (m, k): the coefficient of (x - c)^m in T_k((x - c) / h),
+      h = STEP/2, from T_{k+1}(s) = 2 s T_k(s) - T_{k-1}(s)."""
+    import numpy as np
+    dct = np.array([[(1.0 if k else 0.5) * (2.0 / TERMS) * math.cos(k * th)
+                     for th in _THETA] for k in range(TERMS)])
     cols = [[1] + [0] * (TERMS - 1), [0, 1] + [0] * (TERMS - 2)]
     while len(cols) < TERMS:
         prev, prev2 = cols[-1], cols[-2]
         cols.append([2 * (prev[m - 1] if m else 0) - prev2[m]
                      for m in range(TERMS)])
     # s^m = (x - c)^m / h^m, and 1/h = 16 makes the scaling exact
-    return np.array([[float(col[m]) * (2.0 / STEP) ** m for col in cols]
-                     for m in range(TERMS)])
-
-
-_T_TO_D = _chebyshev_monomials()
+    t_to_d = np.array([[float(col[m]) * (2.0 / STEP) ** m for col in cols]
+                       for m in range(TERMS)])
+    return dct, t_to_d
 
 
 def chebyshev_coeffs(f):
@@ -149,7 +153,9 @@ def chebyshev_coeffs(f):
     offsets = [0.5 * STEP * math.cos(th) for th in _THETA]
 
     def coeffs_at(c):
+        import numpy as np
+        dct, t_to_d = _chebyshev_matrices()
         fs = np.array([f(c + d) for d in offsets])
-        b = (_DCT * fs).sum(axis=1)
-        return (_T_TO_D * b).sum(axis=1).tolist()
+        b = (dct * fs).sum(axis=1)
+        return (t_to_d * b).sum(axis=1).tolist()
     return coeffs_at

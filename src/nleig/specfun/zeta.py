@@ -28,13 +28,16 @@ zero ordinates do not depend on the table.  Beyond t = 1000 the direct
 route serves xi_bar with a warning, and finite t > 1e8 is refused with
 DomainError (the Riemann-Siegel main sum would need ~sqrt(t / 2 pi) terms
 at once).
+
+The Euler-Maclaurin and Riemann-Siegel main sums are numpy vectors.  The
+Euler-Maclaurin arrays are built by the first sum, as the fit's matrices
+are by the first cell fill, and numpy is imported only then: importing
+this module loads none.
 """
 
 import cmath
 import math
 import warnings
-
-import numpy as np
 
 from .gammafn import DomainError
 from .taylor import STEP, TaylorTable, chebyshev_coeffs
@@ -83,14 +86,16 @@ def _theta_and_lngamma_re(t):
 
 
 # ln n and n^(-1/2) for n = 1, 2, ...: every Euler-Maclaurin sum takes a
-# prefix of these, and they grow (by doubling) only when a larger cut needs it
-_em_terms = [np.zeros(0), np.zeros(0)]
+# prefix of these, and they grow (by doubling) only when a larger cut needs
+# it; empty until the first sum builds them as numpy arrays
+_em_terms = [(), ()]
 
 
 def _em_prefix(count):
     """Views of ln n and n^(-1/2) for n = 1..count."""
     ln_n, inv_sqrt_n = _em_terms
     if len(ln_n) < count:
+        import numpy as np
         n = np.arange(1, max(count, 2 * len(ln_n)) + 1)
         ln_n, inv_sqrt_n = np.log(n), n ** (-0.5)
         _em_terms[:] = ln_n, inv_sqrt_n
@@ -104,6 +109,7 @@ def zeta_half_line(t):
     if not (abs(t) <= _RS_MAX_T):
         raise DomainError(f"zeta_half_line: need finite |t| <= {_RS_MAX_T!r}, "
                           f"got {t!r}")
+    import numpy as np
     s = 0.5 + 1j * t
     n_cut = max(16, int(1.3 * abs(t)) + 8)
     ln_n, inv_sqrt_n = _em_prefix(n_cut - 1)
@@ -151,6 +157,7 @@ def _hardy_z(t, theta):
         zv = zeta_half_line(t) * cmath.exp(1j * theta)
         denom = max(abs(zv), 1e-300)
         return zv.real, abs(zv.imag) / denom
+    import numpy as np
     a = math.sqrt(t / (2.0 * math.pi))
     n_cut = int(a)
     p = a - n_cut

@@ -9,8 +9,6 @@ so every check has one implementation.
 
 import math
 
-import numpy as np
-
 from . import asymptotics, spectrum
 from .models import make_model
 from .ode import IntegratorConfig
@@ -89,6 +87,7 @@ def growth(model_spec="cos", n_max=100, method="backward", tol=1e-8,
         return [{"check": "growth-spectrum", "reference": "spectrum scan",
                  "predicted": "no errors", "measured": str(errs),
                  "tolerance": 0, "status": "fail"}]
+    import numpy as np
     ns = np.array([r.n for r in results], dtype=float)
     es = np.array([r.E for r in results])
     mask = ns >= lo
@@ -123,6 +122,7 @@ def scaled_deviation_stats(n):
     """(sup, amp) of the scaled bessel:0 separatrix n against the limit
     curve z_inf (alpha = -1/2): sup |z - z_inf| over every fifth sample on
     0.1 <= t <= 0.9, and the largest |z - z_inf| on 0.45 <= t <= 0.55."""
+    import numpy as np
     cfg = IntegratorConfig(rel_tol=1e-9, abs_tol=1e-12)
     _, curve = spectrum.separatrix_curve(make_model("bessel:0"), n, "scaled",
                                          tol=1e-8, cfg=cfg)

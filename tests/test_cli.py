@@ -383,6 +383,16 @@ class TestLimitCurveCommand:
         assert len(one) == 1
         assert float(one[0].split(",")[1]) == pytest.approx(1.0, abs=1e-12)
 
+    def test_turning_point_sampled_on_a_near_miss_grid(self, tmp_path):
+        # 100002 points on [0, 3] hold 1.000009999900001, within np.isclose
+        # of 1 but not 1: the turning point is still appended, exactly once
+        assert run(["limit-curve", "--alpha", "0", "--points", "100002"],
+                   tmp_path) == 0
+        rows = (tmp_path / "limit_alpha0.csv").read_text().splitlines()[2:]
+        ts = [float(r.split(",")[0]) for r in rows]
+        assert len(ts) == 100003 and ts.count(1.0) == 1 and ts == sorted(ts)
+        assert 1.000009999900001 in ts
+
     def test_alpha_required_in_range(self, tmp_path):
         assert run(["limit-curve", "--alpha", "-1.5"], tmp_path) == 2
 
