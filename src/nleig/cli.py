@@ -175,10 +175,7 @@ def cmd_spectrum(rc):
             model, to_compute, tol=tol, cfg=cfg, method=method)
         errors.extend(errs)
         for res in results:
-            # stamped with the settings it was computed under (an escalated
-            # xibar index carries its tighter tol)
-            rec = EigenCache.stamp(res.to_record(), EigenCache.settings_text(
-                spectrum._ode_cfg(res.tol, cfg)))
+            rec = EigenCache.stamp(res.to_record(), settings)
             entries.append((rec, cache.put(rec) if cache else record_line(rec)))
             if old_cache:
                 old = old_cache.get(model.spec, res.n, tol, method, settings)

@@ -8,8 +8,7 @@ holds every fact about the kind the rest of the library reads:
 - raw_rhs() and, where has_scaling holds, scale(frame, n),
   scaled_rhs(frame) and limit_curve(ts): the right-hand sides of raw
   (x, y) and of index n's scaled (t, z), and the scaled limit curve;
-- default_tol, predict(n) (the bisection's first guess) and chains (a
-  bisection scan seeds each index from the one before);
+- default_tol and predict(n) (the bisection's first guess);
 - n_max and raw_n_max (check_binary64, check_raw): the largest index whose
   E_n is a binary64 number and the largest that raw coordinates can run;
 - raw_horizon(y0), the first horizon of a raw forward run, and
@@ -71,7 +70,6 @@ class GeneratingFunction:
     asym = None
     first_unstable = False
     has_scaling = True
-    chains = False
     default_tol = 1e-10
     n_max = math.inf
     raw_n_max = math.inf
@@ -413,7 +411,6 @@ class XiBar(GeneratingFunction):
     kind = spec = "xibar"
     first_unstable = True
     has_scaling = False
-    chains = True
     default_tol = 1e-6
 
     def F(self, u):

@@ -17,7 +17,11 @@ class is monotone in E, so a loose decision that was not the tight one
 leaves the tight jump outside the final bracket and fails an end check;
 when both checks pass, the result is the all-tight search's bit for bit.
 A failed check or an error sends the search round once more with every
-shot tight, and that is the one fallback.
+shot tight, and that is the one fallback.  Near-degenerate eigenvalues
+(xibar's) put more than one jump within tol, so every final bracket is
+narrowed further until it holds the n-th jump alone: a record depends on
+its index only, never on the scan around it, and an E_n that shares a
+pair of adjacent doubles with E_{n+1} is that index's BracketError.
 refine_backward instead seeds the large-x expansion of u = xy at
 the n-th unstable zero and integrates backward to read E off at the origin.
 That one backward run records the separatrix, returned as EigenResult.curve;
@@ -65,11 +69,8 @@ class ConfigError(ValueError):
 
 
 class BracketError(RuntimeError):
-    """No class jump found after the widening cap."""
-
-    def __init__(self, msg, at_lower_bound=False):
-        super().__init__(msg)
-        self.at_lower_bound = at_lower_bound
+    """No class jump found after the widening cap, or E_n and E_{n+1} in
+    one pair of adjacent doubles, where no bracket isolates E_n's jump."""
 
 
 def _checked_tol(model, tol, method):
@@ -137,12 +138,23 @@ class _Shooter:
         cfg = cfg or self.cfg
         eng = Engine(self.frame, 0.0, y0, cfg, record=record,
                      max_minima=stop_at)
-        horizon = self.frame.horizon(y0, cfg)
-        eng.run(horizon)
+        return self.resume(eng)
+
+    def resume(self, eng):
+        """Run eng on from where it stopped, to its first horizon doubled
+        up to _EXTENSIONS times, and classify it as shoot does: a run
+        stopped by max_minima continues once its max_minima is raised."""
+        y0 = eng.start[1]
+        horizon = self.frame.horizon(y0, eng.cfg)
         ext = 0
-        while eng.status == "reached_end" and ext < _EXTENSIONS:
+        while True:
+            if eng.x < horizon:
+                eng.run(horizon)
+                if eng.status != "reached_end":
+                    break
+            if ext == _EXTENSIONS:
+                break
             horizon *= 2.0
-            eng.run(horizon)
             ext += 1
         if eng.status == "max_minima":
             return len(eng.minima), "maxima-jump", eng
@@ -166,8 +178,7 @@ def classify(model, E, cfg=None, n_hint=None):
     return sh.shoot(E / sh.frame.y_scale)[0]
 
 
-def find_eigen(model, n, tol=None, cfg=None, seed=None, lo_bound=None,
-               count_maxima_at_lo=True):
+def find_eigen(model, n, tol=None, cfg=None):
     """n-th eigenvalue by bisection on the classifier.
 
     The initial bracket is centered on the growth-law prediction with a
@@ -180,16 +191,27 @@ def find_eigen(model, n, tol=None, cfg=None, seed=None, lo_bound=None,
     (hi - lo) / hi when the shot is taken (1 while widening); abs_tol keeps
     the tight abs/rel ratio and x_max is kept.  A loose shot that is
     unresolved is shot again, tight.  A loose decision that a wrong class
-    would turn into a wider bracket (widen, or give up at the lower bound)
-    is confirmed by a tight shot; every other wrong decision leaves the
-    tight jump outside the final bracket.  So the ends of that bracket are
-    shot tight (again, where they were shot loose): when lo is below class
-    n and hi is not, every decision was the tight one and the result is
-    that of an all-tight search bit for bit.  lo's tight shot, which never
-    reached the minima stop, supplies the maxima count.  When an end check
-    fails, or the search raises (BracketError or RuntimeError), the search
-    runs again with every shot tight, reusing the tight shots already
-    taken, and its result or error is the one reported.
+    would turn into a wider bracket (widen) is confirmed by a tight shot;
+    every other wrong decision leaves the tight jump outside the final
+    bracket.  So the ends of that bracket are shot tight (again, where they
+    were shot loose): when lo is below class n and hi is not, every
+    decision was the tight one and the result is that of an all-tight
+    search bit for bit.  lo's tight shot, which never reached the minima
+    stop, supplies the maxima count.  When an end check fails, or the
+    search raises (BracketError or RuntimeError), the search runs again
+    with every shot tight, reusing the tight shots already taken, and its
+    result or error is the one reported.
+
+    The shots stop at the n-th minimum, so hi's class reads at most n.
+    The final bracket must hold E_n's jump alone: hi's tight run goes on to
+    minimum n+1 or until it settles, and while it reads a class above n
+    (E_{n+1} lies in the bracket too) or lo reads one below n-1 (E_{n-1}
+    does), the bracket is bisected on with tight shots stopped at minimum
+    n+1.  Every record is thus that of its own index, whatever the scan
+    around it.  When lo and hi become adjacent doubles while hi reads above
+    n, E_n and E_{n+1} coincide in binary64 at these settings and
+    BracketError says so; while only lo reads below n-1, the record keeps
+    that lo, and index n-1 is the one that fails.
     """
     if n < 1 or n != int(n):
         raise ValueError(f"find_eigen: need integer n >= 1, got {n!r}")
@@ -200,12 +222,9 @@ def find_eigen(model, n, tol=None, cfg=None, seed=None, lo_bound=None,
     frame = sh.frame
     tight = sh.cfg
     rt = tight.rel_tol
-    pred = model.predict(n) if seed is None else seed / frame.y_scale
-    floor = None
-    if lo_bound is not None:
-        floor = lo_bound / frame.y_scale
+    pred = model.predict(n)
     # v -> (class >= n, class, signal, rel_tol of the shot, engine of a
-    # tight shot below class n)
+    # tight shot)
     cache = {}
 
     def shot(v, rel):
@@ -227,7 +246,7 @@ def find_eigen(model, n, tol=None, cfg=None, seed=None, lo_bound=None,
                 raise
             cfg_v = tight
             cls, signal, eng = sh.shoot(v, stop_at=n, cfg=tight)
-        keep = eng if cfg_v is tight and cls < n else None
+        keep = eng if cfg_v is tight else None
         cache[v] = hit = (cls >= n, cls, signal, cfg_v.rel_tol, keep)
         return hit
 
@@ -245,31 +264,13 @@ def find_eigen(model, n, tol=None, cfg=None, seed=None, lo_bound=None,
             return hit[0]
 
         lo, hi = 0.5 * pred, 1.5 * pred
-        if floor is not None:
-            lo = max(lo, floor * (1.0 + 2.0 * tol))
-            hi = max(hi, floor * (1.0 + 4.0 * tol))
         widened = 0
-        while True:
-            if not above(lo, 1.0, True):
-                break
-            if floor is not None and lo <= floor * (1.0 + 2.0 * tol):
-                # hyperfine neighbor: the jump sits inside the margin sliver
-                # just above the previous eigenvalue
-                if above(floor, 1.0, True):
-                    raise BracketError(
-                        f"class >= {n} already at the lower bound {floor!r}",
-                        at_lower_bound=True)
-                hi, lo = lo, floor
-                break
+        while above(lo, 1.0, True):
             lo /= _WIDEN
-            if floor is not None:
-                lo = max(lo, floor * (1.0 + 2.0 * tol))
             widened += 1
             if widened > _WIDEN_CAP:
                 raise BracketError(f"no class-{n - 1} floor found for n={n}")
-        while True:
-            if above(hi, 1.0, False):
-                break
+        while not above(hi, 1.0, False):
             hi *= _WIDEN
             widened += 1
             if widened > _WIDEN_CAP:
@@ -293,14 +294,34 @@ def find_eigen(model, n, tol=None, cfg=None, seed=None, lo_bound=None,
         sound = False
     if not sound:
         lo, hi = search(0.0)
-    # evidence of the final bracket, whose ends were both shot tight
+    # the final bracket, whose ends were both shot tight, is bisected on
+    # with tight shots stopped at minimum n + 1 until it holds E_n's jump
+    # alone: hi reads n past the minima stop and lo reads n - 1
     _, cls_lo, sig_lo, _, eng_lo = cache[lo]
-    _, cls_hi, sig_hi, _, _ = cache[hi]
+    _, cls_hi, sig_hi, _, eng_hi = cache[hi]
+    past = cls_hi       # hi's class read past n; a settled run's is final
+    if sig_hi == "maxima-jump":
+        eng_hi.max_minima = n + 1
+        past = sh.resume(eng_hi)[0]
+    while past > n or cls_lo < n - 1:
+        mid = 0.5 * (lo + hi)
+        if mid <= lo or mid >= hi:
+            if past > n:
+                raise BracketError(
+                    f"E_{n} and E_{n + 1} coincide in binary64 at these "
+                    f"settings (between {lo * frame.y_scale!r} and "
+                    f"{hi * frame.y_scale!r})")
+            break       # E_{n-1} shares these doubles; its record says so
+        cls, signal, eng = sh.shoot(mid, stop_at=n + 1)
+        if cls < n:
+            lo, cls_lo, sig_lo, eng_lo = mid, cls, signal, eng
+        else:
+            hi, cls_hi, sig_hi, past = mid, cls, signal, cls
     evid = {"lo_class": cls_lo, "lo_signal": sig_lo,
             "hi_class": cls_hi, "hi_signal": sig_hi,
             "classifier": ("maxima-jump" if sig_hi == "maxima-jump"
                            else "attractor-jump")}
-    maxima = count_maxima(eng_lo.curve()) if count_maxima_at_lo else None
+    maxima = count_maxima(eng_lo.curve())
     E = hi * frame.y_scale
     log10 = None
     z0 = None
@@ -393,17 +414,15 @@ def separatrix_curve(model, n, coords, tol=None, cfg=None):
 def spectrum_scan(model, n_range, tol=None, cfg=None, method="bisection"):
     """Eigenvalues for every index in n_range (increasing).
 
-    method "bisection" shoots forward and bisects the classifier jump;
-    "backward" integrates each separatrix down from its seeded asymptote
-    (much faster for large indices, cross-validated by the bisection path
-    at small ones).  Failures are recorded per index without aborting; the
+    method "bisection" shoots forward and bisects the classifier jump
+    (find_eigen); "backward" integrates each separatrix down from its
+    seeded asymptote (much faster for large indices, cross-validated by
+    the bisection path at small ones).  Each index is computed on its own,
+    so its record is find_eigen's or refine_backward's bit for bit, whatever
+    the range.  Failures are recorded per index without aborting; the
     monotonicity of the successful results is verified.  No run of a scan
     records its curve: a backward run counts its maxima off its step ends
-    and the results carry no curves, each record bit for bit that of
-    refine_backward.
-    A xibar bisection seeds each index from the one before it, so it scans
-    from n = 1 and returns the requested indices only.  Returns (results,
-    errors).
+    and the results carry no curves.  Returns (results, errors).
     """
     ns = list(n_range)
     if not ns or any(b <= a for a, b in zip(ns, ns[1:])):
@@ -413,55 +432,23 @@ def spectrum_scan(model, n_range, tol=None, cfg=None, method="bisection"):
                           f"got {method!r}")
     model.check_binary64(ns[-1])
     tol = _checked_tol(model, tol, method)
-    wanted = set(ns)
-    if model.chains and method == "bisection":
-        ns = range(1, ns[-1] + 1)
     results = []
     errors = []
-    prev = None
     for n in ns:
-        seed = None
-        lo_bound = None
-        if model.chains and prev is not None:
-            table = zero_table(model)
-            u_prev = table.nth_unstable(prev.n).u
-            u_n = table.nth_unstable(n).u
-            seed = prev.E * math.sqrt(u_n / u_prev)
-            lo_bound = prev.E
         try:
             if method == "backward":
                 res = refine_backward(model, n, cfg=cfg, tol=tol,
                                       _record=False)
             else:
-                try:
-                    res = find_eigen(model, n, tol=tol, cfg=cfg, seed=seed,
-                                     lo_bound=lo_bound)
-                except BracketError as exc:
-                    if not getattr(exc, "at_lower_bound", False) or prev is None:
-                        raise
-                    # hyperfine pair narrower than tol: re-tighten the
-                    # previous eigenvalue, then retry this one in the gap
-                    tight = max(tol * 1e-4, 1e-11)
-                    prev_lo = results[-2].E if len(results) >= 2 else None
-                    prev2 = find_eigen(model, prev.n, tol=tight, cfg=cfg,
-                                       seed=prev.E, lo_bound=prev_lo,
-                                       count_maxima_at_lo=False)
-                    prev2.maxima = prev.maxima
-                    results[-1] = prev2
-                    prev = prev2
-                    res = find_eigen(model, n, tol=tight, cfg=cfg,
-                                     seed=prev2.E * (1.0 + 100.0 * tight),
-                                     lo_bound=prev2.E)
+                res = find_eigen(model, n, tol=tol, cfg=cfg)
             results.append(res)
-            prev = res
         except (BracketError, RootError, RuntimeError, OverflowError) as exc:
             errors.append({"n": n, "error": f"{type(exc).__name__}: {exc}"})
     for a, b in zip(results, results[1:]):
         if not (b.E > a.E):
             errors.append({"n": b.n,
                            "error": f"monotonicity violated: E_{b.n} <= E_{a.n}"})
-    return ([r for r in results if r.n in wanted],
-            [e for e in errors if e["n"] in wanted])
+    return results, errors
 
 
 def spectrum_csv_text(records):

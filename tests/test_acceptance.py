@@ -67,13 +67,13 @@ def test_criterion_3_bessel_growth_constant():
     a_want = 2.0 ** (41.0 / 42.0)
     cfg = IntegratorConfig(rel_tol=5e-9, abs_tol=5e-12)
     ns0 = [100, 200, 400, 800, 1600]
-    es0 = [find_eigen(make_model("bessel:0"), n, tol=5e-7, cfg=cfg,
-                      count_maxima_at_lo=False).E for n in ns0]
+    es0 = [find_eigen(make_model("bessel:0"), n, tol=5e-7, cfg=cfg).E
+           for n in ns0]
     a0, c0 = _fit_quarter_power(ns0, es0)
     assert abs(a0 / a_want - 1.0) <= 0.01, f"bessel:0 A = {a0:.6f}"
     ns1 = [100, 400, 1600]
-    es1 = [find_eigen(make_model("bessel:1"), n, tol=5e-7, cfg=cfg,
-                      count_maxima_at_lo=False).E for n in ns1]
+    es1 = [find_eigen(make_model("bessel:1"), n, tol=5e-7, cfg=cfg).E
+           for n in ns1]
     a1, c1 = _fit_quarter_power(ns1, es1)
     assert abs(a1 / a_want - 1.0) <= 0.01, f"bessel:1 A = {a1:.6f}"
     report("3 (Bessel growth constant)",
@@ -113,8 +113,7 @@ def test_criterion_7_cross_method_agreement():
         m = make_model(spec)
         for n in range(1, 11):
             rb = refine_backward(m, n, cfg=cfg, tol=1e-9)
-            rf = find_eigen(m, n, tol=1e-9, cfg=cfg,
-                            count_maxima_at_lo=False)
+            rf = find_eigen(m, n, tol=1e-9, cfg=cfg)
             rel = abs(rb.E - rf.E) / rf.E
             if rel > worst:
                 worst, worst_at = rel, f"{spec} n={n}"

@@ -91,17 +91,24 @@ class TestSpectrumCommand:
             lines = body.splitlines()[1:-1]
             assert lines and all(line.rstrip(",") in cached for line in lines)
 
-    def test_xibar_rerun_over_its_cache(self, tmp_path):
-        # a rerun computes only the escalated n = 8, 9 (their records carry
-        # the tighter tol), from a scan that starts at n = 1; their lines
-        # equal the stored ones, so the cache keeps its 10 lines
+    def test_xibar_rerun_over_its_cache(self, tmp_path, capsys,
+                                        monkeypatch):
+        # every record carries the requested tol and the run's settings,
+        # the near-degenerate E_8, E_9 too, so a rerun serves all 10 from
+        # the cache, computes nothing and rewrites the same artifacts
         args = ["spectrum", "--model", "xibar", "--n", "1..10",
                 "--cache", "c.jsonl"]
         assert run(args, tmp_path) == 0
         first = [(tmp_path / f"spectrum_xibar.{ext}").read_bytes()
                  for ext in ("csv", "json")]
+        capsys.readouterr()
+
+        def no_scan(*args, **kwargs):
+            raise AssertionError("a rerun over the cache computed")
+        monkeypatch.setattr(spectrum, "spectrum_scan", no_scan)
         for _ in range(2):
             assert run(args, tmp_path) == 0
+            assert capsys.readouterr().err.count("cache hit") == 10
             assert [(tmp_path / f"spectrum_xibar.{ext}").read_bytes()
                     for ext in ("csv", "json")] == first
             assert len((tmp_path / "c.jsonl").read_text().splitlines()) == 10

@@ -4,6 +4,7 @@ spectrum sweeps, and serialization."""
 import dataclasses
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 from nleig import ode, spectrum
 from nleig.cache import record_line
+from nleig.cli import main
 from nleig.models import (RGAMMA_N_MAX, Frame, eval_F_prime, make_model,
                           zero_table)
 from nleig.ode import IntegratorConfig
@@ -341,9 +343,9 @@ class TestSpectrumScan:
 # lo_class, hi_class), and the first 60 zeros of the xibar zero table
 XIBAR_SCAN_1_4 = [
     (1, "0x1.466f0e3ff0834p+2", 1, 0, 1),
-    (2, "0x1.74a0ae3a52b91p+2", 2, 1, 2),
-    (3, "0x1.76a17c7cd34cep+2", 3, 2, 3),
-    (4, "0x1.bc740199692a8p+2", 4, 3, 4),
+    (2, "0x1.74a0b80827492p+2", 2, 1, 2),
+    (3, "0x1.76a1709fcb4ccp+2", 3, 2, 3),
+    (4, "0x1.bc7403c969f5ep+2", 4, 3, 4),
 ]
 XIBAR_ZEROS_60 = """
 0x1.c44fab19b657ep+3 0x1.505a463c7bd9cp+4 0x1.902c78ff7a3fcp+4
@@ -381,8 +383,9 @@ class TestXiBarPins:
                  r.evidence["hi_class"]) for r in res] == XIBAR_SCAN_1_4
 
     def test_scan_from_a_later_index(self):
-        # each index is seeded from the one before it, so a scan from 7 or
-        # 8 is the tail of the scan from 1 (E_8, E_9 escalated there)
+        # each index is computed on its own, so a scan from 7 or 8 is the
+        # tail of the scan from 1 (E_8, E_9 lie 2e-12 apart, a pair whose
+        # brackets each hold one jump)
         xb = make_model("xibar")
         full, errs = spectrum_scan(xb, range(1, 11))
         assert not errs
@@ -397,6 +400,58 @@ class TestXiBarPins:
     def test_zero_table(self):
         tab = zero_table(make_model("xibar"))
         assert [tab.zero(k).u.hex() for k in range(1, 61)] == XIBAR_ZEROS_60
+
+
+class TestJumpIsolation:
+    """find_eigen narrows its final bracket until it holds E_n's jump alone
+    (hi reads n past the n-th minimum, lo reads n - 1), so a record is the
+    same in any scan, and E_n sharing a pair of adjacent doubles with
+    E_{n+1} is an error of index n."""
+
+    @pytest.fixture(scope="class")
+    def scan_1_12(self):
+        return spectrum_scan(make_model("xibar"), range(1, 13))
+
+    @staticmethod
+    def read_past(model, n, E, tol):
+        """Class of E with the minima stop one past n, at find_eigen's
+        tight settings."""
+        sh = spectrum._Shooter(model, n, spectrum._ode_cfg(tol, None))
+        return sh.shoot(E / sh.frame.y_scale, stop_at=n + 1)[0]
+
+    def test_xibar_records_hold_one_jump(self, scan_1_12):
+        xb = make_model("xibar")
+        results, _ = scan_1_12
+        assert [r.n for r in results[:10]] == list(range(1, 11))
+        for r in results[:10]:
+            n = r.n
+            assert find_eigen(xb, n) == r
+            assert r.tol == 1e-6
+            assert (r.evidence["lo_class"], r.evidence["hi_class"]) == (n - 1,
+                                                                        n)
+            assert self.read_past(xb, n, r.E, r.tol) == n
+            assert self.read_past(xb, n, r.bracket[0], r.tol) == n - 1
+
+    def test_first_binary64_coincidence(self, scan_1_12, tmp_path, capsys,
+                                        monkeypatch):
+        xb = make_model("xibar")
+        results, errors = scan_1_12
+        assert [r.n for r in results] == list(range(1, 12))
+        assert [e["n"] for e in errors] == [12]
+        assert errors[0]["error"].startswith(
+            "BracketError: E_12 and E_13 coincide in binary64")
+        # the reported bracket: adjacent doubles, class 11 below and class
+        # 13 above, read past the 12th minimum
+        lo, hi = map(float, re.search(r"between (\S+) and (\S+)\)",
+                                      errors[0]["error"]).groups())
+        assert math.nextafter(lo, math.inf) == hi
+        assert self.read_past(xb, 12, lo, 1e-6) == 11
+        assert self.read_past(xb, 12, hi, 1e-6) == 13
+        monkeypatch.chdir(tmp_path)
+        assert main(["spectrum", "--model", "xibar", "--n", "12",
+                     "--no-cache"]) == 1
+        assert ("n=12: BracketError: E_12 and E_13 coincide"
+                in capsys.readouterr().err)
 
 
 # spectrum_scan(model, [n]) at the default tol: (spec, n, E hex, lo hex,
