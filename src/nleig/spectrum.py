@@ -10,14 +10,17 @@ deviation grows like exp(F' x^2 / 2), so doublings resolve fast).
 find_eigen brackets the class jump around the growth-law prediction and
 bisects.  A shot there only has to tell which side of the jump it lands
 on, so its integrator tolerance follows a ladder: loose while the bracket
-is wide, the tight _ode_cfg(tol, cfg) once it is narrow.  The two ends of
-the final bracket are then shot tight (again, where they were shot loose),
-and those tight shots alone give the evidence and the maxima count.  The
-class is monotone in E, so a loose decision that was not the tight one
-leaves the tight jump outside the final bracket and fails an end check;
-when both checks pass, the result is the all-tight search's bit for bit.
-A failed check or an error sends the search round once more with every
-shot tight, and that is the one fallback.  Near-degenerate eigenvalues
+is wide, the tight _ode_cfg(tol, cfg) once it is narrow.  A cheap
+unrecorded backward run first estimates E_n, and a midpoint farther from
+that estimate than its error margin is decided by the estimate alone,
+with no shot.  The two ends of the final bracket are then shot tight
+(again, where they were shot loose or decided unshot), and those tight
+shots alone give the evidence and the maxima count.  The class is
+monotone in E, so a loose or estimated decision that was not the tight
+one leaves the tight jump outside the final bracket and fails an end
+check; when both checks pass, the result is the all-tight search's bit
+for bit.  A failed check or an error sends the search round once more
+with every shot tight and no estimate, and that is the one fallback.  Near-degenerate eigenvalues
 (xibar's) put more than one jump within tol, so every final bracket is
 narrowed further until it holds the n-th jump alone: a record depends on
 its index only, never on the scan around it, and an E_n that shares a
@@ -178,6 +181,17 @@ def classify(model, E, cfg=None, n_hint=None):
     return sh.shoot(E / sh.frame.y_scale)[0]
 
 
+def _backward_estimate(model, n, rel_tol):
+    """E_n of one unrecorded backward run (refine_backward) at rel_tol,
+    abs_tol rel_tol * 1e-2, or None when the run raises."""
+    cfg = IntegratorConfig(rel_tol=rel_tol, abs_tol=rel_tol * 1e-2)
+    try:
+        return refine_backward(model, n, cfg=cfg, _record=False).E
+    except (BracketError, RootError, RuntimeError, OverflowError,
+            DomainError):
+        return None
+
+
 def find_eigen(model, n, tol=None, cfg=None):
     """n-th eigenvalue by bisection on the classifier.
 
@@ -190,16 +204,22 @@ def find_eigen(model, n, tol=None, cfg=None):
     tolerance (_ode_cfg(tol, cfg)) and w the bracket's relative width
     (hi - lo) / hi when the shot is taken (1 while widening); abs_tol keeps
     the tight abs/rel ratio and x_max is kept.  A loose shot that is
-    unresolved is shot again, tight.  A loose decision that a wrong class
-    would turn into a wider bracket (widen) is confirmed by a tight shot;
-    every other wrong decision leaves the tight jump outside the final
-    bracket.  So the ends of that bracket are shot tight (again, where they
-    were shot loose): when lo is below class n and hi is not, every
-    decision was the tight one and the result is that of an all-tight
-    search bit for bit.  lo's tight shot, which never reached the minima
-    stop, supplies the maxima count.  When an end check fails, or the
-    search raises (BracketError or RuntimeError), the search runs again
-    with every shot tight, reusing the tight shots already taken, and its
+    unresolved is shot again, tight.  Before the search, one unrecorded
+    backward run (refine_backward at rel_tol rt_est = min(1e-7, 100 rt))
+    estimates E_n as est; a point v with |v - est| > margin est, margin =
+    max(1e-8, 10 n rt_est) since the backward error grows with n, is
+    answered v > est without a shot.  A backward run that raises leaves no
+    estimate, and every decision is a shot.  A loose or estimated decision
+    that a wrong class would turn into a wider bracket (widen) is confirmed
+    by a tight shot; every other wrong decision leaves the tight jump
+    outside the final bracket.  So the ends of that bracket are shot tight
+    (again, where they were shot loose or estimated): when lo is below
+    class n and hi is not, every decision was the tight one and the result
+    is that of an all-tight search bit for bit, whatever the estimate.
+    lo's tight shot, which never reached the minima stop, supplies the
+    maxima count.  When an end check fails, or the search raises
+    (BracketError or RuntimeError), the search runs again with every shot
+    tight and no estimate, reusing the tight shots already taken, and its
     result or error is the one reported.
 
     The shots stop at the n-th minimum, so hi's class reads at most n.
@@ -223,16 +243,26 @@ def find_eigen(model, n, tol=None, cfg=None):
     tight = sh.cfg
     rt = tight.rel_tol
     pred = model.predict(n)
+    rt_est = min(1e-7, 100.0 * rt)
+    est = _backward_estimate(model, n, rt_est)
+    if est is not None:
+        est /= frame.y_scale
+    margin = max(1e-8, 10.0 * n * rt_est)
     # v -> (class >= n, class, signal, rel_tol of the shot, engine of a
-    # tight shot)
+    # tight shot); an answer from the estimate has rel_tol inf, no class
     cache = {}
 
-    def shot(v, rel):
-        """The cached shot at v when it ran at rel or tighter; otherwise a
-        new one at rel, or a tight one when rel is tight or the loose shot
-        raises RuntimeError."""
+    def shot(v, rel, guess=False):
+        """The cached shot at v when it ran at rel or tighter; otherwise,
+        when guess and v lies more than margin * est from the estimate,
+        the answer v > est without a run; otherwise a new shot at rel, or
+        a tight one when rel is tight or the loose shot raises
+        RuntimeError."""
         hit = cache.get(v)
         if hit is not None and hit[3] <= rel:
+            return hit
+        if guess and est is not None and abs(v - est) > margin * est:
+            cache[v] = hit = (v > est, None, None, math.inf, None)
             return hit
         if rel <= rt:
             cfg_v = tight
@@ -252,13 +282,15 @@ def find_eigen(model, n, tol=None, cfg=None):
 
     def search(ladder):
         """Final (lo, hi) of the bracket-and-bisect search, each shot at
-        the ladder's tolerance (every shot tight when ladder is 0)."""
+        the ladder's tolerance and each decision far from the estimate
+        taken from it; with ladder 0, every decision is a tight shot."""
 
         def above(v, w, confirm=None):
-            # a loose answer equal to confirm widens the bracket, which no
-            # end check would catch, so a tight shot has to give it
+            # a loose or estimated answer equal to confirm widens the
+            # bracket, which no end check would catch, so a tight shot has
+            # to give it
             rel = min(1e-6, max(rt, ladder * w / n))
-            hit = shot(v, rel)
+            hit = shot(v, rel, guess=ladder > 0)
             if hit[0] == confirm and hit[3] > rt:
                 hit = shot(v, rt)
             return hit[0]

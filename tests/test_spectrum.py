@@ -16,7 +16,8 @@ from nleig.cli import main
 from nleig.models import (RGAMMA_N_MAX, Frame, eval_F_prime, make_model,
                           zero_table)
 from nleig.ode import IntegratorConfig
-from nleig.spectrum import (ConfigError, classify, find_eigen,
+from nleig.rootfind import RootError
+from nleig.spectrum import (BracketError, ConfigError, classify, find_eigen,
                             refine_backward, spectrum_csv_text,
                             spectrum_json_text, spectrum_scan)
 from nleig.specfun import DomainError
@@ -526,20 +527,31 @@ def _pinned(spec, n):
     return row[2], row[3], row[4]
 
 
+def _no_estimate(mp):
+    """Run find_eigen's search without the backward estimate, so that every
+    decision of its ladder is a shot."""
+    mp.setattr(spectrum, "_backward_estimate", lambda *args: None)
+
+
 class TestToleranceLadder:
     """find_eigen shoots loose while its bracket is wide and checks the ends
     of the final bracket tight; the result is the all-tight search's bit
     for bit, and any loose decision the tight one would not make sends the
-    search round again with every shot tight."""
+    search round again with every shot tight.  The shot-mix tests run
+    without the backward estimate, which answers most decisions unshot."""
 
     @staticmethod
     def key(r):
         return r.E.hex(), r.bracket[0].hex(), r.evidence, r.maxima
 
-    @given(st.sampled_from(["cos", "bessel:0", "airy", "rgamma"]),
-           st.integers(1, 5), st.sampled_from([1e-6, 1e-8, 1e-10, 1e-12]))
+    @given(st.one_of(
+               st.tuples(st.sampled_from(["cos", "bessel:0", "airy", "rgamma",
+                                          "bessel:2.5"]), st.integers(1, 5)),
+               st.tuples(st.just("xibar"), st.integers(1, 4))),
+           st.sampled_from([1e-6, 1e-8, 1e-10, 1e-12]))
     @settings(max_examples=20, deadline=None)
-    def test_equals_all_tight_search(self, spec, n, tol):
+    def test_equals_all_tight_search(self, case, tol):
+        spec, n = case
         model = make_model(spec)
         tiered = find_eigen(model, n, tol=tol)
         with pytest.MonkeyPatch.context() as mp:
@@ -548,6 +560,7 @@ class TestToleranceLadder:
         assert self.key(tiered) == self.key(tight)
 
     def test_lo_is_shot_tight_once(self, monkeypatch):
+        _no_estimate(monkeypatch)
         shots = _record_shots(monkeypatch)
         r = find_eigen(make_model("cos"), 3)
         assert (r.E.hex(), r.bracket[0].hex(), r.maxima) == _pinned("cos", 3)
@@ -567,6 +580,7 @@ class TestToleranceLadder:
             assert [t for y0, _, t, _ in shots if y0 == y] == [False, True]
 
     def test_wrong_loose_class_falls_back(self, monkeypatch):
+        _no_estimate(monkeypatch)
         model = make_model("cos")
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(spectrum, "_LADDER", 0.0)
@@ -603,6 +617,7 @@ class TestToleranceLadder:
                 failed.append(k)
                 raise RuntimeError("class unresolved at the horizon")
             return res
+        _no_estimate(monkeypatch)
         shots = _record_shots(monkeypatch, alter)
         r = find_eigen(make_model("cos"), 3)
         assert (r.E.hex(), r.bracket[0].hex(), r.maxima) == _pinned("cos", 3)
@@ -610,6 +625,72 @@ class TestToleranceLadder:
         assert shots[k + 1][0] == shots[k][0] and shots[k + 1][2]
         # and the search went on loose, with no all-tight rerun
         assert sum(not t for _, _, t, _ in shots) > len(shots) // 2
+
+
+class TestBackwardEstimate:
+    """find_eigen answers a bisection decision far from its backward
+    estimate without a shot; a wrong estimate fails an end check and falls
+    back, and a backward run that raises leaves the plain ladder."""
+
+    # the all-tight fallback bisects (0.5 pred, 1.5 pred) down to a relative
+    # width of 1e-6: at least log2(1 / 1.5e-6) > 19 midpoint shots alone
+    FALLBACK_SHOTS = 19
+
+    @pytest.mark.parametrize("factor", [1.2, 0.3])
+    def test_wrong_side_estimate_falls_back(self, monkeypatch, factor):
+        model = make_model("cos")
+        e3 = float.fromhex(_pinned("cos", 3)[0])
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(spectrum, "_LADDER", 0.0)
+            all_tight = _record_shots(mp)
+            find_eigen(model, 3)
+        monkeypatch.setattr(spectrum, "_backward_estimate",
+                            lambda *args: factor * e3)
+        shots = _record_shots(monkeypatch)
+        r = find_eigen(model, 3)
+        assert (r.E.hex(), r.bracket[0].hex(), r.maxima) == _pinned("cos", 3)
+        assert {y0 for y0, _, _, _ in all_tight} <= {
+            y0 for y0, _, t, _ in shots if t}
+        if factor < 0.5:
+            # the estimate lies below the lower end, so each widening it
+            # predicts there is shot tight first: the initial lower end
+            # reads class 3 and widens, the next one reads below 3 and stays
+            lo = 0.5 * model.predict(3)
+            assert shots[0] == (lo, 3, True, 3)
+            assert shots[1][:3] == (lo / 1.6, 3, True) and shots[1][3] < 3
+
+    @pytest.mark.parametrize("exc", [BracketError, RootError, RuntimeError,
+                                     OverflowError, DomainError])
+    def test_failed_backward_run_leaves_the_ladder(self, monkeypatch, exc):
+        model = make_model("cos")
+        with pytest.MonkeyPatch.context() as mp:
+            _no_estimate(mp)
+            ladder = _record_shots(mp)
+            find_eigen(model, 3)
+
+        def fail(*args, **kwargs):
+            raise exc("backward run failed")
+        monkeypatch.setattr(spectrum, "refine_backward", fail)
+        shots = _record_shots(monkeypatch)
+        r = find_eigen(model, 3)
+        assert (r.E.hex(), r.bracket[0].hex(), r.maxima) == _pinned("cos", 3)
+        assert shots == ladder
+
+    @pytest.mark.parametrize("n, budget", [(3, 12), (30, 15)])
+    def test_shot_budget(self, monkeypatch, n, budget):
+        shots = _record_shots(monkeypatch)
+        find_eigen(make_model("cos"), n)
+        assert len(shots) <= budget
+
+    def test_no_fallback_at_large_n(self, monkeypatch):
+        # the backward error grows with n, and so does the margin
+        shots = _record_shots(monkeypatch)
+        for spec, ns in [("cos", range(18, 31)), ("rgamma", range(20, 31))]:
+            model = make_model(spec)
+            for n in ns:
+                shots.clear()
+                find_eigen(model, n)
+                assert len(shots) < self.FALLBACK_SHOTS, (spec, n)
 
 
 class TestGrowthConstantEmpirical:
