@@ -147,10 +147,9 @@ def _out_dir(rc):
 def cmd_spectrum(rc):
     model = make_model(rc.get("model", ""))
     ns = _parse_n_range(rc.get("n", "1..1"))
+    model.check_binary64(ns[-1])    # before any cache lookup of the range
     method = rc.get("method", "bisection")
-    tol = rc.get("tol")
-    if tol is None:
-        tol = model.default_tol
+    tol = spectrum._checked_tol(model, rc.get("tol"))
     cfg = _integrator_cfg(rc)
     cache_path = _cache_path(rc)
     no_cache = rc.get("no_cache")

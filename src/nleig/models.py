@@ -8,9 +8,12 @@ holds every fact about the kind the rest of the library reads:
 - raw_rhs() and, where has_scaling holds, scale(frame, n),
   scaled_rhs(frame) and limit_curve(ts): the right-hand sides of raw
   (x, y) and of index n's scaled (t, z), and the scaled limit curve;
-- default_tol and predict(n) (the bisection's first guess);
-- n_max and raw_n_max (check_binary64, check_raw): the largest index whose
-  E_n is a binary64 number and the largest that raw coordinates can run;
+- default_tol, predict(n) (the bisection's first guess) and seed_floor,
+  the relative error a backward run's seed leaves in E_n at any rel_tol
+  (find_eigen's estimate margin);
+- n_max with n_max_reason, and raw_n_max (check_binary64, check_raw): the
+  largest index the library runs and why, and the largest that raw
+  coordinates can run;
 - raw_horizon(y0), the first horizon of a raw forward run, and
   backward_start(n, s, export), where a backward run starts.
 The algebraic kinds, F(u) ~ a u^alpha cos(b u^beta + phi), share
@@ -63,6 +66,12 @@ class AsymptoticForm:
         return self.a * u ** self.alpha * math.cos(self.b * u ** self.beta + self.phi)
 
 
+# The zero table of index n holds about 2n floats, 32 bytes each in a
+# list: 10^6 zeros, about 32 MB, is the desk-scale budget.  Each kind that
+# keeps it as n_max says why it binds first.
+_TABLE_N_MAX = 500_000
+
+
 @dataclass(frozen=True)
 class GeneratingFunction:
     """A model kind (see the module docstring); immutable and safe to
@@ -71,7 +80,9 @@ class GeneratingFunction:
     first_unstable = False
     has_scaling = True
     default_tol = 1e-10
-    n_max = math.inf
+    seed_floor = 0.0
+    n_max = _TABLE_N_MAX
+    n_max_reason = "its zero table would pass 10^6 zeros (about 32 MB)"
     raw_n_max = math.inf
 
     def __str__(self):
@@ -83,11 +94,11 @@ class GeneratingFunction:
         return (self.F(u + h) - self.F(u - h)) / (2.0 * h)
 
     def check_binary64(self, n):
-        """DomainError for n > n_max, whose E_n exceeds binary64."""
+        """DomainError for n > n_max, naming n_max_reason; it reads no
+        zero table, so a huge n is refused at once."""
         if n > self.n_max:
-            raise DomainError(
-                f"{self.spec} n={n} refused: E_n exceeds binary64 (the "
-                f"largest double, ~1.8e308) for n > {self.n_max}")
+            raise DomainError(f"{self.spec} n={n} refused: "
+                              f"{self.n_max_reason} for n > {self.n_max}")
 
     def check_raw(self, n):
         """DomainError for a raw-coordinate run of index n > raw_n_max."""
@@ -169,6 +180,7 @@ class Cosine(Algebraic):
     kind = "cosine"
     spec = "cos"
     asym = AsymptoticForm(1.0, 0.0, math.pi, 1.0, 0.0)
+    # n_max is the table budget: E_{n+1}/E_n - 1 ~ 1/(2n) nears 1e-12 at 5e11
 
     def F(self, u):
         return cospi(u)
@@ -195,6 +207,7 @@ class Bessel(Algebraic):
     """F(u) = J_nu(u), 0 <= nu <= 50."""
     nu: float = 0.0
     kind = "bessel"
+    # n_max is the table budget: E_{n+1}/E_n - 1 ~ 1/(4n) nears 1e-12 at 2.5e11
 
     @property
     def spec(self):
@@ -245,6 +258,7 @@ class Airy(Algebraic):
     kind = spec = "airy"
     asym = AsymptoticForm(1.0 / math.sqrt(math.pi), -0.25, 2.0 / 3.0, 1.5,
                           -math.pi / 4.0)
+    # n_max is the table budget: E_{n+1}/E_n - 1 ~ 1/(4n) nears 1e-12 at 2.5e11
 
     def F(self, u):
         return airy_ai(-u)
@@ -319,7 +333,11 @@ class RecipGamma(GeneratingFunction):
     past binary64 from n = 6."""
     kind = spec = "rgamma"
     default_tol = 1e-8
+    # E_1 and E_2 run from t0 = 3, where the seed's truncation leaves 4.5e-10
+    # in E_1 at every rel_tol from 1e-10 to 1e-13
+    seed_floor = 1e-9
     n_max = RGAMMA_N_MAX
+    n_max_reason = "E_n exceeds binary64 (the largest double, ~1.8e308)"
     raw_n_max = 5
 
     def F(self, u):
@@ -412,6 +430,10 @@ class XiBar(GeneratingFunction):
     first_unstable = True
     has_scaling = False
     default_tol = 1e-6
+    # the backward E_n of n = 1..11 at rel_tol 1e-13 lies 4e-12 to 5.5e-12
+    # above the tol-1e-12 bracket, whatever n
+    seed_floor = 1e-11
+    # n_max is the table budget: xi_bar's domain, u <= 1e8, ends at n ~ 1.2e8
 
     def F(self, u):
         return xi_bar(u)

@@ -8,19 +8,17 @@ is still hugging a separatrix at the horizon, the horizon is extended (the
 deviation grows like exp(F' x^2 / 2), so doublings resolve fast).
 
 find_eigen brackets the class jump around the growth-law prediction and
-bisects.  A shot there only has to tell which side of the jump it lands
-on, so its integrator tolerance follows a ladder: loose while the bracket
-is wide, the tight _ode_cfg(tol, cfg) once it is narrow.  A cheap
-unrecorded backward run first estimates E_n, and a midpoint farther from
-that estimate than its error margin is decided by the estimate alone,
-with no shot.  The two ends of the final bracket are then shot tight
-(again, where they were shot loose or decided unshot), and those tight
-shots alone give the evidence and the maxima count.  The class is
-monotone in E, so a loose or estimated decision that was not the tight
-one leaves the tight jump outside the final bracket and fails an end
-check; when both checks pass, the result is the all-tight search's bit
+bisects with tight shots (_ode_cfg(tol, cfg)).  One unrecorded backward run
+at the same tight rel_tol first estimates E_n, and a midpoint farther from
+that estimate than its error margin (10 n rel_tol, or the kind's
+seed_floor where that is larger) is decided by the estimate alone, with no
+shot.  The two ends of the final bracket are then shot, where they were
+decided unshot, and those shots alone give the evidence and the maxima
+count.  The class is monotone in E, so an estimated decision that was not
+the shot one leaves the jump outside the final bracket and fails an end
+check; when both checks pass, the result is the no-estimate search's bit
 for bit.  A failed check or an error sends the search round once more
-with every shot tight and no estimate, and that is the one fallback.  Near-degenerate eigenvalues
+with no estimate, and that is the one fallback.  Near-degenerate eigenvalues
 (xibar's) put more than one jump within tol, so every final bracket is
 narrowed further until it holds the n-th jump alone: a record depends on
 its index only, never on the scan around it, and an E_n that shares a
@@ -40,7 +38,7 @@ in.
 """
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from .cache import record_line
 from .rootfind import RootError
@@ -51,20 +49,17 @@ from .specfun import DomainError
 __all__ = [
     "EigenResult", "classify", "find_eigen", "refine_backward",
     "separatrix_curve", "spectrum_scan", "spectrum_csv_text",
-    "spectrum_json_text", "BracketError", "ConfigError", "MIN_BISECTION_TOL",
+    "spectrum_json_text", "BracketError", "ConfigError", "MIN_TOL",
 ]
 
 _WIDEN = 1.6
 _WIDEN_CAP = 40
 _EXTENSIONS = 7
 
-# a bisection shot in a bracket of relative width w runs at rel_tol
-# _LADDER * w / n, within [the tight tolerance, 1e-6]: 1e-3 mis-sided
-# shots on cos 80, airy 5 and bessel:2.5 3, so the factor 10 is margin
-_LADDER = 1e-4
-
-# finest relative tolerance find_eigen accepts
-MIN_BISECTION_TOL = 1e-12
+# finest relative tolerance any method accepts: bisection cannot resolve a
+# finer one in binary64, and a backward run's rel_tol floor (1e-13) cannot
+# meet one
+MIN_TOL = 1e-12
 
 
 class ConfigError(ValueError):
@@ -76,16 +71,16 @@ class BracketError(RuntimeError):
     one pair of adjacent doubles, where no bracket isolates E_n's jump."""
 
 
-def _checked_tol(model, tol, method):
-    """tol, or the model's default when None; refused unless finite and
-    positive and, for bisection, at least MIN_BISECTION_TOL."""
+def _checked_tol(model, tol):
+    """tol, or the model's default when None; refused unless finite and at
+    least MIN_TOL."""
     if tol is None:
         return model.default_tol
     if not (math.isfinite(tol) and tol > 0.0):
         raise ConfigError(f"tol must be a positive number, got {tol!r}")
-    if method == "bisection" and tol < MIN_BISECTION_TOL:
-        raise ConfigError(f"tol {tol!r} below {MIN_BISECTION_TOL:g} is not "
-                          "resolvable by bisection in binary64")
+    if tol < MIN_TOL:
+        raise ConfigError(f"tol {tol!r} below {MIN_TOL:g} is not "
+                          "resolvable in binary64")
     return tol
 
 
@@ -132,14 +127,12 @@ class _Shooter:
         self.frame = Frame(model, n)
         self.cfg = cfg or IntegratorConfig()
 
-    def shoot(self, y0, stop_at=None, record=False, cfg=None):
-        """Integrate from the origin, under cfg when given and the
-        shooter's own config otherwise; returns (class, signal, engine).
-        Raises RuntimeError when the run neither settles nor collapses by
-        the last horizon, where its count of oscillations is not yet a
-        class."""
-        cfg = cfg or self.cfg
-        eng = Engine(self.frame, 0.0, y0, cfg, record=record,
+    def shoot(self, y0, stop_at=None, record=False):
+        """Integrate from the origin under the shooter's config; returns
+        (class, signal, engine).  Raises RuntimeError when the run neither
+        settles nor collapses by the last horizon, where its count of
+        oscillations is not yet a class."""
+        eng = Engine(self.frame, 0.0, y0, self.cfg, record=record,
                      max_minima=stop_at)
         return self.resume(eng)
 
@@ -199,34 +192,28 @@ def find_eigen(model, n, tol=None, cfg=None):
     +-50% margin and widened geometrically (factor 1.6, cap 40) until the
     class jumps from n-1 to n across it.
 
-    A shot only has to tell which side of the jump it lands on, so it runs
-    at rel_tol min(1e-6, max(rt, _LADDER w / n)), with rt the tight
-    tolerance (_ode_cfg(tol, cfg)) and w the bracket's relative width
-    (hi - lo) / hi when the shot is taken (1 while widening); abs_tol keeps
-    the tight abs/rel ratio and x_max is kept.  A loose shot that is
-    unresolved is shot again, tight.  Before the search, one unrecorded
-    backward run (refine_backward at rel_tol rt_est = min(1e-7, 100 rt))
-    estimates E_n as est; a point v with |v - est| > margin est, margin =
-    max(1e-8, 10 n rt_est) since the backward error grows with n, is
-    answered v > est without a shot.  A backward run that raises leaves no
-    estimate, and every decision is a shot.  A loose or estimated decision
-    that a wrong class would turn into a wider bracket (widen) is confirmed
-    by a tight shot; every other wrong decision leaves the tight jump
-    outside the final bracket.  So the ends of that bracket are shot tight
-    (again, where they were shot loose or estimated): when lo is below
-    class n and hi is not, every decision was the tight one and the result
-    is that of an all-tight search bit for bit, whatever the estimate.
-    lo's tight shot, which never reached the minima stop, supplies the
-    maxima count.  When an end check fails, or the search raises
-    (BracketError or RuntimeError), the search runs again with every shot
-    tight and no estimate, reusing the tight shots already taken, and its
-    result or error is the one reported.
+    Every shot runs at the tight tolerance _ode_cfg(tol, cfg), rel_tol rt.
+    Before the search, one unrecorded backward run (refine_backward at
+    rel_tol rt, abs_tol rt 1e-2) estimates E_n as est; a point v with
+    |v - est| > margin est, margin = max(model.seed_floor, 10 n rt) since
+    the backward error grows with n, is answered v > est without a shot.
+    A backward run that raises leaves no estimate, and every decision is a
+    shot.  An estimated decision that a wrong class would turn into a wider
+    bracket (widen) is shot instead; every other wrong decision leaves the
+    jump outside the final bracket.  So the ends of that bracket are shot
+    (where they were estimated): when lo is below class n and hi is not,
+    every decision was the shot one and the result is that of the
+    no-estimate search bit for bit, whatever the estimate.  lo's shot,
+    which never reached the minima stop, supplies the maxima count.  When
+    an end check fails, or the search raises (BracketError or
+    RuntimeError), the search runs again with no estimate, reusing the
+    shots already taken, and its result or error is the one reported.
 
     The shots stop at the n-th minimum, so hi's class reads at most n.
-    The final bracket must hold E_n's jump alone: hi's tight run goes on to
+    The final bracket must hold E_n's jump alone: hi's run goes on to
     minimum n+1 or until it settles, and while it reads a class above n
     (E_{n+1} lies in the bracket too) or lo reads one below n-1 (E_{n-1}
-    does), the bracket is bisected on with tight shots stopped at minimum
+    does), the bracket is bisected on with shots stopped at minimum
     n+1.  Every record is thus that of its own index, whatever the scan
     around it.  When lo and hi become adjacent doubles while hi reads above
     n, E_n and E_{n+1} coincide in binary64 at these settings and
@@ -237,72 +224,44 @@ def find_eigen(model, n, tol=None, cfg=None):
         raise ValueError(f"find_eigen: need integer n >= 1, got {n!r}")
     n = int(n)
     model.check_binary64(n)
-    tol = _checked_tol(model, tol, "bisection")
+    tol = _checked_tol(model, tol)
     sh = _Shooter(model, n, _ode_cfg(tol, cfg))
     frame = sh.frame
-    tight = sh.cfg
-    rt = tight.rel_tol
+    rt = sh.cfg.rel_tol
     pred = model.predict(n)
-    rt_est = min(1e-7, 100.0 * rt)
-    est = _backward_estimate(model, n, rt_est)
+    est = _backward_estimate(model, n, rt)
     if est is not None:
         est /= frame.y_scale
-    margin = max(1e-8, 10.0 * n * rt_est)
-    # v -> (class >= n, class, signal, rel_tol of the shot, engine of a
-    # tight shot); an answer from the estimate has rel_tol inf, no class
-    cache = {}
+    margin = max(model.seed_floor, 10.0 * n * rt)
+    cache = {}      # v -> (class, signal, engine) of the shot at v
 
-    def shot(v, rel, guess=False):
-        """The cached shot at v when it ran at rel or tighter; otherwise,
-        when guess and v lies more than margin * est from the estimate,
-        the answer v > est without a run; otherwise a new shot at rel, or
-        a tight one when rel is tight or the loose shot raises
-        RuntimeError."""
+    def shot(v):
         hit = cache.get(v)
-        if hit is not None and hit[3] <= rel:
-            return hit
-        if guess and est is not None and abs(v - est) > margin * est:
-            cache[v] = hit = (v > est, None, None, math.inf, None)
-            return hit
-        if rel <= rt:
-            cfg_v = tight
-        else:
-            cfg_v = replace(tight, rel_tol=rel,
-                            abs_tol=rel * (tight.abs_tol / rt))
-        try:
-            cls, signal, eng = sh.shoot(v, stop_at=n, cfg=cfg_v)
-        except RuntimeError:
-            if cfg_v is tight:
-                raise
-            cfg_v = tight
-            cls, signal, eng = sh.shoot(v, stop_at=n, cfg=tight)
-        keep = eng if cfg_v is tight else None
-        cache[v] = hit = (cls >= n, cls, signal, cfg_v.rel_tol, keep)
+        if hit is None:
+            hit = cache[v] = sh.shoot(v, stop_at=n)
         return hit
 
-    def search(ladder):
-        """Final (lo, hi) of the bracket-and-bisect search, each shot at
-        the ladder's tolerance and each decision far from the estimate
-        taken from it; with ladder 0, every decision is a tight shot."""
+    def search(use_estimate):
+        """Final (lo, hi) of the bracket-and-bisect search, each decision
+        far from the estimate taken from it when use_estimate, and every
+        other decision a shot."""
 
-        def above(v, w, confirm=None):
-            # a loose or estimated answer equal to confirm widens the
-            # bracket, which no end check would catch, so a tight shot has
-            # to give it
-            rel = min(1e-6, max(rt, ladder * w / n))
-            hit = shot(v, rel, guess=ladder > 0)
-            if hit[0] == confirm and hit[3] > rt:
-                hit = shot(v, rt)
-            return hit[0]
+        def above(v, widen=None):
+            # an estimated answer equal to widen would widen the bracket,
+            # which no end check would catch, so a shot has to give it
+            if (use_estimate and est is not None
+                    and abs(v - est) > margin * est and (v > est) != widen):
+                return v > est
+            return shot(v)[0] >= n
 
         lo, hi = 0.5 * pred, 1.5 * pred
         widened = 0
-        while above(lo, 1.0, True):
+        while above(lo, True):
             lo /= _WIDEN
             widened += 1
             if widened > _WIDEN_CAP:
                 raise BracketError(f"no class-{n - 1} floor found for n={n}")
-        while not above(hi, 1.0, False):
+        while not above(hi, False):
             hi *= _WIDEN
             widened += 1
             if widened > _WIDEN_CAP:
@@ -313,24 +272,24 @@ def find_eigen(model, n, tol=None, cfg=None):
             mid = 0.5 * (lo + hi)
             if mid <= lo or mid >= hi:
                 break
-            if above(mid, (hi - lo) / hi):
+            if above(mid):
                 hi = mid
             else:
                 lo = mid
         return lo, hi
 
     try:
-        lo, hi = search(_LADDER)
-        sound = not shot(lo, rt)[0] and shot(hi, rt)[0]
+        lo, hi = search(True)
+        sound = shot(lo)[0] < n <= shot(hi)[0]
     except (BracketError, RuntimeError):
         sound = False
     if not sound:
-        lo, hi = search(0.0)
-    # the final bracket, whose ends were both shot tight, is bisected on
-    # with tight shots stopped at minimum n + 1 until it holds E_n's jump
-    # alone: hi reads n past the minima stop and lo reads n - 1
-    _, cls_lo, sig_lo, _, eng_lo = cache[lo]
-    _, cls_hi, sig_hi, _, eng_hi = cache[hi]
+        lo, hi = search(False)
+    # the final bracket, whose ends were both shot, is bisected on with
+    # shots stopped at minimum n + 1 until it holds E_n's jump alone: hi
+    # reads n past the minima stop and lo reads n - 1
+    cls_lo, sig_lo, eng_lo = cache[lo]
+    cls_hi, sig_hi, eng_hi = cache[hi]
     past = cls_hi       # hi's class read past n; a settled run's is final
     if sig_hi == "maxima-jump":
         eng_hi.max_minima = n + 1
@@ -394,7 +353,7 @@ def refine_backward(model, n, cfg=None, tol=None, *, _export=False,
         raise ValueError(f"refine_backward: need integer n >= 1, got {n!r}")
     n = int(n)
     model.check_binary64(n)
-    tol = _checked_tol(model, tol, "backward")
+    tol = _checked_tol(model, tol)
     cfg = _ode_cfg(tol, cfg)
     s = zero_table(model).nth_unstable(n).u
     frame, x0, y0 = model.backward_start(n, s, _export)
@@ -463,7 +422,7 @@ def spectrum_scan(model, n_range, tol=None, cfg=None, method="bisection"):
         raise ConfigError(f"method must be bisection or backward, "
                           f"got {method!r}")
     model.check_binary64(ns[-1])
-    tol = _checked_tol(model, tol, method)
+    tol = _checked_tol(model, tol)
     results = []
     errors = []
     for n in ns:

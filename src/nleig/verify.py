@@ -79,6 +79,7 @@ def growth(model_spec="cos", n_max=100, method="backward", tol=1e-8,
     if n_max < 21:
         raise ConfigError(f"n_max must be at least 21, two points for the "
                           f"growth fit from n = 20, got {n_max}")
+    model.check_binary64(n_max)
     gl = asymptotics.growth_law(model)
     lo = max(20, n_max // 5)
     results, errs = spectrum.spectrum_scan(

@@ -5,6 +5,7 @@ import hashlib
 import json
 import math
 import os
+import time
 import warnings
 
 import numpy as np
@@ -211,6 +212,8 @@ class TestExitCodes:
     @pytest.mark.parametrize("argv", [
         ["spectrum", "--model", "cos", "--tol", "abc"],
         ["spectrum", "--model", "cos", "--tol", "1e-13"],
+        ["spectrum", "--model", "cos", "--n", "3", "--method", "backward",
+         "--tol", "1e-300"],
         ["spectrum", "--model", "cos", "--rel-tol", "abc"],
         ["walk-coeffs", "--p-max", "99"],
         ["limit-curve", "--alpha", "abc"],
@@ -248,6 +251,28 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and len(err.splitlines()) == 1
         assert "'h_max'" in err and "Traceback" not in err
+
+
+class TestIndexLimits:
+    """An index past the kind's finite n_max exits 2 at once, before any
+    zero table or cache lookup, through every command that takes one."""
+
+    @pytest.mark.parametrize("spec", ["cos", "bessel:0", "airy", "rgamma",
+                                      "xibar"])
+    @pytest.mark.parametrize("argv", [
+        ["spectrum", "--method", "bisection", "--n", str(10 ** 20)],
+        ["spectrum", "--method", "backward", "--n", str(10 ** 20)],
+        ["spectrum", "--method", "backward", "--n", f"1..{10 ** 20}"],
+        ["separatrix", "--n", str(10 ** 20)],
+    ])
+    def test_huge_index_exits_2_at_once(self, tmp_path, capsys, spec, argv):
+        start = time.perf_counter()
+        code = run(argv + ["--model", spec], tmp_path)
+        elapsed = time.perf_counter() - start
+        err = capsys.readouterr().err
+        assert code == 2 and elapsed < 1.0
+        assert err.startswith("error: ") and len(err.splitlines()) == 1
+        assert f"n > {make_model(spec).n_max}" in err
 
 
 class TestSeparatrixCommand:

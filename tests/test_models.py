@@ -2,6 +2,8 @@
 coordinate rescaling, and the stability classification of zeros."""
 
 import math
+import re
+import time
 
 import numpy as np
 import pytest
@@ -103,6 +105,45 @@ class CosU(Algebraic):
     def scaled_rhs(self, frame):
         pref, c_u = frame.x_scale / frame.y_scale, frame.u_scale
         return lambda t, z: pref * math.cos(c_u * t * z)
+
+
+class TestIndexLimits:
+    """Every kind states a finite n_max, and check_binary64 refuses past it
+    before any zero table grows, naming the limit that applied."""
+
+    @pytest.mark.parametrize("spec", ["cos", "bessel:0", "bessel:50", "airy",
+                                      "rgamma", "xibar"])
+    def test_finite_and_refused_past(self, spec):
+        m = make_model(spec)
+        assert math.isfinite(m.n_max)
+        zeros = len(zero_table(m)._zeros)
+        m.check_binary64(m.n_max)
+        with pytest.raises(DomainError, match=f"n > {m.n_max}"):
+            m.check_binary64(m.n_max + 1)
+        with pytest.raises(DomainError, match=re.escape(m.n_max_reason)):
+            m.check_binary64(10 ** 20)
+        assert len(zero_table(m)._zeros) == zeros
+
+    @given(st.sampled_from(["cos", "bessel:0", "airy", "rgamma", "xibar"]),
+           st.integers(1, 10 ** 30))
+    @settings(max_examples=60, deadline=None)
+    def test_check_passes_only_up_to_n_max(self, spec, n):
+        m = make_model(spec)
+        start = time.perf_counter()
+        try:
+            m.check_binary64(n)
+            passed = True
+        except DomainError:
+            passed = False
+        assert time.perf_counter() - start < 0.01
+        assert passed == (n <= m.n_max)
+
+    def test_reasons(self):
+        assert "binary64" in make_model("rgamma").n_max_reason
+        assert "zero table" in make_model("cos").n_max_reason
+
+    def test_paper_scale_bessel_inside(self):
+        make_model("bessel:0").check_binary64(50_000)
 
 
 class TestKindIsOneObject:
