@@ -21,21 +21,25 @@ import os
 import tempfile
 import warnings
 
-__all__ = ["atomic_write_text", "record_line", "EigenCache", "SCHEMA"]
+__all__ = ["atomic_write", "atomic_write_text", "record_line", "EigenCache",
+           "SCHEMA"]
 
 # Version of the record layout and key; records of any other version are
 # recomputed rather than served.
 SCHEMA = 2
 
 
-def atomic_write_text(path, text):
-    """Write text to path via a temp file + rename."""
+def atomic_write(path, chunks):
+    """Write the strings of the iterable chunks to path via a temp file +
+    rename, each chunk as it comes, so a large artifact is never held as
+    one string; path is untouched when a chunk raises."""
     path = os.fspath(path)
     d = os.path.dirname(os.path.abspath(path)) or "."
     fd, tmp = tempfile.mkstemp(dir=d, prefix=".tmp-nleig-")
     try:
         with os.fdopen(fd, "w") as fh:
-            fh.write(text)
+            for chunk in chunks:
+                fh.write(chunk)
         os.chmod(tmp, 0o644)
         os.replace(tmp, path)
     except BaseException:
@@ -45,6 +49,12 @@ def atomic_write_text(path, text):
             pass
         raise
     return path
+
+
+def atomic_write_text(path, text):
+    """Write text to path via a temp file + rename (atomic_write of one
+    chunk)."""
+    return atomic_write(path, (text,))
 
 
 def record_line(rec):

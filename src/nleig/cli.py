@@ -25,7 +25,7 @@ import sys
 from . import asymptotics, specfun, spectrum, svgplot, verify
 from .cache import EigenCache, atomic_write_text, record_line
 from .models import make_model
-from .ode import IntegratorConfig, curve_csv_text, count_maxima
+from .ode import IntegratorConfig, count_maxima, write_curve_csv
 from .specfun import DomainError
 from .spectrum import ConfigError, _check_coords, separatrix_curve
 
@@ -212,9 +212,9 @@ def cmd_separatrix(rc):
             continue
         base = os.path.join(
             out, f"separatrix_{model.spec.replace(':', '_')}_n{n}_{coords}")
-        atomic_write_text(base + ".csv", curve_csv_text(
-            model.spec, n, coords, "t,z" if coords == "scaled" else "x,y",
-            curve.grid, curve.values))
+        write_curve_csv(base + ".csv", model.spec, n, coords,
+                        "t,z" if coords == "scaled" else "x,y",
+                        curve.grid, curve.values)
         print(f"n={n}: E={res.E:.12g} maxima={count_maxima(curve)} "
               f"-> {base}.csv")
         if rc.get("svg"):
@@ -241,8 +241,8 @@ def cmd_limit_curve(rc):
     lc = asymptotics.limit_curve(alpha, grid)
     out = _out_dir(rc)
     path = os.path.join(out, f"limit_alpha{alpha:g}.csv")
-    atomic_write_text(path, curve_csv_text(f"limit(alpha={alpha:g})", None,
-                                           "limit", "t,z", lc.grid, lc.z))
+    write_curve_csv(path, f"limit(alpha={alpha:g})", None, "limit", "t,z",
+                    lc.grid, lc.z)
     print(f"z(0)={lc.origin_value:.12g} -> {path}")
     if rc.get("svg"):
         svgplot.render_csv(path, path[:-4] + ".svg")

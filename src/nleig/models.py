@@ -8,9 +8,9 @@ holds every fact about the kind the rest of the library reads:
 - raw_rhs() and, where has_scaling holds, scale(frame, n),
   scaled_rhs(frame) and limit_curve(ts): the right-hand sides of raw
   (x, y) and of index n's scaled (t, z), and the scaled limit curve;
-- default_tol, predict(n) (the bisection's first guess) and seed_floor,
-  the relative error a backward run's seed leaves in E_n at any rel_tol
-  (find_eigen's estimate margin);
+- default_tol, predict(n) (the bisection's first guess) and
+  seed_floor(n), the relative error a backward run's seed leaves in E_n
+  at any rel_tol (find_eigen's estimate margin);
 - n_max with n_max_reason, and raw_n_max (check_binary64, check_raw): the
   largest index the library runs and why, and the largest that raw
   coordinates can run;
@@ -80,13 +80,17 @@ class GeneratingFunction:
     first_unstable = False
     has_scaling = True
     default_tol = 1e-10
-    seed_floor = 0.0
     n_max = _TABLE_N_MAX
     n_max_reason = "its zero table would pass 10^6 zeros (about 32 MB)"
     raw_n_max = math.inf
 
     def __str__(self):
         return self.spec
+
+    def seed_floor(self, n):
+        """The relative error the seed of a backward run leaves in E_n at
+        any rel_tol: none, unless the kind says otherwise."""
+        return 0.0
 
     def F_prime(self, u):
         """dF/du by central difference, where no analytic F' is cheap."""
@@ -333,15 +337,18 @@ class RecipGamma(GeneratingFunction):
     past binary64 from n = 6."""
     kind = spec = "rgamma"
     default_tol = 1e-8
-    # E_1 and E_2 run from t0 = 3, where the seed's truncation leaves 4.5e-10
-    # in E_1 at every rel_tol from 1e-10 to 1e-13
-    seed_floor = 1e-9
     n_max = RGAMMA_N_MAX
     n_max_reason = "E_n exceeds binary64 (the largest double, ~1.8e308)"
     raw_n_max = 5
 
     def F(self, u):
         return recip_gamma(u)
+
+    def seed_floor(self, n):
+        # E_1 and E_2 run from t0 = 3, where the seed's truncation leaves
+        # 4.5e-10 in E_1 at every rel_tol from 1e-10 to 1e-13; E_2 .. E_30
+        # agree with their tol-1e-12 brackets within 8.6e-13
+        return 1e-9 if n == 1 else 0.0
 
     def F_prime(self, u):
         # d/du [-sin(pi u) Gamma(1+u) / pi]
@@ -430,13 +437,15 @@ class XiBar(GeneratingFunction):
     first_unstable = True
     has_scaling = False
     default_tol = 1e-6
-    # the backward E_n of n = 1..11 at rel_tol 1e-13 lies 4e-12 to 5.5e-12
-    # above the tol-1e-12 bracket, whatever n
-    seed_floor = 1e-11
     # n_max is the table budget: xi_bar's domain, u <= 1e8, ends at n ~ 1.2e8
 
     def F(self, u):
         return xi_bar(u)
+
+    def seed_floor(self, n):
+        # the backward E_n of n = 1..11 at rel_tol 1e-13 lies 4e-12 to
+        # 5.5e-12 above the tol-1e-12 bracket, whatever n
+        return 1e-11
 
     def zero(self, k):
         """k-th ordinate of a nontrivial zeta zero, by scanning xi_bar's

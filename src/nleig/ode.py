@@ -29,9 +29,16 @@ that is unstable (xibar) the basin is that of y -> 0, with attractor 0.  A
 run left uncommitted at its horizon (still hugging a separatrix) can be
 continued farther by calling run() again.
 
-Only a recording run's curve is built with numpy, imported when the first
-one is: a non-recording run keeps its two end points in plain lists, so
-the classifier's shots and spectrum_scan's backward runs load no numpy.
+A recording run appends each accepted step to two flat float64 buffers,
+array('d') xs and ys (16 bytes a step), and only its curve is built with
+numpy, imported when the first one is.  Engine.curve copies the buffers
+into the curve's arrays (one reversed copy for a backward run, the clamp
+at 0 in place) and keeps no view of them, so run() can go on appending.
+A non-recording run keeps its two end points in plain lists, so the
+classifier's shots and spectrum_scan's backward runs load no numpy.
+write_curve_csv streams a curve to disk a few thousand rows at a time, so
+only one such chunk of a recorded run's steps is ever held as Python
+floats and text on its way to the CSV.
 
 Every run starts from a models.Frame, the one place that picks raw (x, y)
 or scaled (t, z) coordinates; u is u_scale * x * y in either, so the
@@ -62,10 +69,12 @@ as the machine's load varies.
 """
 
 import math
+from array import array
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
+from .cache import atomic_write
 from .models import Frame
 from .specfun import DomainError
 
@@ -74,7 +83,7 @@ if TYPE_CHECKING:
 
 __all__ = [
     "IntegratorConfig", "SolutionCurve", "PrecisionExhausted", "StepUnderflow",
-    "Engine", "integrate", "count_maxima", "curve_csv_text",
+    "Engine", "integrate", "count_maxima", "write_curve_csv",
 ]
 
 
@@ -113,9 +122,11 @@ class SolutionCurve:
     """A run's grid and events.  Only a recording run locates its maxima
     and minima; a non-recording run (recorded=False) keeps, for each, the
     end of the step in which y' changed sign, and as its grid its first and
-    last points only.  A recording run's grid and values are numpy arrays;
+    last points only.  A recording run's grid and values are float64 numpy
+    arrays of their own, copied from the run's buffers, 16 bytes a point;
     a non-recording run stores its two end points as plain lists of floats,
-    so building it loads no numpy (Frame.convert rescales either form)."""
+    so building it loads no numpy (Frame.convert rescales either form).
+    The events are lists in either case."""
     coords: str                      # "raw" or "scaled"
     grid: "np.ndarray | list"
     values: "np.ndarray | list"
@@ -150,8 +161,10 @@ class Engine:
         self.h = 0.0
         self.err_prev = 1.0
         self.record = record
-        self.xs = [self.x] if record else None
-        self.ys = [self.y] if record else None
+        self.xs = self.ys = None
+        if record:
+            self.xs = array("d", (self.x,))
+            self.ys = array("d", (self.y,))
         self.start = (self.x, self.y)
         self.maxima = []
         self.maxima_values = []
@@ -438,13 +451,16 @@ class Engine:
 
     def curve(self, meta=None):
         """The run as a SolutionCurve, in increasing x.  Only a recording
-        run builds numpy arrays; a non-recording one keeps its two end
-        points in lists, clamped at 0 as np.maximum(v, 0.0) would."""
+        run builds numpy arrays, each one copy of its buffer (the views
+        die here, so run() may grow the buffers again); a non-recording
+        one keeps its two end points in lists, clamped at 0 as
+        np.maximum(v, 0.0) would."""
         sl = slice(None, None, -1 if self.sgn < 0 else 1)
         if self.record:
             import numpy as np
-            grid = np.asarray(self.xs[sl], dtype=float)
-            vals = np.maximum(np.asarray(self.ys[sl], dtype=float), 0.0)
+            grid = np.frombuffer(self.xs)[sl].copy()
+            vals = np.frombuffer(self.ys)[sl].copy()
+            np.maximum(vals, 0.0, out=vals)
         else:
             grid = [self.start[0], self.x][sl]
             vals = [0.0 if v <= 0.0 else v for v in (self.start[1], self.y)][sl]
@@ -518,10 +534,27 @@ def count_maxima(curve):
     return count + 1 if opens_down else count
 
 
-def curve_csv_text(model, n, coords, cols, xs, ys):
-    """Curve CSV text: a "# model=..., n=..., coords=..." comment header,
-    the column names cols and one 17-significant-digit row per point."""
-    lines = [f"# model={model}, n={n if n is not None else '-'}, "
-             f"coords={coords}", cols]
-    lines.extend(f"{x:.16e},{y:.16e}" for x, y in zip(xs, ys))
-    return "\n".join(lines) + "\n"
+_CSV_ROWS = 4096    # rows formatted and written at a time
+
+
+def _curve_csv_chunks(model, n, coords, cols, xs, ys):
+    """The curve CSV as strings: the header lines, then the rows in chunks
+    of _CSV_ROWS, each formatted from plain floats (tolist where the
+    columns have it)."""
+    yield (f"# model={model}, n={n if n is not None else '-'}, "
+           f"coords={coords}\n{cols}\n")
+    for i in range(0, len(xs), _CSV_ROWS):
+        part_x, part_y = xs[i:i + _CSV_ROWS], ys[i:i + _CSV_ROWS]
+        if hasattr(part_x, "tolist"):
+            part_x, part_y = part_x.tolist(), part_y.tolist()
+        yield "".join([f"{x:.16e},{y:.16e}\n" for x, y in zip(part_x, part_y)])
+
+
+def write_curve_csv(path, model, n, coords, cols, xs, ys):
+    """Write a curve CSV to path atomically: a "# model=..., n=...,
+    coords=..." comment header, the column names cols and one
+    17-significant-digit row per point of xs and ys, formatted and written
+    _CSV_ROWS rows at a time, so only one chunk of the text is ever held
+    (about 46 bytes a row).  Returns path."""
+    return atomic_write(path, _curve_csv_chunks(model, n, coords, cols, xs,
+                                                ys))

@@ -11,8 +11,8 @@ find_eigen brackets the class jump around the growth-law prediction and
 bisects with tight shots (_ode_cfg(tol, cfg)).  One unrecorded backward run
 at the same tight rel_tol first estimates E_n, and a midpoint farther from
 that estimate than its error margin (10 n rel_tol, or the kind's
-seed_floor where that is larger) is decided by the estimate alone, with no
-shot.  The two ends of the final bracket are then shot, where they were
+seed_floor(n) where that is larger) is decided by the estimate alone, with
+no shot.  The two ends of the final bracket are then shot, where they were
 decided unshot, and those shots alone give the evidence and the maxima
 count.  The class is monotone in E, so an estimated decision that was not
 the shot one leaves the jump outside the final bracket and fails an end
@@ -195,7 +195,7 @@ def find_eigen(model, n, tol=None, cfg=None):
     Every shot runs at the tight tolerance _ode_cfg(tol, cfg), rel_tol rt.
     Before the search, one unrecorded backward run (refine_backward at
     rel_tol rt, abs_tol rt 1e-2) estimates E_n as est; a point v with
-    |v - est| > margin est, margin = max(model.seed_floor, 10 n rt) since
+    |v - est| > margin est, margin = max(model.seed_floor(n), 10 n rt) since
     the backward error grows with n, is answered v > est without a shot.
     A backward run that raises leaves no estimate, and every decision is a
     shot.  An estimated decision that a wrong class would turn into a wider
@@ -232,7 +232,7 @@ def find_eigen(model, n, tol=None, cfg=None):
     est = _backward_estimate(model, n, rt)
     if est is not None:
         est /= frame.y_scale
-    margin = max(model.seed_floor, 10.0 * n * rt)
+    margin = max(model.seed_floor(n), 10.0 * n * rt)
     cache = {}      # v -> (class, signal, engine) of the shot at v
 
     def shot(v):

@@ -2,18 +2,23 @@
 
 Hand-rolled on purpose: identical input bytes must yield identical output
 bytes (no timestamps, no library version strings, no font probing), and
-the figures are static curve displays that need no interactivity.
+the figures are static curve displays that need no interactivity.  A
+CSV's columns are read into float arrays and each polyline is written a
+chunk of points at a time, so rendering a long separatrix holds 8 bytes a
+coordinate and no string of the whole figure.
 """
 
 import math
+from array import array
 
-from .cache import atomic_write_text
+from .cache import atomic_write
 
 __all__ = ["render_csv", "render_series"]
 
 _W, _H = 900, 620
 _ML, _MR, _MT, _MB = 70, 20, 20, 50
 _COLORS = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd")
+_POINTS = 4096      # polyline points formatted and written at a time
 
 
 def _fmt(v):
@@ -39,17 +44,19 @@ def _ticks(lo, hi, n=6):
 
 
 def render_series(series, path, xlabel="x", ylabel="y", title=""):
-    """series: list of (label, xs, ys) drawn in order with a fixed palette.
-    Raises ValueError when there is nothing to plot or a coordinate is not
-    finite."""
-    xs_all = [x for _, xs, _ in series for x in xs]
-    ys_all = [y for _, _, ys in series for y in ys]
-    if not xs_all:
+    """series: list of (label, xs, ys) drawn in order with a fixed palette;
+    xs and ys are sequences of floats (lists or arrays).  Raises ValueError,
+    before path is touched, when there is nothing to plot or a coordinate
+    is not finite."""
+    if not any(len(xs) for _, xs, _ in series):
         raise ValueError("render_series: nothing to plot")
-    if not all(map(math.isfinite, xs_all + ys_all)):
-        raise ValueError("render_series: a coordinate is not finite")
-    x_lo, x_hi = min(xs_all), max(xs_all)
-    y_lo, y_hi = min(ys_all), max(ys_all)
+    for _, xs, ys in series:
+        if not (all(map(math.isfinite, xs)) and all(map(math.isfinite, ys))):
+            raise ValueError("render_series: a coordinate is not finite")
+    x_lo = min(min(xs) for _, xs, _ in series if len(xs))
+    x_hi = max(max(xs) for _, xs, _ in series if len(xs))
+    y_lo = min(min(ys) for _, _, ys in series if len(ys))
+    y_hi = max(max(ys) for _, _, ys in series if len(ys))
     if x_hi == x_lo:
         x_hi = x_lo + 1.0
     if y_hi == y_lo:
@@ -95,25 +102,36 @@ def render_series(series, path, xlabel="x", ylabel="y", title=""):
         parts.append(f'<text x="{(_ML + _W - _MR) / 2}" y="15" '
                      f'font-family="monospace" font-size="13" '
                      f'text-anchor="middle">{title}</text>')
-    for i, (label, xs, ys) in enumerate(series):
-        color = _COLORS[i % len(_COLORS)]
-        pts = " ".join(f"{_fmt(sx(x))},{_fmt(sy(y))}" for x, y in zip(xs, ys))
-        parts.append(f'<polyline points="{pts}" fill="none" '
-                     f'stroke="{color}" stroke-width="1"/>')
-        if label:
-            parts.append(f'<text x="{_W - _MR - 8}" y="{_MT + 16 + 15 * i}" '
-                         f'font-family="monospace" font-size="12" '
-                         f'text-anchor="end" fill="{color}">{label}</text>')
-    parts.append("</svg>")
-    atomic_write_text(path, "\n".join(parts) + "\n")
+
+    def points(xs, ys):
+        # the polyline's "x,y" pairs, space-separated, _POINTS at a time
+        for i in range(0, min(len(xs), len(ys)), _POINTS):
+            text = " ".join([f"{_fmt(sx(x))},{_fmt(sy(y))}" for x, y
+                             in zip(xs[i:i + _POINTS], ys[i:i + _POINTS])])
+            yield " " + text if i else text
+
+    def chunks():
+        yield "\n".join(parts) + "\n"
+        for i, (label, xs, ys) in enumerate(series):
+            color = _COLORS[i % len(_COLORS)]
+            yield '<polyline points="'
+            yield from points(xs, ys)
+            yield f'" fill="none" stroke="{color}" stroke-width="1"/>\n'
+            if label:
+                yield (f'<text x="{_W - _MR - 8}" y="{_MT + 16 + 15 * i}" '
+                       f'font-family="monospace" font-size="12" '
+                       f'text-anchor="end" fill="{color}">{label}</text>\n')
+        yield "</svg>\n"
+    atomic_write(path, chunks())
     return path
 
 
 def read_curve_csv(path):
-    """Parse a package CSV: '# key=value' header, column-name line, rows."""
+    """Parse a package CSV: '# key=value' header, column-name line, rows.
+    Returns (meta, cols, xs, ys), xs and ys as float arrays, array('d')."""
     meta = {}
-    xs = []
-    ys = []
+    xs = array("d")
+    ys = array("d")
     cols = None
     with open(path) as fh:
         for line in fh:

@@ -11,7 +11,11 @@ Prints one digest per model spec, over the concatenation of that spec's
 lines in op order, and one over all lines: two checkouts agree on a spec
 exactly when its records agree bit for bit.  The script runs the checkout
 it lives in (its src/ and bench/) and writes nothing.  pytest does not
-collect it.
+collect it.  tests/records_digest.expected holds its output for the
+records the benchmark oracle expects, and CI diffs the two, so a change
+that moves a record's bits must update that file:
+
+    python3 tests/records_digest.py | diff tests/records_digest.expected -
 """
 
 import hashlib

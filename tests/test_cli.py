@@ -6,6 +6,7 @@ import json
 import math
 import os
 import time
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -311,7 +312,7 @@ class TestSeparatrixCommand:
         assert meta["coords"] == "raw" and cols == ["x", "y"]
         curve = spectrum.refine_backward(make_model("cos"), 3,
                                          _export=True).curve
-        assert xs == list(curve.grid) and ys == list(curve.values)
+        assert list(xs) == list(curve.grid) and list(ys) == list(curve.values)
 
     # sha256 of each file `separatrix --svg` writes
     EXPORT_BYTES = [
@@ -429,7 +430,7 @@ class TestLimitCurveCommand:
         assert run(["limit-curve", "--alpha", "-1.5"], tmp_path) == 2
 
     def test_bytes_pinned(self, tmp_path):
-        # written through ode.curve_csv_text, the curve CSV writer; its z
+        # written through ode.write_curve_csv, the curve CSV writer; its z
         # column holds the correctly rounded 2^(1/3) at t = 0
         assert run(["limit-curve", "--alpha", "0", "--points", "5"],
                    tmp_path) == 0
@@ -495,6 +496,36 @@ class TestPlotCommand:
             svgplot.render_series([("a", [0.0, 1.0], [1.0, 2.0]),
                                    ("b", [0.0, 1.0], [1.0, bad])], path)
         assert not path.exists()
+
+    def test_polyline_chunks_keep_the_bytes(self, tmp_path, monkeypatch):
+        # a polyline's points are written svgplot._POINTS at a time; the
+        # file is the one a single chunk writes
+        n = 2 * svgplot._POINTS + 3
+        ts = [3.0 * i / n for i in range(n)]
+        series = [("a", ts, [math.sin(t) for t in ts]), ("b", [], []),
+                  ("", [0.0, 3.0], [0.5, 0.25])]
+        svgplot.render_series(series, tmp_path / "chunked.svg")
+        monkeypatch.setattr(svgplot, "_POINTS", n)
+        svgplot.render_series(series, tmp_path / "whole.svg")
+        body = (tmp_path / "whole.svg").read_bytes()
+        assert (tmp_path / "chunked.svg").read_bytes() == body
+        assert body.count(b"<polyline") == 3
+
+    def test_csv_render_streams(self, tmp_path):
+        # render_csv holds the columns as float arrays, 8 bytes a value,
+        # and one chunk of the polyline: about 23 bytes a row at its peak,
+        # where lists of floats and one points string took 171
+        rows = 20 * svgplot._POINTS
+        ts = np.linspace(0.0, 3.0, rows)
+        csv = ode.write_curve_csv(tmp_path / "c.csv", "cos", 1, "scaled",
+                                  "t,z", ts, np.sin(ts))
+        tracemalloc.start()
+        try:
+            svgplot.render_csv(csv, tmp_path / "c.svg")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak / rows < 48
 
 
 class TestVerifyCommand:

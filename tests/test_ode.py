@@ -5,16 +5,17 @@ import bisect
 import hashlib
 import math
 import os
+import tracemalloc
 from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from nleig import spectrum
+from nleig import ode, spectrum
 from nleig.models import Frame, ZeroTable, make_model, zero_table
 from nleig.ode import (_H_MIN, Engine, IntegratorConfig, PrecisionExhausted,
-                       count_maxima, curve_csv_text, integrate)
+                       count_maxima, integrate, write_curve_csv)
 from nleig.specfun import DomainError, airy, bessel
 from nleig.svgplot import read_curve_csv
 
@@ -855,13 +856,58 @@ class TestContinuation:
         assert 0.0 <= far - eng.x < 4.0 * _H_MIN
 
 
+class TestRecordedBuffers:
+    """A recording run appends its steps to two float64 buffers, and its
+    curve is one copy of each that keeps no view of them."""
+
+    @pytest.mark.parametrize("x0, y0, stops", [
+        (0.0, 1.0, (1.0, 2.0, 4.0)), (4.0, 1.0, (3.0, 1.5, 0.0))])
+    def test_run_continues_after_curve(self, x0, y0, stops):
+        # a view of a buffer that outlived curve() would make the next
+        # append, which resizes the buffer, raise BufferError
+        eng = Engine(Frame(make_model("cos")), x0, y0, IntegratorConfig(),
+                     direction=1 if stops[0] > x0 else -1, record=True,
+                     stop_when_settled=False)
+        eng.run(stops[0])
+        first = eng.curve()
+        k = len(first.grid)
+        for x_end in stops[1:]:
+            eng.run(x_end)
+        assert len(eng.xs) - 1 == eng.nsteps and eng.nsteps > 2 * k
+        whole = eng.curve()
+        # a backward curve is the reversed run, so the first part ends it
+        part = slice(None, k) if eng.sgn > 0.0 else slice(-k, None)
+        assert np.array_equal(whole.grid[part], first.grid)
+        assert np.array_equal(whole.values[part], first.values)
+        assert np.array_equal(whole.grid, np.sort(np.array(eng.xs)))
+
+    def test_memory_per_recorded_step(self):
+        # criterion 5's separatrix of bessel:0 n = 1000, 18 875 recorded
+        # steps: the run's buffers, its curve and the scaled copy peak at
+        # about 46 bytes a step, events included; steps held as lists of
+        # floats peaked at 95
+        model = make_model("bessel:0")
+        zero_table(model).nth_unstable(1001)
+        cfg = IntegratorConfig(rel_tol=1e-9, abs_tol=1e-12)
+        # imports numpy and fills the special functions' node caches
+        spectrum.separatrix_curve(model, 3, "scaled", tol=1e-8, cfg=cfg)
+        tracemalloc.start()
+        try:
+            _, curve = spectrum.separatrix_curve(model, 1000, "scaled",
+                                                 tol=1e-8, cfg=cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(curve.grid) > 15000
+        assert peak / len(curve.grid) < 64
+
+
 class TestSerialization:
     def test_csv_round_trip(self, tmp_path):
         c = integrate(make_model("bessel:0"), (0.0, 1.0), cfg_with(0.0, 1e-10),
                       n=2)
-        path = tmp_path / "curve.csv"
-        path.write_text(curve_csv_text("bessel:0", 2, c.coords, "t,z",
-                                       c.grid, c.values))
+        path = write_curve_csv(tmp_path / "curve.csv", "bessel:0", 2,
+                               c.coords, "t,z", c.grid, c.values)
         meta, cols, xs, ys = read_curve_csv(path)
         assert meta["model"] == "bessel:0"
         assert meta["n"] == "2"
@@ -872,11 +918,43 @@ class TestSerialization:
         assert xs[5] == float(c.grid[5])
         assert ys[5] == float(c.values[5])
 
-    def test_csv_deterministic(self):
+    def test_csv_deterministic(self, tmp_path):
         texts = []
-        for _ in range(2):
+        for i in range(2):
             c = integrate(make_model("cos"), (0.0, 0.8), cfg_with(0.0, 1e-10),
                           n=1)
-            texts.append(curve_csv_text("cos", 1, c.coords, "t,z", c.grid,
-                                        c.values))
+            path = write_curve_csv(tmp_path / f"c{i}.csv", "cos", 1, c.coords,
+                                   "t,z", c.grid, c.values)
+            with open(path, "rb") as fh:
+                texts.append(fh.read())
         assert texts[0] == texts[1]
+
+    @pytest.mark.parametrize("n, rows", [(None, 0), (2, 1),
+                                         (7, 3 * ode._CSV_ROWS + 5)])
+    def test_streamed_csv_equals_joined_text(self, tmp_path, n, rows):
+        xs = np.linspace(0.0, 3.0, rows)
+        ys = np.cos(7.0 * xs) * np.exp(-xs) * 1e-290
+        if rows:
+            ys[0] = -0.0
+        path = write_curve_csv(tmp_path / "c.csv", "bessel:0", n, "scaled",
+                               "t,z", xs, ys)
+        # the text as the writer built it before it streamed: one string
+        lines = [f"# model=bessel:0, n={n if n is not None else '-'}, "
+                 "coords=scaled", "t,z"]
+        lines.extend(f"{x:.16e},{y:.16e}" for x, y in zip(xs, ys))
+        text = "\n".join(lines) + "\n"
+        with open(path, "rb") as fh:
+            assert fh.read() == text.encode()
+
+    def test_csv_streams(self, tmp_path):
+        # one chunk of rows is held at a time, not the whole text
+        xs = np.linspace(0.0, 3.0, 20 * ode._CSV_ROWS)
+        ys = np.sin(xs)
+        tracemalloc.start()
+        try:
+            path = write_curve_csv(tmp_path / "c.csv", "cos", 1, "scaled",
+                                   "t,z", xs, ys)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < os.path.getsize(path) / 2

@@ -612,16 +612,34 @@ class TestBackwardEstimate:
             find_eigen(make_model(spec), n)
         assert len(shots) <= 3.5 * len(cases)
 
+    # rgamma's records at tol 1e-12, (E, lower bracket end) as hex and the
+    # maxima, as every decision shot gives them
+    RGAMMA_TIGHT = {
+        2: ("0x1.35de90b646ae3p+1", "0x1.35de90b645c2fp+1", 2),
+        3: ("0x1.8020c8b683130p+3", "0x1.8020c8b681db9p+3", 3),
+        4: ("0x1.51fa708fb2baap+6", "0x1.51fa708fb19f8p+6", 4),
+        5: ("0x1.7edc6444fdd45p+9", "0x1.7edc6444fc8c6p+9", 5),
+        6: ("0x1.0928c00606296p+13", "0x1.0928c00605428p+13", 6),
+        7: ("0x1.b21fefaf21a95p+16", "0x1.b21fefaf202a7p+16", 7),
+        8: ("0x1.9a0a18149abcap+20", "0x1.9a0a1814994f4p+20", 8),
+    }
+
     @pytest.mark.parametrize("spec, n", [("rgamma", 1), ("rgamma", 2),
-                                         ("xibar", 1)])
+                                         ("xibar", 1)]
+                             + [("rgamma", n) for n in range(3, 9)])
     def test_seed_floor(self, monkeypatch, spec, n):
         # the seed leaves 4.5e-10 in rgamma's backward E_1 and about 5e-12
         # in xibar's every E_n, at every rel_tol: without the kind's
-        # seed_floor the margin at tol 1e-12 is 1e-12 n, and rgamma n = 1
-        # falls back after 47 shots
+        # seed_floor(n) the margin at tol 1e-12 is 1e-12 n, and rgamma n = 1
+        # falls back after 47 shots.  rgamma's E_2 onward carry no seed
+        # error, and a floor of 1e-9 there cost 12 shots where 4 or 5 do
         shots = _record_shots(monkeypatch)
-        find_eigen(make_model(spec), n, tol=1e-12)
+        r = find_eigen(make_model(spec), n, tol=1e-12)
         assert len(shots) < self.FALLBACK_SHOTS
+        if spec == "rgamma" and n > 1:
+            assert len(shots) <= 6
+            assert (r.E.hex(), r.bracket[0].hex(),
+                    r.maxima) == self.RGAMMA_TIGHT[n]
 
     def test_no_fallback_at_large_n(self, monkeypatch):
         # the backward error grows with n, and so does the margin
