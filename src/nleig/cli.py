@@ -3,7 +3,8 @@ walk coefficients, verification reports, SVG rendering, and a persistent
 eigenvalue cache.
 
 A separatrix is spectrum.separatrix_curve, the curve refine_backward
-records from the farther start of an exported curve; `verify` reports the
+records from the farther start of an exported curve, written to its CSV
+and drawn to its SVG from the same arrays; `verify` reports the
 records of the nleig.verify suites, which the acceptance tests assert on.
 
 Each setting is one entry of _KEYS, a flag and a config-file key, which
@@ -212,17 +213,19 @@ def cmd_separatrix(rc):
             continue
         base = os.path.join(
             out, f"separatrix_{model.spec.replace(':', '_')}_n{n}_{coords}")
-        write_curve_csv(base + ".csv", model.spec, n, coords,
-                        "t,z" if coords == "scaled" else "x,y",
+        cols = "t,z" if coords == "scaled" else "x,y"
+        write_curve_csv(base + ".csv", model.spec, n, coords, cols,
                         curve.grid, curve.values)
         print(f"n={n}: E={res.E:.12g} maxima={count_maxima(curve)} "
               f"-> {base}.csv")
         if rc.get("svg"):
-            overlay = None
+            # memoryviews read the arrays as plain floats, copying nothing
+            series = [(f"{model.spec} n={n}", memoryview(curve.grid),
+                       memoryview(curve.values))]
             if coords == "scaled":
                 ts = [i / 200.0 * 3.0 for i in range(201)]
-                overlay = ("limit curve", ts, model.limit_curve(ts))
-            svgplot.render_csv(base + ".csv", base + ".svg", overlay=overlay)
+                series.append(("limit curve", ts, model.limit_curve(ts)))
+            svgplot.render_series(series, base + ".svg", *cols.split(","))
     return status
 
 

@@ -35,7 +35,7 @@ numpy, imported when the first one is.  Engine.curve copies the buffers
 into the curve's arrays (one reversed copy for a backward run, the clamp
 at 0 in place) and keeps no view of them, so run() can go on appending.
 A non-recording run keeps its two end points in plain lists, so the
-classifier's shots and spectrum_scan's backward runs load no numpy.
+classifier's shots and refine_backward's eigenvalue runs load no numpy.
 write_curve_csv streams a curve to disk a few thousand rows at a time, so
 only one such chunk of a recorded run's steps is ever held as Python
 floats and text on its way to the CSV.

@@ -8,8 +8,8 @@ is still hugging a separatrix at the horizon, the horizon is extended (the
 deviation grows like exp(F' x^2 / 2), so doublings resolve fast).
 
 find_eigen brackets the class jump around the growth-law prediction and
-bisects with tight shots (_ode_cfg(tol, cfg)).  One unrecorded backward run
-at the same tight rel_tol first estimates E_n, and a midpoint farther from
+bisects with tight shots (_ode_cfg(tol, cfg)).  One backward run at the
+same tight rel_tol first estimates E_n, and a midpoint farther from
 that estimate than its error margin (10 n rel_tol, or the kind's
 seed_floor(n) where that is larger) is decided by the estimate alone, with
 no shot.  The two ends of the final bracket are then shot, where they were
@@ -25,16 +25,14 @@ its index only, never on the scan around it, and an E_n that shares a
 pair of adjacent doubles with E_{n+1} is that index's BracketError.
 refine_backward instead seeds the large-x expansion of u = xy at
 the n-th unstable zero and integrates backward to read E off at the origin.
-That one backward run records the separatrix, returned as EigenResult.curve;
-the runs of spectrum_scan, whose curves nobody keeps, record nothing and
-count their maxima off the step ends (ode.count_maxima), for the same E,
-count and record bit for bit.
 An eigenvalue run starts where backward contraction has erased the seed's
 error (rgamma: where the seed's correction is small), since the farther
-stretch changes nothing in E; separatrix_curve makes the same run from
-farther out, where the exported curve starts, and converts it to the
-requested coordinates, after refusing the coordinates a model cannot run
-in.
+stretch changes nothing in E.  It records nothing and counts its maxima
+off the step ends (ode.count_maxima), as the recorded run would.  The one
+recorded separatrix of an index is separatrix_curve's: the same run from
+farther out, where the exported curve starts, converted to the requested
+coordinates after refusing the coordinates a model cannot run in, and
+returned with its EigenResult, whose .curve it is.
 """
 
 import math
@@ -97,7 +95,8 @@ class EigenResult:
     tol: float
     z0: float | None = None     # scaled initial value (when a scaling exists)
     log10_E: float | None = None
-    # the recorded separatrix of a backward result; not part of the record
+    # the separatrix of a separatrix_curve result, in its requested
+    # coordinates; not part of the record
     curve: SolutionCurve | None = field(default=None, repr=False,
                                         compare=False)
 
@@ -127,12 +126,12 @@ class _Shooter:
         self.frame = Frame(model, n)
         self.cfg = cfg or IntegratorConfig()
 
-    def shoot(self, y0, stop_at=None, record=False):
-        """Integrate from the origin under the shooter's config; returns
-        (class, signal, engine).  Raises RuntimeError when the run neither
-        settles nor collapses by the last horizon, where its count of
-        oscillations is not yet a class."""
-        eng = Engine(self.frame, 0.0, y0, self.cfg, record=record,
+    def shoot(self, y0, stop_at=None):
+        """Integrate from the origin under the shooter's config, unrecorded;
+        returns (class, signal, engine).  Raises RuntimeError when the run
+        neither settles nor collapses by the last horizon, where its count
+        of oscillations is not yet a class."""
+        eng = Engine(self.frame, 0.0, y0, self.cfg, record=False,
                      max_minima=stop_at)
         return self.resume(eng)
 
@@ -175,11 +174,11 @@ def classify(model, E, cfg=None, n_hint=None):
 
 
 def _backward_estimate(model, n, rel_tol):
-    """E_n of one unrecorded backward run (refine_backward) at rel_tol,
-    abs_tol rel_tol * 1e-2, or None when the run raises."""
+    """E_n of one backward run (refine_backward) at rel_tol, abs_tol
+    rel_tol * 1e-2, or None when the run raises."""
     cfg = IntegratorConfig(rel_tol=rel_tol, abs_tol=rel_tol * 1e-2)
     try:
-        return refine_backward(model, n, cfg=cfg, _record=False).E
+        return refine_backward(model, n, cfg=cfg).E
     except (BracketError, RootError, RuntimeError, OverflowError,
             DomainError):
         return None
@@ -193,7 +192,7 @@ def find_eigen(model, n, tol=None, cfg=None):
     class jumps from n-1 to n across it.
 
     Every shot runs at the tight tolerance _ode_cfg(tol, cfg), rel_tol rt.
-    Before the search, one unrecorded backward run (refine_backward at
+    Before the search, one backward run (refine_backward at
     rel_tol rt, abs_tol rt 1e-2) estimates E_n as est; a point v with
     |v - est| > margin est, margin = max(model.seed_floor(n), 10 n rt) since
     the backward error grows with n, is answered v > est without a shot.
@@ -325,8 +324,7 @@ def find_eigen(model, n, tol=None, cfg=None):
                        model=model.spec, tol=tol, z0=z0, log10_E=log10)
 
 
-def refine_backward(model, n, cfg=None, tol=None, *, _export=False,
-                    _record=True):
+def refine_backward(model, n, cfg=None, tol=None, *, _export=False):
     """Eigenvalue read off at the origin of a backward-integrated
     separatrix, seeded on the n-th unstable zero s via the large-x
     expansion u(x0) = s - s/(x0^2 F'(s)).
@@ -343,11 +341,11 @@ def refine_backward(model, n, cfg=None, tol=None, *, _export=False,
     of s, where F' keeps the sign of F'(s).  separatrix_curve passes
     _export to start the run where an exported curve starts: t0 = 3 for
     rgamma, otherwise out to where the correction is a tenth of that
-    half-gap and 2 % of s.  The result carries the recorded separatrix as
-    .curve, in the run's coordinates, and maxima counts its every maximum
-    (ode.count_maxima).  spectrum_scan passes _record=False: the run then
-    takes the same steps unrecorded, counts the same maxima off its step
-    ends and the result carries no curve.
+    half-gap and 2 % of s.  maxima counts the run's every maximum
+    (ode.count_maxima).  An eigenvalue run records nothing: it counts
+    those maxima off its step ends, and the result carries no curve.  Only
+    an _export run records, and its result carries the separatrix as
+    .curve, in the run's coordinates, for separatrix_curve to convert.
     """
     if n < 1 or n != int(n):
         raise ValueError(f"refine_backward: need integer n >= 1, got {n!r}")
@@ -357,7 +355,7 @@ def refine_backward(model, n, cfg=None, tol=None, *, _export=False,
     cfg = _ode_cfg(tol, cfg)
     s = zero_table(model).nth_unstable(n).u
     frame, x0, y0 = model.backward_start(n, s, _export)
-    eng = Engine(frame, x0, y0, cfg, direction=-1, record=_record)
+    eng = Engine(frame, x0, y0, cfg, direction=-1, record=_export)
     eng.run(0.0)
     v = eng.y
     if not (v > 0.0) or not math.isfinite(v):
@@ -375,7 +373,7 @@ def refine_backward(model, n, cfg=None, tol=None, *, _export=False,
                        z0=v if frame.coords == "scaled" else None,
                        log10_E=(math.log10(frame.y_scale)
                                 + math.log10(max(v, 1e-300))),
-                       curve=curve if _record else None)
+                       curve=curve if _export else None)
 
 
 def _check_coords(model, n, coords):
@@ -393,13 +391,16 @@ def _check_coords(model, n, coords):
 def separatrix_curve(model, n, coords, tol=None, cfg=None):
     """Backward-refined separatrix as (EigenResult, SolutionCurve) in the
     requested coordinates: the curve refine_backward records from the
-    export start, converted.  Raw runs start where the seed's first
-    correction is a tenth of the half-gap from s to its nearer neighbour,
-    so the curve runs out to where it sits that close to its asymptote;
-    its E agrees with refine_backward's up to the integration error."""
+    export start, converted once its run's buffers are gone, and the
+    result's .curve is that converted curve, so no unconverted copy
+    outlives the call.  Raw runs start where the seed's first correction
+    is a tenth of the half-gap from s to its nearer neighbour, so the
+    curve runs out to where it sits that close to its asymptote; its E
+    agrees with refine_backward's up to the integration error."""
     _check_coords(model, n, coords)
     res = refine_backward(model, n, cfg=cfg, tol=tol, _export=True)
-    return res, Frame(model, n).convert(res.curve, coords)
+    res.curve = Frame(model, n).convert(res.curve, coords)
+    return res, res.curve
 
 
 def spectrum_scan(model, n_range, tol=None, cfg=None, method="bisection"):
@@ -411,9 +412,8 @@ def spectrum_scan(model, n_range, tol=None, cfg=None, method="bisection"):
     the bisection path at small ones).  Each index is computed on its own,
     so its record is find_eigen's or refine_backward's bit for bit, whatever
     the range.  Failures are recorded per index without aborting; the
-    monotonicity of the successful results is verified.  No run of a scan
-    records its curve: a backward run counts its maxima off its step ends
-    and the results carry no curves.  Returns (results, errors).
+    monotonicity of the successful results is verified.  The results carry
+    no curves.  Returns (results, errors).
     """
     ns = list(n_range)
     if not ns or any(b <= a for a, b in zip(ns, ns[1:])):
@@ -428,8 +428,7 @@ def spectrum_scan(model, n_range, tol=None, cfg=None, method="bisection"):
     for n in ns:
         try:
             if method == "backward":
-                res = refine_backward(model, n, cfg=cfg, tol=tol,
-                                      _record=False)
+                res = refine_backward(model, n, cfg=cfg, tol=tol)
             else:
                 res = find_eigen(model, n, tol=tol, cfg=cfg)
             results.append(res)

@@ -43,11 +43,12 @@ def _ticks(lo, hi, n=6):
     return out
 
 
-def render_series(series, path, xlabel="x", ylabel="y", title=""):
+def render_series(series, path, xlabel="x", ylabel="y"):
     """series: list of (label, xs, ys) drawn in order with a fixed palette;
-    xs and ys are sequences of floats (lists or arrays).  Raises ValueError,
-    before path is touched, when there is nothing to plot or a coordinate
-    is not finite."""
+    xs and ys are sequences of floats: lists, array('d'), or memoryviews
+    of float64 arrays (numpy arrays draw alike, only slower).  Raises
+    ValueError, before path is touched, when there is nothing to plot or a
+    coordinate is not finite."""
     if not any(len(xs) for _, xs, _ in series):
         raise ValueError("render_series: nothing to plot")
     for _, xs, ys in series:
@@ -98,10 +99,6 @@ def render_series(series, path, xlabel="x", ylabel="y", title=""):
     parts.append(f'<text x="16" y="{(_MT + _H - _MB) / 2}" '
                  f'font-family="monospace" font-size="13" text-anchor="middle" '
                  f'transform="rotate(-90 16 {(_MT + _H - _MB) / 2})">{ylabel}</text>')
-    if title:
-        parts.append(f'<text x="{(_ML + _W - _MR) / 2}" y="15" '
-                     f'font-family="monospace" font-size="13" '
-                     f'text-anchor="middle">{title}</text>')
 
     def points(xs, ys):
         # the polyline's "x,y" pairs, space-separated, _POINTS at a time
@@ -155,15 +152,12 @@ def read_curve_csv(path):
     return meta, cols, xs, ys
 
 
-def render_csv(csv_path, svg_path, overlay=None):
-    """Render a package CSV to SVG; overlay is an optional second
-    (label, xs, ys) series (e.g. a limit curve)."""
+def render_csv(csv_path, svg_path):
+    """Render a package CSV to SVG."""
     meta, cols, xs, ys = read_curve_csv(csv_path)
     label = meta.get("model", "")
     n = meta.get("n")
     if n and n != "-":
         label += f" n={n}"
-    series = [(label, xs, ys)]
-    if overlay is not None:
-        series.append(overlay)
-    return render_series(series, svg_path, xlabel=cols[0], ylabel=cols[1])
+    return render_series([(label, xs, ys)], svg_path, xlabel=cols[0],
+                         ylabel=cols[1])

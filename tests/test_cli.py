@@ -8,6 +8,7 @@ import os
 import time
 import tracemalloc
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -337,6 +338,29 @@ class TestSeparatrixCommand:
                     coords, "--svg"], tmp_path) == 0
         assert [hashlib.sha256((tmp_path / f"{stem}.{ext}").read_bytes())
                 .hexdigest() for ext in ("csv", "svg")] == [csv_sha, svg_sha]
+
+    def test_svg_drawn_from_the_held_curve(self, tmp_path, monkeypatch):
+        # --svg draws the arrays the CSV was written from: by then the run's
+        # unconverted curve is gone, and no file is read back
+        runs, alive = [], []
+        refine, render = spectrum.refine_backward, svgplot.render_series
+
+        def kept(*args, **kw):
+            res = refine(*args, **kw)
+            runs.append(weakref.ref(res.curve))
+            return res
+
+        def checked(*args, **kw):
+            alive.extend(ref() is not None for ref in runs)
+            return render(*args, **kw)
+        monkeypatch.setattr(spectrum, "refine_backward", kept)
+        monkeypatch.setattr(svgplot, "render_series", checked)
+        monkeypatch.setattr(svgplot, "read_curve_csv", None)
+        assert run(["separatrix", "--model", "bessel:0", "--n", "2",
+                    "--coords", "scaled", "--svg"], tmp_path) == 0
+        assert alive == [False]
+        svg = tmp_path / "separatrix_bessel_0_n2_scaled.svg"
+        assert svg.read_text().count("<polyline") == 2
 
     @pytest.mark.parametrize("spec,n_range,coords", [
         ("rgamma", "4..6", "raw"), ("xibar", "1..2", "scaled")])

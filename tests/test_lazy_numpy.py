@@ -64,3 +64,15 @@ _, c = separatrix_curve(make_model("bessel:0"), 3, "scaled")
 print(type(c.grid) is np.ndarray, type(c.values) is np.ndarray, len(c.grid) > 2)
 """
     assert fresh(code, tmp_path) == "True True True"
+
+
+def test_refine_backward_leaves_numpy_unloaded(tmp_path):
+    # an eigenvalue run records nothing, so it builds no array
+    code = """
+import sys
+from nleig import make_model, refine_backward
+rs = [refine_backward(make_model("cos"), 5),
+      refine_backward(make_model("rgamma"), 3)]
+print([r.maxima for r in rs], [r.curve for r in rs], "numpy" in sys.modules)
+"""
+    assert fresh(code, tmp_path) == "[5, 3] [None, None] False"

@@ -32,6 +32,28 @@ def cfg_with(x_max, rel=1e-12):
     return IntegratorConfig(rel_tol=rel, abs_tol=rel * 1e-2, x_max=x_max)
 
 
+def eigenvalue_run(model, n):
+    """The backward run refine_backward(model, n) makes at its default
+    settings, from the kind's backward_start down to the origin, but
+    recorded.  It is built from spectrum.Engine, so a test that patches
+    that class sees the run."""
+    cfg = spectrum._ode_cfg(model.default_tol, None)
+    s = zero_table(model).nth_unstable(n).u
+    frame, x0, y0 = model.backward_start(n, s, False)
+    eng = spectrum.Engine(frame, x0, y0, cfg, direction=-1)
+    eng.run(0.0)
+    return eng
+
+
+def shot(shooter, y0, stop_at=None, record=True):
+    """shooter.shoot(y0, stop_at), recorded unless record is False:
+    (class, signal, engine).  Built from spectrum.Engine, as
+    eigenvalue_run is."""
+    return shooter.resume(spectrum.Engine(shooter.frame, 0.0, y0,
+                                          shooter.cfg, record=record,
+                                          max_minima=stop_at))
+
+
 class TestAgainstReference:
     def test_bessel_ivp(self):
         c = integrate(make_model("bessel:0"), (0.0, 1.0), cfg_with(0.1))
@@ -149,7 +171,7 @@ class TestCountMaxima:
     def test_equals_reference_on_separatrices(self, spec, ns):
         for n in ns:
             model = make_model(spec)
-            curve = spectrum.refine_backward(model, n).curve
+            curve = eigenvalue_run(model, n).curve()
             frame = Frame(model, n) if curve.coords == "scaled" else \
                 Frame(model)
             assert count_maxima(curve) == count_maxima_reference(curve,
@@ -168,7 +190,7 @@ class TestCountMaxima:
         # rgamma n = 40 opens flat to far below one ulp, where the error
         # control alone takes steps across dozens of zeros of F
         frame = Frame(make_model("rgamma"), 40)
-        curve = spectrum.refine_backward(frame.model, 40).curve
+        curve = eigenvalue_run(frame.model, 40).curve()
         steps = np.abs(np.diff(grid_gaps(curve, frame)))
         assert steps.max() == 1
         assert int(steps.sum()) == 2 * 40 - 2   # zeros 1 .. 2n - 2
@@ -267,7 +289,7 @@ class TestRecordingProperty:
                 finally:
                     calls[1] += calls[0] - before
         with mock.patch.object(spectrum, "Engine", Refining):
-            cls, signal, eng = shooter.shoot(y0, stop_at, record=record)
+            cls, signal, eng = shot(shooter, y0, stop_at, record)
         assert eng.nfev == calls[0]
         return (cls, signal, eng.nsteps, eng.status, eng.y.hex(),
                 eng.terminal_u, len(eng.maxima), len(eng.minima)), \
@@ -298,7 +320,8 @@ class TestUnrecordedCount:
     forward shots."""
 
     @staticmethod
-    def backward_curve(model, n, record):
+    def backward_curve(model, n):
+        """The curve of refine_backward's own, unrecorded, run."""
         engines = []
 
         class Kept(Engine):
@@ -306,7 +329,7 @@ class TestUnrecordedCount:
                 super().__init__(*args, **kw)
                 engines.append(self)
         with mock.patch.object(spectrum, "Engine", Kept):
-            spectrum.refine_backward(model, n, _record=record)
+            spectrum.refine_backward(model, n)
         (eng,) = engines
         return eng.curve()
 
@@ -318,8 +341,8 @@ class TestUnrecordedCount:
         model = make_model(spec)
         if spec == "xibar":
             n = 1 + n % 6
-        rec = self.backward_curve(model, n, True)
-        plain = self.backward_curve(model, n, False)
+        rec = eigenvalue_run(model, n).curve()
+        plain = self.backward_curve(model, n)
         assert rec.recorded and not plain.recorded
         assert count_maxima(plain) == count_maxima(rec) == n
 
@@ -333,7 +356,7 @@ class TestUnrecordedCount:
             n, z0 = None, 4.0 * z0
         stop_at = (n or 2) if stop else None
         shooter = spectrum._Shooter(model, n, IntegratorConfig())
-        counts = [count_maxima(shooter.shoot(z0, stop_at, record=r)[2].curve())
+        counts = [count_maxima(shot(shooter, z0, stop_at, r)[2].curve())
                   for r in (True, False)]
         assert counts[0] == counts[1]
 
@@ -425,7 +448,7 @@ class TestEventLocation:
     def test_backward_runs(self, monkeypatch, spec, ns):
         model = make_model(spec)
         events, bad, to_tol = self.checked(monkeypatch, lambda: [
-            spectrum.refine_backward(model, n) for n in ns])
+            eigenvalue_run(model, n) for n in ns])
         assert events >= len(ns) and bad == []
         # the right-hand side underflows from n = 88 on only
         assert (to_tol > 0) == (spec == "rgamma")
@@ -436,7 +459,7 @@ class TestEventLocation:
     def test_recorded_forward_shot(self, monkeypatch, spec, n, y0):
         shooter = spectrum._Shooter(make_model(spec), n, IntegratorConfig())
         events, bad, to_tol = self.checked(
-            monkeypatch, lambda: shooter.shoot(y0, record=True))
+            monkeypatch, lambda: shot(shooter, y0))
         assert events >= 5 and bad == [] and to_tol == 0
 
     def test_criterion_5_separatrix(self, monkeypatch):
@@ -676,7 +699,7 @@ class TestStepSequence:
         assert _step_record(eng) == expected
         self.check_hankel_band(spec, eng)
 
-    # the eigenvalue runs of refine_backward
+    # the eigenvalue runs of refine_backward, recorded
     @pytest.mark.parametrize("spec, n, expected", [
         ("cos", 40, (2996, 19598, "reached_end", "0x1.678fa94c54394p+3",
                      40, 39, "2d103260d0958aea")),
@@ -690,13 +713,14 @@ class TestStepSequence:
     ])
     def test_backward_eigenvalue(self, monkeypatch, spec, n, expected):
         eng = self.backward_engine(monkeypatch, lambda: (
-            spectrum.refine_backward(make_model(spec), n)))
+            eigenvalue_run(make_model(spec), n)))
         assert _step_record(eng) == expected
         self.check_hankel_band(spec, eng)
 
-    # the same eigenvalue runs as spectrum_scan makes them, unrecorded: the
-    # steps, evaluations and end values of test_backward_eigenvalue, each
-    # digest hashing the ends of the steps in which the events fell
+    # the same eigenvalue runs as spectrum_scan (and every refine_backward
+    # call) makes them, unrecorded: the steps, evaluations and end values
+    # of test_backward_eigenvalue, each digest hashing the ends of the
+    # steps in which the events fell
     @pytest.mark.parametrize("spec, n, expected", [
         ("cos", 40, (2996, 19598, "reached_end", "0x1.678fa94c54394p+3",
                      40, 39, "3c2414fe3108e292")),

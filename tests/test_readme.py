@@ -23,4 +23,5 @@ def test_library_quickstart_runs(capsys):
                                                repr(ns["rb"].E)]
     curve = ns["curve"]
     assert (curve.coords, curve.meta["n"]) == ("scaled", 2000)
-    assert curve.grid[-1] == 3.0 and ns["sep"] is ns["rb"].curve
+    assert curve.grid[-1] == 3.0 and ns["sep"] is ns["rs"].curve
+    assert ns["sep"].coords == "scaled" and ns["rb"].curve is None

@@ -18,8 +18,9 @@ from nleig.models import (RGAMMA_N_MAX, Frame, eval_F_prime, make_model,
 from nleig.ode import IntegratorConfig
 from nleig.rootfind import RootError
 from nleig.spectrum import (BracketError, ConfigError, classify, find_eigen,
-                            refine_backward, spectrum_csv_text,
-                            spectrum_json_text, spectrum_scan)
+                            refine_backward, separatrix_curve,
+                            spectrum_csv_text, spectrum_json_text,
+                            spectrum_scan)
 from nleig.specfun import DomainError
 
 # E_1 for y' = cos(pi x y): confirmed by an independent reference
@@ -139,19 +140,26 @@ class TestBackwardCurve:
                    "evidence", "residual", "maxima", "log10_E"}
 
     def test_curve_attached_outside_the_record(self):
-        r = refine_backward(make_model("cos"), 3)
+        # only an export records; an eigenvalue run's result has no curve
+        assert refine_backward(make_model("cos"), 3).curve is None
+        r, _ = separatrix_curve(make_model("cos"), 3, "raw")
         assert r.curve.coords == "raw"
         assert r.curve.meta == {"model": "cos", "n": 3}
         assert r.maxima == 3
         assert set(r.to_record()) == self.RECORD_KEYS
-        rg = refine_backward(make_model("rgamma"), 3)
+        rg, _ = separatrix_curve(make_model("rgamma"), 3, "scaled")
         assert rg.curve.coords == "scaled"
         assert set(rg.to_record()) == self.RECORD_KEYS | {"z0"}
         assert "curve" not in repr(r)
 
+    def test_export_result_holds_the_converted_curve(self):
+        # the result keeps the returned curve, not the run's unconverted one
+        res, curve = separatrix_curve(make_model("bessel:0"), 2, "scaled")
+        assert res.curve is curve and curve.coords == "scaled"
+
     def test_equality_ignores_the_curve(self):
         m = make_model("bessel:0")
-        a, b = refine_backward(m, 2), refine_backward(m, 2)
+        a, b = (separatrix_curve(m, 2, "scaled")[0] for _ in range(2))
         assert a.curve is not b.curve
         assert a == b
         assert a == dataclasses.replace(a, curve=None)
@@ -507,8 +515,8 @@ def _record_shots(monkeypatch):
     shots = []
     shoot = spectrum._Shooter.shoot
 
-    def wrapper(self, y0, stop_at=None, record=False):
-        res = shoot(self, y0, stop_at, record)
+    def wrapper(self, y0, stop_at=None):
+        res = shoot(self, y0, stop_at)
         shots.append((y0, stop_at, res[0]))
         return res
     monkeypatch.setattr(spectrum._Shooter, "shoot", wrapper)
