@@ -5,10 +5,10 @@ effective integrator settings, schema version).  An instance parses the file
 once, on its first lookup, and serves later lookups from memory; each new
 instance sees the file as it is on disk when it first reads it.  Lines of
 another schema version (records written before the version field existed
-carry none) are never served; corrupt lines are skipped with a warning;
-later entries win; a record whose key already holds the same line is not
-appended again; appends go through the OS append mode so a crash can at
-worst truncate the final line.
+carry none) are never served; corrupt lines, those that are not UTF-8
+included, are skipped with a warning; later entries win; a record whose
+key already holds the same line is not appended again; appends go through
+the OS append mode so a crash can at worst truncate the final line.
 
 A record is serialized once, by record_line: the instance keeps each
 entry's line as read or appended, and the spectrum JSON artifact reuses
@@ -102,18 +102,20 @@ class EigenCache:
 
     def load(self):
         """Parse the file into {key: (record, line)}, skipping other
-        schemas; line is the record's text as read."""
+        schemas; line is the record's text as read.  Bytes that are not
+        UTF-8 read as U+FFFD, which record_line never writes, so their
+        line is skipped with the other corrupt ones."""
         entries = {}
         if not os.path.exists(self.path):
             return entries
-        with open(self.path, "r") as fh:
+        with open(self.path, encoding="utf-8", errors="replace") as fh:
             for i, line in enumerate(fh, 1):
                 line = line.strip()
                 if not line:
                     continue
                 try:
                     rec = json.loads(line)
-                    if not isinstance(rec, dict):
+                    if not isinstance(rec, dict) or "\ufffd" in line:
                         raise ValueError("not a record")
                     if rec.get("schema") != SCHEMA:
                         continue

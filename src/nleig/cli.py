@@ -4,8 +4,9 @@ eigenvalue cache.
 
 A separatrix is spectrum.separatrix_curve, the curve refine_backward
 records from the farther start of an exported curve, written to its CSV
-and drawn to its SVG from the same arrays; `verify` reports the
-records of the nleig.verify suites, which the acceptance tests assert on.
+and drawn to its SVG from the same arrays, as a limit curve is; only
+`plot` reads a CSV.  `verify` reports the records of the nleig.verify
+suites, which the acceptance tests assert on.
 
 Each setting is one entry of _KEYS, a flag and a config-file key, which
 _run_config converts once.  The library function that uses a value
@@ -13,7 +14,7 @@ refuses a bad one; only what it cannot see (index ranges, points, t_max,
 suite names, missing files) is checked here.
 
 Exit codes: 0 success, 1 computation failure (partial artifacts are still
-written), 2 configuration error.
+written), 2 configuration error, an OSError on a given path included.
 """
 
 import argparse
@@ -81,19 +82,24 @@ _COMPUTATION_ERRORS = (spectrum.BracketError, RuntimeError, OverflowError)
 
 
 def _read_config(path):
-    """key -> value text of a key = value file; unknown keys refused."""
+    """key -> value text of a key = value file; unknown keys and text
+    that is not UTF-8 refused."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            lines = fh.readlines()
+        except UnicodeDecodeError:
+            raise ConfigError(f"{path}: not UTF-8 text") from None
     vals = {}
-    with open(path) as fh:
-        for i, line in enumerate(fh, 1):
-            line = line.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ConfigError(f"{path}:{i}: expected key=value")
-            k, v = (s.strip() for s in line.split("=", 1))
-            if k not in _KEYS:
-                raise ConfigError(f"{path}:{i}: unknown key {k!r}")
-            vals[k] = v
+    for i, line in enumerate(lines, 1):
+        line = line.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ConfigError(f"{path}:{i}: expected key=value")
+        k, v = (s.strip() for s in line.split("=", 1))
+        if k not in _KEYS:
+            raise ConfigError(f"{path}:{i}: unknown key {k!r}")
+        vals[k] = v
     return vals
 
 
@@ -152,6 +158,8 @@ def cmd_spectrum(rc):
     method = rc.get("method", "bisection")
     tol = spectrum._checked_tol(model, rc.get("tol"))
     cfg = _integrator_cfg(rc)
+    base = os.path.join(_out_dir(rc),   # before any cache lookup or run
+                        f"spectrum_{model.spec.replace(':', '_')}")
     cache_path = _cache_path(rc)
     no_cache = rc.get("no_cache")
     cache = None if no_cache else EigenCache(cache_path)
@@ -185,8 +193,6 @@ def cmd_spectrum(rc):
                           f"vs recomputed {res.E!r}", file=sys.stderr)
     entries.sort(key=lambda e: e[0]["n"])
     records = [rec for rec, _ in entries]
-    base = os.path.join(_out_dir(rc),
-                        f"spectrum_{model.spec.replace(':', '_')}")
     atomic_write_text(base + ".csv", spectrum.spectrum_csv_text(records))
     atomic_write_text(base + ".json", spectrum.spectrum_json_text(
         records, [line for _, line in entries]))
@@ -248,7 +254,9 @@ def cmd_limit_curve(rc):
                     lc.grid, lc.z)
     print(f"z(0)={lc.origin_value:.12g} -> {path}")
     if rc.get("svg"):
-        svgplot.render_csv(path, path[:-4] + ".svg")
+        series = [(f"limit(alpha={alpha:g})", memoryview(lc.grid),
+                   memoryview(lc.z))]
+        svgplot.render_series(series, path[:-4] + ".svg", "t", "z")
     return 0
 
 
@@ -287,6 +295,7 @@ def cmd_verify(rc, suite):
     if suite != "all" and suite not in verify.SUITES:
         raise ConfigError(f"unknown suite {suite!r}; pick from "
                           f"{sorted(verify.SUITES) + ['all']}")
+    out = _out_dir(rc)
     records = []
     for name in verify.SUITES if suite == "all" else [suite]:
         if name == "growth":
@@ -295,7 +304,6 @@ def cmd_verify(rc, suite):
                                          rc.get("method", "backward")))
         else:
             records.extend(verify.SUITES[name]())
-    out = _out_dir(rc)
     path = os.path.join(out, f"verify_{suite}.json")
     atomic_write_text(path, json.dumps(records, indent=2, sort_keys=True,
                                        default=str) + "\n")
@@ -353,7 +361,7 @@ def main(argv=None):
         return {"spectrum": cmd_spectrum, "separatrix": cmd_separatrix,
                 "limit-curve": cmd_limit_curve,
                 "walk-coeffs": cmd_walk_coeffs}[args.command](rc)
-    except (ConfigError, DomainError, FileNotFoundError) as exc:
+    except (ConfigError, DomainError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except _COMPUTATION_ERRORS as exc:

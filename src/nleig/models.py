@@ -643,8 +643,8 @@ class Frame:
     def convert(self, curve, coords):
         """curve in coords ("raw" or "scaled"): abscissae, ordinates and
         events all rescaled.  A curve already in coords comes back as is.
-        A recorded curve's grid and values are arrays and stay arrays; an
-        unrecorded one's two end points stay a list."""
+        curve is a recorded run's: its grid and values are arrays and
+        stay arrays, scaled as wholes."""
         if curve.coords == coords:
             return curve
         if self.coords == "raw":
@@ -652,14 +652,9 @@ class Frame:
         op = operator.mul if coords == "raw" else operator.truediv
         fx = lambda v: op(v, self.x_scale)
         fy = lambda v: op(v, self.y_scale)
-        if curve.recorded:
-            grid, values = fx(curve.grid), fy(curve.values)
-        else:
-            grid = [fx(v) for v in curve.grid]
-            values = [fy(v) for v in curve.values]
         return replace(
-            curve, coords=coords, grid=grid,
-            values=values, maxima=[fx(v) for v in curve.maxima],
+            curve, coords=coords, grid=fx(curve.grid),
+            values=fy(curve.values), maxima=[fx(v) for v in curve.maxima],
             maxima_values=[fy(v) for v in curve.maxima_values],
             minima=[fx(v) for v in curve.minima],
             minima_values=[fy(v) for v in curve.minima_values],

@@ -35,7 +35,10 @@ numpy, imported when the first one is.  Engine.curve copies the buffers
 into the curve's arrays (one reversed copy for a backward run, the clamp
 at 0 in place) and keeps no view of them, so run() can go on appending.
 A non-recording run keeps its two end points in plain lists, so the
-classifier's shots and refine_backward's eigenvalue runs load no numpy.
+classifier's shots and refine_backward's eigenvalue runs load no numpy;
+that two-point curve stays inside the package, where count_maxima reads
+it, and every curve a caller gets (integrate's, separatrix_curve's) is
+recorded.
 write_curve_csv streams a curve to disk a few thousand rows at a time, so
 only one such chunk of a recorded run's steps is ever held as Python
 floats and text on its way to the CSV.
@@ -119,18 +122,17 @@ class IntegratorConfig:
 
 @dataclass
 class SolutionCurve:
-    """A run's grid and events.  Only a recording run locates its maxima
-    and minima; a non-recording run (recorded=False) keeps, for each, the
-    end of the step in which y' changed sign, and as its grid its first and
-    last points only.  A recording run's grid and values are float64 numpy
-    arrays of their own, copied from the run's buffers, 16 bytes a point;
-    a non-recording run stores its two end points as plain lists of floats,
-    so building it loads no numpy (Frame.convert rescales either form).
-    The events are lists in either case."""
+    """A recorded run's grid and events, in increasing x.  The grid and
+    values are float64 numpy arrays of their own, copied from the run's
+    buffers, 16 bytes a point; the events are lists, each maximum and
+    minimum located on the dense output.  Every curve a caller gets is of
+    this form.  Inside the package, Engine.curve of a non-recording run
+    gives a two-point form (lists, the events at step ends) that only
+    count_maxima reads."""
     coords: str                      # "raw" or "scaled"
-    grid: "np.ndarray | list"
-    values: "np.ndarray | list"
-    maxima: list                     # abscissae of maxima (or of step ends)
+    grid: "np.ndarray"
+    values: "np.ndarray"
+    maxima: list                     # abscissae of maxima
     maxima_values: list              # y at those abscissae
     minima: list                     # likewise for minima
     minima_values: list
@@ -138,7 +140,6 @@ class SolutionCurve:
     #                                  (0 for y -> 0), None = not committed
     status: str                      # reached_end | settled | floor | max_minima
     meta: dict = field(default_factory=dict)
-    recorded: bool = True            # False: events are step ends
 
 
 _Y_FLOOR = 1e-280   # y at or below it, still falling: the run has collapsed
@@ -450,11 +451,12 @@ class Engine:
                              + (-2 * s3 + 3 * s2) * y1 + (s3 - s2) * hs * f1)
 
     def curve(self, meta=None):
-        """The run as a SolutionCurve, in increasing x.  Only a recording
-        run builds numpy arrays, each one copy of its buffer (the views
-        die here, so run() may grow the buffers again); a non-recording
-        one keeps its two end points in lists, clamped at 0 as
-        np.maximum(v, 0.0) would."""
+        """The run as a SolutionCurve, in increasing x.  A recording run
+        builds numpy arrays, each one copy of its buffer (the views die
+        here, so run() may grow the buffers again).  A non-recording run,
+        which only the package's eigenvalue routines make, gives the
+        internal two-point form: its end points in lists, clamped at 0 as
+        np.maximum(v, 0.0) would, for count_maxima alone."""
         sl = slice(None, None, -1 if self.sgn < 0 else 1)
         if self.record:
             import numpy as np
@@ -471,22 +473,20 @@ class Engine:
         return SolutionCurve(self.frame.coords, grid, vals,
                              maxima, maxima_v, minima, minima_v,
                              self.terminal_u, self.status or "reached_end",
-                             meta or {}, self.record)
+                             meta or {})
 
 
-def integrate(model, initial, cfg, direction="forward", record=True, meta=None,
+def integrate(model, initial, cfg, direction="forward",
               stop_when_settled=False, n=None):
     """Integrate y' = F(xy) in Frame(model, n): the scaled coordinates of
     index n, or raw ones for xibar and without an index.
 
     initial is (x0, y0); backward runs require x0 > 0 and integrate down to
-    the origin, forward runs go to Frame.horizon.  Returns a SolutionCurve;
-    a recording run locates its maxima and minima to an abscissa accuracy
+    the origin, forward runs go to Frame.horizon.  Returns the recorded
+    SolutionCurve, its maxima and minima located to an abscissa accuracy
     of 1e-10 times the horizon, from the zero table and with no
-    right-hand-side call, a run with record=False only counts them (each
-    event carries the end of the step it fell in, and the grid is the
-    run's first and last points).  meta["nfev"] counts
-    the run's right-hand-side calls.
+    right-hand-side call.  meta["nfev"] counts the run's right-hand-side
+    calls.
     With stop_when_settled the run ends as soon as x*y has committed to a
     stable zero of F; otherwise the attractor is recorded in terminal_u and
     integration continues to the horizon.
@@ -502,15 +502,12 @@ def integrate(model, initial, cfg, direction="forward", record=True, meta=None,
     if forward and x_end <= x0:
         raise ValueError("the horizon must exceed the initial abscissa")
     eng = Engine(frame, x0, y0, cfg, direction=1 if forward else -1,
-                 record=record, stop_when_settled=stop_when_settled)
+                 stop_when_settled=stop_when_settled)
     eng.run(x_end)
-    md = {"model": frame.model.spec, "n": frame.n, "x0": x0, "y0": y0,
-          "rel_tol": cfg.rel_tol, "abs_tol": cfg.abs_tol, "horizon": x_end,
-          "direction": "forward" if forward else "backward",
-          "nfev": eng.nfev}
-    if meta:
-        md.update(meta)
-    return eng.curve(md)
+    return eng.curve({
+        "model": frame.model.spec, "n": frame.n, "x0": x0, "y0": y0,
+        "rel_tol": cfg.rel_tol, "abs_tol": cfg.abs_tol, "horizon": x_end,
+        "direction": "forward" if forward else "backward", "nfev": eng.nfev})
 
 
 def count_maxima(curve):
@@ -521,10 +518,10 @@ def count_maxima(curve):
     no event is monotone and opens falling when it ends below its start.
     The step guard of Engine.run puts every sign change of y' between
     accepted steps, also those binary64 cannot show in y, so nothing here
-    reads the values near an extremum.  A curve of a non-recording run
-    counts exactly as the recorded one: its events are step ends, one per
-    step and so in the order of the extrema, and it keeps its first and
-    last points."""
+    reads the values near an extremum.  The package's eigenvalue routines
+    count the internal two-point curve of a non-recording run exactly as
+    the recorded one: its events are step ends, one per step and so in the
+    order of the extrema, and it keeps its first and last points."""
     count = len(curve.maxima)
     if curve.minima:
         opens_down = not curve.maxima or curve.minima[0] < curve.maxima[0]

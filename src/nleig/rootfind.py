@@ -10,11 +10,13 @@ import math
 
 
 class RootError(RuntimeError):
-    """No root found: bad bracket or iteration limit hit."""
+    """No root found: the bracket carries no sign change."""
 
 
-def bisect(f, lo, hi, xtol=1e-14, rtol=4e-16, ftol=0.0, max_iter=200):
-    """Root of f in [lo, hi] by bisection.  f(lo) and f(hi) must differ in sign."""
+def bisect(f, lo, hi, xtol=1e-14):
+    """Root of f in [lo, hi] by bisection.  f(lo) and f(hi) must differ in
+    sign.  Stops once the bracket is within xtol + 4e-16 |mid|, on a zero
+    of f, or after 200 halvings."""
     flo = f(lo)
     fhi = f(hi)
     if flo == 0.0:
@@ -23,29 +25,30 @@ def bisect(f, lo, hi, xtol=1e-14, rtol=4e-16, ftol=0.0, max_iter=200):
         return hi
     if (flo > 0.0) == (fhi > 0.0):
         raise RootError(f"no sign change on [{lo!r}, {hi!r}]")
-    for _ in range(max_iter):
+    for _ in range(200):
         mid = 0.5 * (lo + hi)
         fmid = f(mid)
-        if fmid == 0.0 or (ftol > 0.0 and abs(fmid) <= ftol):
+        if fmid == 0.0:
             return mid
         if (fmid > 0.0) == (flo > 0.0):
             lo, flo = mid, fmid
         else:
             hi, fhi = mid, fmid
-        if abs(hi - lo) <= xtol + rtol * abs(mid):
+        if abs(hi - lo) <= xtol + 4e-16 * abs(mid):
             return 0.5 * (lo + hi)
     return 0.5 * (lo + hi)
 
 
 def newton_safeguarded(f, fprime, x0, lo, hi, xtol=1e-14, rtol=4e-16,
-                       ftol=0.0, max_iter=100, flo=None, fhi=None):
+                       flo=None, fhi=None):
     """Newton iteration from x0, falling back to bisection on [lo, hi].
 
     The bracket must carry a sign change; it shrinks as iterates land inside
     it, so even a stalling Newton step cannot escape.  Returns the abscissa
-    once the step or the residual is below tolerance.  flo and fhi, when
-    given, are f(lo) and f(hi), which a caller that scanned for the bracket
-    has at hand.  fprime(x) is always asked right after f(x).
+    once a step is within xtol + rtol |x|, on a zero of f, or after 100
+    iterations.  flo and fhi, when given, are f(lo) and f(hi), which a
+    caller that scanned for the bracket has at hand.  fprime(x) is always
+    asked right after f(x).
     """
     if flo is None:
         flo = f(lo)
@@ -59,8 +62,8 @@ def newton_safeguarded(f, fprime, x0, lo, hi, xtol=1e-14, rtol=4e-16,
         raise RootError(f"no sign change on [{lo!r}, {hi!r}]")
     x = min(max(x0, lo), hi)
     fx = f(x)
-    for _ in range(max_iter):
-        if fx == 0.0 or (ftol > 0.0 and abs(fx) <= ftol):
+    for _ in range(100):
+        if fx == 0.0:
             return x
         # shrink the bracket with the fresh sample
         if (fx > 0.0) == (flo > 0.0):
@@ -79,6 +82,4 @@ def newton_safeguarded(f, fprime, x0, lo, hi, xtol=1e-14, rtol=4e-16,
             return x_new
         x = x_new
         fx = f(x)
-    if ftol > 0.0 and abs(fx) > ftol:
-        raise RootError(f"newton did not reach |f|<={ftol:g} (got {fx:g})")
     return x

@@ -153,7 +153,8 @@ def read_curve_csv(path):
 
 
 def render_csv(csv_path, svg_path):
-    """Render a package CSV to SVG."""
+    """Render a package CSV to SVG, for `nleig plot`; the commands that
+    write a curve draw it from their arrays through render_series."""
     meta, cols, xs, ys = read_curve_csv(csv_path)
     label = meta.get("model", "")
     n = meta.get("n")

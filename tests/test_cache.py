@@ -5,10 +5,11 @@ import os
 import tempfile
 import warnings
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from nleig import cache as cache_mod
-from nleig.cache import EigenCache
+from nleig.cache import EigenCache, record_line
 from nleig.ode import IntegratorConfig
 
 # (n, tol, method, rel_tol): every field a lookup must match
@@ -85,3 +86,21 @@ def test_put_of_a_held_line_appends_nothing(tmp_path):
     cache.put(_record(key, 2))      # same key, another line: appended
     assert path.read_text().count("\n") == 2
     assert _get(EigenCache(path), key)["E"] == 2.0
+
+
+def test_line_that_is_not_utf8_is_skipped(tmp_path):
+    # one line of stray bytes and one record whose note holds a byte that
+    # is not UTF-8, which would otherwise replace the first key's record:
+    # both skipped with a warning, the other records still served
+    path = tmp_path / "cache.jsonl"
+    keys = [(1, 1e-8, "bisection", 1e-9), (2, 1e-10, "backward", 1e-12)]
+    good = "".join(record_line(_record(k, i)) + "\n"
+                   for i, k in enumerate(keys))
+    noted = record_line({**_record(keys[0], 7), "note": "X"}).encode()
+    path.write_bytes(good.encode() + b"\x80\x81 stray\n"
+                     + noted.replace(b'"X"', b'"\xff"') + b"\n")
+    with pytest.warns(RuntimeWarning) as warned:
+        cache = EigenCache(path)
+        assert [_get(cache, k)["E"] for k in keys] == [0.0, 1.0]
+    assert [str(w.message).split(": ")[0] for w in warned] == [
+        f"{path}:3", f"{path}:4"]

@@ -245,6 +245,30 @@ class TestExitCodes:
         assert err.startswith("error: ") and len(err.splitlines()) == 1
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("argv", [
+        ["spectrum", "--model", "cos", "--n", "1..2", "--out", "FILE"],
+        ["separatrix", "--model", "cos", "--n", "2", "--out", "FILE"],
+        ["walk-coeffs", "--out", "FILE"],
+        ["verify", "walk", "--out", "FILE"],
+        ["spectrum", "--model", "cos", "--n", "1", "--cache", "DIR"],
+        ["limit-curve", "--alpha", "0", "--config", "DIR"],
+        ["limit-curve", "--alpha", "0", "--config", "LATIN1"],
+    ])
+    def test_bad_path_is_config_error(self, tmp_path, capsys, monkeypatch,
+                                      argv):
+        # --out naming a file, --cache or --config naming a directory, and
+        # a config file that is not UTF-8 exit 2 before any integration
+        (tmp_path / "FILE").write_text("x\n")
+        (tmp_path / "DIR").mkdir()
+        (tmp_path / "LATIN1").write_bytes("alpha = 0  # \xe9\n"
+                                          .encode("latin-1"))
+        runs = []
+        monkeypatch.setattr(ode.Engine, "run", lambda *a: runs.append(a))
+        assert run(argv, tmp_path) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and len(err.splitlines()) == 1
+        assert "Traceback" not in err and runs == []
+
     def test_removed_step_key_is_config_error(self, tmp_path, capsys):
         # the step size is the integrator's own: h_max is no config key
         cfg = tmp_path / "run.cfg"
@@ -461,6 +485,26 @@ class TestLimitCurveCommand:
         body = (tmp_path / "limit_alpha0.csv").read_bytes()
         assert hashlib.sha256(body).hexdigest() == (
             "2fe49af7ba2bd585d6aea0b0765cb27e872ad31361bb8dcf8aaf377cb1c5ae59")
+
+    @pytest.mark.parametrize("alpha,points,svg_sha", [
+        ("0", "5",
+         "6055bd753ed04fb03b3075daf11b7299e9574b172958a5448f0410433743ad45"),
+        ("-0.5", "400",
+         "421d3ce0c980f541cde13f9ca61730733c8ba6d5cfb2de2fa107b3d8763dc25d"),
+        ("3", "1000",
+         "69358592f9a9f9b07fc91eaf7fc8e352dcc2944cdda17f09d084e1a2521c50c0"),
+        ("-0.9", "37",
+         "2ea062abdca9f98d94eb0836ba79c4750d3dde977dbb4414ea9fda1e4ca4853d"),
+    ])
+    def test_svg_drawn_from_memory(self, tmp_path, monkeypatch, alpha, points,
+                                   svg_sha):
+        # --svg draws the arrays the CSV was written from and reads no file
+        # back; the bytes are those of the figure rendered from the CSV
+        monkeypatch.setattr(svgplot, "read_curve_csv", None)
+        assert run(["limit-curve", "--alpha", alpha, "--points", points,
+                    "--svg"], tmp_path) == 0
+        svg = (tmp_path / f"limit_alpha{alpha}.svg").read_bytes()
+        assert hashlib.sha256(svg).hexdigest() == svg_sha
 
     @pytest.mark.parametrize("alpha", ["3", "100"])
     def test_origin_row_is_printed_z0(self, tmp_path, capsys, alpha):

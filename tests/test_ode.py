@@ -91,8 +91,7 @@ class TestAgainstReference:
             ends = []
             for rt in (1e-9, 5e-10):
                 cfg = IntegratorConfig(rel_tol=rt, abs_tol=rt * 1e-3, x_max=2.0)
-                c = integrate(make_model(spec), (0.0, 0.9), cfg, record=False,
-                              n=n)
+                c = integrate(make_model(spec), (0.0, 0.9), cfg, n=n)
                 ends.append(float(c.values[-1]))
             assert abs(ends[0] - ends[1]) <= 10.0 * 1e-9 * max(abs(ends[1]), 0.05)
 
@@ -120,17 +119,21 @@ class TestEvents:
     def test_unrecorded_curve_counts_as_recorded(self):
         # an unrecorded run's events are step ends, not located extrema,
         # one per step and so in the extrema's order; it keeps its first
-        # and last points for the rule of a curve with no event
+        # and last points for the rule of a curve with no event.
+        # integrate records every run, so these are built from Engine
+        # with integrate's settings
+        def unrecorded(model, y0, n=None):
+            eng = spectrum.Engine(Frame(model, n), 0.0, y0, cfg_with(6.0),
+                                  record=False, stop_when_settled=False)
+            return eng.run(6.0).curve()
         m = make_model("cos")
-        c = integrate(m, (0.0, 0.9), cfg_with(6.0), record=False, n=2)
-        raw = Frame(m, 2).convert(c, "raw")
-        assert not c.recorded and not raw.recorded and len(raw.maxima) == 2
+        c = unrecorded(m, 0.9, n=2)
+        assert len(c.maxima) == 2
         assert c.grid[0] == 0.0 and c.values[0] == 0.9 and len(c.grid) == 2
-        assert count_maxima(raw) == count_maxima(c) == 2
+        assert count_maxima(c) == 2
         assert count_maxima(integrate(m, (0.0, 0.9), cfg_with(6.0), n=2)) == 2
         # no event at all: rgamma's monotone curve opens falling
-        rg = integrate(make_model("rgamma"), (0.0, 0.4), cfg_with(6.0),
-                       record=False)
+        rg = unrecorded(make_model("rgamma"), 0.4)
         assert not rg.maxima and not rg.minima and count_maxima(rg) == 1
 
     def test_maxima_invariant_under_refinement(self):
@@ -246,7 +249,7 @@ class TestCommitmentProperty:
         # z0 in [0.1, 2] spans the classes 0 up to several above n - 1
         frame = Frame(make_model(spec), n)
         c = integrate(frame.model, (0.0, z0), cfg_with(12.0, 1e-9),
-                      record=False, stop_when_settled=False, n=n)
+                      stop_when_settled=False, n=n)
         z_star = c.terminal_u
         assert z_star is not None
         tab = frame.zeros
@@ -343,7 +346,7 @@ class TestUnrecordedCount:
             n = 1 + n % 6
         rec = eigenvalue_run(model, n).curve()
         plain = self.backward_curve(model, n)
-        assert rec.recorded and not plain.recorded
+        assert len(plain.grid) == 2 < len(rec.grid)
         assert count_maxima(plain) == count_maxima(rec) == n
 
     @given(st.sampled_from(["cos", "bessel:0", "airy", "rgamma", "xibar"]),
