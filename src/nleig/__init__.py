@@ -10,8 +10,8 @@ scaling and the random-walk moment coefficients behind them.
 __version__ = "0.1.0"
 
 from . import specfun
-from .models import (AsymptoticForm, GeneratingFunction, Frame,
-                     ClassifiedZero, make_model, eval_F, eval_F_prime)
+from .models import (AsymptoticForm, GeneratingFunction, Frame, make_model,
+                     eval_F, eval_F_prime)
 from .ode import IntegratorConfig, SolutionCurve, integrate, count_maxima
 from .spectrum import EigenResult, classify, find_eigen, refine_backward, \
     spectrum_scan
@@ -23,8 +23,8 @@ from .asymptotics import (LimitCurve, GrowthLaw, WalkCoefficients,
 
 __all__ = [
     "specfun", "__version__",
-    "AsymptoticForm", "GeneratingFunction", "Frame", "ClassifiedZero",
-    "make_model", "eval_F", "eval_F_prime",
+    "AsymptoticForm", "GeneratingFunction", "Frame", "make_model", "eval_F",
+    "eval_F_prime",
     "IntegratorConfig", "SolutionCurve", "integrate", "count_maxima",
     "EigenResult", "classify", "find_eigen", "refine_backward", "spectrum_scan",
     "LimitCurve", "GrowthLaw", "WalkCoefficients", "limit_curve",

@@ -1,6 +1,6 @@
 """Closed-form large-index objects: limit curves, growth laws, envelope
 scaling, random-walk moment coefficients, and the reciprocal-gamma
-asymptote.
+asymptote with its lambda-scaling.
 
 The limit curve z(t) for exponent alpha > -1 solves, for t <= 1,
 
@@ -19,8 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING
 
-from .models import rgamma_lambda_scaling
-from .specfun import DomainError
+from .specfun import DomainError, digamma_root, log_gamma, sinpi
 
 if TYPE_CHECKING:
     import numpy as np
@@ -29,8 +28,8 @@ __all__ = [
     "LimitCurve", "GrowthLaw", "WalkCoefficients", "limit_curve",
     "limit_curve_value", "origin_value", "growth_law", "forbidden_region_z",
     "walk_coefficients", "walk_coefficients_dp", "envelope",
-    "rgamma_asymptote", "rgamma_asymptote_log", "rgamma_limit_curve",
-    "WALK_P_MAX",
+    "rgamma_lambda_scaling", "rgamma_asymptote", "rgamma_asymptote_log",
+    "rgamma_limit_curve", "WALK_P_MAX",
 ]
 
 # largest p_max the walk-coefficient tables accept
@@ -198,6 +197,26 @@ def envelope(frame, t):
     z = limit_curve_value(asym.alpha, t)
     return (t ** (1.0 + asym.alpha - asym.beta)
             * z ** (asym.alpha - asym.beta) / (asym.beta * frame.lam))
+
+
+def rgamma_lambda_scaling(n):
+    """(lambda, r_lambda, ln_xi) for the reciprocal-gamma problem.
+
+    lambda = 2n-1; xi(lambda) = -xi0/Gamma(r_lambda) with xi0 = 1, which
+    puts the turning point at t = 1.  Gamma(r_lambda) < 0 is asserted: the
+    radicand of the eigenvalue asymptote must be positive, and a wrong
+    digamma-root index would flip it.
+    """
+    lam = 2 * n - 1
+    r = digamma_root(lam)
+    # sign of Gamma(r) equals sign of sin(pi r) (reflection; Gamma(1-r) > 0)
+    if sinpi(r) >= 0.0:
+        raise ArithmeticError(
+            f"rgamma scaling: Gamma(r_lambda) not negative at lambda={lam}")
+    ln_gamma_mag = (math.log(math.pi) - math.log(abs(sinpi(r)))
+                    - log_gamma(1.0 - r))
+    ln_xi = -ln_gamma_mag
+    return float(lam), r, ln_xi
 
 
 def rgamma_asymptote_log(n):

@@ -2,8 +2,9 @@
 
 The cache is a JSON-lines file keyed by (model spec, n, tol, method, the
 effective integrator settings, schema version).  An instance parses the file
-once, on its first lookup, and serves later lookups from memory; each new
-instance sees the file as it is on disk when it first reads it.  Lines of
+once, when it is made, and serves every lookup from memory; each new
+instance sees the file as it is on disk when it is made, so a path that
+cannot be read fails before any work that would use the cache.  Lines of
 another schema version (records written before the version field existed
 carry none) are never served; corrupt lines, those that are not UTF-8
 included, are skipped with a warning; later entries win; a record whose
@@ -74,7 +75,7 @@ class EigenCache:
 
     def __init__(self, path):
         self.path = os.fspath(path)
-        self._entries = None
+        self._entries = self.load()
 
     @staticmethod
     def settings_text(cfg):
@@ -125,21 +126,16 @@ class EigenCache:
                                   "line", RuntimeWarning)
         return entries
 
-    def _loaded(self):
-        if self._entries is None:
-            self._entries = self.load()
-        return self._entries
-
     def get(self, model_spec, n, tol, method, settings):
         """The record stored under exactly this key (settings is the
         settings_text of the effective IntegratorConfig), or None."""
-        entry = self._loaded().get(self.key(model_spec, n, tol, method,
-                                            settings))
+        entry = self._entries.get(self.key(model_spec, n, tol, method,
+                                           settings))
         return None if entry is None else entry[0]
 
     def line(self, rec):
         """The stored line of rec, a record that get returned."""
-        return self._loaded()[self._record_key(rec)][1]
+        return self._entries[self._record_key(rec)][1]
 
     def put(self, rec):
         """Append a stamped record to the file and to the loaded entries,
@@ -147,7 +143,7 @@ class EigenCache:
         (record_line, without the newline)."""
         key = self._record_key(rec)
         line = record_line(rec)
-        entries = self._loaded()
+        entries = self._entries
         held = entries.get(key)
         if held is not None and held[1] == line:
             return line

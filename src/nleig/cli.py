@@ -160,19 +160,17 @@ def cmd_spectrum(rc):
     cfg = _integrator_cfg(rc)
     base = os.path.join(_out_dir(rc),   # before any cache lookup or run
                         f"spectrum_{model.spec.replace(':', '_')}")
-    cache_path = _cache_path(rc)
-    no_cache = rc.get("no_cache")
-    cache = None if no_cache else EigenCache(cache_path)
+    cache = EigenCache(_cache_path(rc))     # read here, before any run
     # --no-cache recomputes every index and compares with any cached value
-    old_cache = (EigenCache(cache_path)
-                 if no_cache and os.path.exists(cache_path) else None)
+    no_cache = rc.get("no_cache")
     settings = EigenCache.settings_text(spectrum._ode_cfg(tol, cfg))
     entries = []        # (record, its JSON line)
     errors = []
     mismatches = 0
     to_compute = []
     for n in ns:
-        hit = cache.get(model.spec, n, tol, method, settings) if cache else None
+        hit = None if no_cache else cache.get(model.spec, n, tol, method,
+                                              settings)
         if hit is not None:
             print(f"cache hit: {model.spec} n={n} tol={tol:g}", file=sys.stderr)
             entries.append((hit, cache.line(hit)))
@@ -181,18 +179,24 @@ def cmd_spectrum(rc):
     if to_compute:
         results, errs = spectrum.spectrum_scan(
             model, to_compute, tol=tol, cfg=cfg, method=method)
-        errors.extend(errs)
+        # the scan checks monotonicity among its own results only; the
+        # check below covers every record reported, served ones too
+        own = spectrum.monotonicity_errors([(r.n, r.E) for r in results])
+        errors.extend(e for e in errs if e not in own)
         for res in results:
             rec = EigenCache.stamp(res.to_record(), settings)
-            entries.append((rec, cache.put(rec) if cache else record_line(rec)))
-            if old_cache:
-                old = old_cache.get(model.spec, res.n, tol, method, settings)
+            if no_cache:
+                old = cache.get(model.spec, res.n, tol, method, settings)
                 if old is not None and abs(old["E"] - res.E) > tol * abs(res.E):
                     mismatches += 1
                     print(f"cache mismatch at n={res.n}: cached {old['E']!r} "
                           f"vs recomputed {res.E!r}", file=sys.stderr)
+                entries.append((rec, record_line(rec)))
+            else:
+                entries.append((rec, cache.put(rec)))
     entries.sort(key=lambda e: e[0]["n"])
     records = [rec for rec, _ in entries]
+    errors += spectrum.monotonicity_errors([(r["n"], r["E"]) for r in records])
     atomic_write_text(base + ".csv", spectrum.spectrum_csv_text(records))
     atomic_write_text(base + ".json", spectrum.spectrum_json_text(
         records, [line for _, line in entries]))

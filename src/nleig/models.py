@@ -3,8 +3,8 @@
 Each model kind is one object, a frozen GeneratingFunction subclass, that
 holds every fact about the kind the rest of the library reads:
 - kind, its name, and spec, its model-grammar string; F, F_prime,
-  zero(k) (the k-th positive zero) and first_unstable (F' > 0 at the
-  first zero);
+  zero(k, prev) (the k-th positive zero, given prev, the (k-1)-th, or
+  None for k = 1) and first_unstable (F' > 0 at the first zero);
 - raw_rhs() and, where has_scaling holds, scale(frame, n),
   scaled_rhs(frame) and limit_curve(ts): the right-hand sides of raw
   (x, y) and of index n's scaled (t, z), and the scaled limit curve;
@@ -33,17 +33,18 @@ import operator
 from bisect import bisect_left
 from dataclasses import dataclass, replace
 
+from . import asymptotics
 from .rootfind import RootError, bisect
 from .specfun import (DomainError, sinpi, cospi, bessel_j, bessel_j_prime,
-                      bessel_j_zero, airy_ai, recip_gamma, recip_gamma_log,
-                      xi_bar, digamma, digamma_root, log_gamma)
+                      airy_ai, recip_gamma, recip_gamma_log, xi_bar, digamma,
+                      log_gamma)
+from .specfun.bessel import _zero_after
 from .specfun.zeta import _xi_bar_direct
 
 __all__ = [
     "AsymptoticForm", "GeneratingFunction", "Algebraic", "Cosine", "Bessel",
-    "Airy", "RecipGamma", "XiBar", "Frame", "ClassifiedZero", "make_model",
-    "eval_F", "eval_F_prime", "ZeroTable", "zero_table",
-    "rgamma_lambda_scaling", "RGAMMA_N_MAX",
+    "Airy", "RecipGamma", "XiBar", "Frame", "make_model", "eval_F",
+    "eval_F_prime", "ZeroTable", "zero_table", "RGAMMA_N_MAX",
 ]
 
 
@@ -158,8 +159,7 @@ class Algebraic(GeneratingFunction):
         frame.u_scale = frame.x_scale * frame.y_scale
 
     def predict(self, n):
-        from .asymptotics import growth_law
-        return growth_law(self).predict(n)
+        return asymptotics.growth_law(self).predict(n)
 
     def raw_horizon(self, y0):
         """Three times the turning point expected of y0."""
@@ -174,8 +174,7 @@ class Algebraic(GeneratingFunction):
         return Frame(self, n).x_scale
 
     def limit_curve(self, ts):
-        from .asymptotics import limit_curve_value
-        return [limit_curve_value(self.asym.alpha, t) for t in ts]
+        return [asymptotics.limit_curve_value(self.asym.alpha, t) for t in ts]
 
 
 @dataclass(frozen=True)
@@ -192,7 +191,7 @@ class Cosine(Algebraic):
     def F_prime(self, u):
         return -math.pi * sinpi(u)
 
-    def zero(self, k):
+    def zero(self, k, prev):
         return k - 0.5
 
     def raw_rhs(self):
@@ -232,8 +231,8 @@ class Bessel(Algebraic):
     def F_prime(self, u):
         return bessel_j_prime(self.nu, u)
 
-    def zero(self, k):
-        return bessel_j_zero(self.nu, k)
+    def zero(self, k, prev):
+        return _zero_after(self.nu, prev)
 
     # stage probes may undershoot xy = 0 by a hair: both closures clamp
     # the argument at 0, which leaves NaN and -0.0 as they are
@@ -267,7 +266,7 @@ class Airy(Algebraic):
     def F(self, u):
         return airy_ai(-u)
 
-    def zero(self, k):
+    def zero(self, k, prev):
         t = 3.0 * math.pi * (4.0 * k - 1.0) / 8.0
         u = t ** (2.0 / 3.0) * (1.0 + 5.0 / (48.0 * t * t))
         # local zero spacing ~ pi t^(-1/3): the seed is good to ~1e-6 by
@@ -307,26 +306,6 @@ RGAMMA_N_MAX = 150
 _RGAMMA_CORR = 4e-3
 
 
-def rgamma_lambda_scaling(n):
-    """(lambda, r_lambda, ln_xi) for the reciprocal-gamma problem.
-
-    lambda = 2n-1; xi(lambda) = -xi0/Gamma(r_lambda) with xi0 = 1, which
-    puts the turning point at t = 1.  Gamma(r_lambda) < 0 is asserted: the
-    radicand of the eigenvalue asymptote must be positive, and a wrong
-    digamma-root index would flip it.
-    """
-    lam = 2 * n - 1
-    r = digamma_root(lam)
-    # sign of Gamma(r) equals sign of sin(pi r) (reflection; Gamma(1-r) > 0)
-    if sinpi(r) >= 0.0:
-        raise ArithmeticError(
-            f"rgamma scaling: Gamma(r_lambda) not negative at lambda={lam}")
-    ln_gamma_mag = (math.log(math.pi) - math.log(abs(sinpi(r)))
-                    - log_gamma(1.0 - r))
-    ln_xi = -ln_gamma_mag
-    return float(lam), r, ln_xi
-
-
 @dataclass(frozen=True)
 class RecipGamma(GeneratingFunction):
     """F(u) = 1/Gamma(-u), u >= -1 (the right-hand sides clamp u at -1),
@@ -355,7 +334,7 @@ class RecipGamma(GeneratingFunction):
         g = math.exp(log_gamma(1.0 + u)) if u > -1.0 else 1.0
         return -cospi(u) * g - sinpi(u) * g * digamma(1.0 + u) / math.pi
 
-    def zero(self, k):
+    def zero(self, k, prev):
         return float(k - 1)
 
     def raw_rhs(self):
@@ -365,7 +344,7 @@ class RecipGamma(GeneratingFunction):
         return rhs
 
     def scale(self, frame, n):
-        lam, _, ln_xi = rgamma_lambda_scaling(n)
+        lam, _, ln_xi = asymptotics.rgamma_lambda_scaling(n)
         ln_x = 0.5 * (math.log(lam) - ln_xi)
         ln_y = 0.5 * (math.log(lam) + ln_xi)
         if abs(ln_x) > 708.0 or abs(ln_y) > 708.0:
@@ -424,8 +403,7 @@ class RecipGamma(GeneratingFunction):
         return frame, x0, (1.0 - corr) / x0
 
     def limit_curve(self, ts):
-        from .asymptotics import rgamma_limit_curve
-        return [rgamma_limit_curve(t) for t in ts]
+        return [asymptotics.rgamma_limit_curve(t) for t in ts]
 
 
 @dataclass(frozen=True)
@@ -447,17 +425,11 @@ class XiBar(GeneratingFunction):
         # 5.5e-12 above the tol-1e-12 bracket, whatever n
         return 1e-11
 
-    def zero(self, k):
+    def zero(self, k, prev):
         """k-th ordinate of a nontrivial zeta zero, by scanning xi_bar's
-        direct route: the ordinates do not depend on xi_bar's table.  The
-        scan resumes 0.05 above the (k-1)-th zero of the kind's ZeroTable
-        (from 10 for the first), so the table's list is the only copy."""
-        table = zero_table(self)
-        table.ensure_count(k - 1)
-        zs = table._zeros
-        if k <= len(zs):
-            return zs[k - 1]
-        x = zs[-1] + 0.05 if zs else 10.0
+        direct route from prev + 0.05 (from 10 for the first) in steps of
+        0.35: the ordinates do not depend on xi_bar's table."""
+        x = 10.0 if prev is None else prev + 0.05
         f0 = _xi_bar_direct(x)
         while True:
             x1 = x + 0.35
@@ -473,11 +445,11 @@ class XiBar(GeneratingFunction):
         return rhs
 
     def predict(self, n):
-        u_n = zero_table(self).nth_unstable(n).u
+        u_n = zero_table(self).nth_unstable(n)
         return 0.55 * math.sqrt(u_n)
 
     def raw_horizon(self, y0):
-        u1 = zero_table(self).zero(2).u  # second zero, the first stable one
+        u1 = zero_table(self).zero(2)  # second zero, the first stable one
         return 3.0 * max(u1, 10.0) / (0.6 * max(y0, 1e-3))
 
     def x_turn(self, n, s):
@@ -513,16 +485,11 @@ def eval_F_prime(model, u):
     return model.F_prime(u)
 
 
-@dataclass(frozen=True)
-class ClassifiedZero:
-    u: float
-    kind: str    # "stable" (F' < 0) or "unstable" (F' > 0)
-    index: int   # ordinal among zeros of the same kind, 1-based
-
-
 class ZeroTable:
     """Lazily extended ordered list of the positive zeros of F; shared by
-    the forward runs' commitment check and the eigenvalue classifier.
+    the forward runs' commitment check and the eigenvalue classifier, and
+    the only place the library keeps them.  The k-th comes from the kind's
+    zero(k, prev), handed the (k-1)-th.
 
     The zeros are simple, so stable (F' < 0) and unstable (F' > 0) zeros
     alternate and only their ordinates are kept, with the kind's
@@ -536,7 +503,8 @@ class ZeroTable:
         self.first_unstable = model.first_unstable
 
     def _append_next(self):
-        self._zeros.append(self.model.zero(len(self._zeros) + 1))
+        zs = self._zeros
+        zs.append(self.model.zero(len(zs) + 1, zs[-1] if zs else None))
 
     def _stable(self, i):
         """Whether the zero at 0-based position i is stable."""
@@ -563,10 +531,9 @@ class ZeroTable:
             self._append_next()
 
     def zero(self, k):
-        """k-th zero (1-based) as a ClassifiedZero."""
+        """The k-th zero (1-based)."""
         self.ensure_count(k)
-        kind = "stable" if self._stable(k - 1) else "unstable"
-        return ClassifiedZero(self._zeros[k - 1], kind, (k + 1) // 2)
+        return self._zeros[k - 1]
 
     def stable_below(self, u):
         """The stable zero z* of F whose basin (z*, s) holds u, s being the
@@ -589,7 +556,7 @@ class ZeroTable:
         return (i + 1) // 2 if self.first_unstable else i // 2
 
     def nth_unstable(self, n):
-        """n-th unstable zero as a ClassifiedZero."""
+        """The n-th unstable zero."""
         return self.zero(2 * n - 1 if self.first_unstable else 2 * n)
 
 

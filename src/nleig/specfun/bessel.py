@@ -307,19 +307,14 @@ def bessel_j_prime(nu, x):
     return (nu / x) * bessel_j(nu, x) - _j_any(nu + 1.0, x)
 
 
-_zero_cache = {}
-
-
-def bessel_j_zero(nu, k):
-    """k-th positive zero of J_nu (k = 1, 2, ...), by scan plus Newton.
+def _zero_after(nu, prev):
+    """The first zero of J_nu above prev, a zero of J_nu (the first zero
+    when prev is None), by scan plus Newton: the scan steps 0.7 from
+    prev + 0.5, or from the first zero's lower bound, to a sign change.
 
     Newton asks for f(t) = J_nu(t) and then f'(t) = (nu/t) J_nu(t) -
     J_{nu+1}(t) at the same t, so f keeps its last (t, J_nu(t)) for f' to
     reuse, and the scan's values at the bracket ends are handed over."""
-    if k < 1 or k != int(k):
-        raise DomainError(f"bessel_j_zero: need integer k >= 1, got {k!r}")
-    k = int(k)
-    zeros = _zero_cache.setdefault(nu, [])
     from ..rootfind import newton_safeguarded
     last = [math.nan, 0.0]      # the last t f was called at, and J_nu(t)
 
@@ -333,20 +328,32 @@ def bessel_j_zero(nu, k):
             return bessel_j_prime(nu, t)
         return (nu / t) * last[1] - _j_any(nu + 1.0, t)
 
+    if prev is not None:
+        x = prev + 0.5
+    else:
+        x = max(nu + 1.85 * nu ** (1.0 / 3.0), 1.0) if nu > 0 else 1.0
+    f0 = bessel_j(nu, x)
+    step = 0.7
+    while True:
+        x1 = x + step
+        f1 = bessel_j(nu, x1)
+        if (f0 > 0.0) != (f1 > 0.0) or f1 == 0.0:
+            break
+        x, f0 = x1, f1
+    return newton_safeguarded(f, fprime, 0.5 * (x + x1), x, x1,
+                              xtol=1e-15, flo=f0, fhi=f1)
+
+
+_zero_cache = {}
+
+
+def bessel_j_zero(nu, k):
+    """k-th positive zero of J_nu (k = 1, 2, ...), each found from the one
+    below by _zero_after and memoized per order.  The library's zero
+    tables call _zero_after themselves and never fill this memo."""
+    if k < 1 or k != int(k):
+        raise DomainError(f"bessel_j_zero: need integer k >= 1, got {k!r}")
+    zeros = _zero_cache.setdefault(nu, [])
     while len(zeros) < k:
-        if zeros:
-            x = zeros[-1] + 0.5
-        else:
-            x = max(nu + 1.85 * nu ** (1.0 / 3.0), 1.0) if nu > 0 else 1.0
-        f0 = bessel_j(nu, x)
-        step = 0.7
-        while True:
-            x1 = x + step
-            f1 = bessel_j(nu, x1)
-            if (f0 > 0.0) != (f1 > 0.0) or f1 == 0.0:
-                break
-            x, f0 = x1, f1
-        root = newton_safeguarded(f, fprime, 0.5 * (x + x1), x, x1,
-                                  xtol=1e-15, flo=f0, fhi=f1)
-        zeros.append(root)
-    return zeros[k - 1]
+        zeros.append(_zero_after(nu, zeros[-1] if zeros else None))
+    return zeros[int(k) - 1]

@@ -46,8 +46,9 @@ from .specfun import DomainError
 
 __all__ = [
     "EigenResult", "classify", "find_eigen", "refine_backward",
-    "separatrix_curve", "spectrum_scan", "spectrum_csv_text",
-    "spectrum_json_text", "BracketError", "ConfigError", "MIN_TOL",
+    "separatrix_curve", "spectrum_scan", "monotonicity_errors",
+    "spectrum_csv_text", "spectrum_json_text", "BracketError", "ConfigError",
+    "MIN_TOL",
 ]
 
 _WIDEN = 1.6
@@ -353,7 +354,7 @@ def refine_backward(model, n, cfg=None, tol=None, *, _export=False):
     model.check_binary64(n)
     tol = _checked_tol(model, tol)
     cfg = _ode_cfg(tol, cfg)
-    s = zero_table(model).nth_unstable(n).u
+    s = zero_table(model).nth_unstable(n)
     frame, x0, y0 = model.backward_start(n, s, _export)
     eng = Engine(frame, x0, y0, cfg, direction=-1, record=_export)
     eng.run(0.0)
@@ -434,11 +435,15 @@ def spectrum_scan(model, n_range, tol=None, cfg=None, method="bisection"):
             results.append(res)
         except (BracketError, RootError, RuntimeError, OverflowError) as exc:
             errors.append({"n": n, "error": f"{type(exc).__name__}: {exc}"})
-    for a, b in zip(results, results[1:]):
-        if not (b.E > a.E):
-            errors.append({"n": b.n,
-                           "error": f"monotonicity violated: E_{b.n} <= E_{a.n}"})
+    errors += monotonicity_errors([(r.n, r.E) for r in results])
     return results, errors
+
+
+def monotonicity_errors(pairs):
+    """The spectrum's one monotonicity rule: an error for each (n, E) of
+    pairs, in increasing n, whose E does not exceed the E before it."""
+    return [{"n": n, "error": f"monotonicity violated: E_{n} <= E_{m}"}
+            for (m, a), (n, b) in zip(pairs, pairs[1:]) if not (b > a)]
 
 
 def spectrum_csv_text(records):

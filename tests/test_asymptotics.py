@@ -13,9 +13,9 @@ from hypothesis import example, given, settings, strategies as st
 from nleig.asymptotics import (envelope, forbidden_region_z, growth_law,
                                limit_curve, limit_curve_value, origin_value,
                                rgamma_asymptote, rgamma_asymptote_log,
-                               rgamma_limit_curve, walk_coefficients,
-                               walk_coefficients_dp)
-from nleig.models import Frame, make_model, rgamma_lambda_scaling
+                               rgamma_lambda_scaling, rgamma_limit_curve,
+                               walk_coefficients, walk_coefficients_dp)
+from nleig.models import Frame, make_model
 from nleig.specfun import DomainError
 
 

@@ -116,6 +116,24 @@ class TestSpectrumCommand:
                     for ext in ("csv", "json")] == first
             assert len((tmp_path / "c.jsonl").read_text().splitlines()) == 10
 
+    def test_exit_code_does_not_depend_on_the_cache(self, tmp_path, capsys):
+        # xibar's backward E_11 falls below E_10: the run reports it whether
+        # E_10 and E_11 were computed, both served or one of each
+        args = ["spectrum", "--model", "xibar", "--method", "backward",
+                "--cache", "c.jsonl", "--n"]
+        error = "n=11: monotonicity violated: E_11 <= E_10"
+        fresh, split = tmp_path / "fresh", tmp_path / "split"
+        fresh.mkdir()
+        split.mkdir()
+        assert run(args + ["1..10"], split) == 0
+        capsys.readouterr()
+        for cwd in (fresh, fresh, split):
+            assert run(args + ["1..11"], cwd) == 1
+            lines = capsys.readouterr().err.splitlines()
+            assert [s for s in lines if "cache hit" not in s] == [error]
+        assert ((fresh / "spectrum_xibar.csv").read_bytes()
+                == (split / "spectrum_xibar.csv").read_bytes())
+
     def test_env_cache_override(self, tmp_path, monkeypatch):
         monkeypatch.setenv("NLEIG_CACHE", str(tmp_path / "custom.jsonl"))
         assert run(["spectrum", "--model", "cos", "--n", "1..2",
@@ -253,6 +271,8 @@ class TestExitCodes:
         ["spectrum", "--model", "cos", "--n", "1", "--cache", "DIR"],
         ["limit-curve", "--alpha", "0", "--config", "DIR"],
         ["limit-curve", "--alpha", "0", "--config", "LATIN1"],
+        ["spectrum", "--model", "cos", "--n", "1..2", "--no-cache",
+         "--cache", "DIR"],
     ])
     def test_bad_path_is_config_error(self, tmp_path, capsys, monkeypatch,
                                       argv):

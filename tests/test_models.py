@@ -4,20 +4,25 @@ coordinate rescaling, and the stability classification of zeros."""
 import math
 import re
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 from scipy.integrate import solve_ivp
 
-from nleig.models import (RGAMMA_N_MAX, Algebraic, AsymptoticForm, Frame,
-                          eval_F, eval_F_prime, make_model, zero_table,
-                          rgamma_lambda_scaling)
-from nleig.specfun import recip_gamma_log
+from nleig import models
+from nleig.asymptotics import rgamma_lambda_scaling
+from nleig.models import (RGAMMA_N_MAX, Algebraic, AsymptoticForm, Bessel,
+                          Frame, ZeroTable, eval_F, eval_F_prime, make_model,
+                          zero_table)
+from nleig.rootfind import RootError
+from nleig.specfun import bessel, bessel_j_zero, recip_gamma_log
 from nleig.specfun.bessel import _order
 from nleig.ode import SolutionCurve
 from nleig.specfun import DomainError
 from test_specfun import _recip_gamma_log_reference
+from test_spectrum import XIBAR_ZEROS_60
 
 
 class TestModelCatalog:
@@ -96,7 +101,7 @@ class CosU(Algebraic):
     def F_prime(self, u):
         return -math.sin(u)
 
-    def zero(self, k):
+    def zero(self, k, prev):
         return (k - 0.5) * math.pi
 
     def raw_rhs(self):
@@ -465,43 +470,104 @@ class TestZeroTablePins:
     ])
     def test_digest(self, spec, count, digest):
         tab = zero_table(make_model(spec))
-        assert _digest([tab.zero(k).u for k in range(1, count + 1)]) == digest
+        assert _digest([tab.zero(k) for k in range(1, count + 1)]) == digest
+
+
+class TestZeroSearch:
+    """A kind finds its k-th zero from the (k-1)-th alone, and the kind's
+    ZeroTable is the one place a zero is held."""
+
+    def test_bessel_fill_holds_one_list(self, monkeypatch):
+        # filling J_0's zeros 21..4010 traces the table's floats and list
+        # alone, 32 bytes a zero; a second list of them made it 40.5
+        monkeypatch.setattr(bessel, "_zero_cache", {})
+        tab = ZeroTable(Bessel(0.0))
+        tab.ensure_count(20)    # numpy and J_0's Taylor table built first
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            tab.ensure_count(4010)
+            grown = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert grown / 3990 <= 34.0
+
+    @pytest.mark.parametrize("nu", [0.0, 1.0, 2.5, 1.0 / 3.0])
+    @pytest.mark.parametrize("table_first", [True, False])
+    def test_bessel_table_is_bessel_j_zero(self, monkeypatch, nu,
+                                           table_first):
+        monkeypatch.setattr(bessel, "_zero_cache", {})
+        tab = ZeroTable(Bessel(nu))
+        if table_first:
+            tab.ensure_count(60)
+        want = [bessel_j_zero(nu, k).hex() for k in range(1, 61)]
+        assert [tab.zero(k).hex() for k in range(1, 61)] == want
+
+    @pytest.mark.parametrize("spec", ["cos", "bessel:0", "airy", "rgamma",
+                                      "xibar"])
+    def test_kind_reads_no_table(self, monkeypatch, spec):
+        # zero(k, prev) chained from None gives the table's zeros, and
+        # neither reads nor builds a ZeroTable
+        m = make_model(spec)
+        want = [zero_table(m).zero(k) for k in range(1, 6)]
+        monkeypatch.setattr(models, "_zero_tables", {})
+        got = [None]
+        for k in range(1, 6):
+            got.append(m.zero(k, got[-1]))
+        assert got[1:] == want
+        assert models._zero_tables == {}
+
+    def test_failed_search_leaves_the_table_unchanged(self, monkeypatch):
+        # the 30th xibar search raises: the table keeps its 29 zeros, and
+        # the next fill resumes from them to the pinned 60
+        calls = []
+        real_bisect = models.bisect
+
+        def flaky_bisect(*args, **kwargs):
+            calls.append(args)
+            if len(calls) == 30:
+                raise RootError("injected")
+            return real_bisect(*args, **kwargs)
+        monkeypatch.setattr(models, "bisect", flaky_bisect)
+        tab = ZeroTable(make_model("xibar"))
+        with pytest.raises(RootError, match="injected"):
+            tab.ensure_count(60)
+        assert [z.hex() for z in tab._zeros] == XIBAR_ZEROS_60[:29]
+        assert [tab.zero(k).hex() for k in range(1, 61)] == XIBAR_ZEROS_60
 
 
 class TestZeros:
     def test_cosine_unstable(self):
         tab = zero_table(make_model("cos"))
-        zs = [tab.nth_unstable(k) for k in (1, 2, 3)]
-        assert [z.u for z in zs] == [1.5, 3.5, 5.5]
-        assert all(z.kind == "unstable" for z in zs)
-        assert [z.index for z in zs] == [1, 2, 3]
+        assert [tab.nth_unstable(k) for k in (1, 2, 3)] == [1.5, 3.5, 5.5]
 
     def test_rgamma_unstable(self):
         tab = zero_table(make_model("rgamma"))
-        assert [tab.nth_unstable(k).u for k in (1, 2, 3)] == [1.0, 3.0, 5.0]
+        assert [tab.nth_unstable(k) for k in (1, 2, 3)] == [1.0, 3.0, 5.0]
 
     def test_bessel_unstable_is_second_zero(self):
         z = zero_table(make_model("bessel:0")).nth_unstable(1)
-        assert z.u == pytest.approx(5.520078110286311, abs=1e-9)
+        assert z == pytest.approx(5.520078110286311, abs=1e-9)
 
     def test_airy_unstable_is_second_ai_zero(self):
         z = zero_table(make_model("airy")).nth_unstable(1)
-        assert z.u == pytest.approx(4.08794944413097, abs=1e-8)
+        assert z == pytest.approx(4.08794944413097, abs=1e-8)
 
     def test_xibar_first_unstable_is_first_zero(self):
         # xibar < 0 just above the origin, so the first ordinate repels
         z = zero_table(make_model("xibar")).nth_unstable(1)
-        assert z.u == pytest.approx(14.134725141734693, abs=1e-6)
+        assert z == pytest.approx(14.134725141734693, abs=1e-6)
 
     def test_derivative_sign_convention(self):
         for spec in ("cos", "bessel:0", "bessel:1", "airy", "rgamma"):
             m = make_model(spec)
             tab = zero_table(m)
+            unstable = {tab.nth_unstable(j) for j in (1, 2, 3)}
             for k in range(1, 7):
                 z = tab.zero(k)
-                fp = eval_F_prime(m, z.u)
+                fp = eval_F_prime(m, z)
                 assert abs(fp) > 1e-8
-                assert (fp > 0.0) == (z.kind == "unstable")
+                assert (fp > 0.0) == (z in unstable)
 
     @pytest.mark.parametrize("spec", ["cos", "bessel:0", "rgamma"])
     def test_classification_matches_perturbation_flow(self, spec):
@@ -509,10 +575,11 @@ class TestZeros:
         # unstable zeros repel, stable zeros attract, within x in [10, 20]
         m = make_model(spec)
         tab = zero_table(m)
+        unstable = {tab.nth_unstable(j) for j in (1, 2)}
         for k in (1, 2, 3):
             z = tab.zero(k)
             for sgn in (-1.0, 1.0):
-                u0 = z.u + sgn * 1e-6
+                u0 = z + sgn * 1e-6
                 if u0 <= 0.0:
                     continue
                 sol = solve_ivp(
@@ -524,11 +591,11 @@ class TestZeros:
                 # stable zeros hold the flow in their own basin (it parks
                 # on the branch u* + u*/(|F'| x^2) just above the zero);
                 # unstable zeros eject it into a neighboring basin
-                if z.kind == "unstable":
-                    assert abs(nearest - z.u) > 1e-6
+                if z in unstable:
+                    assert abs(nearest - z) > 1e-6
                 else:
-                    assert nearest == pytest.approx(z.u)
-                    assert abs(u_end - z.u) < 0.15
+                    assert nearest == pytest.approx(z)
+                    assert abs(u_end - z) < 0.15
 
     def test_stable_basin(self):
         # stable_below(u): the stable zero z* whose basin (z*, s) holds u
@@ -541,8 +608,8 @@ class TestZeros:
         assert cos.stable_below(0.5) is None
         # xibar's first zero is unstable: below it lies the basin of y -> 0
         xib = zero_table(make_model("xibar"))
-        assert xib.stable_below(0.5 * xib.zero(1).u) == 0.0
-        z2 = xib.zero(2).u
+        assert xib.stable_below(0.5 * xib.zero(1)) == 0.0
+        z2 = xib.zero(2)
         assert xib.stable_below(z2 + 0.01) == z2
         # rgamma's first zero, F(0) = 0, is stable
         rg = zero_table(make_model("rgamma"))

@@ -38,7 +38,7 @@ def eigenvalue_run(model, n):
     recorded.  It is built from spectrum.Engine, so a test that patches
     that class sees the run."""
     cfg = spectrum._ode_cfg(model.default_tol, None)
-    s = zero_table(model).nth_unstable(n).u
+    s = zero_table(model).nth_unstable(n)
     frame, x0, y0 = model.backward_start(n, s, False)
     eng = spectrum.Engine(frame, x0, y0, cfg, direction=-1)
     eng.run(0.0)
@@ -254,13 +254,15 @@ class TestCommitmentProperty:
         assert z_star is not None
         tab = frame.zeros
         k = 1
-        while tab.zero(k).u < z_star:
+        while tab.zero(k) < z_star:
             k += 1
         z, s = tab.zero(k), tab.zero(k + 1)
-        assert (z.u, z.kind, s.kind) == (z_star, "stable", "unstable")
+        assert z == z_star
+        # z* is stable (F' < 0) and s unstable (F' > 0)
+        assert frame.model.F_prime(z) < 0.0 < frame.model.F_prime(s)
         # the basin (z*, s); rgamma's y -> 0 reaches its zero z* = 0
         u_end = frame.u_scale * float(c.grid[-1]) * float(c.values[-1])
-        assert z_star <= u_end < s.u
+        assert z_star <= u_end < s
         assert u_end > z_star or z_star == 0.0
 
 

@@ -192,11 +192,11 @@ class TestSeedPlacement:
     def bounds(model, n):
         """(contraction bound, export start) of index n, raw."""
         table = zero_table(model)
-        s = table.nth_unstable(n).u
+        s = table.nth_unstable(n)
         fp = eval_F_prime(model, s)
         xt = Frame(model, n).x_scale
         k = 2 * n       # s is the k-th zero
-        halfgap = 0.5 * min(table.zero(k + 1).u - s, s - table.zero(k - 1).u)
+        halfgap = 0.5 * min(table.zero(k + 1) - s, s - table.zero(k - 1))
         contraction = max(xt * xt + 90.0 / fp, (1.3 * xt) ** 2)
         export = max(s / (fp * min(0.1 * halfgap, 0.02 * s)), contraction)
         return math.sqrt(contraction), math.sqrt(export)
@@ -408,7 +408,7 @@ class TestXiBarPins:
 
     def test_zero_table(self):
         tab = zero_table(make_model("xibar"))
-        assert [tab.zero(k).u.hex() for k in range(1, 61)] == XIBAR_ZEROS_60
+        assert [tab.zero(k).hex() for k in range(1, 61)] == XIBAR_ZEROS_60
 
 
 class TestJumpIsolation:
