@@ -9,13 +9,18 @@ direct Bessel routes (quadrature band included).  The Bessel connection
 also serves x < -10, and on the positive side a Gauss-Hermite quadrature of
 K_{1/3} bridges the gap until the exponential asymptotic series takes over.
 
-J_{1/3} and J_{-1/3} have the same mu = 4 nu^2 = 4/9, so for zeta at or
-above their Hankel edge (16) ``_neg_bessel`` computes one P/Q pair
-(``bessel._hankel_pq``) and forms both phases from it with the expressions
-of ``bessel._j_hankel``: the same floats as two Hankel calls, at half the
-sums.  The two phase offsets (2 nu + 1) pi/4 are read once, at import, as
-the hi and lo parts that ``bessel._order`` stores for nu = 1/3 and -1/3,
-and sqrt(u) is taken once per call for both zeta and the prefactor.
+J_{1/3} and J_{-1/3} have the same mu = 4 nu^2 = 4/9, so on the Hankel
+band one P/Q pair serves both, and both phases are formed from it with the
+expressions of ``bessel._j_hankel``: the same floats as two Hankel calls,
+at half the sums.  The pair is summed in one of the two forms that
+``bessel`` describes.  For zeta at or above the order's mono (58.0, so
+u above about 19.6, the long backward runs) ``airy_ai`` itself runs the
+unguarded loop, which past mono gives ``bessel._hankel_pq``'s floats.  For
+zeta in [edge, mono), edge = 16, ``_neg_bessel`` calls ``_hankel_pq``; it
+also seeds the table's centres on -10 <= c < -7.  The two phase offsets
+(2 nu + 1) pi/4 and mono are read once, at import, from what
+``bessel._order`` stores for nu = 1/3 and -1/3, and sqrt(u) is taken once
+per call for both zeta and the prefactor.
 """
 
 import math
@@ -93,10 +98,10 @@ def _pos_quadrature(x):
     return math.sqrt(x / 3.0) / math.pi * k13
 
 
-# J_{1/3} and J_{-1/3} share mu = 4/9, hence the Hankel edge and P/Q; each
-# order keeps its own phase offset
-_EDGE13, _ROUNDS13, _PH13_HI, _PH13_LO = _order(1.0 / 3.0)
-_PHM13_HI, _PHM13_LO = _order(-1.0 / 3.0)[2:]
+# J_{1/3} and J_{-1/3} share mu = 4/9, hence the Hankel edge, mono and P/Q;
+# each order keeps its own phase offset
+_EDGE13, _ROUNDS13, _PH13_HI, _PH13_LO, _MONO13 = _order(1.0 / 3.0)
+_PHM13_HI, _PHM13_LO = _order(-1.0 / 3.0)[2:4]
 
 
 def _neg_bessel(x):
@@ -139,7 +144,39 @@ def airy_ai(x):
     if not (-1e5 <= x <= 10.0):
         raise DomainError(f"airy_ai: argument {x!r} outside [-1e5, 10]")
     if x < -10.0:       # the long backward runs: first test
-        return _neg_bessel(x)
+        u = -x
+        su = _sqrt(u)
+        zeta = (2.0 / 3.0) * u * su
+        if zeta < _MONO13:
+            return _neg_bessel(x)
+        # bessel._j_any's sum past mono, for the shared P/Q pair
+        r = 1.0 / (8.0 * zeta)
+        p = 1.0
+        q = 0.0
+        a = 1.0
+        for c1, c2, c3, c4, _ in _ROUNDS13:
+            a *= c1 * r
+            q += a
+            if -1e-17 < a < 1e-17:
+                break
+            a *= c2 * r
+            p -= a
+            if -1e-17 < a < 1e-17:
+                break
+            a *= c3 * r
+            q -= a
+            if -1e-17 < a < 1e-17:
+                break
+            a *= c4 * r
+            p += a
+            if -1e-17 < a < 1e-17:
+                break
+        s = _sqrt(2.0 / (_PI * zeta))
+        chi = (zeta - _PH13_HI) - _PH13_LO
+        j13 = s * (_cos(chi) * p - _sin(chi) * q)
+        chi = (zeta - _PHM13_HI) - _PHM13_LO
+        jm13 = s * (_cos(chi) * p - _sin(chi) * q)
+        return su / 3.0 * (j13 + jm13)
     if x > 9.0:
         return _pos_asymptotic(x)
     if x > 4.0:

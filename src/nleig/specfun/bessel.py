@@ -22,15 +22,26 @@ The Hankel band is the hot path of long separatrix runs, so each order
 keeps state built on first use (``_order``): its Hankel edge, the smallest
 binary64 x with ``_hankel_ok``, so one comparison routes as the predicate
 does; the P/Q coefficients (mu - (2k-1)^2) / k, k = 1..59, in rounds of
-four; and the phase offset c pi/4, c = 2 nu + 1, as its two products
+four; the phase offset c pi/4, c = 2 nu + 1, as its two products
 c * _PI4_HI and c * _PI4_LO, so that a call forms the reduced phase
-chi = (x - c _PI4_HI) - c _PI4_LO with two subtractions and no product.
-``_hankel_pq`` is the one P/Q sum, unrolled by the sign pattern;
-``_j_any`` calls it directly, ``_j_hankel`` serves ``_j_direct``, and
-``airy._neg_bessel`` shares one P/Q pair between J_{1/3} and J_{-1/3}.
-tests/test_specfun.py checks these values bit for bit against a plain
+chi = (x - c _PI4_HI) - c _PI4_LO with two subtractions and no product;
+and ``mono`` = max(edge, max_k |coef_k| / 4), past which every term ratio
+|coef_k| / (8x) is at most 1/2 (58.0 for nu = 0, 224.75 for nu = 15).
+
+The P/Q sum runs in two forms, unrolled by the sign pattern.
+``_hankel_pq`` is the guarded one: it stops at the first term below 1e-17,
+at the divergent tail, or after 59 terms.  It serves [edge, mono) in
+``_j_any`` and ``airy._neg_bessel`` (which shares one P/Q pair between
+J_{1/3} and J_{-1/3}), and every argument of ``_j_hankel``, which serves
+``_j_direct``.  Past mono each term is at most half the one before, so
+each is the smallest so far, the divergence test never fires, and term 57
+is at most about 2^-57 < 1e-17, before the last round's None: the sum is
+"add terms until the first one below 1e-17".  ``_j_any`` and
+``airy.airy_ai`` (for zeta >= mono(1/3)) run that loop inline, with one
+comparison a term and no call, and give the guarded sum's floats.
+tests/test_specfun.py checks all of these bit for bit against a plain
 adaptive P/Q loop, one pass per order, with the phase formed as
-(x - c _PI4_HI) - c _PI4_LO.
+(x - c _PI4_HI) - c _PI4_LO, on both sides of each edge and each mono.
 """
 
 import math
@@ -110,33 +121,39 @@ _orders = {}
 
 
 def _order(nu):
-    """Per-order Hankel state (edge, rounds, ph_hi, ph_lo), built on first
-    use.  The edge is ``_hankel_edge(nu)``.  The rounds hold the P/Q
+    """Per-order Hankel state (edge, rounds, ph_hi, ph_lo, mono), built on
+    first use.  The edge is ``_hankel_edge(nu)``.  The rounds hold the P/Q
     coefficients (mu - (2k-1)^2) / k, mu = 4 nu^2, k = 1..59, four to a
     round, each with the flag k > 4 that arms the divergence test; the last
     round has three and None.  ph_hi and ph_lo are c * _PI4_HI and
     c * _PI4_LO with c = 2 nu + 1: the phase offset c pi/4 in two parts,
-    taken off as chi = (x - ph_hi) - ph_lo."""
+    taken off as chi = (x - ph_hi) - ph_lo.  mono = max(edge,
+    max_k |coef_k| / 4) is the smallest x at or above the edge where every
+    term ratio |coef_k| / (8x) is at most 1/2, so the terms only fall."""
     o = _orders.get(nu)
     if o is None:
         mu = 4.0 * nu * nu
         coef = [(mu - (2.0 * k - 1.0) ** 2) / k for k in range(1, 60)]
+        edge = _hankel_edge(nu)
+        mono = max(edge, max(abs(v) for v in coef) / 4.0)
         coef.append(None)
         rounds = tuple((*coef[j:j + 4], j > 0) for j in range(0, 60, 4))
         c = 2.0 * nu + 1.0
-        o = _orders[nu] = (_hankel_edge(nu), rounds, c * _PI4_HI, c * _PI4_LO)
+        o = _orders[nu] = (edge, rounds, c * _PI4_HI, c * _PI4_LO, mono)
     return o
 
 
 def _hankel_pq(rounds, x):
     """P and Q of the large-x expansion (DLMF 10.17.3) from an order's
-    rounds; the one P/Q implementation.  Term k is
+    rounds, guarded for any x on the band.  Term k is
     a_k = a_{k-1} coef_k / (8x), added to Q, P, Q, P with the signs
     +, -, -, + of k mod 4 = 1, 2, 3, 0.
     The sum stops after the first term below 1e-17, at the first term
     (k > 4) above four times the smallest so far (the divergent tail), or
     after 59 terms.  A term below 1e-17 is also the smallest so far, so
-    each term needs at most two comparisons."""
+    each term needs at most two comparisons.  Past the order's mono the
+    terms only fall, and ``_j_any`` and ``airy.airy_ai`` sum them inline
+    with the first stop alone."""
     r = 1.0 / (8.0 * x)
     p = 1.0
     q = 0.0
@@ -186,7 +203,7 @@ def _hankel_pq(rounds, x):
 def _j_hankel(nu, x):
     """J_nu(x) by the large-x expansion, for x at or above the order's
     Hankel edge; ``_j_any`` and ``airy._neg_bessel`` repeat the phase."""
-    _, rounds, ph_hi, ph_lo = _order(nu)
+    _, rounds, ph_hi, ph_lo, _ = _order(nu)
     p, q = _hankel_pq(rounds, x)
     chi = (x - ph_hi) - ph_lo
     return _sqrt(2.0 / (_PI * x)) * (_cos(chi) * p - _sin(chi) * q)
@@ -272,19 +289,50 @@ def _j_table(nu):
 
 
 def _j_any(nu, x):
-    """J_nu(x) for nu > -1 (internal; the public wrapper restricts nu)."""
+    """J_nu(x) for nu > -1 (internal; the public wrapper restricts nu).
+    Raises OverflowError at x = +inf, where the phase has no value."""
     try:
-        edge, rounds, ph_hi, ph_lo = _orders[nu]
+        edge, rounds, ph_hi, ph_lo, mono = _orders[nu]
     except KeyError:
-        edge, rounds, ph_hi, ph_lo = _order(nu)
-    # the edge is at least max(16, nu^2/5), so at least max(1, nu/4)
-    if x >= edge:
+        edge, rounds, ph_hi, ph_lo, mono = _order(nu)
+    if x >= mono:
+        # _hankel_pq's sum with only its 1e-17 stop: past mono each term
+        # is at most half the one before, so that stop comes first (by
+        # k = 57) and the smallest-so-far and divergence tests never act
+        r = 1.0 / (8.0 * x)
+        p = 1.0
+        q = 0.0
+        a = 1.0
+        for c1, c2, c3, c4, _ in rounds:
+            a *= c1 * r
+            q += a
+            if -1e-17 < a < 1e-17:
+                break
+            a *= c2 * r
+            p -= a
+            if -1e-17 < a < 1e-17:
+                break
+            a *= c3 * r
+            q -= a
+            if -1e-17 < a < 1e-17:
+                break
+            a *= c4 * r
+            p += a
+            if -1e-17 < a < 1e-17:
+                break
+    elif x >= edge:
         p, q = _hankel_pq(rounds, x)
-        chi = (x - ph_hi) - ph_lo
-        return _sqrt(2.0 / (_PI * x)) * (_cos(chi) * p - _sin(chi) * q)
-    if x >= 1.0 and x >= 0.25 * nu:
+    # the edge is at least max(16, nu^2/5), so at least max(1, nu/4)
+    elif x >= 1.0 and x >= 0.25 * nu:
         return _j_table(nu)(x)
-    return _j_direct(nu, x)
+    else:
+        return _j_direct(nu, x)
+    chi = (x - ph_hi) - ph_lo
+    try:
+        return _sqrt(2.0 / (_PI * x)) * (_cos(chi) * p - _sin(chi) * q)
+    except ValueError:          # cos(inf): try costs nothing when unused
+        raise OverflowError(f"bessel: J_nu(x) at x = {x!r}, nu = {nu!r}") \
+            from None
 
 
 def bessel_j(nu, x):

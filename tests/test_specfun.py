@@ -92,6 +92,17 @@ class TestBessel:
             fd = (bessel_j(0, x + h) - bessel_j(0, x - h)) / (2.0 * h)
             assert abs(fd + bessel_j(1, x)) < 1e-9
 
+    def test_non_finite(self):
+        # NaN is refused; +inf raises OverflowError, which Engine.run meets
+        # as an overflowing stage probe and retries with a smaller step
+        from nleig.specfun.bessel import _j_any
+        for nu in (0.0, 1.0 / 3.0, 2.5, 50.0):
+            for fn in (bessel_j, bessel_j_prime, _j_any):
+                with pytest.raises(OverflowError):
+                    fn(nu, math.inf)
+            with pytest.raises(DomainError):
+                bessel_j(nu, math.nan)
+
     def test_zeros_interlace(self):
         zs = [bessel_j_zero(0.0, k) for k in range(1, 8)]
         assert all(b > a for a, b in zip(zs, zs[1:]))
@@ -294,6 +305,67 @@ class TestHankelBitIdentity:
         assert edge >= 1.0 and edge >= 0.25 * nu
         assert _j_any(nu, edge) == _j_hankel_reference(nu, edge)
         assert _j_any(nu, below) == _j_any_reference(nu, below)
+
+    @pytest.mark.parametrize("nu", HANKEL_ORDERS)
+    def test_mono_bounds_every_term_ratio(self, nu):
+        # past mono every ratio |coef_k| / (8x), k = 1..59, is at most 1/2,
+        # and mono is the least argument at or above the edge with that
+        from fractions import Fraction
+        from nleig.specfun.bessel import _order
+        edge, mono = _order(nu)[0], _order(nu)[4]
+        mu = 4.0 * nu * nu
+        top = max(abs(mu - (2.0 * k - 1.0) ** 2) / k for k in range(1, 60))
+        assert mono >= edge
+        assert top / (8.0 * mono) <= 0.5
+        below = Fraction(math.nextafter(mono, 0.0))
+        assert below < edge or Fraction(top) / (8 * below) > Fraction(1, 2)
+
+    @pytest.mark.parametrize("nu", HANKEL_ORDERS)
+    def test_j_any_across_mono(self, nu):
+        from nleig.specfun.bessel import _j_any, _order
+        mono = _order(nu)[4]
+        for x in (math.nextafter(mono, 0.0), mono,
+                  math.nextafter(mono, math.inf)):
+            assert _j_any(nu, x) == _j_any_reference(nu, x)
+
+    @given(st.sampled_from(HANKEL_ORDERS), st.floats(1.0 / 1.05, 1.05))
+    @settings(max_examples=300, deadline=None)
+    def test_j_any_near_mono(self, nu, s):
+        from nleig.specfun.bessel import _j_any, _order
+        x = _order(nu)[4] * s
+        assert _j_any(nu, x) == _j_any_reference(nu, x)
+
+    @staticmethod
+    def _airy_mono_u():
+        """The adjacent floats lo < hi with zeta(lo) < mono(1/3) <=
+        zeta(hi), zeta formed as airy_ai forms it (monotone in u)."""
+        from nleig.specfun.bessel import _order
+        mono = _order(1.0 / 3.0)[4]
+
+        def zeta(u):
+            return (2.0 / 3.0) * u * math.sqrt(u)
+        lo, hi = 19.0, 20.0
+        assert zeta(lo) < mono <= zeta(hi)
+        while True:
+            mid = 0.5 * (lo + hi)
+            if mid <= lo or mid >= hi:
+                return lo, hi
+            if zeta(mid) < mono:
+                lo = mid
+            else:
+                hi = mid
+
+    def test_airy_across_mono(self):
+        lo, hi = self._airy_mono_u()
+        assert math.nextafter(lo, math.inf) == hi
+        for u in (math.nextafter(lo, 0.0), lo, hi, math.nextafter(hi, 30.0)):
+            assert airy_ai(-u) == _neg_bessel_reference(-u)
+
+    @given(st.floats(1.0 / 1.05, 1.05))
+    @settings(max_examples=200, deadline=None)
+    def test_airy_near_mono(self, s):
+        u = self._airy_mono_u()[1] * s
+        assert airy_ai(-u) == _neg_bessel_reference(-u)
 
     @pytest.mark.parametrize("nu, x, stop", [
         (0.0, 16.0, "diverge"), (7.0, 17.6, "diverge"),
